@@ -2,8 +2,8 @@
 
 Subcommands: generate, run, verify, export-poset, export-complex.  A plain
 ``key = value`` config file can seed any long option; explicit flags win.
-``--threads`` (or FINITESHAPE_THREADS) caps worker parallelism and is recorded
-in the run summary; the numeric kernels are vectorized and single-process.
+Exit codes: 0 when every check passed, 1 when a check printed a FAIL line,
+2 for bad input or configuration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .construction import (
+    SequenceFormatError,
     build_adjusted_sequence,
     check_sequence_inequalities,
     load_sequence_text,
@@ -34,6 +35,7 @@ from .hyperspace import (
     verify_adjusted_distance_bounds,
 )
 from .invariants import (
+    HomologyCheckError,
     export_complex_csv,
     export_complex_off,
     order_complex,
@@ -67,7 +69,6 @@ class RunConfig:
     cap: int | None = None  # None: maxdim + 2
     window: int = 2
     outdir: str = "out"
-    threads: int = 0  # 0: cpu count
     skip_bounds: bool = False
     skip_identity: bool = False
     skip_diagram: bool = False
@@ -92,14 +93,6 @@ class RunConfig:
             raise ConfigError("stabilization window must be >= 2")
         if self.format not in ("coords_csv", "distmatrix_csv"):
             raise ConfigError(f"unknown input format {self.format}")
-
-    def resolve_threads(self) -> int:
-        if self.threads:
-            return self.threads
-        env = os.environ.get("FINITESHAPE_THREADS")
-        if env:
-            return int(env)
-        return os.cpu_count() or 1
 
 
 def _spec_from_config(cfg: RunConfig) -> SpaceSpec:
@@ -143,7 +136,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, help="element cardinality cap (default maxdim + 2)")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--outdir", default="out")
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--config", help="key = value file; explicit flags override it")
     p.add_argument("--skip-bounds", action="store_true")
     p.add_argument("--skip-identity", action="store_true")
@@ -155,7 +147,7 @@ _CONFIG_KEYS = {
     "space": str, "n": int, "radius": float, "separation": float, "length": float,
     "cantor_depth": int, "seed": int, "input": str, "format": str, "epsilon1": float,
     "depth": int, "safety": float, "tie_tol": float, "maxdim": int, "cap": int,
-    "window": int, "outdir": str, "threads": int,
+    "window": int, "outdir": str,
     "skip_bounds": bool, "skip_identity": bool, "skip_diagram": bool, "skip_homology": bool,
 }
 
@@ -292,8 +284,13 @@ def cmd_run(args, explicit) -> int:
                     f"slack={w.slack!r} worst_item={w.worst_item} verdict={'pass' if w.verdict else 'fail'}\n"
                 )
 
+    rep = None
     if not cfg.skip_homology and seq.depth >= 2:
-        rep = shape_report(seq, maxdim=cfg.maxdim, window=cfg.window, cap=cfg.cap, tie_tol=cfg.tie_tol)
+        try:
+            rep = shape_report(seq, maxdim=cfg.maxdim, window=cfg.window, cap=cfg.cap, tie_tol=cfg.tie_tol)
+        except (ElementCapError, BondingDiameterError, HomologyCheckError) as exc:
+            all_ok &= _print_verdict("homology", False, str(exc))
+    if rep is not None:
         write_homology_csv(rep, os.path.join(cfg.outdir, "homology.csv"))
         with open(os.path.join(cfg.outdir, "homology.txt"), "w") as fh:
             for row in rep.levels:
@@ -313,7 +310,6 @@ def cmd_run(args, explicit) -> int:
 
     with open(os.path.join(cfg.outdir, "summary.txt"), "w") as fh:
         fh.write(f"verdict = {'pass' if all_ok else 'fail'}\n")
-        fh.write(f"threads = {cfg.resolve_threads()}\n")
         fh.write(f"seed = {cfg.seed}\n")
         fh.write(f"elapsed_seconds = {time.time() - t0:.3f}\n")
 
@@ -325,7 +321,11 @@ def cmd_verify(args, explicit) -> int:
     cfg = _config_from_args(args, explicit)
     ground = _load_ground(cfg)
     if getattr(args, "sequence", None):
-        seq = load_sequence_text(ground, args.sequence)
+        try:
+            seq = load_sequence_text(ground, args.sequence)
+        except SequenceFormatError as exc:
+            _print_verdict("sequence-format", False, str(exc))
+            return 1
     else:
         eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
         seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)

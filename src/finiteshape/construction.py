@@ -271,8 +271,20 @@ def write_sequence_csv(seq: AdjustedSequence, path: str) -> None:
             fh.write(f"{lv.index},{lv.epsilon!r},{lv.gamma!r},{len(lv.net)}\n")
 
 
+class SequenceFormatError(ValueError):
+    """A stored sequence file is malformed or does not fit its ground sample."""
+
+
 def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
-    """Re-load an exported sequence (for verification of stored towers)."""
+    """Re-load an exported sequence (for verification of stored towers).
+
+    Raises ``SequenceFormatError``, naming the line, for an unparsable line,
+    level numbers that do not run 1, 2, 3, ..., a net that is not a sorted,
+    duplicate-free list of ground indices in ``[0, ground.n)``, or a stored
+    ``gamma`` that is not the net's coverage radius on ``ground``: the tower
+    inequalities are checked against the stored value, so it must be the
+    real one.
+    """
     safety = 0.9
     net_fraction = None
     requested = 0
@@ -280,36 +292,59 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     reason = None
     levels = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("safety ="):
-                    safety = float(body.split("=", 1)[1])
-                elif body.startswith("net_fraction ="):
-                    raw = body.split("=", 1)[1].strip()
-                    net_fraction = None if raw == "None" else float(raw)
-                elif body.startswith("requested_depth ="):
-                    requested = int(body.split("=", 1)[1])
-                elif body.startswith("stopped_early ="):
-                    stopped = body.split("=", 1)[1].strip() == "True"
-                elif body.startswith("stop_reason ="):
-                    reason = body.split("=", 1)[1].strip()
-                continue
-            if not line.startswith("level "):
-                raise ValueError(f"unrecognized sequence line: {line!r}")
-            fields = dict(part.split("=", 1) for part in line[len("level "):].split())
-            levels.append(
-                Level(
+            where = f"{path}:{lineno}"
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("safety ="):
+                        safety = float(body.split("=", 1)[1])
+                    elif body.startswith("net_fraction ="):
+                        raw = body.split("=", 1)[1].strip()
+                        net_fraction = None if raw == "None" else float(raw)
+                    elif body.startswith("requested_depth ="):
+                        requested = int(body.split("=", 1)[1])
+                    elif body.startswith("stopped_early ="):
+                        stopped = body.split("=", 1)[1].strip() == "True"
+                    elif body.startswith("stop_reason ="):
+                        reason = body.split("=", 1)[1].strip()
+                    continue
+                if not line.startswith("level "):
+                    raise ValueError("unrecognized sequence line")
+                fields = dict(part.split("=", 1) for part in line[len("level "):].split())
+                lv = Level(
                     index=int(fields["n"]),
                     epsilon=float(fields["epsilon"]),
                     net=tuple(int(i) for i in fields["net"].split(",")),
                     gamma=float(fields["gamma"]),
                     net_threshold=float(fields.get("threshold", fields["epsilon"])),
                 )
-            )
+            except (ValueError, KeyError) as exc:
+                raise SequenceFormatError(f"{where}: cannot parse {line!r}: {exc!r}") from exc
+            if lv.index != len(levels) + 1:
+                raise SequenceFormatError(
+                    f"{where}: level n={lv.index} where n={len(levels) + 1} was expected; "
+                    f"levels must be numbered 1, 2, 3, ... in order"
+                )
+            outside = [i for i in lv.net if not 0 <= i < ground.n]
+            if outside:
+                raise SequenceFormatError(
+                    f"{where}: level {lv.index} net index {outside[0]} lies outside [0, {ground.n})"
+                )
+            if any(a >= b for a, b in zip(lv.net, lv.net[1:])):
+                raise SequenceFormatError(f"{where}: level {lv.index} net is not sorted and duplicate-free")
+            covered = gamma(ground, lv.net)
+            if covered != lv.gamma:
+                raise SequenceFormatError(
+                    f"{where}: level {lv.index} stores gamma={lv.gamma!r}, "
+                    f"but its net covers the ground within gamma={covered!r}"
+                )
+            levels.append(lv)
+    if not levels:
+        raise SequenceFormatError(f"{path}: no level lines")
     return AdjustedSequence(
         ground=ground,
         levels=tuple(levels),

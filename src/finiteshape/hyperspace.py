@@ -231,18 +231,38 @@ def bonding_map(
     fine_net = list(fine.level.net)
     q = nearest_sets(ground.dist[np.ix_(fine_net, list(coarse.net))], coarse.net, tie_tol)
     q_of = {a: img for a, img in zip(fine_net, q)}
+    return _union_images(ground, fine, coarse, q_of, "bonding image")
+
+
+def _union_images(
+    ground: MetricGround,
+    fine: HyperLevel,
+    coarse: Level,
+    point_images: dict[int, tuple[int, ...]],
+    what: str,
+) -> MultiMap:
+    """Element-domain map sending each fine element to the union of its points' images.
+
+    Many elements share an image, so each distinct image is measured once.
+    The first element whose image reaches ``2 * coarse.epsilon`` raises
+    ``BondingDiameterError``.
+    """
     bound = 2.0 * coarse.epsilon
+    measured: set[tuple[int, ...]] = set()
     images = []
     worst = 0.0
     for el in fine.elements:
-        img = sorted(set().union(*(q_of[a] for a in el)))
+        img = tuple(sorted(set().union(*(point_images[a] for a in el))))
+        images.append(img)
+        if img in measured:
+            continue
+        measured.add(img)
         d = set_diameter(ground.dist, img)
         if d >= bound:
             raise BondingDiameterError(
-                f"bonding image of {el} has diameter {d!r} >= 2*epsilon = {bound!r} "
+                f"{what} of {el} has diameter {d!r} >= 2*epsilon = {bound!r} "
                 f"(levels {fine.level.index} -> {coarse.index})"
             )
-        images.append(tuple(img))
         if d > worst:
             worst = d
     return MultiMap(domain_kind="elements", images=tuple(images), diameter=worst)
@@ -289,22 +309,7 @@ def composite_bonding(
         raise ValueError("need at least two levels to compose")
     levels = [hl.level for hl in hyperlevels]
     comp = singleton_bonding_chain(ground, levels, tie_tol)
-    coarsest = levels[0]
-    bound = 2.0 * coarsest.epsilon
-    images = []
-    worst = 0.0
-    for el in hyperlevels[-1].elements:
-        img = sorted(set().union(*(comp[a] for a in el)))
-        d = set_diameter(ground.dist, img)
-        if d >= bound:
-            raise BondingDiameterError(
-                f"composite image of {el} has diameter {d!r} >= 2*epsilon = {bound!r} "
-                f"(levels {levels[-1].index} -> {coarsest.index})"
-            )
-        images.append(tuple(img))
-        if d > worst:
-            worst = d
-    return MultiMap(domain_kind="elements", images=tuple(images), diameter=worst)
+    return _union_images(ground, hyperlevels[-1], levels[0], comp, "composite image")
 
 
 def is_continuous(mm: MultiMap, domain: HyperLevel):

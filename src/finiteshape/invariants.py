@@ -5,8 +5,9 @@ k-simplices are the (k+1)-point net subsets of diameter below twice the level
 scale, and the order complex of the hyperspace poset, whose k-simplices are
 strict inclusion chains of k+1 elements.  The order complex is the barycentric
 subdivision of the scale complex (restricted to the cardinality cap), so their
-Betti numbers must agree; the pipeline computes both routes independently and
-cross-checks them.
+Betti numbers must agree; the pipeline reads both complexes off one
+enumeration of the level's small subsets, reduces each separately, and
+cross-checks the results.
 
 Bonding maps are monotone, hence simplicial on order complexes (chains map to
 chains, with collapsed chains sent to zero).  Their induced maps on homology
@@ -21,8 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .construction import AdjustedSequence, Level
 from .gf2 import ChainHomology, boundary_columns, rank_of
 from .hyperspace import (
@@ -30,10 +29,13 @@ from .hyperspace import (
     MultiMap,
     bonding_map,
     build_hyperlevel,
-    enumerate_small_subsets,
     is_continuous,
 )
 from .metric import MetricGround
+
+
+class HomologyCheckError(AssertionError):
+    """A consistency check of the shape stage failed on the built tower."""
 
 
 @dataclass(frozen=True)
@@ -60,19 +62,32 @@ class SimplicialComplex:
                         raise AssertionError(f"face {s[:i] + s[i + 1:]} of {s} missing")
 
 
+def scale_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
+    """Scale complex of a level, read off its hyperspace level.
+
+    The k-simplices are the elements of k + 1 net points, up to dimension
+    ``maxdim + 1`` (exactly what homology through degree ``maxdim``
+    consumes), with vertices renumbered to local net positions.  The
+    hyperlevel must be enumerated with a cap of at least ``maxdim + 2``.
+    """
+    top = maxdim + 2
+    if hl.cap < top:
+        raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
+    position = {a: i for i, a in enumerate(hl.level.net)}
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
+    for el in hl.elements:
+        if len(el) <= top:
+            by_dim[len(el) - 1].append(tuple(position[a] for a in el))
+    return SimplicialComplex(n_vertices=len(position), simplices=tuple(tuple(s) for s in by_dim))
+
+
 def rips_complex(ground: MetricGround, level: Level, maxdim: int = 1, max_simplices: int = 2_000_000) -> SimplicialComplex:
     """Scale complex of a level: simplices are small-diameter net subsets.
 
     Simplices run up to dimension ``maxdim + 1``, exactly what homology
     through degree ``maxdim`` consumes.  Vertices are local net positions.
     """
-    net = list(level.net)
-    dist_local = ground.dist[np.ix_(net, net)]
-    elements, _ = enumerate_small_subsets(dist_local, 2.0 * level.epsilon, maxdim + 2, max_simplices)
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(maxdim + 2)]
-    for el in elements:
-        by_dim[len(el) - 1].append(el)
-    return SimplicialComplex(n_vertices=len(net), simplices=tuple(tuple(s) for s in by_dim))
+    return scale_complex(build_hyperlevel(ground, level, cap=maxdim + 2, max_elements=max_simplices), maxdim)
 
 
 def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
@@ -111,11 +126,21 @@ def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
     )
 
 
-def betti(cx: SimplicialComplex, maxdim: int = 1) -> tuple[int, ...]:
-    """Betti numbers b_0..b_maxdim over the two-element field, exact."""
+def chain_homology(cx: SimplicialComplex) -> ChainHomology:
+    """Degree-0 and degree-1 homology data of a complex (its edges and triangles)."""
     edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
     triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
-    hom = ChainHomology(cx.n_vertices, edges, triangles)
+    return ChainHomology(cx.n_vertices, edges, triangles)
+
+
+def betti(cx: SimplicialComplex, maxdim: int = 1, hom: ChainHomology | None = None) -> tuple[int, ...]:
+    """Betti numbers b_0..b_maxdim over the two-element field, exact.
+
+    ``hom`` is the already-built ``ChainHomology`` of ``cx``, when the caller
+    has one; otherwise it is built here.
+    """
+    if hom is None:
+        hom = chain_homology(cx)
     out = [hom.b0]
     if maxdim >= 1:
         out.append(hom.b1)
@@ -138,10 +163,8 @@ class LevelHomology:
         self.hyperlevel = hl
         self.maxdim = maxdim
         self.complex = order_complex(hl, maxdim)
-        edges = self.complex.simplices[1] if len(self.complex.simplices) > 1 else ()
-        tris = self.complex.simplices[2] if len(self.complex.simplices) > 2 else ()
-        self.hom = ChainHomology(self.complex.n_vertices, edges, tris)
-        self.betti = betti(self.complex, maxdim)
+        self.hom = chain_homology(self.complex)
+        self.betti = betti(self.complex, maxdim, self.hom)
 
     def h1_reps(self):
         return self.hom.h1_representatives()
@@ -175,22 +198,27 @@ def induced_homology_map(
     degree: int,
     fine_data: LevelHomology | None = None,
     coarse_data: LevelHomology | None = None,
+    vertex_map: list[int] | None = None,
 ) -> int:
     """Rank of the map induced on degree-k homology by a bonding map.
 
     The vertex map sends an element of the fine poset to its image element of
     the coarse poset (minimal selection, see ``selection_vertex_map``);
     monotonicity (checked, continuity precondition) makes it simplicial on
-    order complexes, with collapsing chains sent to zero.
+    order complexes, with collapsing chains sent to zero.  A caller that has
+    already checked ``p`` monotone and built its selection map passes it as
+    ``vertex_map``, and both steps are skipped (``shape_report`` does them
+    once per bonding pair, not once per degree).
     """
-    ok, ce = is_continuous(p, fine)
-    if not ok:
-        raise ValueError(f"bonding map is not monotone at element pair {ce}; refusing induced map")
     if degree not in (0, 1):
         raise ValueError("induced ranks are computed in degrees 0 and 1")
+    if vertex_map is None:
+        ok, ce = is_continuous(p, fine)
+        if not ok:
+            raise ValueError(f"bonding map is not monotone at element pair {ce}; refusing induced map")
+        vertex_map = selection_vertex_map(p, fine, coarse)
     fine_data = fine_data or LevelHomology(fine)
     coarse_data = coarse_data or LevelHomology(coarse)
-    vertex_map = selection_vertex_map(p, fine, coarse)
 
     if degree == 0:
         # one coarse component per fine component; rank = distinct images
@@ -216,7 +244,7 @@ def induced_homology_map(
         for eid in pushed:
             boundary ^= set(coarse_edges[eid])
         if boundary:
-            raise AssertionError("pushed representative is not a cycle; chain map broken")
+            raise HomologyCheckError("pushed representative is not a cycle; chain map broken")
         counter.add_cycle(pushed)
     return counter.rank
 
@@ -277,7 +305,10 @@ def shape_report(
     Builds hyperspace levels, verifies the barycentric cross-check
     (order-complex Betti numbers equal scale-complex Betti numbers, exact),
     computes induced ranks along every consecutive bonding map, and stabilizes
-    them over the trailing window.
+    them over the trailing window.  Each level is enumerated once and both of
+    its complexes are read off that hyperspace level; each order complex is
+    reduced once, and each bonding map is checked monotone once.  A failed
+    check raises ``HomologyCheckError``.
     """
     if seq.depth < 2:
         raise ValueError("shape report needs at least two levels")
@@ -290,9 +321,9 @@ def shape_report(
 
     rows = []
     for lv, hl, data in zip(seq.levels, hls, datas):
-        b_rips = betti(rips_complex(ground, lv, maxdim, max_elements), maxdim)
+        b_rips = betti(scale_complex(hl, maxdim), maxdim)
         if b_rips != data.betti:
-            raise AssertionError(
+            raise HomologyCheckError(
                 f"barycentric invariance failed at level {lv.index}: "
                 f"order {data.betti} vs scale {b_rips}"
             )
@@ -310,14 +341,21 @@ def shape_report(
 
     pairs = []
     for k in range(len(hls) - 1):
-        p = bonding_map(ground, hls[k + 1], seq.levels[k], tie_tol)
+        fine, coarse = hls[k + 1], hls[k]
+        p = bonding_map(ground, fine, coarse.level, tie_tol)
+        ok, ce = is_continuous(p, fine)
+        if not ok:
+            raise HomologyCheckError(
+                f"bonding map {fine.level.index}->{coarse.level.index} is not monotone at element pair {ce}"
+            )
+        vertex_map = selection_vertex_map(p, fine, coarse)
         ranks = tuple(
-            induced_homology_map(p, hls[k + 1], hls[k], deg, datas[k + 1], datas[k])
+            induced_homology_map(p, fine, coarse, deg, datas[k + 1], datas[k], vertex_map)
             for deg in range(min(maxdim, 1) + 1)
         )
         for deg, r in enumerate(ranks):
             if r > min(datas[k + 1].betti[deg], datas[k].betti[deg]):
-                raise AssertionError(
+                raise HomologyCheckError(
                     f"induced rank {r} exceeds Betti bound at pair {k + 2}->{k + 1}, degree {deg}"
                 )
         pairs.append(PairRow(fine_index=seq.levels[k + 1].index, coarse_index=seq.levels[k].index, ranks=ranks))

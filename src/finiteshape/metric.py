@@ -23,7 +23,7 @@ VALID_KINDS = ("two_points", "circle", "interval", "cantor", "warsaw_circle", "c
 
 
 class GroundValidationError(ValueError):
-    """Raised when a distance table fails the metric axioms."""
+    """Raised when input coordinates or a distance table are unusable as a metric sample."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,10 @@ class MetricGround:
             coords = coords[:, None]
         if coords.ndim != 2 or coords.shape[0] < 1:
             raise GroundValidationError("coordinate array must be (n, d) with n >= 1")
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise GroundValidationError(f"non-finite coordinate in row {i}: {coords[i].tolist()}")
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
         dist = 0.5 * (dist + dist.T)  # enforce exact symmetry against fp noise
@@ -86,6 +90,10 @@ def _validate_distance_table(dist: np.ndarray) -> None:
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise GroundValidationError(f"distance table must be square, got shape {dist.shape}")
     n = dist.shape[0]
+    bad = np.argwhere(~np.isfinite(dist))
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise GroundValidationError(f"non-finite distance in row {i}: d({i},{j})={float(dist[i, j])!r}")
     if not np.array_equal(dist, dist.T):
         i, j = map(int, np.argwhere(dist != dist.T)[0])
         raise GroundValidationError(f"asymmetric matrix: d({i},{j})={dist[i, j]!r} != d({j},{i})={dist[j, i]!r}")

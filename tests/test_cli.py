@@ -1,3 +1,8 @@
+import functools
+
+import pytest
+
+from finiteshape import cli, invariants
 from finiteshape.cli import main
 
 
@@ -118,13 +123,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert not (tmp_path / "o1").exists()
 
 
-def test_threads_env_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("FINITESHAPE_THREADS", "3")
-    outdir = tmp_path / "out"
-    assert run_cli(["run", "--space", "two_points", "--outdir", str(outdir)]) == 0
-    assert "threads = 3" in (outdir / "summary.txt").read_text()
-
-
 def test_run_from_distance_matrix(tmp_path, capsys):
     # hexagon path metric: a discrete circle given purely by distances
     import numpy as np
@@ -162,3 +160,59 @@ def test_export_complex_both_kinds(tmp_path):
         assert code == 0
         assert (tmp_path / f"cx_{kind}.off").exists()
         assert (tmp_path / f"cx_{kind}.csv").exists()
+
+
+def test_run_shape_stage_failure_is_a_fail_verdict(tmp_path, capsys, monkeypatch):
+    # circle-64 level 1 alone has more than 40 poset elements
+    monkeypatch.setattr(cli, "shape_report", functools.partial(invariants.shape_report, max_elements=40))
+    outdir = tmp_path / "out"
+    code = run_cli(["run", "--space", "circle", "--n", "64", "--depth", "3", "--outdir", str(outdir)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL homology: element budget 40 exceeded" in out
+    assert "CHECKS FAILED" in out
+    assert (outdir / "summary.txt").read_text().splitlines()[0] == "verdict = fail"
+    assert not (outdir / "homology.csv").exists()
+
+
+def _edit_level_line(path, n, edit):
+    lines = []
+    for line in path.read_text().splitlines():
+        if line.startswith(f"level n={n} "):
+            fields = dict(part.split("=", 1) for part in line[len("level "):].split())
+            edit(fields)
+            line = "level " + " ".join(f"{k}={v}" for k, v in fields.items())
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda f: f.update(net=f["net"] + ",99999"), "net index 99999 lies outside [0, 64)"),
+    (lambda f: f.update(net=",".join(reversed(f["net"].split(",")))), "net is not sorted and duplicate-free"),
+    (lambda f: f.update(net=f["net"] + "," + f["net"].split(",")[-1]), "net is not sorted and duplicate-free"),
+    (lambda f: f.update(n="3"), "level n=3 where n=2 was expected"),
+    (lambda f: f.pop("epsilon"), "cannot parse"),
+    (lambda f: f.update(gamma="0.0"), "stores gamma=0.0, but its net covers the ground within gamma="),
+], ids=["index-out-of-range", "unsorted", "duplicate", "level-gap", "missing-field", "false-gamma"])
+def test_verify_malformed_stored_sequence_fails(tmp_path, capsys, edit, reason):
+    coords = tmp_path / "g.csv"
+    outdir = tmp_path / "out"
+    assert run_cli(["generate", "--space", "circle", "--n", "64", "--out", str(coords)]) == 0
+    assert run_cli(["run", "--input", str(coords), "--outdir", str(outdir), "--depth", "3",
+                    "--skip-homology"]) == 0
+    seq_file = outdir / "sequence.txt"
+    _edit_level_line(seq_file, 2, edit)
+    capsys.readouterr()
+    code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL sequence-format: ")
+    assert reason in out
+
+
+def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):
+    coords = tmp_path / "g.csv"
+    coords.write_text("id,x,y\n0,0.0,0.0\n1,nan,1.0\n2,1.0,0.0\n")
+    code = run_cli(["run", "--input", str(coords), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "non-finite coordinate in row 1" in capsys.readouterr().err

@@ -15,7 +15,9 @@ from finiteshape.hyperspace import (
     export_poset_dot,
     is_continuous,
     nearest_point_map,
+    nearest_sets,
     set_diameter,
+    singleton_bonding_chain,
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -169,6 +171,35 @@ def test_composite_diameters_below_coarse_epsilon_on_circle():
     for el, img in zip(hls[-1].elements, comp.images):
         if len(el) == 1:
             assert set_diameter(g.dist, img) < seq.level(1).epsilon
+
+
+def per_element_union_map(dist, elements, point_images):
+    """Reference: union image of every element, each measured on its own."""
+    images = tuple(tuple(sorted(set().union(*(point_images[a] for a in el)))) for el in elements)
+    worst = 0.0
+    for img in images:
+        d = set_diameter(dist, img)
+        if d > worst:
+            worst = d
+    return images, worst
+
+
+def test_bonding_maps_match_per_element_diameter_reference():
+    g = generate(SpaceSpec("warsaw_circle", n=1000))
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
+    hls = [build_hyperlevel(g, lv) for lv in seq.levels]
+    shared = 0
+    for k in range(len(hls) - 1):
+        fine_net, coarse_net = list(seq.levels[k + 1].net), list(seq.levels[k].net)
+        q = dict(zip(fine_net, nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
+        p = bonding_map(g, hls[k + 1], seq.levels[k])
+        assert (p.images, p.diameter) == per_element_union_map(g.dist, hls[k + 1].elements, q)
+        shared += len(p.images) - len(set(p.images))
+    assert shared > 0  # some elements share an image, so the measured-once path runs
+    for k in range(len(hls) - 2):
+        comp = composite_bonding(g, hls[k:])
+        chain = singleton_bonding_chain(g, seq.levels[k:])
+        assert (comp.images, comp.diameter) == per_element_union_map(g.dist, hls[-1].elements, chain)
 
 
 def test_is_continuous_constant_map():

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from finiteshape import hyperspace, invariants
 from finiteshape.construction import Level, build_adjusted_sequence
-from finiteshape.hyperspace import MultiMap, bonding_map, build_hyperlevel
+from finiteshape.hyperspace import MultiMap, bonding_map, build_hyperlevel, enumerate_small_subsets, is_continuous
 from finiteshape.invariants import (
     LevelHomology,
     SimplicialComplex,
@@ -16,6 +18,7 @@ from finiteshape.invariants import (
     induced_homology_map,
     order_complex,
     rips_complex,
+    scale_complex,
     selection_vertex_map,
     shape_report,
     write_homology_csv,
@@ -138,6 +141,25 @@ def test_rips_two_far_points():
     cx = rips_complex(g, lv)
     assert cx.count(1) == 0
     assert betti(cx) == (2, 0)
+
+
+@pytest.mark.parametrize("maxdim", [1, 2])
+def test_scale_complex_read_off_hyperlevel_matches_brute_force(maxdim):
+    rng = np.random.default_rng(5)
+    g = MetricGround.from_coords(rng.uniform(size=(40, 2)))
+    net = tuple(sorted(int(i) for i in rng.choice(40, size=25, replace=False)))
+    lv = Level(1, 0.15, net, 0.1, 0.15)
+    local = g.dist[np.ix_(net, net)]
+    expected = tuple(
+        tuple(sub for sub in itertools.combinations(range(len(net)), r)
+              if local[np.ix_(sub, sub)].max() < 2.0 * lv.epsilon)
+        for r in range(1, maxdim + 3)
+    )
+    assert rips_complex(g, lv, maxdim).simplices == expected
+    for cap in (maxdim + 2, maxdim + 3):
+        assert scale_complex(build_hyperlevel(g, lv, cap=cap), maxdim).simplices == expected
+    with pytest.raises(ValueError):
+        scale_complex(build_hyperlevel(g, lv, cap=maxdim + 1), maxdim)
 
 
 # --- betti core -----------------------------------------------------------------
@@ -290,6 +312,59 @@ def test_shape_report_maxdim_two():
         assert len(row.betti_order) == 3
         assert row.betti_order == row.betti_rips
     assert rep.stabilized[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("maxdim", [1, 2])
+def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch, maxdim):
+    g = generate(SpaceSpec("circle", n=64))
+    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
+    builds = []
+
+    class CountingChainHomology(invariants.ChainHomology):
+        def __init__(self, *args):
+            builds.append(args[0])
+            super().__init__(*args)
+
+    for lv in seq.levels:
+        hl = build_hyperlevel(g, lv, cap=maxdim + 2)
+        fresh = betti(order_complex(hl, maxdim), maxdim)
+        builds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "ChainHomology", CountingChainHomology)
+            data = LevelHomology(hl, maxdim)
+        assert data.betti == fresh
+        assert builds == [hl.n_elements]
+
+
+def test_shape_report_computes_each_object_once(monkeypatch):
+    g = generate(SpaceSpec("circle", n=128))
+    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
+    checked, enumerated = [], []
+
+    def counting_is_continuous(p, domain):
+        checked.append(domain.level.index)
+        return is_continuous(p, domain)
+
+    def counting_enumerate(dist_local, *args):
+        enumerated.append(dist_local.shape[0])
+        return enumerate_small_subsets(dist_local, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "is_continuous", counting_is_continuous)
+        m.setattr(hyperspace, "enumerate_small_subsets", counting_enumerate)
+        rep = shape_report(seq)
+    assert checked == [lv.index for lv in seq.levels[1:]]  # once per bonding pair
+    assert enumerated == [len(lv.net) for lv in seq.levels]  # once per level
+
+    hls = [build_hyperlevel(g, lv) for lv in seq.levels]
+    datas = [LevelHomology(hl) for hl in hls]
+    for k, pr in enumerate(rep.pairs):
+        p = bonding_map(g, hls[k + 1], seq.levels[k])
+        expected = tuple(
+            induced_homology_map(p, hls[k + 1], hls[k], deg, datas[k + 1], datas[k]) for deg in (0, 1)
+        )
+        assert pr.ranks == expected
+    assert {pr.ranks for pr in rep.pairs} == {(1, 0), (1, 1)}
 
 
 def test_induced_requires_monotone():

@@ -159,6 +159,24 @@ def test_load_distmatrix_negative(tmp_path):
         load_ground(str(p), "distmatrix_csv")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_coords_rejects_non_finite(tmp_path, value):
+    p = tmp_path / "nan.csv"
+    p.write_text(f"id,x,y\n0,0,0\n1,1,0\n2,{value},1\n")
+    with pytest.raises(GroundValidationError) as err:
+        load_ground(str(p), "coords_csv")
+    assert "non-finite coordinate in row 2" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_distmatrix_rejects_non_finite(tmp_path, value):
+    p = tmp_path / "nan.csv"
+    p.write_text(f"0,1,2\n1,0,{value}\n2,{value},0\n")
+    with pytest.raises(GroundValidationError) as err:
+        load_ground(str(p), "distmatrix_csv")
+    assert f"non-finite distance in row 1: d(1,2)={value}" in str(err.value)
+
+
 def test_coords_roundtrip(tmp_path):
     g = generate(SpaceSpec("circle", n=16))
     p = tmp_path / "c.csv"
