@@ -12,6 +12,7 @@ from .homotopy import (
 from .hyperspace import (
     HyperLevel,
     MultiMap,
+    Tower,
     bonding_map,
     build_hyperlevel,
     composite_bonding,
@@ -41,6 +42,7 @@ __all__ = [
     "MultiMap",
     "SimplicialComplex",
     "SpaceSpec",
+    "Tower",
     "betti",
     "bonding_map",
     "build_adjusted_sequence",

@@ -1,9 +1,11 @@
 """Command line pipeline driver.
 
 Subcommands: generate, run, verify, export-poset, export-complex.  A plain
-``key = value`` config file can seed any long option; explicit flags win.
-Exit codes: 0 when every check passed, 1 when a check printed a FAIL line,
-2 for bad input or configuration.
+``key = value`` config file (``--config``) becomes the defaults of the chosen
+subcommand, and the command line is then parsed once more over those
+defaults, so explicit flags win.  An unknown key or a line without ``=``
+exits 2.  Exit codes: 0 when every check passed, 1 when a check printed a
+FAIL line, 2 for bad input or configuration.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .construction import (
     SequenceFormatError,
@@ -26,6 +28,7 @@ from .homotopy import check_diagram_commutes, check_identity_convergence
 from .hyperspace import (
     BondingDiameterError,
     ElementCapError,
+    Tower,
     bonding_map,
     build_hyperlevel,
     composite_bonding,
@@ -58,7 +61,6 @@ class RunConfig:
     separation: float = 1.0
     length: float = 1.0
     cantor_depth: int = 4
-    seed: int = 0
     input: str | None = None
     format: str = "coords_csv"
     epsilon1: float | None = None  # None: half the space diameter
@@ -104,14 +106,22 @@ def _spec_from_config(cfg: RunConfig) -> SpaceSpec:
         separation=cfg.separation,
         length=cfg.length,
         cantor_depth=cfg.cantor_depth,
-        seed=cfg.seed,
     )
 
 
-def _load_ground(cfg: RunConfig):
-    if cfg.input is not None:
-        return load_ground(cfg.input, cfg.format)
-    return generate(_spec_from_config(cfg))
+def _build_tower(cfg: RunConfig, sequence: str | None = None) -> Tower:
+    """Load or generate the ground, build the tower (or load a stored one) and its maps.
+
+    ``epsilon1`` defaults to half the ground's diameter.  A malformed stored
+    sequence raises ``SequenceFormatError``.
+    """
+    ground = load_ground(cfg.input, cfg.format) if cfg.input is not None else generate(_spec_from_config(cfg))
+    if sequence:
+        seq = load_sequence_text(ground, sequence)
+    else:
+        eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
+        seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
+    return Tower(seq, cfg.tie_tol)
 
 
 def _add_space_options(p: argparse.ArgumentParser) -> None:
@@ -121,7 +131,6 @@ def _add_space_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--separation", type=float, default=1.0)
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--cantor-depth", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -145,7 +154,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 _CONFIG_KEYS = {
     "space": str, "n": int, "radius": float, "separation": float, "length": float,
-    "cantor_depth": int, "seed": int, "input": str, "format": str, "epsilon1": float,
+    "cantor_depth": int, "input": str, "format": str, "epsilon1": float,
     "depth": int, "safety": float, "tie_tol": float, "maxdim": int, "cap": int,
     "window": int, "outdir": str,
     "skip_bounds": bool, "skip_identity": bool, "skip_diagram": bool, "skip_homology": bool,
@@ -170,29 +179,14 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _config_from_args(args: argparse.Namespace, explicit: set[str]) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for key in _CONFIG_KEYS:
-        if key in explicit and hasattr(args, key):
-            setattr(cfg, key, getattr(args, key))
-        elif getattr(args, "config", None) is None and hasattr(args, key):
-            setattr(cfg, key, getattr(args, key))
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    names = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**{key: value for key, value in vars(args).items() if key in names})
     cfg.validate()
     return cfg
 
 
-def _explicit_flags(argv, parser_factory) -> set[str]:
-    # parse once with SUPPRESS defaults: only user-passed options survive
-    probe = parser_factory(argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS))
-    known, _ = probe.parse_known_args(argv)
-    return {k for k in vars(known)}
-
-
-def cmd_generate(args, explicit) -> int:
-    cfg = _config_from_args(args, explicit)
+def cmd_generate(cfg: RunConfig, args) -> int:
     if cfg.space is None:
         raise ConfigError("--space is required for generate")
     ground = generate(_spec_from_config(cfg))
@@ -206,7 +200,9 @@ def _print_verdict(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _run_checks(cfg: RunConfig, seq, results: dict) -> bool:
+def _run_checks(cfg: RunConfig, tower: Tower):
+    """Print one verdict line per enabled check; return (all passed, square witnesses or None)."""
+    seq = tower.seq
     all_ok = True
 
     records = check_sequence_inequalities(seq)
@@ -217,68 +213,54 @@ def _run_checks(cfg: RunConfig, seq, results: dict) -> bool:
         bad = [r["name"] for r in records if not r["ok"]]
         detail = "violated: " + "; ".join(bad)
     all_ok &= _print_verdict("sequence-inequalities", ok, detail)
-    results["inequalities"] = records
 
     if not cfg.skip_bounds:
-        rep = verify_adjusted_distance_bounds(seq, cfg.tie_tol)
-        detail = ", ".join(f"{c.name} slack {c.min_slack:.3g}" for c in rep.clauses)
+        rep = verify_adjusted_distance_bounds(tower)
+        detail = ", ".join(f"{c.name} slack {c.min_slack:.3g}" for c in rep.clauses) if seq.depth >= 2 else "no pairs"
         if not rep.ok:
             detail = "; ".join(f"{c.name}: {len(c.violations)} violations" for c in rep.clauses if c.violations)
         all_ok &= _print_verdict("distance-bounds", rep.ok, detail)
-        results["bounds"] = rep
 
     if not cfg.skip_identity:
-        rep = check_identity_convergence(seq, tie_tol=cfg.tie_tol)
+        rep = check_identity_convergence(tower)
         pairs = [f"2eps_{n}->n0={bc.n0_consecutive}/{bc.n0_inclusion}" for n, bc in zip(rep.levels, rep.per_bound)]
         all_ok &= _print_verdict("identity-convergence", rep.ok, " ".join(pairs))
-        results["identity"] = rep
 
+    witnesses = None
     if not cfg.skip_diagram:
-        ok = True
-        worst_slack = None
-        witnesses = []
-        for n in range(1, seq.depth):
-            w = check_diagram_commutes(seq, n, cfg.tie_tol)
-            witnesses.append(w)
-            ok &= w.verdict
-            if worst_slack is None or w.slack < worst_slack:
-                worst_slack = w.slack
-        all_ok &= _print_verdict(
-            "square-commutes", ok,
-            f"{seq.depth - 1} level squares, min slack {worst_slack:.3g}" if worst_slack is not None else "no pairs",
-        )
-        results["witnesses"] = witnesses
+        witnesses = [check_diagram_commutes(tower, n) for n in range(1, seq.depth)]
+        ok = all(w.verdict for w in witnesses)
+        detail = "no pairs"
+        if witnesses:
+            detail = f"{seq.depth - 1} level squares, min slack {min(w.slack for w in witnesses):.3g}"
+        all_ok &= _print_verdict("square-commutes", ok, detail)
 
-    return all_ok
+    return all_ok, witnesses
 
 
-def cmd_run(args, explicit) -> int:
-    cfg = _config_from_args(args, explicit)
+def cmd_run(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     if not os.access(cfg.outdir, os.W_OK):
         raise ConfigError(f"output directory {cfg.outdir} is not writable")
     t0 = time.time()
-    ground = _load_ground(cfg)
-    eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-
-    seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
+    tower = _build_tower(cfg)
+    ground, seq = tower.ground, tower.seq
     write_sequence_text(seq, os.path.join(cfg.outdir, "sequence.txt"))
     write_sequence_csv(seq, os.path.join(cfg.outdir, "sequence.csv"))
     if ground.coords is not None:
         write_coords_csv(ground, os.path.join(cfg.outdir, "ground.csv"))
 
-    print(f"ground: {ground.n} points, density {ground.density!r}, seed {cfg.seed}")
-    print(f"tower: epsilon1 {eps1!r}, depth {seq.depth} of {cfg.depth} requested"
+    print(f"ground: {ground.n} points, density {ground.density!r}")
+    print(f"tower: epsilon1 {seq.level(1).epsilon!r}, depth {seq.depth} of {cfg.depth} requested"
           + (f" (stopped early: {seq.stop_reason})" if seq.stopped_early else ""))
     for lv in seq.levels:
         print(f"  level {lv.index}: epsilon {lv.epsilon:.6g} gamma {lv.gamma:.6g} |net| {len(lv.net)}")
 
-    results: dict = {}
-    all_ok = _run_checks(cfg, seq, results)
+    all_ok, witnesses = _run_checks(cfg, tower)
 
-    if "witnesses" in results:
+    if witnesses is not None:
         with open(os.path.join(cfg.outdir, "witnesses.txt"), "w") as fh:
-            for w in results["witnesses"]:
+            for w in witnesses:
                 fh.write(
                     f"check={w.name} bound={w.bound!r} max_union_diameter={w.max_union_diameter!r} "
                     f"slack={w.slack!r} worst_item={w.worst_item} verdict={'pass' if w.verdict else 'fail'}\n"
@@ -287,7 +269,7 @@ def cmd_run(args, explicit) -> int:
     rep = None
     if not cfg.skip_homology and seq.depth >= 2:
         try:
-            rep = shape_report(seq, maxdim=cfg.maxdim, window=cfg.window, cap=cfg.cap, tie_tol=cfg.tie_tol)
+            rep = shape_report(tower, maxdim=cfg.maxdim, window=cfg.window, cap=cfg.cap)
         except (ElementCapError, BondingDiameterError, HomologyCheckError) as exc:
             all_ok &= _print_verdict("homology", False, str(exc))
     if rep is not None:
@@ -310,40 +292,29 @@ def cmd_run(args, explicit) -> int:
 
     with open(os.path.join(cfg.outdir, "summary.txt"), "w") as fh:
         fh.write(f"verdict = {'pass' if all_ok else 'fail'}\n")
-        fh.write(f"seed = {cfg.seed}\n")
         fh.write(f"elapsed_seconds = {time.time() - t0:.3f}\n")
 
     print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({time.time() - t0:.2f}s)")
     return 0 if all_ok else 1
 
 
-def cmd_verify(args, explicit) -> int:
-    cfg = _config_from_args(args, explicit)
-    ground = _load_ground(cfg)
-    if getattr(args, "sequence", None):
-        try:
-            seq = load_sequence_text(ground, args.sequence)
-        except SequenceFormatError as exc:
-            _print_verdict("sequence-format", False, str(exc))
-            return 1
-    else:
-        eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-        seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
-    results: dict = {}
-    ok = _run_checks(cfg, seq, results)
+def cmd_verify(cfg: RunConfig, args) -> int:
+    try:
+        tower = _build_tower(cfg, args.sequence)
+    except SequenceFormatError as exc:
+        _print_verdict("sequence-format", False, str(exc))
+        return 1
+    seq = tower.seq
+    ok, _ = _run_checks(cfg, tower)
 
     if seq.depth >= 2 and not cfg.skip_homology:
         try:
-            hls = [build_hyperlevel(ground, lv, cap=cfg.cap or cfg.maxdim + 2) for lv in seq.levels]
+            hls = [build_hyperlevel(tower.ground, lv, cap=cfg.cap or cfg.maxdim + 2) for lv in seq.levels]
             mono = True
-            for k in range(len(hls) - 1):
-                p = bonding_map(ground, hls[k + 1], seq.levels[k], cfg.tie_tol)
-                good, ce = is_continuous(p, hls[k + 1])
-                mono &= good
-            for k in range(len(hls) - 2):
-                comp = composite_bonding(ground, hls[k:], cfg.tie_tol)
-                good, ce = is_continuous(comp, hls[-1])
-                mono &= good
+            for hl in hls[1:]:
+                mono &= is_continuous(bonding_map(tower, hl), hl)[0]
+            for n in range(1, seq.depth - 1):
+                mono &= is_continuous(composite_bonding(tower, hls[-1], n), hls[-1])[0]
             ok &= _print_verdict("monotone-bondings", mono, f"{len(hls) - 1} steps plus composites")
         except (BondingDiameterError, ElementCapError) as exc:
             ok &= _print_verdict("monotone-bondings", False, str(exc))
@@ -351,32 +322,28 @@ def cmd_verify(args, explicit) -> int:
     return 0 if ok else 1
 
 
-def cmd_export_poset(args, explicit) -> int:
-    cfg = _config_from_args(args, explicit)
-    ground = _load_ground(cfg)
-    eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-    seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
+def _export_level(cfg: RunConfig, args):
+    seq = _build_tower(cfg).seq
     if not (1 <= args.level <= seq.depth):
         raise ConfigError(f"level {args.level} outside built depth {seq.depth}")
-    hl = build_hyperlevel(ground, seq.level(args.level), cap=cfg.cap or cfg.maxdim + 2)
+    return seq.ground, seq.level(args.level)
+
+
+def cmd_export_poset(cfg: RunConfig, args) -> int:
+    ground, level = _export_level(cfg, args)
+    hl = build_hyperlevel(ground, level, cap=cfg.cap or cfg.maxdim + 2)
     export_poset_dot(hl, args.out + ".dot")
     export_poset_csv(hl, args.out + ".csv")
     print(f"wrote {hl.n_elements} elements to {args.out}.dot / .csv")
     return 0
 
 
-def cmd_export_complex(args, explicit) -> int:
-    cfg = _config_from_args(args, explicit)
-    ground = _load_ground(cfg)
-    eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-    seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
-    if not (1 <= args.level <= seq.depth):
-        raise ConfigError(f"level {args.level} outside built depth {seq.depth}")
+def cmd_export_complex(cfg: RunConfig, args) -> int:
+    ground, level = _export_level(cfg, args)
     if args.complex == "order":
-        hl = build_hyperlevel(ground, seq.level(args.level), cap=cfg.cap or cfg.maxdim + 2)
-        cx = order_complex(hl, cfg.maxdim)
+        cx = order_complex(build_hyperlevel(ground, level, cap=cfg.cap or cfg.maxdim + 2), cfg.maxdim)
     else:
-        cx = rips_complex(ground, seq.level(args.level), cfg.maxdim)
+        cx = rips_complex(ground, level, cfg.maxdim)
     export_complex_off(cx, args.out + ".off")
     export_complex_csv(cx, args.out + ".csv")
     counts = " ".join(str(cx.count(k)) for k in range(len(cx.simplices)))
@@ -392,46 +359,31 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
     _add_space_options(p_gen)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--config", help=argparse.SUPPRESS)
-    p_gen.set_defaults(func=cmd_generate, factory=_gen_factory)
+    p_gen.set_defaults(func=cmd_generate, subparser=p_gen)
 
     p_run = sub.add_parser("run", help="full pipeline with exports and verdicts")
     _add_run_options(p_run)
-    p_run.set_defaults(func=cmd_run, factory=_run_factory)
+    p_run.set_defaults(func=cmd_run, subparser=p_run)
 
     p_ver = sub.add_parser("verify", help="verification checks only, machine-readable verdicts")
     _add_run_options(p_ver)
     p_ver.add_argument("--sequence", help="verify a stored sequence export instead of rebuilding")
-    p_ver.set_defaults(func=cmd_verify, factory=_run_factory)
+    p_ver.set_defaults(func=cmd_verify, subparser=p_ver)
 
     p_ep = sub.add_parser("export-poset", help="DOT and CSV export of one hyperspace level")
     _add_run_options(p_ep)
     p_ep.add_argument("--level", type=int, required=True)
     p_ep.add_argument("--out", required=True, help="output path base (suffixes added)")
-    p_ep.set_defaults(func=cmd_export_poset, factory=_run_factory)
+    p_ep.set_defaults(func=cmd_export_poset, subparser=p_ep)
 
     p_ec = sub.add_parser("export-complex", help="facet-list and CSV export of a level complex")
     _add_run_options(p_ec)
     p_ec.add_argument("--level", type=int, required=True)
     p_ec.add_argument("--complex", choices=["order", "rips"], default="order")
     p_ec.add_argument("--out", required=True)
-    p_ec.set_defaults(func=cmd_export_complex, factory=_run_factory)
+    p_ec.set_defaults(func=cmd_export_complex, subparser=p_ec)
 
     return parser
-
-
-def _gen_factory(p):
-    _add_space_options(p)
-    p.add_argument("--out")
-    return p
-
-
-def _run_factory(p):
-    _add_run_options(p)
-    p.add_argument("--sequence")
-    p.add_argument("--level", type=int)
-    p.add_argument("--complex")
-    p.add_argument("--out")
-    return p
 
 
 def main(argv=None) -> int:
@@ -439,8 +391,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        explicit = _explicit_flags(argv[1:], args.factory)
-        return args.func(args, explicit)
+        if args.config:
+            args.subparser.set_defaults(**_read_config_file(args.config))
+            args = parser.parse_args(argv)
+        return args.func(_config_from_args(args), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

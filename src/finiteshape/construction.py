@@ -59,7 +59,6 @@ class AdjustedSequence:
     levels: tuple[Level, ...]
     safety: float
     requested_depth: int
-    net_fraction: float | None = None
     stopped_early: bool = False
     stop_reason: str | None = None
 
@@ -136,21 +135,18 @@ def net_threshold(
     level_index: int,
     ladder: list[float] | None,
     safety: float,
-    fraction: float | None = None,
 ) -> float:
     """Greedy threshold for the net at realized scale ``epsilon``.
 
     With a ladder, the threshold is the largest coverage for which the next
     scale ``safety * (epsilon - gamma) / 2`` cannot fall behind the planned
-    target; without one, it is ``epsilon`` itself (or ``fraction * epsilon``
-    when an explicit fraction is supplied).  Sampled grounds clamp the result
+    target; without one, it is ``epsilon`` itself on an exact ground and
+    ``epsilon / 2`` on a sampled one.  Sampled grounds clamp the result
     into [min(2 density, hi), hi] with hi = 0.98 epsilon - max_nn / 2: the
     lower bound stops nets denser than the sample resolution, the upper one
     keeps consecutive net points within the level scale despite ground
     quantization.
     """
-    if fraction is not None:
-        return _clamp_threshold(fraction * epsilon, epsilon, density, max_nn)
     if ladder is None:
         return _clamp_threshold(0.5 * epsilon if density > 0 else epsilon, epsilon, density, max_nn)
     target_next = ladder[level_index]  # ladder[k] = target for level k+1
@@ -163,7 +159,6 @@ def build_adjusted_sequence(
     epsilon1: float,
     depth: int,
     safety: float = 0.9,
-    net_fraction: float | None = None,
 ) -> AdjustedSequence:
     """Build levels 1..depth, stopping early at the sampling resolution.
 
@@ -180,9 +175,7 @@ def build_adjusted_sequence(
         raise ValueError(
             f"epsilon1 {epsilon1!r} must exceed twice the ground density ({2.0 * ground.density!r})"
         )
-    if net_fraction is not None and not (0.0 < net_fraction <= 1.0):
-        raise ValueError(f"net_fraction must lie in (0, 1], got {net_fraction!r}")
-    ladder = plan_ladder(epsilon1, depth, ground.density, safety) if net_fraction is None else None
+    ladder = plan_ladder(epsilon1, depth, ground.density, safety)
     max_nn = ground.max_nearest_neighbor() if ground.density > 0 else 0.0
 
     levels: list[Level] = []
@@ -190,7 +183,7 @@ def build_adjusted_sequence(
     reason = None
     eps = float(epsilon1)
     for n in range(1, depth + 1):
-        t = net_threshold(eps, ground.density, max_nn, n, ladder, safety, net_fraction)
+        t = net_threshold(eps, ground.density, max_nn, n, ladder, safety)
         net = build_net(ground, t)
         g = gamma(ground, net)
         levels.append(Level(index=n, epsilon=eps, net=net, gamma=g, net_threshold=t))
@@ -211,7 +204,6 @@ def build_adjusted_sequence(
         levels=tuple(levels),
         safety=safety,
         requested_depth=depth,
-        net_fraction=net_fraction,
         stopped_early=stopped,
         stop_reason=reason,
     )
@@ -251,7 +243,6 @@ def write_sequence_text(seq: AdjustedSequence, path: str) -> None:
         fh.write("# finiteshape adjusted sequence\n")
         fh.write(f"# density = {seq.ground.density!r}\n")
         fh.write(f"# safety = {seq.safety!r}\n")
-        fh.write(f"# net_fraction = {seq.net_fraction!r}\n")
         fh.write(f"# requested_depth = {seq.requested_depth}\n")
         fh.write(f"# stopped_early = {seq.stopped_early}\n")
         if seq.stop_reason:
@@ -286,7 +277,6 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     real one.
     """
     safety = 0.9
-    net_fraction = None
     requested = 0
     stopped = False
     reason = None
@@ -302,9 +292,6 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                     body = line[1:].strip()
                     if body.startswith("safety ="):
                         safety = float(body.split("=", 1)[1])
-                    elif body.startswith("net_fraction ="):
-                        raw = body.split("=", 1)[1].strip()
-                        net_fraction = None if raw == "None" else float(raw)
                     elif body.startswith("requested_depth ="):
                         requested = int(body.split("=", 1)[1])
                     elif body.startswith("stopped_early ="):
@@ -350,7 +337,6 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
         levels=tuple(levels),
         safety=safety,
         requested_depth=requested or len(levels),
-        net_fraction=net_fraction,
         stopped_early=stopped,
         stop_reason=reason,
     )

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import AdjustedSequence, gamma as net_gamma
-from .hyperspace import MultiMap, map_diameter, nearest_sets, set_diameter, singleton_bonding_chain
+from .construction import gamma as net_gamma
+from .hyperspace import MultiMap, Tower, map_diameter, nearest_sets, set_diameter
 from .metric import MetricGround
 
 
@@ -216,47 +216,30 @@ class IdentityConvergenceReport:
         return all(b.n0_consecutive is not None and b.n0_inclusion is not None for b in self.per_bound)
 
 
-def check_identity_convergence(
-    seq: AdjustedSequence,
-    extra_bounds=(),
-    tie_tol: float = 1e-9,
-) -> IdentityConvergenceReport:
+def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConvergenceReport:
     """Verify the nearest-point tower represents the identity on the sample.
 
     Tested on the neighborhood basis given by the level scales: the bound
     schedule is {2 epsilon_n} plus any extras.  For each bound b the report
     carries the least n0 such that every stored consecutive pair from n0 on is
     homotopic inside b (union diameter < b), and the least n0 from which
-    q_n ~ (x -> {x}) inside b.
+    q_n ~ (x -> {x}) inside b.  Both diameters are union-homotopy witnesses
+    at the pair's own bound 2 epsilon_n.
     """
-    ground = seq.ground
-    dist = ground.dist
-    levels = list(seq.levels)
-    qs = [nearest_sets(dist[:, list(lv.net)], lv.net, tie_tol) for lv in levels]
-
-    pair_diams = []
-    for k in range(len(levels) - 1):
-        worst = 0.0
-        for x in range(ground.n):
-            d = set_diameter(dist, set(qs[k][x]) | set(qs[k + 1][x]))
-            if d > worst:
-                worst = d
-        pair_diams.append(worst)
-
-    incl_diams = []
-    for k in range(len(levels)):
-        worst = 0.0
-        for x in range(ground.n):
-            d = set_diameter(dist, set(qs[k][x]) | {x})
-            if d > worst:
-                worst = d
-        incl_diams.append(worst)
+    dist = tower.ground.dist
+    levels = list(tower.seq.levels)
+    qs = [tower.nearest_map(lv.index) for lv in levels]
+    inclusion = MultiMap("ground", tuple((x,) for x in range(tower.ground.n)), 0.0)
+    pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, dist) for f, g, lv in zip(qs, qs[1:], levels)]
+    incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, dist) for f, lv in zip(qs, levels)]
+    pair_diams = [w.max_union_diameter for w in pair_ws]
+    incl_diams = [w.max_union_diameter for w in incl_ws]
 
     violations = []
     for k, lv in enumerate(levels):
-        if k < len(pair_diams) and not pair_diams[k] < 2.0 * lv.epsilon:
+        if k < len(pair_ws) and not pair_ws[k].verdict:
             violations.append({"kind": "consecutive", "level": lv.index, "diameter": pair_diams[k], "bound": 2.0 * lv.epsilon})
-        if not incl_diams[k] < 2.0 * lv.epsilon:
+        if not incl_ws[k].verdict:
             violations.append({"kind": "inclusion", "level": lv.index, "diameter": incl_diams[k], "bound": 2.0 * lv.epsilon})
 
     # suffix maxima over levels; an empty pair suffix passes vacuously (the
@@ -295,24 +278,17 @@ def check_identity_convergence(
     )
 
 
-def check_diagram_commutes(seq: AdjustedSequence, n: int, tie_tol: float = 1e-9) -> HomotopyWitness:
+def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     """Square at level n: nearest map vs bonding after the finer nearest map.
 
     Builds the witness for f = q_n and g = p(n, n+1) . q_{n+1} with bound
     2 * epsilon_n; a pass certifies the square commutes up to homotopy inside
     the level-n hyperspace.
     """
-    if not (1 <= n < seq.depth):
-        raise ValueError(f"need levels {n} and {n + 1} in a depth-{seq.depth} tower")
-    ground = seq.ground
-    dist = ground.dist
-    lv_n, lv_m = seq.level(n), seq.level(n + 1)
-    q_n = nearest_sets(dist[:, list(lv_n.net)], lv_n.net, tie_tol)
-    q_m = nearest_sets(dist[:, list(lv_m.net)], lv_m.net, tie_tol)
-    step = singleton_bonding_chain(ground, [lv_n, lv_m], tie_tol)
-
-    f_images = tuple(tuple(img) for img in q_n)
-    g_images = tuple(tuple(sorted(set().union(*(step[a] for a in img)))) for img in q_m)
-    f = MultiMap("ground", f_images, map_diameter(dist, f_images))
+    if not (1 <= n < tower.seq.depth):
+        raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
+    dist = tower.ground.dist
+    step = tower.step(n)
+    g_images = tuple(tuple(sorted(set().union(*(step[a] for a in img)))) for img in tower.q[n + 1])
     g = MultiMap("ground", g_images, map_diameter(dist, g_images))
-    return check_homotopic_in_U(f, g, 2.0 * lv_n.epsilon, dist, name=f"diagram_level_{n}")
+    return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, dist, name=f"diagram_level_{n}")

@@ -14,7 +14,8 @@ cap: every non-empty subset of a stored element is stored.
 Multivalued maps are tabulated images: the nearest-point map sends a ground
 point to its set of nearest net points (ties within a relative tolerance),
 and the bonding map of consecutive levels sends a subset of the finer net to
-the union of nearest coarser points over its members.
+the union of nearest coarser points over its members.  A ``Tower`` computes
+these tables once for a built tower, and every check reads them from it.
 """
 
 from __future__ import annotations
@@ -216,38 +217,87 @@ def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> Multi
     return MultiMap(domain_kind="ground", images=tuple(images), diameter=map_diameter(ground.dist, images))
 
 
-def bonding_map(
-    ground: MetricGround,
-    fine: HyperLevel,
-    coarse: Level,
-    tie_tol: float = 1e-9,
-) -> MultiMap:
-    """Map each fine element to the union of nearest coarse points.
+class Tower:
+    """The nearest-point and bonding maps of a built tower, each computed once.
 
-    Every image must have diameter strictly below ``2 * coarse.epsilon``; a
-    violation means the tower inequalities were broken upstream, so the map
-    aborts rather than clamping.
+    ``q[n]`` holds the nearest-set image in ``A_n`` of every ground point; it
+    is the tower's only ``nearest_sets`` evaluation, one per level.
+    ``step(n)`` sends each point of ``A_{n+1}`` to its image in ``A_n``, read
+    off ``q[n]`` at that point (the same distance row and tie threshold a
+    per-pair block would use).  ``composite(n, m)`` sends each point of
+    ``A_m`` into ``A_n`` through the steps; it is memoized and extended one
+    step from ``composite(n, m - 1)``.  Bonding maps act on subsets by unions
+    of singleton images, so these tables determine every bonding map.
     """
-    fine_net = list(fine.level.net)
-    q = nearest_sets(ground.dist[np.ix_(fine_net, list(coarse.net))], coarse.net, tie_tol)
-    q_of = {a: img for a, img in zip(fine_net, q)}
-    return _union_images(ground, fine, coarse, q_of, "bonding image")
+
+    def __init__(self, seq: AdjustedSequence, tie_tol: float = 1e-9):
+        self.seq = seq
+        self.ground = seq.ground
+        self.tie_tol = tie_tol
+        dist = seq.ground.dist
+        self.q = {lv.index: tuple(nearest_sets(dist[:, list(lv.net)], lv.net, tie_tol)) for lv in seq.levels}
+        self._composites: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+        self._nearest_maps: dict[int, MultiMap] = {}
+
+    def nearest_map(self, n: int) -> MultiMap:
+        """``q[n]`` as a ground-domain map, with its diameter."""
+        mm = self._nearest_maps.get(n)
+        if mm is None:
+            mm = MultiMap("ground", self.q[n], map_diameter(self.ground.dist, self.q[n]))
+            self._nearest_maps[n] = mm
+        return mm
+
+    def step(self, n: int) -> dict[int, tuple[int, ...]]:
+        return self.composite(n, n + 1)
+
+    def composite(self, n: int, m: int) -> dict[int, tuple[int, ...]]:
+        if not 1 <= n < m <= self.seq.depth:
+            raise ValueError(f"need levels {n} < {m} in a depth-{self.seq.depth} tower")
+        comp = self._composites.get((n, m))
+        if comp is None:
+            fine_net = self.seq.level(m).net
+            if m == n + 1:
+                q = self.q[n]
+                comp = {a: q[a] for a in fine_net}
+            else:
+                prev, step = self.composite(n, m - 1), self.step(m - 1)
+                comp = {a: tuple(sorted(set().union(*(prev[y] for y in step[a])))) for a in fine_net}
+            self._composites[(n, m)] = comp
+        return comp
 
 
-def _union_images(
-    ground: MetricGround,
-    fine: HyperLevel,
-    coarse: Level,
-    point_images: dict[int, tuple[int, ...]],
-    what: str,
-) -> MultiMap:
-    """Element-domain map sending each fine element to the union of its points' images.
+def bonding_map(tower: Tower, fine: HyperLevel) -> MultiMap:
+    """Map each element of ``fine`` to the union of nearest points one level up.
+
+    Every image must have diameter strictly below ``2 * epsilon`` of the
+    coarser level; a violation means the tower inequalities were broken
+    upstream, so the map aborts rather than clamping.
+    """
+    return _union_images(tower, fine, fine.level.index - 1, "bonding image")
+
+
+def composite_bonding(tower: Tower, fine: HyperLevel, n: int) -> MultiMap:
+    """Composite of the bonding maps from the level of ``fine`` down to level ``n``.
+
+    For ``n`` one level up this equals ``bonding_map``.  Images are checked
+    against the level-``n`` scale bound.
+    """
+    return _union_images(tower, fine, n, "composite image")
+
+
+def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap:
+    """Element-domain map sending each fine element to the union of its points' images in ``A_n``.
 
     Many elements share an image, so each distinct image is measured once.
-    The first element whose image reaches ``2 * coarse.epsilon`` raises
+    The first element whose image reaches ``2 * epsilon_n`` raises
     ``BondingDiameterError``.
     """
+    point_images = tower.composite(n, fine.level.index)
+    if fine.level != tower.seq.level(fine.level.index):
+        raise ValueError(f"hyperspace level {fine.level.index} was not built on this tower's level")
+    coarse = tower.seq.level(n)
     bound = 2.0 * coarse.epsilon
+    dist = tower.ground.dist
     measured: set[tuple[int, ...]] = set()
     images = []
     worst = 0.0
@@ -257,7 +307,7 @@ def _union_images(
         if img in measured:
             continue
         measured.add(img)
-        d = set_diameter(ground.dist, img)
+        d = set_diameter(dist, img)
         if d >= bound:
             raise BondingDiameterError(
                 f"{what} of {el} has diameter {d!r} >= 2*epsilon = {bound!r} "
@@ -266,50 +316,6 @@ def _union_images(
         if d > worst:
             worst = d
     return MultiMap(domain_kind="elements", images=tuple(images), diameter=worst)
-
-
-def singleton_bonding_chain(
-    ground: MetricGround,
-    levels: list[Level],
-    tie_tol: float = 1e-9,
-) -> dict[int, tuple[int, ...]]:
-    """Composite images of singletons of the finest net through a level chain.
-
-    ``levels`` runs coarse to fine with consecutive indices; the result maps
-    each finest-net point to its image in the coarsest net.  Because bonding
-    maps act on subsets by unions of singleton images, these tables determine
-    the composite on every element.
-    """
-    if len(levels) < 2:
-        raise ValueError("need at least two levels to compose")
-    for a, b in zip(levels, levels[1:]):
-        if b.index != a.index + 1:
-            raise ValueError("levels must be consecutive")
-    comp = {a: (a,) for a in levels[-1].net}
-    for k in range(len(levels) - 1, 0, -1):
-        fine_lv, coarse_lv = levels[k], levels[k - 1]
-        fine_net = list(fine_lv.net)
-        q = nearest_sets(ground.dist[np.ix_(fine_net, list(coarse_lv.net))], coarse_lv.net, tie_tol)
-        q_of = {a: img for a, img in zip(fine_net, q)}
-        comp = {a: tuple(sorted(set().union(*(q_of[y] for y in img)))) for a, img in comp.items()}
-    return comp
-
-
-def composite_bonding(
-    ground: MetricGround,
-    hyperlevels: list[HyperLevel],
-    tie_tol: float = 1e-9,
-) -> MultiMap:
-    """Compose consecutive bonding maps over the elements of the finest level.
-
-    ``hyperlevels`` runs coarse to fine.  For a two-level chain this equals
-    ``bonding_map``.  Images are checked against the coarsest scale bound.
-    """
-    if len(hyperlevels) < 2:
-        raise ValueError("need at least two levels to compose")
-    levels = [hl.level for hl in hyperlevels]
-    comp = singleton_bonding_chain(ground, levels, tie_tol)
-    return _union_images(ground, hyperlevels[-1], levels[0], comp, "composite image")
 
 
 def is_continuous(mm: MultiMap, domain: HyperLevel):
@@ -355,7 +361,7 @@ class DistanceBoundsReport:
         return all(c.ok for c in self.clauses)
 
 
-def verify_adjusted_distance_bounds(seq: AdjustedSequence, tie_tol: float = 1e-9) -> DistanceBoundsReport:
+def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
     """Exhaustive distance guarantees of the tower, for all level pairs n < m.
 
     Clause 1 (nearest pairs): points of the two nearest-point images of any x
@@ -364,21 +370,11 @@ def verify_adjusted_distance_bounds(seq: AdjustedSequence, tie_tol: float = 1e-9
     epsilon_n of that singleton.  Clause 3 (bonded to source): any point in
     the composite bonding image of the nearest-point image of x lies within
     epsilon_n of x itself.  Each clause reports its minimal slack; any
-    violated instance is collected with witnesses.
+    violated instance is collected with witnesses.  A one-level tower has no
+    pairs, so every clause passes with zero instances.
     """
-    ground = seq.ground
+    ground = tower.ground
     dist = ground.dist
-    if seq.depth < 2:
-        raise ValueError("need at least two levels")
-    levels = list(seq.levels)
-    qmaps = {lv.index: nearest_sets(dist[:, list(lv.net)], lv.net, tie_tol) for lv in levels}
-
-    comps: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
-    for i in range(len(levels) - 1):
-        for j in range(i + 1, len(levels)):
-            comps[(levels[i].index, levels[j].index)] = singleton_bonding_chain(
-                ground, levels[i:j + 1], tie_tol
-            )
 
     def clause(name):
         return ClauseReport(
@@ -403,32 +399,28 @@ def verify_adjusted_distance_bounds(seq: AdjustedSequence, tie_tol: float = 1e-9
             cl.violations.append({"distance": d, "bound": bound, "witness": witness})
 
     n_ground = ground.n
-    for i in range(len(levels) - 1):
-        lv_n = levels[i]
-        eps_n = lv_n.epsilon
-        q_n = qmaps[lv_n.index]
-        for j in range(i + 1, len(levels)):
-            lv_m = levels[j]
-            q_m = qmaps[lv_m.index]
-            comp = comps[(lv_n.index, lv_m.index)]
+    depth = tower.seq.depth
+    for n in range(1, depth):
+        eps_n = tower.seq.level(n).epsilon
+        q_n = tower.q[n]
+        for m in range(n + 1, depth + 1):
+            q_m = tower.q[m]
+            comp = tower.composite(n, m)
 
             for x in range(n_ground):
-                an = q_n[x]
-                am = q_m[x]
-                d = float(dist[np.ix_(an, am)].max())
-                record(c1, d, eps_n, (x, lv_n.index, lv_m.index))
+                d = float(dist[np.ix_(q_n[x], q_m[x])].max())
+                record(c1, d, eps_n, (x, n, m))
 
-            for a_m in lv_m.net:
-                img = comp[a_m]
-                d = float(dist[list(img), a_m].max())
-                record(c2, d, eps_n, (a_m, lv_n.index, lv_m.index))
+            for a_m in tower.seq.level(m).net:
+                d = float(dist[list(comp[a_m]), a_m].max())
+                record(c2, d, eps_n, (a_m, n, m))
 
             for x in range(n_ground):
                 target = sorted(set().union(*(comp[a] for a in q_m[x])))
                 d = float(dist[target, x].max())
-                record(c3, d, eps_n, (x, lv_n.index, lv_m.index))
+                record(c3, d, eps_n, (x, n, m))
 
-    return DistanceBoundsReport(clauses=[c1, c2, c3], tie_tol=tie_tol, density=ground.density)
+    return DistanceBoundsReport(clauses=[c1, c2, c3], tie_tol=tower.tie_tol, density=ground.density)
 
 
 def export_poset_dot(hl: HyperLevel, path: str) -> None:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .construction import AdjustedSequence, Level
+from .construction import Level
 from .gf2 import ChainHomology, boundary_columns, rank_of
 from .hyperspace import (
     HyperLevel,
     MultiMap,
+    Tower,
     bonding_map,
     build_hyperlevel,
     is_continuous,
@@ -293,11 +294,10 @@ class HomologyReport:
 
 
 def shape_report(
-    seq: AdjustedSequence,
+    tower: Tower,
     maxdim: int = 1,
     window: int = 2,
     cap: int | None = None,
-    tie_tol: float = 1e-9,
     max_elements: int = 2_000_000,
 ) -> HomologyReport:
     """Full homology pipeline over a built tower (depth >= 2).
@@ -310,6 +310,7 @@ def shape_report(
     reduced once, and each bonding map is checked monotone once.  A failed
     check raises ``HomologyCheckError``.
     """
+    seq = tower.seq
     if seq.depth < 2:
         raise ValueError("shape report needs at least two levels")
     if cap is None:
@@ -342,7 +343,7 @@ def shape_report(
     pairs = []
     for k in range(len(hls) - 1):
         fine, coarse = hls[k + 1], hls[k]
-        p = bonding_map(ground, fine, coarse.level, tie_tol)
+        p = bonding_map(tower, fine)
         ok, ce = is_continuous(p, fine)
         if not ok:
             raise HomologyCheckError(

@@ -130,8 +130,8 @@ class SpaceSpec:
     """Recipe for a generated test space.
 
     ``n`` is the sample count.  ``radius``, ``separation``, ``length`` and
-    ``cantor_depth`` apply to their respective kinds.  ``seed`` is recorded for
-    reproducibility (the built-in generators are fully deterministic).
+    ``cantor_depth`` apply to their respective kinds.  Every built-in
+    generator is deterministic.
     """
 
     kind: str
@@ -140,7 +140,6 @@ class SpaceSpec:
     separation: float = 1.0
     length: float = 1.0
     cantor_depth: int = 4
-    seed: int = 0
 
     def validate(self) -> None:
         if self.kind not in VALID_KINDS:

@@ -20,6 +20,7 @@ from finiteshape.homotopy import (
     finite_type_convert,
 )
 from finiteshape.hyperspace import (
+    Tower,
     bonding_map,
     build_hyperlevel,
     composite_bonding,
@@ -70,7 +71,7 @@ def pipelines():
         ground = generate(spec)
         seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, DEPTH, SAFETY)
         build_time = time.perf_counter() - t0
-        out[name] = {"ground": ground, "seq": seq, "build_time": build_time}
+        out[name] = {"ground": ground, "seq": seq, "tower": Tower(seq), "build_time": build_time}
     return out
 
 
@@ -86,7 +87,7 @@ def reports(pipelines):
     total = 0.0
     for ctx in pipelines.values():
         t0 = time.perf_counter()
-        ctx["report"] = shape_report(ctx["seq"])
+        ctx["report"] = shape_report(ctx["tower"])
         total += time.perf_counter() - t0
     pipelines["_report_seconds"] = total
     return pipelines
@@ -111,7 +112,7 @@ def test_criterion_2_distance_bounds(pipelines):
         t0 = time.perf_counter()
         slacks = {}
         for name, ctx in pipelines.items():
-            rep = verify_adjusted_distance_bounds(ctx["seq"])
+            rep = verify_adjusted_distance_bounds(ctx["tower"])
             for clause in rep.clauses:
                 assert not clause.violations, f"{name}: {clause.name} violated: {clause.violations[:3]}"
                 assert clause.min_slack > 0
@@ -127,15 +128,15 @@ def test_criterion_3_continuity(hyper):
         for name, ctx in hyper.items():
             if name.startswith("_"):
                 continue
-            ground, seq, hls = ctx["ground"], ctx["seq"], ctx["hls"]
+            tower, hls = ctx["tower"], ctx["hls"]
             for k in range(len(hls) - 1):
-                p = bonding_map(ground, hls[k + 1], seq.levels[k])
+                p = bonding_map(tower, hls[k + 1])
                 ok, ce = is_continuous(p, hls[k + 1])
                 assert ok, f"{name}: bonding {k + 2}->{k + 1} not monotone at {ce}"
                 checked += 1
             for start in range(len(hls) - 2):
                 for stop in range(start + 2, len(hls)):
-                    comp = composite_bonding(ground, hls[start:stop + 1])
+                    comp = composite_bonding(tower, hls[stop], start + 1)
                     ok, ce = is_continuous(comp, hls[stop])
                     assert ok, f"{name}: composite {stop + 1}->{start + 1} not monotone at {ce}"
                     checked += 1
@@ -145,7 +146,7 @@ def test_criterion_3_continuity(hyper):
 def test_criterion_4_identity_convergence(pipelines):
     with verdict("4 identity-convergence") as info:
         for name, ctx in pipelines.items():
-            rep = check_identity_convergence(ctx["seq"])
+            rep = check_identity_convergence(ctx["tower"])
             assert not rep.own_level_violations, f"{name}: {rep.own_level_violations}"
             for n, bc in zip(rep.levels, rep.per_bound[: len(rep.levels)]):
                 assert bc.n0_consecutive is not None and bc.n0_consecutive <= n, (
@@ -163,7 +164,7 @@ def test_criterion_5_diagram_commutes(pipelines):
         for name, ctx in pipelines.items():
             seq = ctx["seq"]
             for n in range(1, seq.depth):
-                w = check_diagram_commutes(seq, n)
+                w = check_diagram_commutes(ctx["tower"], n)
                 assert w.verdict, f"{name}: level {n} square fails ({w.max_union_diameter} vs {w.bound})"
                 assert w.max_union_diameter < w.bound
                 min_slack = min(min_slack, w.slack)
@@ -251,8 +252,9 @@ def test_criterion_9_chain_functoriality():
         assert seq.depth == 3
         assert all(len(lv.net) <= 12 for lv in seq.levels)
         hls = [build_hyperlevel(g, lv) for lv in seq.levels]
-        p21 = bonding_map(g, hls[1], seq.levels[0])
-        p32 = bonding_map(g, hls[2], seq.levels[1])
+        tower = Tower(seq)
+        p21 = bonding_map(tower, hls[1])
+        p32 = bonding_map(tower, hls[2])
         v21 = selection_vertex_map(p21, hls[1], hls[0])
         v32 = selection_vertex_map(p32, hls[2], hls[1])
         v31 = [v21[v] for v in v32]
@@ -266,7 +268,7 @@ def test_criterion_9_chain_functoriality():
 
         # induced ranks compose consistently on the same tower
         d = [LevelHomology(hl) for hl in hls]
-        p31 = composite_bonding(g, hls)
+        p31 = composite_bonding(tower, hls[2], 1)
         r21 = induced_homology_map(p21, hls[1], hls[0], 1, d[1], d[0])
         r32 = induced_homology_map(p32, hls[2], hls[1], 1, d[2], d[1])
         r31 = induced_homology_map(p31, hls[2], hls[0], 1, d[2], d[0])

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from finiteshape import cli, invariants
+from finiteshape import cli, hyperspace, invariants
 from finiteshape.cli import main
 
 
@@ -109,7 +109,7 @@ def test_run_deterministic_exports(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for outdir in (out1, out2):
         assert run_cli(["run", "--space", "cantor", "--cantor-depth", "3",
-                        "--outdir", str(outdir), "--seed", "5"]) == 0
+                        "--outdir", str(outdir)]) == 0
     for name in ("sequence.csv", "homology.csv", "ground.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -121,6 +121,66 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "o2" / "summary.txt").exists()  # flag wins
     assert not (tmp_path / "o1").exists()
+
+
+def test_config_file_skip_bounds_drops_distance_bounds_line(tmp_path, capsys):
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text("space = interval\nn = 50\ndepth = 3\nskip_bounds = true\n")
+    assert run_cli(["verify", "--config", str(cfgfile)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS sequence-inequalities" in out
+    assert "distance-bounds" not in out
+    assert "2eps_3->" in out and "2eps_4" not in out  # the file's depth, not the default 4
+
+
+@pytest.mark.parametrize("line", ["colour = blue", "depth 3"], ids=["unknown-key", "no-equals"])
+def test_config_file_bad_line_exits_2(tmp_path, capsys, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"space = circle\n{line}\n")
+    assert run_cli(["verify", "--config", str(cfgfile)]) == 2
+    assert f"{cfgfile}:2" in capsys.readouterr().err
+
+
+def test_generate_config_honours_n(tmp_path):
+    cfgfile = tmp_path / "gen.cfg"
+    cfgfile.write_text("space = circle\nn = 40\n")
+    out = tmp_path / "c.csv"
+    assert run_cli(["generate", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 41
+
+
+def test_verify_one_level_tower_passes(capsys):
+    # a 12-point circle stops after level 1: the pair clauses hold vacuously
+    assert run_cli(["verify", "--space", "circle", "--n", "12", "--depth", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS identity-convergence: 2eps_1->n0=1/1\n" in out  # one level only
+    assert "PASS distance-bounds: no pairs" in out
+    assert "PASS square-commutes: no pairs" in out
+    assert "FAIL" not in out
+
+
+def test_run_one_level_tower_passes(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run_cli(["run", "--space", "circle", "--depth", "1", "--outdir", str(outdir)]) == 0
+    out = capsys.readouterr().out
+    assert "depth 1 of 1 requested" in out
+    assert "PASS distance-bounds: no pairs" in out
+    assert (outdir / "summary.txt").read_text().splitlines()[0] == "verdict = pass"
+
+
+def test_run_computes_nearest_sets_once_per_level(tmp_path, monkeypatch):
+    original, calls = hyperspace.nearest_sets, []
+
+    def counting_nearest_sets(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(hyperspace, "nearest_sets", counting_nearest_sets)
+    outdir = tmp_path / "out"
+    assert run_cli(["run", "--space", "warsaw", "--n", "300", "--depth", "3", "--outdir", str(outdir)]) == 0
+    depth = len((outdir / "sequence.csv").read_text().splitlines()) - 1
+    assert depth >= 2
+    assert len(calls) == depth
 
 
 def test_run_from_distance_matrix(tmp_path, capsys):

@@ -14,6 +14,7 @@ from finiteshape.homotopy import (
 )
 from finiteshape.hyperspace import (
     MultiMap,
+    Tower,
     build_hyperlevel,
     is_continuous,
     map_diameter,
@@ -84,7 +85,7 @@ def test_union_of_monotone_maps_is_monotone():
 def test_identity_convergence_singleton():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
-    rep = check_identity_convergence(seq)
+    rep = check_identity_convergence(Tower(seq))
     assert rep.ok
     for bc in rep.per_bound:
         assert bc.n0_inclusion == 1
@@ -95,7 +96,7 @@ def test_identity_convergence_circle():
     g = generate(SpaceSpec("circle", n=256))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
     assert seq.depth == 4
-    rep = check_identity_convergence(seq)
+    rep = check_identity_convergence(Tower(seq))
     assert rep.ok
     # bound 2 eps_n is achieved no later than level n, both conditions
     for n, bc in zip(rep.levels, rep.per_bound[: len(rep.levels)]):
@@ -117,9 +118,9 @@ def test_identity_convergence_detects_own_level_violation():
     bad1 = Level(1, lv1.gamma / 4, lv1.net, lv1.gamma, lv1.net_threshold)
     bad = AdjustedSequence(
         ground=g, levels=(bad1, seq.level(2)), safety=seq.safety,
-        requested_depth=2, net_fraction=seq.net_fraction,
+        requested_depth=2,
     )
-    rep = check_identity_convergence(bad)
+    rep = check_identity_convergence(Tower(bad))
     assert rep.own_level_violations
     assert not rep.ok
 
@@ -127,7 +128,7 @@ def test_identity_convergence_detects_own_level_violation():
 def test_identity_convergence_unreachable_bound_reported():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=2)
-    rep = check_identity_convergence(seq, extra_bounds=(1e-12,))
+    rep = check_identity_convergence(Tower(seq), extra_bounds=(1e-12,))
     last = rep.per_bound[-1]
     assert last.n0_consecutive is None or last.n0_inclusion is None
     assert not rep.own_level_violations  # insufficient depth, not a violation
@@ -136,14 +137,14 @@ def test_identity_convergence_unreachable_bound_reported():
 def test_diagram_commutes_singleton():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
-    w = check_diagram_commutes(seq, 1)
+    w = check_diagram_commutes(Tower(seq), 1)
     assert w.verdict and w.max_union_diameter == 0.0
 
 
 def test_diagram_commutes_circle4_hand_value():
     g = circle4()
     seq = build_adjusted_sequence(g, epsilon1=1.5, depth=2)
-    w = check_diagram_commutes(seq, 1)
+    w = check_diagram_commutes(Tower(seq), 1)
     assert w.verdict
     # worst union: q_1(p1) = {p0, p2} against the bonded image of q_2(p1) = {p1}
     # which is again {p0, p2}: union diameter = antipodal distance 2 < 3
@@ -154,8 +155,9 @@ def test_diagram_commutes_circle4_hand_value():
 def test_diagram_commutes_all_levels_warsaw_small():
     g = generate(SpaceSpec("warsaw_circle", n=500))
     seq = build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=4)
+    tower = Tower(seq)
     for n in range(1, seq.depth):
-        w = check_diagram_commutes(seq, n)
+        w = check_diagram_commutes(tower, n)
         assert w.verdict, (n, w)
 
 

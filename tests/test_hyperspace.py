@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from finiteshape.construction import Level, build_adjusted_sequence
+from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     BondingDiameterError,
     MultiMap,
+    Tower,
     bonding_map,
     build_hyperlevel,
     composite_bonding,
@@ -17,7 +18,6 @@ from finiteshape.hyperspace import (
     nearest_point_map,
     nearest_sets,
     set_diameter,
-    singleton_bonding_chain,
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -96,7 +96,7 @@ def test_bonding_singleton_fixed_point():
     g = circle4()
     seq = build_adjusted_sequence(g, epsilon1=1.5, depth=2)
     hl2 = build_hyperlevel(g, seq.level(2))
-    p = bonding_map(g, hl2, seq.level(1))
+    p = bonding_map(Tower(seq), hl2)
     i0 = hl2.element_id((0,))
     assert p.images[i0] == (0,)
 
@@ -107,7 +107,7 @@ def test_bonding_circle4_hand_values():
     assert seq.level(1).net == (0, 2)
     assert seq.level(2).net == (0, 1, 2, 3)
     hl2 = build_hyperlevel(g, seq.level(2))
-    p = bonding_map(g, hl2, seq.level(1))
+    p = bonding_map(Tower(seq), hl2)
     i1 = hl2.element_id((1,))
     assert p.images[i1] == (0, 2)
     # both image points sit at sqrt(2) from the source point p1
@@ -124,7 +124,7 @@ def test_bonding_monotone_on_triangle():
     fine = Level(2, 0.6, (0, 1, 2), 0.0, 0.6)
     coarse = Level(1, 1.4, (0, 1), 1.0, 1.4)
     hl = build_hyperlevel(g, fine, cap=3)
-    p = bonding_map(g, hl, coarse)
+    p = bonding_map(Tower(AdjustedSequence(g, (coarse, fine), 0.9, 2)), hl)
     ok, ce = is_continuous(p, hl)
     assert ok and ce is None
     # exhaustive monotonicity recheck
@@ -139,16 +139,27 @@ def test_bonding_diameter_error_aborts():
     fine = Level(2, 6.0, (0, 1, 2), 5.0, 6.0)
     coarse = Level(1, 0.5, (0, 1), 0.4, 0.5)
     hl = build_hyperlevel(g, fine, cap=2)
+    tower = Tower(AdjustedSequence(g, (coarse, fine), 0.9, 2))
     with pytest.raises(BondingDiameterError):
-        bonding_map(g, hl, coarse)
+        bonding_map(tower, hl)
+
+
+def test_bonding_rejects_hyperlevel_of_another_level():
+    g = circle4()
+    seq = build_adjusted_sequence(g, epsilon1=1.5, depth=2)
+    lv2 = seq.level(2)
+    other = Level(2, lv2.epsilon, (0, 1, 2), lv2.gamma, lv2.net_threshold)
+    with pytest.raises(ValueError, match="not built on this tower's level"):
+        bonding_map(Tower(seq), build_hyperlevel(g, other))
 
 
 def test_composite_two_levels_equals_bonding():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
-    single = bonding_map(g, hls[1], seq.level(1))
-    comp = composite_bonding(g, hls[:2])
+    tower = Tower(seq)
+    single = bonding_map(tower, hls[1])
+    comp = composite_bonding(tower, hls[1], 1)
     assert comp.images == single.images
     assert comp.diameter == single.diameter
 
@@ -157,7 +168,7 @@ def test_composite_singleton_ground_identity():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
-    comp = composite_bonding(g, hls)
+    comp = composite_bonding(Tower(seq), hls[-1], 1)
     assert comp.images == ((0,),)
 
 
@@ -167,10 +178,39 @@ def test_composite_diameters_below_coarse_epsilon_on_circle():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
-    comp = composite_bonding(g, hls)
+    comp = composite_bonding(Tower(seq), hls[-1], 1)
     for el, img in zip(hls[-1].elements, comp.images):
         if len(el) == 1:
             assert set_diameter(g.dist, img) < seq.level(1).epsilon
+
+
+def singleton_bonding_chain(ground, levels, tie_tol=1e-9):
+    """Reference: images of the finest net's points in the coarsest net, rebuilt from scratch.
+
+    ``levels`` runs coarse to fine; each step recomputes the nearest-set block
+    of the finer net against the coarser one and pushes the images through it.
+    """
+    comp = {a: (a,) for a in levels[-1].net}
+    for k in range(len(levels) - 1, 0, -1):
+        fine_net, coarse_net = list(levels[k].net), list(levels[k - 1].net)
+        q = dict(zip(fine_net, nearest_sets(ground.dist[np.ix_(fine_net, coarse_net)], coarse_net, tie_tol)))
+        comp = {a: tuple(sorted(set().union(*(q[y] for y in img)))) for a, img in comp.items()}
+    return comp
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec("warsaw_circle", n=1000), SpaceSpec("circle", n=64)],
+                         ids=["warsaw1000", "circle64"])
+def test_tower_steps_and_composites_match_from_scratch_chain(spec):
+    g = generate(spec)
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
+    assert seq.depth == 3
+    tower = Tower(seq)
+    for lv in seq.levels:
+        assert tower.q[lv.index] == nearest_point_map(g, lv.net).images
+    for n in range(1, seq.depth):
+        assert tower.step(n) == singleton_bonding_chain(g, seq.levels[n - 1:n + 1])
+        for m in range(n + 1, seq.depth + 1):
+            assert tower.composite(n, m) == singleton_bonding_chain(g, seq.levels[n - 1:m])
 
 
 def per_element_union_map(dist, elements, point_images):
@@ -188,16 +228,17 @@ def test_bonding_maps_match_per_element_diameter_reference():
     g = generate(SpaceSpec("warsaw_circle", n=1000))
     seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
+    tower = Tower(seq)
     shared = 0
     for k in range(len(hls) - 1):
         fine_net, coarse_net = list(seq.levels[k + 1].net), list(seq.levels[k].net)
         q = dict(zip(fine_net, nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
-        p = bonding_map(g, hls[k + 1], seq.levels[k])
+        p = bonding_map(tower, hls[k + 1])
         assert (p.images, p.diameter) == per_element_union_map(g.dist, hls[k + 1].elements, q)
         shared += len(p.images) - len(set(p.images))
     assert shared > 0  # some elements share an image, so the measured-once path runs
     for k in range(len(hls) - 2):
-        comp = composite_bonding(g, hls[k:])
+        comp = composite_bonding(tower, hls[-1], k + 1)
         chain = singleton_bonding_chain(g, seq.levels[k:])
         assert (comp.images, comp.diameter) == per_element_union_map(g.dist, hls[-1].elements, chain)
 
@@ -230,7 +271,7 @@ def test_is_continuous_reports_violation():
 def test_distance_bounds_singleton_ground():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
-    rep = verify_adjusted_distance_bounds(seq)
+    rep = verify_adjusted_distance_bounds(Tower(seq))
     assert rep.ok
     for cl in rep.clauses:
         assert cl.worst_distance == 0.0
@@ -239,7 +280,7 @@ def test_distance_bounds_singleton_ground():
 def test_distance_bounds_circle4():
     g = circle4()
     seq = build_adjusted_sequence(g, epsilon1=1.5, depth=3)
-    rep = verify_adjusted_distance_bounds(seq)
+    rep = verify_adjusted_distance_bounds(Tower(seq))
     assert rep.ok
     for cl in rep.clauses:
         assert cl.min_slack > 0
@@ -249,7 +290,7 @@ def test_distance_bounds_circle4():
 def test_distance_bounds_circle64_exhaustive():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
-    rep = verify_adjusted_distance_bounds(seq)
+    rep = verify_adjusted_distance_bounds(Tower(seq))
     assert rep.ok
 
 

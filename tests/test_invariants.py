@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from finiteshape import hyperspace, invariants
-from finiteshape.construction import Level, build_adjusted_sequence
-from finiteshape.hyperspace import MultiMap, bonding_map, build_hyperlevel, enumerate_small_subsets, is_continuous
+from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
+from finiteshape.hyperspace import (
+    MultiMap,
+    Tower,
+    bonding_map,
+    build_hyperlevel,
+    composite_bonding,
+    enumerate_small_subsets,
+    is_continuous,
+)
 from finiteshape.invariants import (
     LevelHomology,
     SimplicialComplex,
@@ -208,7 +216,7 @@ def test_induced_identity_bonding_has_full_rank():
     lv2 = Level(2, 0.8, (0, 1, 2, 3), 0.0, 0.8)
     hl1 = build_hyperlevel(g, lv1, cap=3)
     hl2 = build_hyperlevel(g, lv2, cap=3)
-    p = bonding_map(g, hl2, lv1)
+    p = bonding_map(Tower(AdjustedSequence(g, (lv1, lv2), 0.9, 2)), hl2)
     d1, d2 = LevelHomology(hl1), LevelHomology(hl2)
     assert d1.betti == d2.betti == (1, 1)
     assert induced_homology_map(p, hl2, hl1, 0, d2, d1) == 1
@@ -218,7 +226,7 @@ def test_induced_identity_bonding_has_full_rank():
 def test_induced_circle_rank_one_between_fine_levels():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
-    rep = shape_report(seq)
+    rep = shape_report(Tower(seq))
     # circle-shape oracle: the loop class has rank one along every pair of
     # genuinely circular levels
     for pr in rep.pairs:
@@ -231,7 +239,7 @@ def test_induced_two_points_rank_two():
     g = generate(SpaceSpec("two_points"))
     seq = build_adjusted_sequence(g, epsilon1=0.5, depth=3)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
-    p = bonding_map(g, hls[1], seq.level(1))
+    p = bonding_map(Tower(seq), hls[1])
     # component-tracking oracle: two fine components land in two coarse ones
     assert induced_homology_map(p, hls[1], hls[0], 0) == 2
 
@@ -259,6 +267,7 @@ def test_induced_rank_zero_matches_component_tracking_oracle():
     seq = build_adjusted_sequence(g, epsilon1=0.5, depth=4)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
     datas = [LevelHomology(hl) for hl in hls]
+    tower = Tower(seq)
     for k in range(len(hls) - 1):
         fine_lv, coarse_lv = seq.levels[k + 1], seq.levels[k]
 
@@ -279,7 +288,7 @@ def test_induced_rank_zero_matches_component_tracking_oracle():
             hit[fuf.find(i)] = cuf.find(nearest)
         oracle_rank = len(set(hit.values()))
 
-        p = bonding_map(g, hls[k + 1], coarse_lv)
+        p = bonding_map(tower, hls[k + 1])
         got = induced_homology_map(p, hls[k + 1], hls[k], 0, datas[k + 1], datas[k])
         assert got == oracle_rank
 
@@ -306,7 +315,7 @@ def test_sphere_sample_degree_two_both_routes():
 def test_shape_report_maxdim_two():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
-    rep = shape_report(seq, maxdim=2)
+    rep = shape_report(Tower(seq), maxdim=2)
     assert rep.cap == 4
     for row in rep.levels:
         assert len(row.betti_order) == 3
@@ -352,14 +361,15 @@ def test_shape_report_computes_each_object_once(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(invariants, "is_continuous", counting_is_continuous)
         m.setattr(hyperspace, "enumerate_small_subsets", counting_enumerate)
-        rep = shape_report(seq)
+        rep = shape_report(Tower(seq))
     assert checked == [lv.index for lv in seq.levels[1:]]  # once per bonding pair
     assert enumerated == [len(lv.net) for lv in seq.levels]  # once per level
 
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
     datas = [LevelHomology(hl) for hl in hls]
+    tower = Tower(seq)
     for k, pr in enumerate(rep.pairs):
-        p = bonding_map(g, hls[k + 1], seq.levels[k])
+        p = bonding_map(tower, hls[k + 1])
         expected = tuple(
             induced_homology_map(p, hls[k + 1], hls[k], deg, datas[k + 1], datas[k]) for deg in (0, 1)
         )
@@ -382,7 +392,7 @@ def test_induced_requires_monotone():
 def test_shape_report_singleton():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
-    rep = shape_report(seq)
+    rep = shape_report(Tower(seq))
     for row in rep.levels:
         assert row.betti_order == (1, 0)
     for pr in rep.pairs:
@@ -393,7 +403,7 @@ def test_shape_report_singleton():
 def test_shape_report_circle_stabilized():
     g = generate(SpaceSpec("circle", n=256))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=5)
-    rep = shape_report(seq)
+    rep = shape_report(Tower(seq))
     assert rep.stabilized == (1, 1)
 
 
@@ -401,7 +411,7 @@ def test_shape_report_rejects_single_level():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=1)
     with pytest.raises(ValueError):
-        shape_report(seq)
+        shape_report(Tower(seq))
 
 
 # --- chain-level functoriality ------------------------------------------------------
@@ -416,8 +426,9 @@ def test_chain_matrices_composite_equals_product():
     seq = build_adjusted_sequence(g, epsilon1=1.2, depth=3)
     assert all(len(lv.net) <= 12 for lv in seq.levels)
     hls = [build_hyperlevel(g, lv, cap=3) for lv in seq.levels]
-    p21 = bonding_map(g, hls[1], seq.level(1))
-    p32 = bonding_map(g, hls[2], seq.level(2))
+    tower = Tower(seq)
+    p21 = bonding_map(tower, hls[1])
+    p32 = bonding_map(tower, hls[2])
     v21 = selection_vertex_map(p21, hls[1], hls[0])
     v32 = selection_vertex_map(p32, hls[2], hls[1])
     v31 = [v21[v] for v in v32]  # the tower's composite functor map
@@ -432,11 +443,10 @@ def test_composite_induced_rank_bounded_by_steps():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
-    from finiteshape.hyperspace import composite_bonding
-
-    p21 = bonding_map(g, hls[1], seq.level(1))
-    p32 = bonding_map(g, hls[2], seq.level(2))
-    p31 = composite_bonding(g, hls)
+    tower = Tower(seq)
+    p21 = bonding_map(tower, hls[1])
+    p32 = bonding_map(tower, hls[2])
+    p31 = composite_bonding(tower, hls[2], 1)
     d = [LevelHomology(hl) for hl in hls]
     r21 = induced_homology_map(p21, hls[1], hls[0], 1, d[1], d[0])
     r32 = induced_homology_map(p32, hls[2], hls[1], 1, d[2], d[1])
@@ -450,12 +460,11 @@ def test_composite_induced_rank_equality_on_circle_tail():
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
     levels = seq.levels[1:]  # levels 2, 3, 4 carry the loop
     hls = [build_hyperlevel(g, lv) for lv in levels]
-    from finiteshape.hyperspace import composite_bonding
-
+    tower = Tower(seq)
     d = [LevelHomology(hl) for hl in hls]
-    p_step1 = bonding_map(g, hls[1], levels[0])
-    p_step2 = bonding_map(g, hls[2], levels[1])
-    p_comp = composite_bonding(g, hls)
+    p_step1 = bonding_map(tower, hls[1])
+    p_step2 = bonding_map(tower, hls[2])
+    p_comp = composite_bonding(tower, hls[2], levels[0].index)
     r1 = induced_homology_map(p_step1, hls[1], hls[0], 1, d[1], d[0])
     r2 = induced_homology_map(p_step2, hls[2], hls[1], 1, d[2], d[1])
     rc = induced_homology_map(p_comp, hls[2], hls[0], 1, d[2], d[0])
@@ -479,7 +488,7 @@ def test_exports(tmp_path):
 
     g2 = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g2, epsilon1=1.0, depth=3)
-    rep = shape_report(seq)
+    rep = shape_report(Tower(seq))
     write_homology_csv(rep, str(tmp_path / "h.csv"))
     lines = (tmp_path / "h.csv").read_text().splitlines()
     assert lines[0] == "n,b0,b1,rank0_to_prev,rank1_to_prev"

@@ -96,8 +96,8 @@ def test_density_claim_is_honest(spec):
 
 
 def test_generate_deterministic():
-    a = generate(SpaceSpec("warsaw_circle", n=300, seed=7))
-    b = generate(SpaceSpec("warsaw_circle", n=300, seed=7))
+    a = generate(SpaceSpec("warsaw_circle", n=300))
+    b = generate(SpaceSpec("warsaw_circle", n=300))
     assert np.array_equal(a.dist, b.dist)
     assert np.array_equal(a.coords, b.coords)
 
