@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .construction import (
+    AdjustedSequence,
     SequenceFormatError,
     build_adjusted_sequence,
     check_sequence_inequalities,
@@ -109,19 +110,18 @@ def _spec_from_config(cfg: RunConfig) -> SpaceSpec:
     )
 
 
-def _build_tower(cfg: RunConfig, sequence: str | None = None) -> Tower:
-    """Load or generate the ground, build the tower (or load a stored one) and its maps.
+def _build_sequence(cfg: RunConfig, sequence: str | None = None) -> AdjustedSequence:
+    """Load or generate the ground, then build the tower (or load a stored one).
 
     ``epsilon1`` defaults to half the ground's diameter.  A malformed stored
-    sequence raises ``SequenceFormatError``.
+    sequence raises ``SequenceFormatError``.  Commands that run checks wrap
+    the result in a ``Tower``; the exports need only the nets.
     """
     ground = load_ground(cfg.input, cfg.format) if cfg.input is not None else generate(_spec_from_config(cfg))
     if sequence:
-        seq = load_sequence_text(ground, sequence)
-    else:
-        eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-        seq = build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
-    return Tower(seq, cfg.tie_tol)
+        return load_sequence_text(ground, sequence)
+    eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
+    return build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
 
 
 def _add_space_options(p: argparse.ArgumentParser) -> None:
@@ -243,7 +243,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
     if not os.access(cfg.outdir, os.W_OK):
         raise ConfigError(f"output directory {cfg.outdir} is not writable")
     t0 = time.time()
-    tower = _build_tower(cfg)
+    tower = Tower(_build_sequence(cfg), cfg.tie_tol)
     ground, seq = tower.ground, tower.seq
     write_sequence_text(seq, os.path.join(cfg.outdir, "sequence.txt"))
     write_sequence_csv(seq, os.path.join(cfg.outdir, "sequence.csv"))
@@ -267,7 +267,10 @@ def cmd_run(cfg: RunConfig, args) -> int:
                 )
 
     rep = None
-    if not cfg.skip_homology and seq.depth >= 2:
+    homology_skipped = not cfg.skip_homology and seq.depth < 2
+    if homology_skipped:
+        print(f"homology: skipped ({seq.depth} level built, needs 2)")
+    elif not cfg.skip_homology:
         try:
             rep = shape_report(tower, maxdim=cfg.maxdim, window=cfg.window, cap=cfg.cap)
         except (ElementCapError, BondingDiameterError, HomologyCheckError) as exc:
@@ -292,6 +295,8 @@ def cmd_run(cfg: RunConfig, args) -> int:
 
     with open(os.path.join(cfg.outdir, "summary.txt"), "w") as fh:
         fh.write(f"verdict = {'pass' if all_ok else 'fail'}\n")
+        if homology_skipped:
+            fh.write("homology = skipped\n")
         fh.write(f"elapsed_seconds = {time.time() - t0:.3f}\n")
 
     print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({time.time() - t0:.2f}s)")
@@ -300,7 +305,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     try:
-        tower = _build_tower(cfg, args.sequence)
+        tower = Tower(_build_sequence(cfg, args.sequence), cfg.tie_tol)
     except SequenceFormatError as exc:
         _print_verdict("sequence-format", False, str(exc))
         return 1
@@ -323,7 +328,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def _export_level(cfg: RunConfig, args):
-    seq = _build_tower(cfg).seq
+    seq = _build_sequence(cfg)
     if not (1 <= args.level <= seq.depth):
         raise ConfigError(f"level {args.level} outside built depth {seq.depth}")
     return seq.ground, seq.level(args.level)

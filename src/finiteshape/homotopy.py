@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import gamma as net_gamma
-from .hyperspace import MultiMap, Tower, map_diameter, nearest_sets, set_diameter
+from .hyperspace import MultiMap, Tower, map_diameter, nearest_sets, row_diameters
 from .metric import MetricGround
 
 
@@ -46,17 +46,15 @@ def check_homotopic_in_U(
     """Certify f ~ g inside the bound via the three-step union homotopy.
 
     Passes iff max over the common domain of diam(f(x) ∪ g(x)) < bound,
-    strictly.  The worst domain item is recorded either way.
+    strictly.  The worst domain item (the first to reach the maximum) is
+    recorded either way.  The union diameters are one reduction over the
+    side-by-side tables of f and g.
     """
     if f.domain_kind != g.domain_kind or len(f.images) != len(g.images):
         raise ValueError("maps must share a domain")
-    worst = -1.0
-    worst_item = 0
-    for i, (fi, gi) in enumerate(zip(f.images, g.images)):
-        d = set_diameter(dist, set(fi) | set(gi))
-        if d > worst:
-            worst = d
-            worst_item = i
+    diameters = row_diameters(dist, np.hstack([f.table, g.table]))
+    worst_item = int(np.argmax(diameters)) if len(diameters) else 0
+    worst = float(diameters[worst_item]) if len(diameters) else -1.0
     return HomotopyWitness(
         name=name, bound=float(bound), max_union_diameter=float(worst),
         worst_item=worst_item, verdict=worst < bound,
@@ -94,8 +92,7 @@ class ApproximativeMap:
         maps = []
         for images in image_seq:
             images = tuple(tuple(sorted(img)) for img in images)
-            d = max((set_diameter(target.dist, img) for img in images), default=0.0)
-            maps.append(MultiMap(domain_kind="ground", images=images, diameter=d))
+            maps.append(MultiMap(domain_kind="ground", images=images, diameter=map_diameter(target.dist, images)))
         return ApproximativeMap(
             source=source, target=target, maps=tuple(maps),
             diameters=tuple(m.diameter for m in maps),
@@ -158,7 +155,7 @@ def finite_type_convert(
     dist = am.target.dist
     out_images = []
     for mm, net in zip(am.maps, nets):
-        q = nearest_sets(dist[:, list(net)], net, tie_tol)
+        q = nearest_sets(dist, net, tie_tol).tolist()
         images = []
         for img in mm.images:
             pushed = sorted(set().union(*(q[y] for y in img)))
@@ -229,7 +226,7 @@ def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConverg
     dist = tower.ground.dist
     levels = list(tower.seq.levels)
     qs = [tower.nearest_map(lv.index) for lv in levels]
-    inclusion = MultiMap("ground", tuple((x,) for x in range(tower.ground.n)), 0.0)
+    inclusion = MultiMap.from_table("ground", np.arange(tower.ground.n)[:, None], 0.0)
     pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, dist) for f, g, lv in zip(qs, qs[1:], levels)]
     incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, dist) for f, lv in zip(qs, levels)]
     pair_diams = [w.max_union_diameter for w in pair_ws]
@@ -288,7 +285,6 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     if not (1 <= n < tower.seq.depth):
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
     dist = tower.ground.dist
-    step = tower.step(n)
-    g_images = tuple(tuple(sorted(set().union(*(step[a] for a in img)))) for img in tower.q[n + 1])
-    g = MultiMap("ground", g_images, map_diameter(dist, g_images))
+    g_table = tower.union_image(n, n + 1, tower.q[n + 1])
+    g = MultiMap.from_table("ground", g_table, float(row_diameters(dist, g_table).max()))
     return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, dist, name=f"diagram_level_{n}")

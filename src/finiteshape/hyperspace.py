@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import AdjustedSequence, Level
-from .metric import MetricGround
+from .metric import MetricGround, row_blocks
 
 
 class ElementCapError(RuntimeError):
@@ -37,19 +37,26 @@ class BondingDiameterError(RuntimeError):
     """A bonding image has diameter at or above the coarse scale bound."""
 
 
-def enumerate_small_subsets(dist_local: np.ndarray, two_eps: float, cap: int, max_elements: int):
-    """All subsets of {0..m-1} with diameter < two_eps and size <= cap.
+def enumerate_small_subsets(dist: np.ndarray, net, two_eps: float, cap: int, max_elements: int):
+    """All subsets of the net positions {0..m-1} with diameter < two_eps and size <= cap.
 
-    Returns (elements, diameters) with elements sorted by (size, lex).  Uses
-    per-vertex ahead-neighbor bitmasks so only qualifying cliques are visited.
+    ``net`` lists the ground indices of the ``m`` net points; distances are
+    read from the ground table ``dist`` one net row at a time, so no
+    ``m x m`` block is formed.  Returns (elements, diameters) with elements
+    sorted by (size, lex) over positions.  Uses per-vertex ahead-neighbor
+    bitmasks so only qualifying cliques are visited.
     """
-    m = dist_local.shape[0]
+    net = np.asarray(net, dtype=np.intp)
+    m = len(net)
     ahead = []
+    near = []  # near[i][j]: distance of positions i < j closer than two_eps
     for i in range(m):
-        idx = np.flatnonzero(dist_local[i, i + 1:] < two_eps) + i + 1
+        row = dist[net[i], net[i + 1:]]
+        idx = np.flatnonzero(row < two_eps)
+        near.append(dict(zip((idx + i + 1).tolist(), row[idx].tolist())))
         mask = 0
-        for j in idx:
-            mask |= 1 << int(j)
+        for j in near[i]:
+            mask |= 1 << j
         ahead.append(mask)
 
     elements: list[tuple[int, ...]] = [(i,) for i in range(m)]
@@ -69,7 +76,7 @@ def enumerate_small_subsets(dist_local: np.ndarray, two_eps: float, cap: int, ma
         for j in bits(mask):
             d = diam
             for v in clique:
-                dv = dist_local[v, j]
+                dv = near[v][j]
                 if dv > d:
                     d = dv
             if d >= two_eps:
@@ -153,8 +160,7 @@ def build_hyperlevel(
 ) -> HyperLevel:
     """Enumerate the subsets of the level net with diameter < 2 * epsilon."""
     net = list(level.net)
-    dist_local = ground.dist[np.ix_(net, net)]
-    local_elements, diameters = enumerate_small_subsets(dist_local, 2.0 * level.epsilon, cap, max_elements)
+    local_elements, diameters = enumerate_small_subsets(ground.dist, net, 2.0 * level.epsilon, cap, max_elements)
     elements = tuple(tuple(net[v] for v in el) for el in local_elements)
     return HyperLevel(level=level, elements=elements, diameters=tuple(diameters), cap=cap)
 
@@ -166,46 +172,97 @@ class MultiMap:
     ``domain_kind`` is ``"ground"`` (one image per ground point) or
     ``"elements"`` (one image per hyperspace element).  Images are non-empty
     sorted tuples of ground indices; ``diameter`` is the largest image
-    diameter.
+    diameter.  ``table`` holds the same images as a padded integer array
+    (see ``padded_table``), the form every distance reduction reads.
     """
 
     domain_kind: str
     images: tuple[tuple[int, ...], ...]
     diameter: float
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain_kind not in ("ground", "elements"):
             raise ValueError(f"unknown domain kind {self.domain_kind!r}")
         if any(len(img) == 0 for img in self.images):
             raise ValueError("multivalued map images must be non-empty")
+        if self.table is None:
+            object.__setattr__(self, "table", padded_table(self.images))
+
+    @classmethod
+    def from_table(cls, domain_kind: str, table: np.ndarray, diameter: float) -> "MultiMap":
+        """The map whose images are the rows of a padded table."""
+        images = tuple(map(tuple, map(dict.fromkeys, table.tolist())))
+        return cls(domain_kind, images, diameter, table)
 
 
-def set_diameter(dist: np.ndarray, members) -> float:
-    members = list(members)
-    if len(members) < 2:
-        return 0.0
-    sub = dist[np.ix_(members, members)]
-    return float(sub.max())
+def padded_table(images) -> np.ndarray:
+    """Images as an integer array, one row each; a short row repeats its first entry.
+
+    Repeated entries change no union, minimum or maximum over a row, so
+    every image check is a reduction over gathers of whole rows.
+    """
+    width = max(map(len, images), default=1)
+    rows = [tuple(img) + tuple(img[:1]) * (width - len(img)) for img in images]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+def _compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept entries of each row in row order, padded with the row's first kept entry.
+
+    Every row must keep at least one entry.
+    """
+    r, c = np.nonzero(keep)
+    counts = np.bincount(r, minlength=len(keep))
+    starts = np.cumsum(counts) - counts
+    out = np.repeat(values[r[starts], c[starts]][:, None], int(counts.max(initial=1)), axis=1)
+    out[r, np.arange(len(r)) - starts[r]] = values[r, c]
+    return out
+
+
+def _union_rows(table: np.ndarray) -> np.ndarray:
+    """Each row's distinct entries in ascending order, padded with the row minimum."""
+    t = np.sort(table, axis=1)
+    keep = np.ones(t.shape, dtype=bool)
+    keep[:, 1:] = t[:, 1:] != t[:, :-1]
+    return _compact(t, keep)
+
+
+def _cross_max(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per-row maximum of ``dist[rows[r, i], cols[r, j]]`` over all i, j, in row blocks."""
+    out = np.empty(len(rows))
+    for s in row_blocks(len(rows), rows.shape[1] * cols.shape[1]):
+        out[s] = dist[rows[s, :, None], cols[s, None, :]].max(axis=(1, 2))
+    return out
+
+
+def row_diameters(dist: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Diameter of each row's point set (0 for a single point)."""
+    return _cross_max(dist, table, table)
 
 
 def map_diameter(dist: np.ndarray, images) -> float:
-    return max((set_diameter(dist, img) for img in images), default=0.0)
+    return float(row_diameters(dist, padded_table(images)).max(initial=0.0))
 
 
-def nearest_sets(dist_block: np.ndarray, net, tie_tol: float) -> list[tuple[int, ...]]:
-    """Row-wise argmin sets of a (points x net) distance block.
+def nearest_sets(dist: np.ndarray, net, tie_tol: float) -> np.ndarray:
+    """Nearest-set table in ``net`` of the points whose distance rows are ``dist``.
 
-    A net point ties when its distance is within ``tie_tol`` (relative) of the
-    row minimum; exact symmetric ties are always captured.
+    ``dist`` is a (points x ground) slice of the distance table and ``net``
+    lists ground indices; row r of the result holds the net points nearest to
+    point r, in net order, padded as in ``padded_table``.  A net point ties
+    when its distance is within ``tie_tol`` (relative) of the row minimum;
+    exact symmetric ties are always captured.  The (points x net) block is
+    read in row blocks.
     """
-    net = np.asarray(net)
-    mins = dist_block.min(axis=1)
-    thresh = mins * (1.0 + tie_tol)
-    out = []
-    for r in range(dist_block.shape[0]):
-        sel = np.flatnonzero(dist_block[r] <= thresh[r])
-        out.append(tuple(int(net[s]) for s in sel))
-    return out
+    net = np.asarray(net, dtype=np.intp)
+    blocks = []
+    for s in row_blocks(dist.shape[0], len(net)):
+        block = dist[s, net]
+        tie = block <= (block.min(axis=1) * (1.0 + tie_tol))[:, None]
+        blocks.append(_compact(np.broadcast_to(net, tie.shape), tie))
+    width = max(b.shape[1] for b in blocks)
+    return np.concatenate([np.hstack([b, np.repeat(b[:, :1], width - b.shape[1], axis=1)]) for b in blocks])
 
 
 def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> MultiMap:
@@ -213,21 +270,24 @@ def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> Multi
     net = tuple(net)
     if not net:
         raise ValueError("net must be non-empty")
-    images = nearest_sets(ground.dist[:, net], net, tie_tol)
-    return MultiMap(domain_kind="ground", images=tuple(images), diameter=map_diameter(ground.dist, images))
+    table = nearest_sets(ground.dist, net, tie_tol)
+    return MultiMap.from_table("ground", table, float(row_diameters(ground.dist, table).max()))
 
 
 class Tower:
     """The nearest-point and bonding maps of a built tower, each computed once.
 
-    ``q[n]`` holds the nearest-set image in ``A_n`` of every ground point; it
-    is the tower's only ``nearest_sets`` evaluation, one per level.
-    ``step(n)`` sends each point of ``A_{n+1}`` to its image in ``A_n``, read
-    off ``q[n]`` at that point (the same distance row and tie threshold a
-    per-pair block would use).  ``composite(n, m)`` sends each point of
-    ``A_m`` into ``A_n`` through the steps; it is memoized and extended one
-    step from ``composite(n, m - 1)``.  Bonding maps act on subsets by unions
-    of singleton images, so these tables determine every bonding map.
+    Every table is a padded integer array of ground indices (see
+    ``padded_table``).  ``q[n]`` holds the nearest-set image in ``A_n`` of
+    every ground point, one row per ground point; it is the tower's only
+    ``nearest_sets`` evaluation, one per level.  ``step(n)`` sends each point
+    of ``A_{n+1}`` to its image in ``A_n``, read off ``q[n]`` at that point
+    (the same distance row and tie threshold a per-pair block would use).
+    ``composite(n, m)`` sends each point of ``A_m`` into ``A_n`` through the
+    steps; it is memoized and extended one step from ``composite(n, m - 1)``.
+    Step and composite rows follow the order of the net ``A_m``.  Bonding
+    maps act on subsets by unions of singleton images, so these tables
+    determine every bonding map.
     """
 
     def __init__(self, seq: AdjustedSequence, tie_tol: float = 1e-9):
@@ -235,35 +295,48 @@ class Tower:
         self.ground = seq.ground
         self.tie_tol = tie_tol
         dist = seq.ground.dist
-        self.q = {lv.index: tuple(nearest_sets(dist[:, list(lv.net)], lv.net, tie_tol)) for lv in seq.levels}
-        self._composites: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+        self.q = {lv.index: nearest_sets(dist, lv.net, tie_tol) for lv in seq.levels}
+        self._composites: dict[tuple[int, int], np.ndarray] = {}
         self._nearest_maps: dict[int, MultiMap] = {}
+        self._positions: dict[int, np.ndarray] = {}
 
     def nearest_map(self, n: int) -> MultiMap:
         """``q[n]`` as a ground-domain map, with its diameter."""
         mm = self._nearest_maps.get(n)
         if mm is None:
-            mm = MultiMap("ground", self.q[n], map_diameter(self.ground.dist, self.q[n]))
+            q = self.q[n]
+            mm = MultiMap.from_table("ground", q, float(row_diameters(self.ground.dist, q).max()))
             self._nearest_maps[n] = mm
         return mm
 
-    def step(self, n: int) -> dict[int, tuple[int, ...]]:
+    def step(self, n: int) -> np.ndarray:
         return self.composite(n, n + 1)
 
-    def composite(self, n: int, m: int) -> dict[int, tuple[int, ...]]:
+    def composite(self, n: int, m: int) -> np.ndarray:
         if not 1 <= n < m <= self.seq.depth:
             raise ValueError(f"need levels {n} < {m} in a depth-{self.seq.depth} tower")
         comp = self._composites.get((n, m))
         if comp is None:
-            fine_net = self.seq.level(m).net
             if m == n + 1:
-                q = self.q[n]
-                comp = {a: q[a] for a in fine_net}
+                comp = self.q[n][np.asarray(self.seq.level(m).net, dtype=np.intp)]
             else:
-                prev, step = self.composite(n, m - 1), self.step(m - 1)
-                comp = {a: tuple(sorted(set().union(*(prev[y] for y in step[a])))) for a in fine_net}
+                comp = self.union_image(n, m - 1, self.step(m - 1))
             self._composites[(n, m)] = comp
         return comp
+
+    def union_image(self, n: int, m: int, sets: np.ndarray) -> np.ndarray:
+        """Image in ``A_n`` of each row of ``sets`` (padded sets of ``A_m`` points).
+
+        A row's image is the union of ``composite(n, m)`` over its points,
+        sorted and padded as in ``_union_rows``.
+        """
+        position = self._positions.get(m)
+        if position is None:
+            net = np.asarray(self.seq.level(m).net, dtype=np.intp)
+            position = np.full(self.ground.n, -1, dtype=np.intp)
+            position[net] = np.arange(len(net))
+            self._positions[m] = position
+        return _union_rows(self.composite(n, m)[position[sets]].reshape(len(sets), -1))
 
 
 def bonding_map(tower: Tower, fine: HyperLevel) -> MultiMap:
@@ -288,34 +361,25 @@ def composite_bonding(tower: Tower, fine: HyperLevel, n: int) -> MultiMap:
 def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap:
     """Element-domain map sending each fine element to the union of its points' images in ``A_n``.
 
-    Many elements share an image, so each distinct image is measured once.
     The first element whose image reaches ``2 * epsilon_n`` raises
     ``BondingDiameterError``.
     """
-    point_images = tower.composite(n, fine.level.index)
-    if fine.level != tower.seq.level(fine.level.index):
-        raise ValueError(f"hyperspace level {fine.level.index} was not built on this tower's level")
+    m = fine.level.index
+    tower.composite(n, m)  # rejects a level pair outside the tower first
+    if fine.level != tower.seq.level(m):
+        raise ValueError(f"hyperspace level {m} was not built on this tower's level")
     coarse = tower.seq.level(n)
     bound = 2.0 * coarse.epsilon
-    dist = tower.ground.dist
-    measured: set[tuple[int, ...]] = set()
-    images = []
-    worst = 0.0
-    for el in fine.elements:
-        img = tuple(sorted(set().union(*(point_images[a] for a in el))))
-        images.append(img)
-        if img in measured:
-            continue
-        measured.add(img)
-        d = set_diameter(dist, img)
-        if d >= bound:
-            raise BondingDiameterError(
-                f"{what} of {el} has diameter {d!r} >= 2*epsilon = {bound!r} "
-                f"(levels {fine.level.index} -> {coarse.index})"
-            )
-        if d > worst:
-            worst = d
-    return MultiMap(domain_kind="elements", images=tuple(images), diameter=worst)
+    table = tower.union_image(n, m, padded_table(fine.elements))
+    diameters = row_diameters(tower.ground.dist, table)
+    bad = np.flatnonzero(diameters >= bound)
+    if bad.size:
+        i = int(bad[0])
+        raise BondingDiameterError(
+            f"{what} of {fine.elements[i]} has diameter {float(diameters[i])!r} >= 2*epsilon = {bound!r} "
+            f"(levels {m} -> {coarse.index})"
+        )
+    return MultiMap.from_table("elements", table, float(diameters.max(initial=0.0)))
 
 
 def is_continuous(mm: MultiMap, domain: HyperLevel):
@@ -369,9 +433,10 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
     the composite bonding image of a finest-net singleton lies within
     epsilon_n of that singleton.  Clause 3 (bonded to source): any point in
     the composite bonding image of the nearest-point image of x lies within
-    epsilon_n of x itself.  Each clause reports its minimal slack; any
-    violated instance is collected with witnesses.  A one-level tower has no
-    pairs, so every clause passes with zero instances.
+    epsilon_n of x itself.  Each clause reports its minimal slack, with the
+    first witness to reach it in (n, m, x) order; any violated instance is
+    collected with witnesses.  A one-level tower has no pairs, so every
+    clause passes with zero instances.
     """
     ground = tower.ground
     dist = ground.dist
@@ -387,38 +452,28 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
     c2 = clause("bonded_pair")
     c3 = clause("bonded_to_source")
 
-    def record(cl, d, bound, witness):
-        cl.instances += 1
+    def record(cl, d, bound, points, n, m):
+        """Fold the distances of one level pair, instance by instance, into ``cl``."""
+        cl.instances += len(d)
         slack = bound - d
-        if slack < cl.min_slack:
-            cl.min_slack = slack
-            cl.worst_distance = d
+        i = int(np.argmin(slack))
+        if slack[i] < cl.min_slack:
+            cl.min_slack = float(slack[i])
+            cl.worst_distance = float(d[i])
             cl.worst_bound = bound
-            cl.worst_witness = witness
-        if d >= bound:
-            cl.violations.append({"distance": d, "bound": bound, "witness": witness})
+            cl.worst_witness = (int(points[i]), n, m)
+        for i in np.flatnonzero(d >= bound):
+            cl.violations.append({"distance": float(d[i]), "bound": bound, "witness": (int(points[i]), n, m)})
 
-    n_ground = ground.n
+    xs = np.arange(ground.n)
     depth = tower.seq.depth
     for n in range(1, depth):
         eps_n = tower.seq.level(n).epsilon
-        q_n = tower.q[n]
         for m in range(n + 1, depth + 1):
-            q_m = tower.q[m]
-            comp = tower.composite(n, m)
-
-            for x in range(n_ground):
-                d = float(dist[np.ix_(q_n[x], q_m[x])].max())
-                record(c1, d, eps_n, (x, n, m))
-
-            for a_m in tower.seq.level(m).net:
-                d = float(dist[list(comp[a_m]), a_m].max())
-                record(c2, d, eps_n, (a_m, n, m))
-
-            for x in range(n_ground):
-                target = sorted(set().union(*(comp[a] for a in q_m[x])))
-                d = float(dist[target, x].max())
-                record(c3, d, eps_n, (x, n, m))
+            net_m = np.asarray(tower.seq.level(m).net, dtype=np.intp)
+            record(c1, _cross_max(dist, tower.q[n], tower.q[m]), eps_n, xs, n, m)
+            record(c2, _cross_max(dist, tower.composite(n, m), net_m[:, None]), eps_n, net_m, n, m)
+            record(c3, _cross_max(dist, tower.union_image(n, m, tower.q[m]), xs[:, None]), eps_n, xs, n, m)
 
     return DistanceBoundsReport(clauses=[c1, c2, c3], tie_tol=tower.tie_tol, density=ground.density)
 

@@ -22,6 +22,21 @@ import numpy as np
 VALID_KINDS = ("two_points", "circle", "interval", "cantor", "warsaw_circle", "custom")
 
 
+BLOCK_ELEMENTS = 1 << 18  # entries in one row block's temporaries (2 MB of float64)
+
+
+def row_blocks(n_rows: int, row_elements: int) -> list[slice]:
+    """Consecutive row slices holding about ``BLOCK_ELEMENTS`` entries each.
+
+    ``row_elements`` is the number of entries one row contributes to the
+    block's largest temporary; a row wider than the budget gets a block of
+    its own.  Working in such blocks keeps every temporary small and its size
+    independent of the input.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(1, row_elements))
+    return [slice(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
+
+
 class GroundValidationError(ValueError):
     """Raised when input coordinates or a distance table are unusable as a metric sample."""
 
@@ -73,9 +88,18 @@ class MetricGround:
         if bad.size:
             i = int(bad[0])
             raise GroundValidationError(f"non-finite coordinate in row {i}: {coords[i].tolist()}")
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        dist = 0.5 * (dist + dist.T)  # enforce exact symmetry against fp noise
+        n = coords.shape[0]
+        dist = np.empty((n, n))
+        for rows in row_blocks(n, n * coords.shape[1]):
+            diff = coords[rows, None, :] - coords[None, :, :]
+            dist[rows] = np.sqrt((diff * diff).sum(axis=2))
+        # enforce exact symmetry against fp noise: 0.5 * (dist + dist.T), one
+        # diagonal strip at a time, each read before either half is written
+        for rows in row_blocks(n, n):
+            strip = dist[rows, rows.start:] + dist[rows.start:, rows].T
+            strip *= 0.5
+            dist[rows, rows.start:] = strip
+            dist[rows.start:, rows] = strip.T
         np.fill_diagonal(dist, 0.0)
         return MetricGround(dist=dist, coords=coords, density=float(density), kind=kind)
 

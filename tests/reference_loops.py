@@ -1,0 +1,121 @@
+"""Per-point reference loops for the tower tables and the distance checks.
+
+Each function here computes, one ground point or one net point at a time,
+what the library computes as array reductions over a ``Tower``.  The tests
+require equal results: the same tuples, the same maxima and the same first
+witness in scan order (max is exact, so no tolerance applies).
+"""
+
+import numpy as np
+
+
+def reference_nearest_sets(dist_block, net, tie_tol):
+    """Row-wise tie sets of a (points x net) distance block, one row at a time."""
+    mins = dist_block.min(axis=1)
+    thresh = mins * (1.0 + tie_tol)
+    out = []
+    for r in range(dist_block.shape[0]):
+        sel = np.flatnonzero(dist_block[r] <= thresh[r])
+        out.append(tuple(int(net[s]) for s in sel))
+    return out
+
+
+def images_of(table):
+    """The tuples a padded table stands for: each row without its repeated padding."""
+    return tuple(tuple(dict.fromkeys(row)) for row in table.tolist())
+
+
+def padded(images):
+    """Tuples as a padded array: a short row repeats its first entry."""
+    width = max(len(img) for img in images)
+    return np.array([img + img[:1] * (width - len(img)) for img in images])
+
+
+def set_diameter(dist, members):
+    members = sorted(set(members))
+    if len(members) < 2:
+        return 0.0
+    return float(dist[np.ix_(members, members)].max())
+
+
+def nearest_tables(seq, tie_tol):
+    """``q[n]`` for every level, as a list of tuples over the ground."""
+    dist = seq.ground.dist
+    return {lv.index: reference_nearest_sets(dist[:, list(lv.net)], lv.net, tie_tol) for lv in seq.levels}
+
+
+def singleton_bonding_chain(ground, levels, tie_tol=1e-9):
+    """Images of the finest net's points in the coarsest net, rebuilt from scratch.
+
+    ``levels`` runs coarse to fine; each step recomputes the nearest-set block
+    of the finer net against the coarser one and pushes the images through it.
+    """
+    comp = {a: (a,) for a in levels[-1].net}
+    for k in range(len(levels) - 1, 0, -1):
+        fine_net, coarse_net = list(levels[k].net), list(levels[k - 1].net)
+        q = dict(zip(fine_net, reference_nearest_sets(ground.dist[np.ix_(fine_net, coarse_net)], coarse_net, tie_tol)))
+        comp = {a: tuple(sorted(set().union(*(q[y] for y in img)))) for a, img in comp.items()}
+    return comp
+
+
+def distance_bounds(seq, tie_tol=1e-9):
+    """The three clauses of the distance bounds, scanned over (n, m, x).
+
+    Returns one dict per clause with the instance count, the minimal slack,
+    the distance, bound and witness that first reached it, and the violations.
+    """
+    dist = seq.ground.dist
+    q = nearest_tables(seq, tie_tol)
+    clauses = [dict(instances=0, min_slack=float("inf"), worst_distance=-1.0, worst_bound=float("nan"),
+                    worst_witness=(), violations=[]) for _ in range(3)]
+
+    def record(cl, d, bound, witness):
+        cl["instances"] += 1
+        slack = bound - d
+        if slack < cl["min_slack"]:
+            cl.update(min_slack=slack, worst_distance=d, worst_bound=bound, worst_witness=witness)
+        if d >= bound:
+            cl["violations"].append({"distance": d, "bound": bound, "witness": witness})
+
+    c1, c2, c3 = clauses
+    for n in range(1, seq.depth):
+        eps_n = seq.level(n).epsilon
+        for m in range(n + 1, seq.depth + 1):
+            comp = singleton_bonding_chain(seq.ground, seq.levels[n - 1:m], tie_tol)
+            for x in range(seq.ground.n):
+                record(c1, float(dist[np.ix_(q[n][x], q[m][x])].max()), eps_n, (x, n, m))
+            for a in seq.level(m).net:
+                record(c2, float(dist[list(comp[a]), a].max()), eps_n, (a, n, m))
+            for x in range(seq.ground.n):
+                target = sorted(set().union(*(comp[a] for a in q[m][x])))
+                record(c3, float(dist[target, x].max()), eps_n, (x, n, m))
+    return clauses
+
+
+def union_diameter(dist, f_images, g_images):
+    """(worst union diameter, first item reaching it) over a common domain."""
+    worst, worst_item = -1.0, 0
+    for i, (fi, gi) in enumerate(zip(f_images, g_images)):
+        d = set_diameter(dist, set(fi) | set(gi))
+        if d > worst:
+            worst, worst_item = d, i
+    return worst, worst_item
+
+
+def identity_diameters(seq, tie_tol=1e-9):
+    """Worst union diameters of q_m ∪ q_{m+1} and of q_n ∪ {x}, per level."""
+    dist = seq.ground.dist
+    q = nearest_tables(seq, tie_tol)
+    levels = [lv.index for lv in seq.levels]
+    pairs = [union_diameter(dist, q[m], q[m + 1])[0] for m in levels[:-1]]
+    points = [(x,) for x in range(seq.ground.n)]
+    inclusions = [union_diameter(dist, q[n], points)[0] for n in levels]
+    return pairs, inclusions
+
+
+def square_witness(seq, n, tie_tol=1e-9):
+    """(worst union diameter, worst item) of q_n against the step after q_{n+1}."""
+    q = nearest_tables(seq, tie_tol)
+    step = singleton_bonding_chain(seq.ground, seq.levels[n - 1:n + 1], tie_tol)
+    pushed = [tuple(sorted(set().union(*(step[a] for a in img)))) for img in q[n + 1]]
+    return union_diameter(seq.ground.dist, q[n], pushed)

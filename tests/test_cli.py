@@ -165,7 +165,10 @@ def test_run_one_level_tower_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "depth 1 of 1 requested" in out
     assert "PASS distance-bounds: no pairs" in out
-    assert (outdir / "summary.txt").read_text().splitlines()[0] == "verdict = pass"
+    assert "homology: skipped (1 level built, needs 2)" in out
+    summary = (outdir / "summary.txt").read_text().splitlines()
+    assert summary[0] == "verdict = pass"
+    assert "homology = skipped" in summary
 
 
 def test_run_computes_nearest_sets_once_per_level(tmp_path, monkeypatch):
@@ -210,6 +213,21 @@ def test_export_poset(tmp_path):
     assert code == 0
     assert (tmp_path / "poset.dot").read_text().startswith("digraph")
     assert (tmp_path / "poset.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["export-poset", "export-complex"])
+def test_exports_compute_no_nearest_sets(tmp_path, monkeypatch, command):
+    original, calls = hyperspace.nearest_sets, []
+
+    def counting_nearest_sets(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(hyperspace, "nearest_sets", counting_nearest_sets)
+    code = run_cli([command, "--space", "circle", "--n", "64", "--depth", "3",
+                    "--level", "2", "--out", str(tmp_path / "level2")])
+    assert code == 0
+    assert len(calls) == 0
 
 
 def test_export_complex_both_kinds(tmp_path):

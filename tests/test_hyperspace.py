@@ -16,11 +16,10 @@ from finiteshape.hyperspace import (
     export_poset_dot,
     is_continuous,
     nearest_point_map,
-    nearest_sets,
-    set_diameter,
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
+from reference_loops import images_of, reference_nearest_sets, set_diameter, singleton_bonding_chain
 
 
 def circle4():
@@ -184,20 +183,6 @@ def test_composite_diameters_below_coarse_epsilon_on_circle():
             assert set_diameter(g.dist, img) < seq.level(1).epsilon
 
 
-def singleton_bonding_chain(ground, levels, tie_tol=1e-9):
-    """Reference: images of the finest net's points in the coarsest net, rebuilt from scratch.
-
-    ``levels`` runs coarse to fine; each step recomputes the nearest-set block
-    of the finer net against the coarser one and pushes the images through it.
-    """
-    comp = {a: (a,) for a in levels[-1].net}
-    for k in range(len(levels) - 1, 0, -1):
-        fine_net, coarse_net = list(levels[k].net), list(levels[k - 1].net)
-        q = dict(zip(fine_net, nearest_sets(ground.dist[np.ix_(fine_net, coarse_net)], coarse_net, tie_tol)))
-        comp = {a: tuple(sorted(set().union(*(q[y] for y in img)))) for a, img in comp.items()}
-    return comp
-
-
 @pytest.mark.parametrize("spec", [SpaceSpec("warsaw_circle", n=1000), SpaceSpec("circle", n=64)],
                          ids=["warsaw1000", "circle64"])
 def test_tower_steps_and_composites_match_from_scratch_chain(spec):
@@ -206,11 +191,14 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
     assert seq.depth == 3
     tower = Tower(seq)
     for lv in seq.levels:
-        assert tower.q[lv.index] == nearest_point_map(g, lv.net).images
+        expected = tuple(reference_nearest_sets(g.dist[:, list(lv.net)], lv.net, 1e-9))
+        assert images_of(tower.q[lv.index]) == nearest_point_map(g, lv.net).images == expected
     for n in range(1, seq.depth):
-        assert tower.step(n) == singleton_bonding_chain(g, seq.levels[n - 1:n + 1])
+        fine_net = seq.level(n + 1).net
+        assert dict(zip(fine_net, images_of(tower.step(n)))) == singleton_bonding_chain(g, seq.levels[n - 1:n + 1])
         for m in range(n + 1, seq.depth + 1):
-            assert tower.composite(n, m) == singleton_bonding_chain(g, seq.levels[n - 1:m])
+            comp = dict(zip(seq.level(m).net, images_of(tower.composite(n, m))))
+            assert comp == singleton_bonding_chain(g, seq.levels[n - 1:m])
 
 
 def per_element_union_map(dist, elements, point_images):
@@ -232,7 +220,7 @@ def test_bonding_maps_match_per_element_diameter_reference():
     shared = 0
     for k in range(len(hls) - 1):
         fine_net, coarse_net = list(seq.levels[k + 1].net), list(seq.levels[k].net)
-        q = dict(zip(fine_net, nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
+        q = dict(zip(fine_net, reference_nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
         p = bonding_map(tower, hls[k + 1])
         assert (p.images, p.diameter) == per_element_union_map(g.dist, hls[k + 1].elements, q)
         shared += len(p.images) - len(set(p.images))

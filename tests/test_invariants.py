@@ -354,9 +354,9 @@ def test_shape_report_computes_each_object_once(monkeypatch):
         checked.append(domain.level.index)
         return is_continuous(p, domain)
 
-    def counting_enumerate(dist_local, *args):
-        enumerated.append(dist_local.shape[0])
-        return enumerate_small_subsets(dist_local, *args)
+    def counting_enumerate(dist, net, *args):
+        enumerated.append(len(net))
+        return enumerate_small_subsets(dist, net, *args)
 
     with monkeypatch.context() as m:
         m.setattr(invariants, "is_continuous", counting_is_continuous)

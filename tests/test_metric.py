@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finiteshape.metric import (
+    BLOCK_ELEMENTS,
     GroundValidationError,
     MetricGround,
     SpaceSpec,
@@ -203,3 +204,15 @@ def test_metric_axioms_on_random_point_clouds():
         assert (np.diag(g.dist) == 0).all()
         # exhaustive triangle check via the loader path
         MetricGround.from_matrix(g.dist)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_from_coords_row_blocks_match_broadcast_formula(dim):
+    n = 1000
+    assert n % (BLOCK_ELEMENTS // (n * dim)) and n % (BLOCK_ELEMENTS // n)  # the last blocks are partial
+    coords = np.random.default_rng(dim).normal(size=(n, dim)) * 10.0 ** np.arange(dim)
+    diff = coords[:, None, :] - coords[None, :, :]
+    broadcast = np.sqrt((diff * diff).sum(axis=2))
+    broadcast = 0.5 * (broadcast + broadcast.T)
+    np.fill_diagonal(broadcast, 0.0)
+    assert MetricGround.from_coords(coords).dist.tobytes() == broadcast.tobytes()

@@ -1,0 +1,100 @@
+"""Property tests: the array-backed tower against per-point reference loops.
+
+Clouds are small: random points in the plane or on the line, and lattice
+points, whose many equal distances force exact nearest-point ties.  Large tie
+tolerances widen the tie rows and can break the distance bounds, so the
+violation lists are exercised too.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from finiteshape.construction import build_adjusted_sequence
+from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
+from finiteshape.hyperspace import Tower, verify_adjusted_distance_bounds
+from finiteshape.metric import MetricGround
+import reference_loops as ref
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+random_points = st.lists(
+    st.tuples(st.floats(-1.0, 1.0, allow_subnormal=False), st.floats(-1.0, 1.0, allow_subnormal=False)),
+    min_size=2, max_size=20, unique=True,
+)
+lattice_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=5, max_size=20, unique=True)
+line_points = st.lists(st.integers(0, 12).map(lambda k: (float(k), 0.0)), min_size=4, max_size=13, unique=True)
+
+
+@st.composite
+def towers(draw):
+    """(tower, tie tolerance) for a drawn cloud, depth 2 to 4."""
+    points = draw(st.one_of(random_points, lattice_points, line_points))
+    ground = MetricGround.from_coords(np.array(points, dtype=float))
+    if ground.diameter() == 0.0:  # distinct floats can still be 0 apart after rounding
+        ground = MetricGround.from_coords(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    tie_tol = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.5]))
+    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(2, 4)))
+    return Tower(seq, tie_tol), tie_tol
+
+
+def full_lattice_tower(tie_tol, depth):
+    """The 5 x 4 integer grid: three-way ties at level 1; at tie tolerance 0.5 every clause is violated."""
+    points = np.array([(i, j) for i in range(5) for j in range(4)], dtype=float)
+    ground = MetricGround.from_coords(points)
+    return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth), tie_tol), tie_tol
+
+
+def with_lattice_examples(test):
+    return example(full_lattice_tower(1e-9, 3))(example(full_lattice_tower(0.5, 4))(test))
+
+
+@PROPERTY_SETTINGS
+@given(towers())
+@with_lattice_examples
+def test_padded_tables_match_reference(drawn):
+    tower, tie_tol = drawn
+    seq = tower.seq
+    q = ref.nearest_tables(seq, tie_tol)
+    for lv in seq.levels:
+        np.testing.assert_array_equal(tower.q[lv.index], ref.padded(q[lv.index]))
+    for n in range(1, seq.depth):
+        for m in range(n + 1, seq.depth + 1):
+            chain = ref.singleton_bonding_chain(seq.ground, seq.levels[n - 1:m], tie_tol)
+            expected = ref.padded([chain[a] for a in seq.level(m).net])
+            np.testing.assert_array_equal(tower.composite(n, m), expected)
+
+
+@PROPERTY_SETTINGS
+@given(towers())
+@with_lattice_examples
+def test_clause_reports_match_reference(drawn):
+    tower, tie_tol = drawn
+    rep = verify_adjusted_distance_bounds(tower)
+    for got, want in zip(rep.clauses, ref.distance_bounds(tower.seq, tie_tol)):
+        assert got.instances == want["instances"]
+        assert (got.min_slack, got.worst_distance, got.worst_bound) == (
+            want["min_slack"], want["worst_distance"], want["worst_bound"])
+        assert got.worst_witness == want["worst_witness"]
+        assert got.violations == want["violations"]
+
+
+@PROPERTY_SETTINGS
+@given(towers())
+@with_lattice_examples
+def test_identity_diameters_match_reference(drawn):
+    tower, tie_tol = drawn
+    rep = check_identity_convergence(tower)
+    pairs, inclusions = ref.identity_diameters(tower.seq, tie_tol)
+    assert list(rep.pair_diameters) == pairs
+    assert list(rep.inclusion_diameters) == inclusions
+
+
+@PROPERTY_SETTINGS
+@given(towers())
+@with_lattice_examples
+def test_square_witnesses_match_reference(drawn):
+    tower, tie_tol = drawn
+    for n in range(1, tower.seq.depth):
+        w = check_diagram_commutes(tower, n)
+        assert (w.max_union_diameter, w.worst_item) == ref.square_witness(tower.seq, n, tie_tol)
