@@ -183,6 +183,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{key: value for key, value in vars(args).items() if key in names})
     cfg.validate()
+    if cfg.cap is None:
+        cfg.cap = cfg.maxdim + 2
     return cfg
 
 
@@ -314,7 +316,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     if seq.depth >= 2 and not cfg.skip_homology:
         try:
-            hls = [build_hyperlevel(tower.ground, lv, cap=cfg.cap or cfg.maxdim + 2) for lv in seq.levels]
+            hls = [build_hyperlevel(tower.ground, lv, cap=cfg.cap) for lv in seq.levels]
             mono = True
             for hl in hls[1:]:
                 mono &= is_continuous(bonding_map(tower, hl), hl)[0]
@@ -336,7 +338,7 @@ def _export_level(cfg: RunConfig, args):
 
 def cmd_export_poset(cfg: RunConfig, args) -> int:
     ground, level = _export_level(cfg, args)
-    hl = build_hyperlevel(ground, level, cap=cfg.cap or cfg.maxdim + 2)
+    hl = build_hyperlevel(ground, level, cap=cfg.cap)
     export_poset_dot(hl, args.out + ".dot")
     export_poset_csv(hl, args.out + ".csv")
     print(f"wrote {hl.n_elements} elements to {args.out}.dot / .csv")
@@ -346,7 +348,7 @@ def cmd_export_poset(cfg: RunConfig, args) -> int:
 def cmd_export_complex(cfg: RunConfig, args) -> int:
     ground, level = _export_level(cfg, args)
     if args.complex == "order":
-        cx = order_complex(build_hyperlevel(ground, level, cap=cfg.cap or cfg.maxdim + 2), cfg.maxdim)
+        cx = order_complex(build_hyperlevel(ground, level, cap=cfg.cap), cfg.maxdim)
     else:
         cx = rips_complex(ground, level, cfg.maxdim)
     export_complex_off(cx, args.out + ".off")

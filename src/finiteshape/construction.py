@@ -10,7 +10,9 @@ The second inequality is realized with a safety factor:
 ``epsilon_{n+1} = safety * (epsilon_n - gamma_n) / 2`` with ``safety < 1``,
 which keeps both comparisons strict under floating point.
 
-Nets come from greedy farthest-point sampling.  Exactly represented grounds
+Nets are prefixes of one greedy farthest-point order of the ground, each cut
+where the insertion radius drops below its threshold, and ``gamma_n`` is the
+next insertion radius (Gonzalez 1985).  Exactly represented grounds
 (``density == 0``) build each net at the plain threshold ``epsilon_n``, the
 textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
 would stall after one or two levels that way, because the greedy stopping
@@ -71,28 +73,41 @@ class AdjustedSequence:
         return self.levels[n - 1]
 
 
-def build_net(ground: MetricGround, epsilon: float) -> tuple[int, ...]:
-    """Greedy farthest-point net: every ground point ends up within epsilon.
+def greedy_permutation(ground: MetricGround) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest-point order of the ground and the coverage radius of each prefix.
 
-    Seeded at index 0; argmax ties resolve to the lowest index.  The result is
-    inclusion-minimal only up to this greedy procedure.
+    Seeded at index 0; argmax ties resolve to the lowest index.  ``radii[k]``
+    is the coverage radius of ``order[:k + 1]`` and the insertion radius of
+    ``order[k + 1]``; the radii never increase, and the order ends at 0.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     dist = ground.dist
-    net = [0]
+    order, radii = [0], []
     cover = dist[0].copy()
     while True:
         far = int(np.argmax(cover))
-        if cover[far] < epsilon:
+        radii.append(cover[far])
+        if cover[far] == 0.0:
             break
-        net.append(far)
+        order.append(far)
         np.minimum(cover, dist[far], out=cover)
-    return tuple(sorted(net))
+    return np.array(order), np.array(radii)
+
+
+def cut_net(order: np.ndarray, radii: np.ndarray, threshold: float) -> tuple[tuple[int, ...], float]:
+    """Greedy net at ``threshold`` (the points inserted at radius >= it, sorted) and its coverage."""
+    if threshold <= 0:
+        raise ValueError(f"epsilon must be positive, got {threshold!r}")
+    size = 1 + int(np.count_nonzero(radii >= threshold))
+    return tuple(sorted(order[:size].tolist())), float(radii[size - 1])
+
+
+def build_net(ground: MetricGround, epsilon: float) -> tuple[int, ...]:
+    """Greedy farthest-point net covering the ground within epsilon; a prefix of ``greedy_permutation``."""
+    return cut_net(*greedy_permutation(ground), epsilon)[0]
 
 
 def gamma(ground: MetricGround, net) -> float:
-    """Realized coverage radius: max over ground of distance to the net."""
+    """Realized coverage radius of a given net: max over ground of distance to the net."""
     net = tuple(net)
     if not net:
         raise ValueError("net must be non-empty")
@@ -177,6 +192,7 @@ def build_adjusted_sequence(
         )
     ladder = plan_ladder(epsilon1, depth, ground.density, safety)
     max_nn = ground.max_nearest_neighbor() if ground.density > 0 else 0.0
+    order, radii = greedy_permutation(ground)
 
     levels: list[Level] = []
     stopped = False
@@ -184,8 +200,7 @@ def build_adjusted_sequence(
     eps = float(epsilon1)
     for n in range(1, depth + 1):
         t = net_threshold(eps, ground.density, max_nn, n, ladder, safety)
-        net = build_net(ground, t)
-        g = gamma(ground, net)
+        net, g = cut_net(order, radii, t)
         levels.append(Level(index=n, epsilon=eps, net=net, gamma=g, net_threshold=t))
         if n == depth:
             break

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import gamma as net_gamma
-from .hyperspace import MultiMap, Tower, map_diameter, nearest_sets, row_diameters
+from .hyperspace import MultiMap, Tower, _union_rows, map_diameter, nearest_sets, row_diameters
 from .metric import MetricGround
 
 
@@ -153,16 +153,13 @@ def finite_type_convert(
             )
 
     dist = am.target.dist
-    out_images = []
+    maps = []
     for mm, net in zip(am.maps, nets):
-        q = nearest_sets(dist, net, tie_tol).tolist()
-        images = []
-        for img in mm.images:
-            pushed = sorted(set().union(*(q[y] for y in img)))
-            images.append(tuple(pushed))
-        out_images.append(images)
+        pushed = nearest_sets(dist, net, tie_tol)[mm.table]
+        table = _union_rows(pushed.reshape(len(pushed), -1))
+        maps.append(MultiMap.from_table("ground", table, float(row_diameters(dist, table).max())))
 
-    converted = ApproximativeMap.from_images(am.source, am.target, out_images)
+    converted = ApproximativeMap(am.source, am.target, tuple(maps), tuple(m.diameter for m in maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
     slacks = tuple(bound - d for bound, d in zip(bounds, converted.diameters))
     report = FiniteTypeReport(

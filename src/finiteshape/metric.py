@@ -70,10 +70,12 @@ class MetricGround:
 
     def max_nearest_neighbor(self) -> float:
         """Largest distance from a point to the rest of the sample."""
-        if self.n == 1:
-            return 0.0
-        d = self.dist + np.diag(np.full(self.n, np.inf))
-        return float(d.min(axis=1).max())
+        nearest = np.empty(self.n)
+        for rows in row_blocks(self.n, self.n):
+            block = self.dist[rows].copy()
+            np.fill_diagonal(block[:, rows], np.inf)  # a point is not its own neighbor
+            nearest[rows] = block.min(axis=1)
+        return float(nearest.max()) if self.n > 1 else 0.0
 
     @staticmethod
     def from_coords(coords, density: float = 0.0, kind: str = "custom") -> "MetricGround":

@@ -1,12 +1,45 @@
 """Per-point reference loops for the tower tables and the distance checks.
 
 Each function here computes, one ground point or one net point at a time,
-what the library computes as array reductions over a ``Tower``.  The tests
-require equal results: the same tuples, the same maxima and the same first
-witness in scan order (max is exact, so no tolerance applies).
+what the library computes as array reductions over a ``Tower``, as a prefix
+of one greedy order, or over covering pairs only.  The tests require equal
+results: the same tuples, the same maxima and the same first witness in scan
+order (max is exact, so no tolerance applies).
 """
 
+import itertools
+
 import numpy as np
+
+
+def reference_build_net(dist, epsilon):
+    """Greedy farthest-point net at ``epsilon``, run from its seed for this one threshold.
+
+    Seeded at index 0; argmax ties resolve to the lowest index; stops at the
+    first farthest point closer than ``epsilon``.
+    """
+    net = [0]
+    cover = dist[0].copy()
+    while True:
+        far = int(np.argmax(cover))
+        if cover[far] < epsilon:
+            break
+        net.append(far)
+        np.minimum(cover, dist[far], out=cover)
+    return tuple(sorted(net))
+
+
+def proper_subset_pairs(hl):
+    """All comparable pairs (i, j) of a hyperlevel with element i a proper subset of j."""
+    for j, el in enumerate(hl.elements):
+        for r in range(1, len(el)):
+            for sub in itertools.combinations(el, r):
+                yield hl.element_id(sub), j
+
+
+def monotone_on_all_pairs(images, hl):
+    """Whether element images grow along every comparable pair of ``hl``."""
+    return all(set(images[i]) <= set(images[j]) for i, j in proper_subset_pairs(hl))
 
 
 def reference_nearest_sets(dist_block, net, tie_tol):

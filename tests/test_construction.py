@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from finiteshape import construction
 from finiteshape.construction import (
     build_adjusted_sequence,
     build_net,
@@ -147,6 +148,23 @@ def test_sequence_invariants_across_spaces(spec, eps1):
         assert nxt.epsilon < (prev.epsilon - prev.gamma) / 2.0
     for lv in seq.levels:
         assert gamma(g, lv.net) == lv.gamma
+
+
+def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypatch):
+    calls = dict.fromkeys(("greedy_permutation", "build_net", "gamma"), 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(construction, name, counting(name, getattr(construction, name)))
+    g = generate(SpaceSpec("circle", n=256))
+    seq = construction.build_adjusted_sequence(g, epsilon1=g.diameter() / 2.0, depth=4)
+    assert seq.depth == 4
+    assert calls == {"greedy_permutation": 1, "build_net": 0, "gamma": 0}
 
 
 def test_sequence_roundtrip(tmp_path):

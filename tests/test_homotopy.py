@@ -22,6 +22,7 @@ from finiteshape.hyperspace import (
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
 from finiteshape.construction import Level
+from reference_loops import reference_nearest_sets, set_diameter
 
 
 def circle4():
@@ -205,6 +206,11 @@ def test_finite_type_homotopy_bound_circle64():
     nets = [build_net(g, b) for b in betas]
     out, rep = finite_type_convert(am, betas, nets)
     assert rep.ok
+    for mm, got, net in zip(am.maps, out.maps, nets):  # per-point union of nearest sets
+        q = reference_nearest_sets(g.dist[:, list(net)], net, 1e-9)
+        expected = tuple(tuple(sorted(set().union(*(q[y] for y in img)))) for img in mm.images)
+        assert got.images == expected
+        assert got.diameter == max(set_diameter(g.dist, img) for img in expected)
     eps = 0.5
     for k in range(len(betas)):
         if 2 * betas[k] + am.diameters[k] < eps:

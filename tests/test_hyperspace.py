@@ -19,7 +19,14 @@ from finiteshape.hyperspace import (
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
-from reference_loops import images_of, reference_nearest_sets, set_diameter, singleton_bonding_chain
+from reference_loops import (
+    images_of,
+    monotone_on_all_pairs,
+    proper_subset_pairs,
+    reference_nearest_sets,
+    set_diameter,
+    singleton_bonding_chain,
+)
 
 
 def circle4():
@@ -127,7 +134,7 @@ def test_bonding_monotone_on_triangle():
     ok, ce = is_continuous(p, hl)
     assert ok and ce is None
     # exhaustive monotonicity recheck
-    for i, j in hl.proper_subset_pairs():
+    for i, j in proper_subset_pairs(hl):
         assert set(p.images[i]) <= set(p.images[j])
 
 
@@ -254,6 +261,42 @@ def test_is_continuous_reports_violation():
     i, j = ce
     assert hl.elements[i] == (0,) or hl.elements[i] == (1,)
     assert hl.elements[j] == (0, 1)
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec("warsaw_circle", n=1000), SpaceSpec("circle", n=64)],
+                         ids=["warsaw1000", "circle64"])
+def test_covering_pair_verdict_matches_all_pairs_reference(spec):
+    g = generate(spec)
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
+    hls = [build_hyperlevel(g, lv) for lv in seq.levels]
+    tower = Tower(seq)
+    maps = [(bonding_map(tower, hl), hl) for hl in hls[1:]]
+    maps += [(composite_bonding(tower, hls[-1], n), hls[-1]) for n in range(1, seq.depth - 1)]
+    rng = np.random.default_rng(0)
+    failed = 0
+    for mm, hl in maps:
+        trials = [mm.images]
+        for _ in range(6):
+            # one image moved to a random ground point, or shrunk to that of a covered subset
+            images = list(mm.images)
+            j = int(rng.integers(len(images)))
+            el = hl.elements[j]
+            if len(el) > 1 and rng.integers(2):
+                k = int(rng.integers(len(el)))
+                images[j] = images[hl.element_id(el[:k] + el[k + 1:])]
+            else:
+                images[j] = (int(rng.integers(g.n)),)
+            trials.append(tuple(images))
+        for images in trials:
+            ok, ce = is_continuous(MultiMap("elements", images, mm.diameter), hl)
+            assert ok == monotone_on_all_pairs(images, hl)
+            if not ok:
+                failed += 1
+                i, j = ce
+                small, big = hl.elements[i], hl.elements[j]
+                assert len(big) == len(small) + 1 and set(small) < set(big)
+                assert not set(images[i]) <= set(images[j])
+    assert failed > 0
 
 
 def test_distance_bounds_singleton_ground():

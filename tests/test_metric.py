@@ -10,6 +10,7 @@ from finiteshape.metric import (
     SpaceSpec,
     generate,
     load_ground,
+    row_blocks,
     write_coords_csv,
     write_distmatrix_csv,
 )
@@ -94,6 +95,26 @@ def test_density_claim_is_honest(spec):
     # every sample point is within 2*density of the rest of the sample
     g = generate(spec)
     assert g.max_nearest_neighbor() <= 2.0 * g.density + 1e-12
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [[0.0, 0.0]],
+        [[0.0, 0.0], [3.0, 4.0]],
+        np.random.default_rng(1).random((600, 2)),
+        [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.5, 0.0]],
+        [[1.0, 1.0]] * 5,
+    ],
+    ids=["n1", "n2", "n600", "duplicates", "all-equal"],
+)
+def test_max_nearest_neighbor_matches_dense_formula(coords):
+    g = MetricGround.from_coords(np.array(coords, dtype=float))
+    expected = 0.0 if g.n == 1 else float((g.dist + np.diag(np.full(g.n, np.inf))).min(axis=1).max())
+    assert g.max_nearest_neighbor() == expected
+    if g.n == 600:  # several row blocks, the last one short
+        blocks = row_blocks(g.n, g.n)
+        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
 
 
 def test_generate_deterministic():

@@ -1,16 +1,18 @@
-"""Property tests: the array-backed tower against per-point reference loops.
+"""Property tests: the array-backed tower against per-point reference loops,
+and greedy nets cut from one permutation against the per-threshold loop.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
 tolerances widen the tie rows and can break the distance bounds, so the
-violation lists are exercised too.
+violation lists are exercised too.  The greedy nets also see duplicate points
+and a single point.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finiteshape.construction import build_adjusted_sequence
+from finiteshape.construction import build_adjusted_sequence, build_net, cut_net, gamma, greedy_permutation
 from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
 from finiteshape.hyperspace import Tower, verify_adjusted_distance_bounds
 from finiteshape.metric import MetricGround
@@ -24,6 +26,8 @@ random_points = st.lists(
 )
 lattice_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=5, max_size=20, unique=True)
 line_points = st.lists(st.integers(0, 12).map(lambda k: (float(k), 0.0)), min_size=4, max_size=13, unique=True)
+duplicate_points = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=2, max_size=12)
+single_point = st.just([(0.0, 0.0)])
 
 
 @st.composite
@@ -98,3 +102,22 @@ def test_square_witnesses_match_reference(drawn):
     for n in range(1, tower.seq.depth):
         w = check_diagram_commutes(tower, n)
         assert (w.max_union_diameter, w.worst_item) == ref.square_witness(tower.seq, n, tie_tol)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(random_points, lattice_points, line_points, duplicate_points, single_point), st.floats(1e-3, 4.0))
+def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
+    ground = MetricGround.from_coords(np.array(points, dtype=float))
+    order, radii = greedy_permutation(ground)
+    assert order[0] == 0 and len(set(order.tolist())) == len(order) == len(radii)
+    assert radii[-1] == 0.0 and (np.diff(radii) <= 0).all()
+    recorded = np.unique(radii[radii > 0])
+    # every recorded radius, the midpoints between them, and thresholds beyond both ends
+    thresholds = [*recorded, *(recorded[:-1] + recorded[1:]) / 2, ground.diameter() + 1.0, drawn_threshold]
+    if recorded.size:
+        thresholds.append(recorded[0] / 2)
+    for t in thresholds:
+        net, covered = cut_net(order, radii, float(t))
+        assert net == ref.reference_build_net(ground.dist, t) == build_net(ground, t)
+        assert covered == gamma(ground, net)
+        assert covered < t
