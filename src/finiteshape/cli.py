@@ -3,9 +3,10 @@
 Subcommands: generate, run, verify, export-poset, export-complex.  A plain
 ``key = value`` config file (``--config``) becomes the defaults of the chosen
 subcommand, and the command line is then parsed once more over those
-defaults, so explicit flags win.  An unknown key or a line without ``=``
-exits 2.  Exit codes: 0 when every check passed, 1 when a check printed a
-FAIL line, 2 for bad input or configuration.
+defaults, so explicit flags win.  An unknown key, a line without ``=`` or a
+boolean other than 1/true/yes/0/false/no (any letter case) exits 2.  Exit
+codes: 0 when every check passed, 1 when a check printed a FAIL line, 2 for
+bad input or configuration.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ _CONFIG_KEYS = {
     "window": int, "outdir": str,
     "skip_bounds": bool, "skip_identity": bool, "skip_diagram": bool, "skip_homology": bool,
 }
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _read_config_file(path: str) -> dict:
@@ -175,7 +177,12 @@ def _read_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             typ = _CONFIG_KEYS[key]
-            out[key] = value.lower() in ("1", "true", "yes") if typ is bool else typ(value)
+            if typ is bool:
+                if value.lower() not in _CONFIG_BOOLS:
+                    raise ConfigError(f"{path}:{lineno}: {key} must be one of 1/true/yes/0/false/no, got {value!r}")
+                out[key] = _CONFIG_BOOLS[value.lower()]
+            else:
+                out[key] = typ(value)
     return out
 
 
@@ -283,14 +290,14 @@ def cmd_run(cfg: RunConfig, args) -> int:
             for row in rep.levels:
                 fh.write(
                     f"level n={row.index} epsilon={row.epsilon!r} net_size={row.net_size} "
-                    f"elements={row.n_elements} betti_order={row.betti_order} betti_scale={row.betti_rips}\n"
+                    f"elements={row.n_elements} betti={row.betti}\n"
                 )
             for pr in rep.pairs:
                 fh.write(f"pair fine={pr.fine_index} coarse={pr.coarse_index} ranks={pr.ranks}\n")
             fh.write(f"stabilized window={rep.window} ranks={rep.stabilized}\n")
-        print("homology (order route = scale route, cross-checked):")
+        print("homology (scale complex):")
         for row in rep.levels:
-            print(f"  level {row.index}: elements {row.n_elements} betti {row.betti_order}")
+            print(f"  level {row.index}: elements {row.n_elements} betti {row.betti}")
         for pr in rep.pairs:
             print(f"  induced {pr.fine_index}->{pr.coarse_index}: ranks {pr.ranks}")
         print(f"  stabilized ranks (window {rep.window}): {rep.stabilized}")

@@ -60,17 +60,19 @@ class DisjointSets:
 
 
 class ChainHomology:
-    """Homology data of a simplicial complex through degree 1.
+    """Homology data of a simplicial complex through degree 2.
 
-    Edges are vertex pairs, triangles vertex triples (faces must be edges of
-    the complex).  Degree-1 work happens in fundamental-cycle coordinates: a
-    spanning forest is fixed, every cycle is determined by its non-tree edge
-    support, and triangle boundaries project to at most three coordinates.
-    Homology representatives in degree 1 are fundamental cycles of the
-    non-tree edges whose coordinate never became a pivot.
+    Edges are vertex pairs, triangles vertex triples, tetrahedra vertex
+    quadruples, each sorted (faces must be simplices of the complex).
+    Degree-1 work happens in fundamental-cycle coordinates: a spanning forest
+    is fixed, every cycle is determined by its non-tree edge support, and
+    triangle boundaries project to at most three coordinates.  Homology
+    representatives in degree 1 are fundamental cycles of the non-tree edges
+    whose coordinate never became a pivot.  Tetrahedra, when given, are
+    reduced as columns of triangle ids for the degree-2 Betti number.
     """
 
-    def __init__(self, n_vertices: int, edges, triangles):
+    def __init__(self, n_vertices: int, edges=(), triangles=(), tetrahedra=()):
         self.n = n_vertices
         self.edges = [tuple(e) for e in edges]
         self.edge_id = {e: i for i, e in enumerate(self.edges)}
@@ -110,6 +112,11 @@ class ChainHomology:
         for tri in triangles:
             self.boundary_reducer.add(self.project(_triangle_edges(tri, self.edge_id)))
         self.rank_d2 = self.boundary_reducer.rank
+        self.n_triangles = len(triangles)
+        self.rank_d3 = 0
+        if tetrahedra:
+            triangle_id = {tuple(t): i for i, t in enumerate(triangles)}
+            self.rank_d3 = rank_of({triangle_id[tet[:i] + tet[i + 1:]] for i in range(4)} for tet in tetrahedra)
 
     @property
     def b0(self) -> int:
@@ -118,6 +125,10 @@ class ChainHomology:
     @property
     def b1(self) -> int:
         return self.cycle_dim - self.rank_d2
+
+    @property
+    def b2(self) -> int:
+        return self.n_triangles - self.rank_d2 - self.rank_d3
 
     def project(self, edge_ids) -> set[int]:
         """Fundamental coordinates of a cycle given by its edge-id support."""
@@ -184,15 +195,3 @@ class ImageRankCounter:
 def _triangle_edges(tri, edge_id):
     a, b, c = tri
     return (edge_id[(a, b)], edge_id[(a, c)], edge_id[(b, c)])
-
-
-def boundary_columns(simplices_k, simplices_km1_index):
-    """Columns of the degree-k boundary map for generic rank computations."""
-    cols = []
-    for s in simplices_k:
-        col = set()
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            col.add(simplices_km1_index[face])
-        cols.append(col)
-    return cols

@@ -1,20 +1,20 @@
 """Homology invariants of the hyperspace tower over the two-element field.
 
-Two complexes are attached to every level: the scale complex, whose
-k-simplices are the (k+1)-point net subsets of diameter below twice the level
-scale, and the order complex of the hyperspace poset, whose k-simplices are
-strict inclusion chains of k+1 elements.  The order complex is the barycentric
-subdivision of the scale complex (restricted to the cardinality cap), so their
-Betti numbers must agree; the pipeline reads both complexes off one
-enumeration of the level's small subsets, reduces each separately, and
-cross-checks the results.
+Homology is computed on the scale complex of every level: its k-simplices
+are the (k+1)-point net subsets of diameter below twice the level scale,
+read off the level's hyperspace poset.  The order complex of that poset
+(strict inclusion chains) is the barycentric subdivision of the scale
+complex within the cardinality cap, so the two have the same Betti numbers;
+it is kept for exports, and the tests use it as the reference route.
 
-Bonding maps are monotone, hence simplicial on order complexes (chains map to
-chains, with collapsed chains sent to zero).  Their induced maps on homology
-are computed exactly: degree 0 through component tracking, degree 1 by pushing
-explicit cycle representatives and counting independence modulo boundaries.
-The stabilized induced ranks over a trailing window of levels are the
-reported shape invariants of the finite tower.
+Bonding maps are monotone, and their minimal selection sends singletons to
+singletons, so its restriction to net points is a vertex map that is
+simplicial on scale complexes (collapsed simplices are sent to zero).  The
+induced maps on homology are computed exactly: degree 0 through component
+tracking, degree 1 by pushing explicit cycle representatives and counting
+independence modulo boundaries.  The stabilized induced ranks over a
+trailing window of levels are the reported shape invariants of the finite
+tower.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .construction import Level
-from .gf2 import ChainHomology, boundary_columns, rank_of
+from .gf2 import ChainHomology
 from .hyperspace import (
     HyperLevel,
     MultiMap,
@@ -127,59 +127,55 @@ def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
     )
 
 
-def chain_homology(cx: SimplicialComplex) -> ChainHomology:
-    """Degree-0 and degree-1 homology data of a complex (its edges and triangles)."""
-    edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
-    triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
-    return ChainHomology(cx.n_vertices, edges, triangles)
+def chain_homology(cx: SimplicialComplex, maxdim: int = 1) -> ChainHomology:
+    """Homology data of a complex through degree ``maxdim`` (its simplices up to dimension maxdim + 1)."""
+    return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2])
 
 
 def betti(cx: SimplicialComplex, maxdim: int = 1, hom: ChainHomology | None = None) -> tuple[int, ...]:
-    """Betti numbers b_0..b_maxdim over the two-element field, exact.
+    """Betti numbers b_0..b_maxdim over the two-element field, exact, for maxdim <= 2.
 
-    ``hom`` is the already-built ``ChainHomology`` of ``cx``, when the caller
-    has one; otherwise it is built here.
+    ``hom`` is the already-built ``ChainHomology`` of ``cx`` through degree
+    ``maxdim``, when the caller has one; otherwise it is built here.
     """
+    if not 0 <= maxdim <= 2:
+        raise ValueError(f"Betti numbers are computed through degree 2, not {maxdim}")
     if hom is None:
-        hom = chain_homology(cx)
-    out = [hom.b0]
-    if maxdim >= 1:
-        out.append(hom.b1)
-    ranks_up = {2: hom.rank_d2}
-    for k in range(2, maxdim + 1):
-        sk = cx.simplices[k] if len(cx.simplices) > k else ()
-        sk1 = cx.simplices[k + 1] if len(cx.simplices) > k + 1 else ()
-        idx_k = {s: i for i, s in enumerate(sk)}
-        rank_up = rank_of(boundary_columns(sk1, idx_k)) if sk1 else 0
-        ranks_up[k + 1] = rank_up
-        b_k = len(sk) - ranks_up[k] - rank_up
-        out.append(b_k)
-    return tuple(out)
+        hom = chain_homology(cx, maxdim)
+    return (hom.b0, hom.b1, hom.b2)[:maxdim + 1]
 
 
 class LevelHomology:
-    """Cached order-complex homology of one hyperspace level."""
+    """Cached scale-complex homology of one hyperspace level.
+
+    Vertices of the complex are net positions, which are also the element
+    ids of the level's singletons (``build_hyperlevel`` lists them first).
+    """
 
     def __init__(self, hl: HyperLevel, maxdim: int = 1):
         self.hyperlevel = hl
         self.maxdim = maxdim
-        self.complex = order_complex(hl, maxdim)
-        self.hom = chain_homology(self.complex)
-        self.betti = betti(self.complex, maxdim, self.hom)
+        cx = scale_complex(hl, maxdim)
+        self.hom = chain_homology(cx, maxdim)
+        self.betti = betti(cx, maxdim, self.hom)
 
     def h1_reps(self):
         return self.hom.h1_representatives()
 
 
 def selection_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> list[int]:
-    """Monotone vertex map on order-complex vertices induced by a bonding map.
+    """Element map of the fine poset into the coarse poset induced by a bonding map.
 
     The full image p(C) can exceed the cardinality cap when nearest-point
     ties stack up across the members of C, so the functor uses the minimal
     selection sel(C) = {min p({a}) : a in C}.  It is monotone, contained in
     p(C) pointwise (which makes it homotopic to the full map in the upper
     semifinite sense, so induced homology maps agree), and it always lands
-    inside the stored elements.
+    inside the stored elements: a selection that is not a coarse element
+    raises ``KeyError``.  Checked on every fine element, this says the vertex
+    map a -> min p({a}) is simplicial on scale complexes; that vertex map is
+    the first ``len(fine.level.net)`` entries, because singletons come first
+    and their ids are net positions.
     """
     singleton_min = {}
     for el, img in zip(fine.elements, p.images):
@@ -203,13 +199,14 @@ def induced_homology_map(
 ) -> int:
     """Rank of the map induced on degree-k homology by a bonding map.
 
-    The vertex map sends an element of the fine poset to its image element of
-    the coarse poset (minimal selection, see ``selection_vertex_map``);
-    monotonicity (checked, continuity precondition) makes it simplicial on
-    order complexes, with collapsing chains sent to zero.  A caller that has
-    already checked ``p`` monotone and built its selection map passes it as
-    ``vertex_map``, and both steps are skipped (``shape_report`` does them
-    once per bonding pair, not once per degree).
+    Homology is that of the scale complexes (``LevelHomology``).  The vertex
+    map sends a fine net point to the coarse net point min p({a}): the
+    singleton part of the minimal selection (see ``selection_vertex_map``),
+    whose check on every fine element makes it simplicial, with collapsed
+    simplices sent to zero.  A caller that has already checked ``p`` monotone
+    and built its selection map passes it as ``vertex_map``, and both steps
+    are skipped (``shape_report`` does them once per bonding pair, not once
+    per degree).
     """
     if degree not in (0, 1):
         raise ValueError("induced ranks are computed in degrees 0 and 1")
@@ -220,12 +217,13 @@ def induced_homology_map(
         vertex_map = selection_vertex_map(p, fine, coarse)
     fine_data = fine_data or LevelHomology(fine)
     coarse_data = coarse_data or LevelHomology(coarse)
+    vertex_map = vertex_map[:len(fine.level.net)]
 
     if degree == 0:
         # one coarse component per fine component; rank = distinct images
         comps = {}
-        for v in range(fine.n_elements):
-            comps.setdefault(fine_data.hom.comp_of[v], coarse_data.hom.comp_of[vertex_map[v]])
+        for v, pv in enumerate(vertex_map):
+            comps.setdefault(fine_data.hom.comp_of[v], coarse_data.hom.comp_of[pv])
         return len(set(comps.values()))
 
     counter = coarse_data.hom.image_rank_counter()
@@ -256,9 +254,7 @@ class LevelRow:
     epsilon: float
     net_size: int
     n_elements: int
-    betti_order: tuple[int, ...]
-    betti_rips: tuple[int, ...]
-    simplex_counts: tuple[int, ...]
+    betti: tuple[int, ...]
 
 
 @dataclass
@@ -302,13 +298,13 @@ def shape_report(
 ) -> HomologyReport:
     """Full homology pipeline over a built tower (depth >= 2).
 
-    Builds hyperspace levels, verifies the barycentric cross-check
-    (order-complex Betti numbers equal scale-complex Betti numbers, exact),
-    computes induced ranks along every consecutive bonding map, and stabilizes
-    them over the trailing window.  Each level is enumerated once and both of
-    its complexes are read off that hyperspace level; each order complex is
-    reduced once, and each bonding map is checked monotone once.  A failed
-    check raises ``HomologyCheckError``.
+    Builds hyperspace levels, reads each level's scale complex off its
+    hyperspace level and reduces it once, computes induced ranks along every
+    consecutive bonding map, and stabilizes them over the trailing window.
+    Each bonding map is checked monotone once, and its selection map is
+    checked on every fine element; every induced rank is checked against the
+    Betti numbers it maps between, and every pushed representative is checked
+    to be a cycle.  A failed check raises ``HomologyCheckError``.
     """
     seq = tower.seq
     if seq.depth < 2:
@@ -320,25 +316,10 @@ def shape_report(
     hls = [build_hyperlevel(ground, lv, cap=cap, max_elements=max_elements) for lv in seq.levels]
     datas = [LevelHomology(hl, maxdim) for hl in hls]
 
-    rows = []
-    for lv, hl, data in zip(seq.levels, hls, datas):
-        b_rips = betti(scale_complex(hl, maxdim), maxdim)
-        if b_rips != data.betti:
-            raise HomologyCheckError(
-                f"barycentric invariance failed at level {lv.index}: "
-                f"order {data.betti} vs scale {b_rips}"
-            )
-        rows.append(
-            LevelRow(
-                index=lv.index,
-                epsilon=lv.epsilon,
-                net_size=len(lv.net),
-                n_elements=hl.n_elements,
-                betti_order=data.betti,
-                betti_rips=b_rips,
-                simplex_counts=tuple(data.complex.count(k) for k in range(maxdim + 2)),
-            )
-        )
+    rows = [
+        LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_elements=hl.n_elements, betti=data.betti)
+        for lv, hl, data in zip(seq.levels, hls, datas)
+    ]
 
     pairs = []
     for k in range(len(hls) - 1):
@@ -371,50 +352,6 @@ def shape_report(
     return HomologyReport(levels=rows, pairs=pairs, stabilized=stabilized, window=window, maxdim=maxdim, cap=cap)
 
 
-def chain_map_matrices(
-    vertex_map: list[int],
-    fine: HyperLevel,
-    coarse: HyperLevel,
-    maxdim: int = 1,
-) -> list[dict[int, frozenset[int]]]:
-    """Chain-level matrices of a simplicial vertex map, per dimension.
-
-    Matrix k maps fine k-chains to coarse k-chains: column j holds the rows of
-    the image of fine simplex j (empty when the chain collapses).  Exact GF(2)
-    data, used to check functoriality at the chain level.  Vertex maps come
-    from ``selection_vertex_map``; composites compose vertex maps.
-    """
-    fine_cx = order_complex(fine, maxdim)
-    coarse_cx = order_complex(coarse, maxdim)
-    matrices = []
-    for k in range(maxdim + 2):
-        rows_index = {s: i for i, s in enumerate(coarse_cx.simplices[k])} if k < len(coarse_cx.simplices) else {}
-        cols = {}
-        if k < len(fine_cx.simplices):
-            for j, s in enumerate(fine_cx.simplices[k]):
-                image = tuple(sorted({vertex_map[v] for v in s}))
-                if len(image) == len(s):
-                    cols[j] = frozenset({rows_index[image]})
-                else:
-                    cols[j] = frozenset()
-        matrices.append(cols)
-    return matrices
-
-
-def gf2_matrix_product(
-    outer: dict[int, frozenset[int]],
-    inner: dict[int, frozenset[int]],
-) -> dict[int, frozenset[int]]:
-    """Product over GF(2) of sparse column maps: (outer . inner)(j)."""
-    out = {}
-    for j, mid in inner.items():
-        acc: set[int] = set()
-        for m in mid:
-            acc ^= set(outer.get(m, frozenset()))
-        out[j] = frozenset(acc)
-    return out
-
-
 def export_complex_off(cx: SimplicialComplex, path: str) -> None:
     """Facet-list export: counts line, then one line per simplex of each dim."""
     with open(path, "w") as fh:
@@ -439,8 +376,8 @@ def write_homology_csv(report: HomologyReport, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("n,b0,b1,rank0_to_prev,rank1_to_prev\n")
         for row in report.levels:
-            b0 = row.betti_order[0]
-            b1 = row.betti_order[1] if len(row.betti_order) > 1 else 0
+            b0 = row.betti[0]
+            b1 = row.betti[1] if len(row.betti) > 1 else 0
             pr = by_fine.get(row.index)
             r0 = pr.ranks[0] if pr else ""
             r1 = pr.ranks[1] if pr and len(pr.ranks) > 1 else ("" if pr is None else 0)

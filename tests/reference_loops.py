@@ -1,15 +1,22 @@
-"""Per-point reference loops for the tower tables and the distance checks.
+"""Reference routes for the tower tables, the distance checks and the homology.
 
-Each function here computes, one ground point or one net point at a time,
-what the library computes as array reductions over a ``Tower``, as a prefix
-of one greedy order, or over covering pairs only.  The tests require equal
-results: the same tuples, the same maxima and the same first witness in scan
-order (max is exact, so no tolerance applies).
+Each tower function here computes, one ground point or one net point at a
+time, what the library computes as array reductions over a ``Tower``, as a
+prefix of one greedy order, or over covering pairs only.  The tests require
+equal results: the same tuples, the same maxima and the same first witness
+in scan order (max is exact, so no tolerance applies).
+
+The homology functions work on order complexes, the barycentric
+subdivisions of the scale complexes the library reduces: chain-level
+matrices of the selection map, and induced ranks pushed through the full
+selection map on every poset element.
 """
 
 import itertools
 
 import numpy as np
+
+from finiteshape.invariants import chain_homology, order_complex, selection_vertex_map
 
 
 def reference_build_net(dist, epsilon):
@@ -152,3 +159,65 @@ def square_witness(seq, n, tie_tol=1e-9):
     step = singleton_bonding_chain(seq.ground, seq.levels[n - 1:n + 1], tie_tol)
     pushed = [tuple(sorted(set().union(*(step[a] for a in img)))) for img in q[n + 1]]
     return union_diameter(seq.ground.dist, q[n], pushed)
+
+
+def chain_map_matrices(vertex_map, fine, coarse, maxdim=1):
+    """Chain-level matrices of a simplicial vertex map on order complexes, per dimension.
+
+    Matrix k maps fine k-chains to coarse k-chains: column j holds the rows of
+    the image of fine simplex j (empty when the chain collapses).  Vertex maps
+    come from ``selection_vertex_map``; composites compose vertex maps.
+    """
+    fine_cx = order_complex(fine, maxdim)
+    coarse_cx = order_complex(coarse, maxdim)
+    matrices = []
+    for k in range(maxdim + 2):
+        rows_index = {s: i for i, s in enumerate(coarse_cx.simplices[k])} if k < len(coarse_cx.simplices) else {}
+        cols = {}
+        if k < len(fine_cx.simplices):
+            for j, s in enumerate(fine_cx.simplices[k]):
+                image = tuple(sorted({vertex_map[v] for v in s}))
+                cols[j] = frozenset({rows_index[image]}) if len(image) == len(s) else frozenset()
+        matrices.append(cols)
+    return matrices
+
+
+def gf2_matrix_product(outer, inner):
+    """Product over GF(2) of sparse column maps: (outer . inner)(j)."""
+    out = {}
+    for j, mid in inner.items():
+        acc = set()
+        for m in mid:
+            acc ^= set(outer.get(m, frozenset()))
+        out[j] = frozenset(acc)
+    return out
+
+
+def order_route_ranks(p, fine, coarse):
+    """Induced ranks in degrees 0 and 1 of a bonding map, on order complexes.
+
+    Each level's order complex is reduced on its own, and the full selection
+    map sends every poset element (every order-complex vertex) to its coarse
+    element: degree 0 tracks the components of all elements, degree 1 pushes
+    each fine representative cycle and counts independence modulo the coarse
+    boundaries.
+    """
+    vertex_map = selection_vertex_map(p, fine, coarse)
+    fine_hom = chain_homology(order_complex(fine))
+    coarse_hom = chain_homology(order_complex(coarse))
+    comps = {}
+    for v in range(fine.n_elements):
+        comps.setdefault(fine_hom.comp_of[v], coarse_hom.comp_of[vertex_map[v]])
+    counter = coarse_hom.image_rank_counter()
+    for rep in fine_hom.h1_representatives():
+        pushed = set()
+        for eid in rep:
+            pu, pv = sorted(vertex_map[v] for v in fine_hom.edges[eid])
+            if pu != pv:
+                pushed ^= {coarse_hom.edge_id[(pu, pv)]}
+        boundary = set()
+        for eid in pushed:
+            boundary ^= set(coarse_hom.edges[eid])
+        assert not boundary, "pushed representative is not a cycle"
+        counter.add_cycle(pushed)
+    return len(set(comps.values())), counter.rank

@@ -133,12 +133,22 @@ def test_config_file_skip_bounds_drops_distance_bounds_line(tmp_path, capsys):
     assert "2eps_3->" in out and "2eps_4" not in out  # the file's depth, not the default 4
 
 
-@pytest.mark.parametrize("line", ["colour = blue", "depth 3"], ids=["unknown-key", "no-equals"])
+@pytest.mark.parametrize("line", ["colour = blue", "depth 3", "skip_bounds = ture"],
+                         ids=["unknown-key", "no-equals", "bad-boolean"])
 def test_config_file_bad_line_exits_2(tmp_path, capsys, line):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"space = circle\n{line}\n")
     assert run_cli(["verify", "--config", str(cfgfile)]) == 2
     assert f"{cfgfile}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, skipped", [("TRUE", True), ("Yes", True), ("1", True),
+                                             ("False", False), ("NO", False), ("0", False)])
+def test_config_file_booleans_in_any_case(tmp_path, capsys, value, skipped):
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text(f"space = interval\nn = 20\ndepth = 2\nskip_bounds = {value}\n")
+    assert run_cli(["verify", "--config", str(cfgfile)]) == 0
+    assert ("distance-bounds" not in capsys.readouterr().out) == skipped
 
 
 def test_generate_config_honours_n(tmp_path):

@@ -1,5 +1,6 @@
 """Property tests: the array-backed tower against per-point reference loops,
-and greedy nets cut from one permutation against the per-threshold loop.
+greedy nets cut from one permutation against the per-threshold loop, and
+scale-complex homology against the order-complex route.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
@@ -9,12 +10,13 @@ and a single point.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finiteshape.construction import build_adjusted_sequence, build_net, cut_net, gamma, greedy_permutation
 from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
-from finiteshape.hyperspace import Tower, verify_adjusted_distance_bounds
+from finiteshape.hyperspace import Tower, bonding_map, build_hyperlevel, verify_adjusted_distance_bounds
+from finiteshape.invariants import betti, order_complex, shape_report
 from finiteshape.metric import MetricGround
 import reference_loops as ref
 
@@ -30,6 +32,7 @@ duplicate_points = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min
 single_point = st.just([(0.0, 0.0)])
 
 
+
 @st.composite
 def towers(draw):
     """(tower, tie tolerance) for a drawn cloud, depth 2 to 4."""
@@ -40,6 +43,32 @@ def towers(draw):
     tie_tol = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.5]))
     seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(2, 4)))
     return Tower(seq, tie_tol), tie_tol
+
+
+@st.composite
+def ring_grounds(draw):
+    """64 to 128 jittered points on the unit circle; density is their covering radius on the circle."""
+    n = draw(st.integers(64, 128))
+    jitter = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
+    theta = 2.0 * np.pi * (np.arange(n) + jitter) / n
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return MetricGround.from_coords(coords, density=2.0 * np.sin(gaps.max() / 4.0))
+
+
+@st.composite
+def homology_towers(draw):
+    """(tower at the default tie tolerance, maxdim) for a drawn cloud, depth 3 or 4.
+
+    Rings carry a loop over several levels, so degree-1 ranks are exercised
+    as well as components.
+    """
+    points = st.one_of(random_points, lattice_points, line_points)
+    ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))), ring_grounds()))
+    assume(ground.diameter() > 0.0)
+    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(3, 4)))
+    assume(seq.depth >= 2)  # a shape report needs two levels
+    return Tower(seq), draw(st.sampled_from([1, 2]))
 
 
 def full_lattice_tower(tie_tol, depth):
@@ -121,3 +150,31 @@ def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
         assert net == ref.reference_build_net(ground.dist, t) == build_net(ground, t)
         assert covered == gamma(ground, net)
         assert covered < t
+
+
+@PROPERTY_SETTINGS
+@given(towers())
+@with_lattice_examples
+def test_hyperlevels_list_singletons_first_in_net_order(drawn):
+    # element id i < |net| is the singleton of net point i: the scale vertex
+    # map is a prefix of the selection map over all elements
+    tower, _ = drawn
+    for lv in tower.seq.levels:
+        hl = build_hyperlevel(tower.ground, lv)
+        m = len(lv.net)
+        assert hl.elements[:m] == tuple((a,) for a in lv.net)
+        assert all(len(el) > 1 for el in hl.elements[m:])
+
+
+@PROPERTY_SETTINGS
+@given(homology_towers())
+@example((full_lattice_tower(1e-9, 3)[0], 1))
+@example((full_lattice_tower(1e-9, 4)[0], 2))
+def test_scale_route_homology_matches_order_route(drawn):
+    tower, maxdim = drawn
+    rep = shape_report(tower, maxdim=maxdim)
+    hls = [build_hyperlevel(tower.ground, lv, cap=maxdim + 2) for lv in tower.seq.levels]
+    for row, hl in zip(rep.levels, hls):
+        assert row.betti == betti(order_complex(hl, maxdim), maxdim)
+    for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
+        assert pr.ranks == ref.order_route_ranks(bonding_map(tower, fine), fine, coarse)
