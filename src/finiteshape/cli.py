@@ -12,6 +12,7 @@ bad input or configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -65,6 +66,7 @@ class RunConfig:
     cantor_depth: int = 4
     input: str | None = None
     format: str = "coords_csv"
+    density: float | None = None  # None: generated spaces state their own, loaded samples assume 0
     epsilon1: float | None = None  # None: half the space diameter
     depth: int = 4
     safety: float = 0.9
@@ -97,6 +99,17 @@ class RunConfig:
             raise ConfigError("stabilization window must be >= 2")
         if self.format not in ("coords_csv", "distmatrix_csv"):
             raise ConfigError(f"unknown input format {self.format}")
+        if self.density is not None:
+            if self.input is None:
+                raise ConfigError("--density applies to --input samples; generated spaces state their own")
+            if not 0.0 <= self.density < math.inf:
+                raise ConfigError(f"density must be finite and nonnegative, got {self.density}")
+
+    @property
+    def density_source(self) -> str:
+        if self.input is None:
+            return "generated"
+        return "assumed 0" if self.density is None else "stated"
 
 
 def _spec_from_config(cfg: RunConfig) -> SpaceSpec:
@@ -118,7 +131,10 @@ def _build_sequence(cfg: RunConfig, sequence: str | None = None) -> AdjustedSequ
     sequence raises ``SequenceFormatError``.  Commands that run checks wrap
     the result in a ``Tower``; the exports need only the nets.
     """
-    ground = load_ground(cfg.input, cfg.format) if cfg.input is not None else generate(_spec_from_config(cfg))
+    if cfg.input is not None:
+        ground = load_ground(cfg.input, cfg.format, density=0.0 if cfg.density is None else cfg.density)
+    else:
+        ground = generate(_spec_from_config(cfg))
     if sequence:
         return load_sequence_text(ground, sequence)
     eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
@@ -138,6 +154,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     _add_space_options(p)
     p.add_argument("--input", help="load a ground sample instead of generating one")
     p.add_argument("--format", choices=["coords_csv", "distmatrix_csv"], default="coords_csv")
+    p.add_argument("--density", type=float,
+                   help="claimed covering radius of an --input sample (default: 0, the sample is the space)")
     p.add_argument("--epsilon1", type=float, help="first scale (default: half the space diameter)")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--safety", type=float, default=0.9)
@@ -155,7 +173,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 _CONFIG_KEYS = {
     "space": str, "n": int, "radius": float, "separation": float, "length": float,
-    "cantor_depth": int, "input": str, "format": str, "epsilon1": float,
+    "cantor_depth": int, "input": str, "format": str, "density": float, "epsilon1": float,
     "depth": int, "safety": float, "tie_tol": float, "maxdim": int, "cap": int,
     "window": int, "outdir": str,
     "skip_bounds": bool, "skip_identity": bool, "skip_diagram": bool, "skip_homology": bool,
@@ -259,9 +277,10 @@ def cmd_run(cfg: RunConfig, args) -> int:
     if ground.coords is not None:
         write_coords_csv(ground, os.path.join(cfg.outdir, "ground.csv"))
 
-    print(f"ground: {ground.n} points, density {ground.density!r}")
-    print(f"tower: epsilon1 {seq.level(1).epsilon!r}, depth {seq.depth} of {cfg.depth} requested"
-          + (f" (stopped early: {seq.stop_reason})" if seq.stopped_early else ""))
+    depth = f"requested {seq.requested_depth}, built {seq.depth}" + (f", stopped: {seq.stop_reason}" if seq.stopped_early else "")
+    print(f"ground: {ground.n} points, density {ground.density!r} ({cfg.density_source})")
+    print(f"tower: epsilon1 {seq.level(1).epsilon!r}")
+    print(f"depth: {depth}")
     for lv in seq.levels:
         print(f"  level {lv.index}: epsilon {lv.epsilon:.6g} gamma {lv.gamma:.6g} |net| {len(lv.net)}")
 
@@ -304,6 +323,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
 
     with open(os.path.join(cfg.outdir, "summary.txt"), "w") as fh:
         fh.write(f"verdict = {'pass' if all_ok else 'fail'}\n")
+        fh.write(f"depth = {depth}\n")
         if homology_skipped:
             fh.write("homology = skipped\n")
         fh.write(f"elapsed_seconds = {time.time() - t0:.3f}\n")

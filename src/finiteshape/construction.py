@@ -12,7 +12,9 @@ which keeps both comparisons strict under floating point.
 
 Nets are prefixes of one greedy farthest-point order of the ground, each cut
 where the insertion radius drops below its threshold, and ``gamma_n`` is the
-next insertion radius (Gonzalez 1985).  Exactly represented grounds
+next insertion radius (Gonzalez 1985).  The order is extended lazily, one
+distance row per inserted point, and stops once its radius falls below the
+finest threshold asked for.  Exactly represented grounds
 (``density == 0``) build each net at the plain threshold ``epsilon_n``, the
 textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
 would stall after one or two levels that way, because the greedy stopping
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricGround
+from .metric import MetricGround, row_blocks
 
 
 @dataclass(frozen=True)
@@ -73,45 +75,73 @@ class AdjustedSequence:
         return self.levels[n - 1]
 
 
-def greedy_permutation(ground: MetricGround) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest-point order of the ground and the coverage radius of each prefix.
+class GreedyPermutation:
+    """Farthest-point order of a ground, computed only as far as it is read.
 
-    Seeded at index 0; argmax ties resolve to the lowest index.  ``radii[k]``
-    is the coverage radius of ``order[:k + 1]`` and the insertion radius of
-    ``order[k + 1]``; the radii never increase, and the order ends at 0.
+    Seeded at index 0; argmax ties resolve to the lowest index.  ``order[k]``
+    is the k-th point inserted and ``radii[k]`` the coverage radius of
+    ``order[:k + 1]``, which is the insertion radius of the next point; the
+    radii never increase, and the whole pass ends at 0.  ``extend(t)``
+    inserts points until the last radius falls below ``t`` (``extend(0)``
+    runs the whole pass).  Each insertion reads one distance row, and the
+    computed prefix does not depend on where the pass stops.
     """
-    dist = ground.dist
-    order, radii = [0], []
-    cover = dist[0].copy()
-    while True:
-        far = int(np.argmax(cover))
-        radii.append(cover[far])
-        if cover[far] == 0.0:
-            break
-        order.append(far)
-        np.minimum(cover, dist[far], out=cover)
-    return np.array(order), np.array(radii)
+
+    def __init__(self, ground: MetricGround):
+        self.ground = ground
+        self._cover = np.full(ground.n, np.inf)
+        self._order: list[int] = []
+        self._radii: list[float] = []
+        self._insert(0)
+
+    def _insert(self, i: int) -> None:
+        self._order.append(i)
+        np.minimum(self._cover, self.ground.block(slice(i, i + 1), slice(None))[0], out=self._cover)
+        self._next = int(np.argmax(self._cover))
+        self._radii.append(float(self._cover[self._next]))
+
+    def extend(self, threshold: float) -> "GreedyPermutation":
+        while self._radii[-1] >= threshold and self._radii[-1] > 0.0:
+            self._insert(self._next)
+        return self
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.array(self._order)
+
+    @property
+    def radii(self) -> np.ndarray:
+        return np.array(self._radii)
 
 
-def cut_net(order: np.ndarray, radii: np.ndarray, threshold: float) -> tuple[tuple[int, ...], float]:
-    """Greedy net at ``threshold`` (the points inserted at radius >= it, sorted) and its coverage."""
+def greedy_permutation(ground: MetricGround) -> GreedyPermutation:
+    """The ground's farthest-point order (Gonzalez 1985), to be extended by ``cut_net``."""
+    return GreedyPermutation(ground)
+
+
+def cut_net(perm: GreedyPermutation, threshold: float) -> tuple[tuple[int, ...], float]:
+    """Greedy net at ``threshold`` (the points inserted at radius >= it, sorted) and its coverage.
+
+    The pass is extended only until its radius falls below ``threshold``.
+    """
     if threshold <= 0:
         raise ValueError(f"epsilon must be positive, got {threshold!r}")
+    radii = perm.extend(threshold).radii
     size = 1 + int(np.count_nonzero(radii >= threshold))
-    return tuple(sorted(order[:size].tolist())), float(radii[size - 1])
+    return tuple(sorted(perm.order[:size].tolist())), float(radii[size - 1])
 
 
 def build_net(ground: MetricGround, epsilon: float) -> tuple[int, ...]:
     """Greedy farthest-point net covering the ground within epsilon; a prefix of ``greedy_permutation``."""
-    return cut_net(*greedy_permutation(ground), epsilon)[0]
+    return cut_net(greedy_permutation(ground), epsilon)[0]
 
 
 def gamma(ground: MetricGround, net) -> float:
     """Realized coverage radius of a given net: max over ground of distance to the net."""
-    net = tuple(net)
-    if not net:
+    net = np.asarray(tuple(net), dtype=np.intp)
+    if not net.size:
         raise ValueError("net must be non-empty")
-    return float(ground.dist[:, net].min(axis=1).max())
+    return max(float(ground.block(rows, net).min(axis=1).max()) for rows in row_blocks(ground.n, len(net)))
 
 
 _LADDER_MARGIN = 1.15  # planned last-level scale sits 15% above the stopping floor
@@ -192,7 +222,7 @@ def build_adjusted_sequence(
         )
     ladder = plan_ladder(epsilon1, depth, ground.density, safety)
     max_nn = ground.max_nearest_neighbor() if ground.density > 0 else 0.0
-    order, radii = greedy_permutation(ground)
+    perm = greedy_permutation(ground)
 
     levels: list[Level] = []
     stopped = False
@@ -200,7 +230,7 @@ def build_adjusted_sequence(
     eps = float(epsilon1)
     for n in range(1, depth + 1):
         t = net_threshold(eps, ground.density, max_nn, n, ladder, safety)
-        net, g = cut_net(order, radii, t)
+        net, g = cut_net(perm, t)
         levels.append(Level(index=n, epsilon=eps, net=net, gamma=g, net_threshold=t))
         if n == depth:
             break

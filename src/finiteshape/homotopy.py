@@ -18,7 +18,7 @@ import numpy as np
 
 from .construction import gamma as net_gamma
 from .hyperspace import MultiMap, Tower, _union_rows, map_diameter, nearest_sets, row_diameters
-from .metric import MetricGround
+from .metric import MetricGround, row_blocks
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def check_homotopic_in_U(
     f: MultiMap,
     g: MultiMap,
     bound: float,
-    dist: np.ndarray,
+    ground: MetricGround,
     name: str = "union_homotopy",
 ) -> HomotopyWitness:
     """Certify f ~ g inside the bound via the three-step union homotopy.
@@ -52,7 +52,7 @@ def check_homotopic_in_U(
     """
     if f.domain_kind != g.domain_kind or len(f.images) != len(g.images):
         raise ValueError("maps must share a domain")
-    diameters = row_diameters(dist, np.hstack([f.table, g.table]))
+    diameters = row_diameters(ground, np.hstack([f.table, g.table]))
     worst_item = int(np.argmax(diameters)) if len(diameters) else 0
     worst = float(diameters[worst_item]) if len(diameters) else -1.0
     return HomotopyWitness(
@@ -92,7 +92,7 @@ class ApproximativeMap:
         maps = []
         for images in image_seq:
             images = tuple(tuple(sorted(img)) for img in images)
-            maps.append(MultiMap(domain_kind="ground", images=images, diameter=map_diameter(target.dist, images)))
+            maps.append(MultiMap(domain_kind="ground", images=images, diameter=map_diameter(target, images)))
         return ApproximativeMap(
             source=source, target=target, maps=tuple(maps),
             diameters=tuple(m.diameter for m in maps),
@@ -101,12 +101,11 @@ class ApproximativeMap:
 
 def ball_map_prefix(ground: MetricGround, radii) -> ApproximativeMap:
     """Self-map prefix sending x to the closed metric ball of a given radius."""
-    images_per_index = []
-    for r in radii:
-        images = []
-        for x in range(ground.n):
-            images.append(tuple(int(i) for i in np.flatnonzero(ground.dist[x] <= r)))
-        images_per_index.append(images)
+    images_per_index = [[] for _ in radii]
+    for rows in row_blocks(ground.n, ground.n):
+        block = ground.block(rows, slice(None))
+        for images, r in zip(images_per_index, radii):
+            images.extend(tuple(np.flatnonzero(row <= r).tolist()) for row in block)
     return ApproximativeMap.from_images(ground, ground, images_per_index)
 
 
@@ -152,12 +151,12 @@ def finite_type_convert(
                 f"net {k} is not a beta-approximation: coverage {cov!r} >= beta {beta!r}"
             )
 
-    dist = am.target.dist
+    target = am.target
     maps = []
     for mm, net in zip(am.maps, nets):
-        pushed = nearest_sets(dist, net, tie_tol)[mm.table]
+        pushed = nearest_sets(target, net, tie_tol)[mm.table]
         table = _union_rows(pushed.reshape(len(pushed), -1))
-        maps.append(MultiMap.from_table("ground", table, float(row_diameters(dist, table).max())))
+        maps.append(MultiMap.from_table("ground", table, float(row_diameters(target, table).max())))
 
     converted = ApproximativeMap(am.source, am.target, tuple(maps), tuple(m.diameter for m in maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
@@ -220,12 +219,12 @@ def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConverg
     q_n ~ (x -> {x}) inside b.  Both diameters are union-homotopy witnesses
     at the pair's own bound 2 epsilon_n.
     """
-    dist = tower.ground.dist
+    ground = tower.ground
     levels = list(tower.seq.levels)
     qs = [tower.nearest_map(lv.index) for lv in levels]
-    inclusion = MultiMap.from_table("ground", np.arange(tower.ground.n)[:, None], 0.0)
-    pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, dist) for f, g, lv in zip(qs, qs[1:], levels)]
-    incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, dist) for f, lv in zip(qs, levels)]
+    inclusion = MultiMap.from_table("ground", np.arange(ground.n)[:, None], 0.0)
+    pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, ground) for f, g, lv in zip(qs, qs[1:], levels)]
+    incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, ground) for f, lv in zip(qs, levels)]
     pair_diams = [w.max_union_diameter for w in pair_ws]
     incl_diams = [w.max_union_diameter for w in incl_ws]
 
@@ -281,7 +280,7 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     """
     if not (1 <= n < tower.seq.depth):
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
-    dist = tower.ground.dist
+    ground = tower.ground
     g_table = tower.union_image(n, n + 1, tower.q[n + 1])
-    g = MultiMap.from_table("ground", g_table, float(row_diameters(dist, g_table).max()))
-    return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, dist, name=f"diagram_level_{n}")
+    g = MultiMap.from_table("ground", g_table, float(row_diameters(ground, g_table).max()))
+    return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, ground, name=f"diagram_level_{n}")

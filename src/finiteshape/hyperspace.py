@@ -37,12 +37,12 @@ class BondingDiameterError(RuntimeError):
     """A bonding image has diameter at or above the coarse scale bound."""
 
 
-def enumerate_small_subsets(dist: np.ndarray, net, two_eps: float, cap: int, max_elements: int):
+def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int, max_elements: int):
     """All subsets of the net positions {0..m-1} with diameter < two_eps and size <= cap.
 
-    ``net`` lists the ground indices of the ``m`` net points; distances are
-    read from the ground table ``dist`` one net row at a time, so no
-    ``m x m`` block is formed.  Returns (elements, diameters) with elements
+    ``net`` lists the ground indices of the ``m`` net points; net x net
+    distances are read from ``ground`` in row blocks, so no ``m x m`` block
+    is formed.  Returns (elements, diameters) with elements
     sorted by (size, lex) over positions.  Uses per-vertex ahead-neighbor
     bitmasks so only qualifying cliques are visited.
     """
@@ -50,14 +50,16 @@ def enumerate_small_subsets(dist: np.ndarray, net, two_eps: float, cap: int, max
     m = len(net)
     ahead = []
     near = []  # near[i][j]: distance of positions i < j closer than two_eps
-    for i in range(m):
-        row = dist[net[i], net[i + 1:]]
-        idx = np.flatnonzero(row < two_eps)
-        near.append(dict(zip((idx + i + 1).tolist(), row[idx].tolist())))
-        mask = 0
-        for j in near[i]:
-            mask |= 1 << j
-        ahead.append(mask)
+    for rows in row_blocks(m, m):
+        block = ground.block(net[rows], net[rows.start:])  # columns from the block's first row on
+        for i, row in zip(range(rows.start, rows.stop), block):
+            row = row[i - rows.start + 1:]
+            idx = np.flatnonzero(row < two_eps)
+            near.append(dict(zip((idx + i + 1).tolist(), row[idx].tolist())))
+            mask = 0
+            for j in near[i]:
+                mask |= 1 << j
+            ahead.append(mask)
 
     elements: list[tuple[int, ...]] = [(i,) for i in range(m)]
     diameters: list[float] = [0.0] * m
@@ -151,7 +153,7 @@ def build_hyperlevel(
 ) -> HyperLevel:
     """Enumerate the subsets of the level net with diameter < 2 * epsilon."""
     net = list(level.net)
-    local_elements, diameters = enumerate_small_subsets(ground.dist, net, 2.0 * level.epsilon, cap, max_elements)
+    local_elements, diameters = enumerate_small_subsets(ground, net, 2.0 * level.epsilon, cap, max_elements)
     elements = tuple(tuple(net[v] for v in el) for el in local_elements)
     return HyperLevel(level=level, elements=elements, diameters=tuple(diameters), cap=cap)
 
@@ -219,37 +221,36 @@ def _union_rows(table: np.ndarray) -> np.ndarray:
     return _compact(t, keep)
 
 
-def _cross_max(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per-row maximum of ``dist[rows[r, i], cols[r, j]]`` over all i, j, in row blocks."""
+def _cross_max(ground: MetricGround, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per-row maximum of ``d(rows[r, i], cols[r, j])`` over all i, j, in row blocks."""
     out = np.empty(len(rows))
     for s in row_blocks(len(rows), rows.shape[1] * cols.shape[1]):
-        out[s] = dist[rows[s, :, None], cols[s, None, :]].max(axis=(1, 2))
+        out[s] = ground.pairs(rows[s, :, None], cols[s, None, :]).max(axis=(1, 2))
     return out
 
 
-def row_diameters(dist: np.ndarray, table: np.ndarray) -> np.ndarray:
+def row_diameters(ground: MetricGround, table: np.ndarray) -> np.ndarray:
     """Diameter of each row's point set (0 for a single point)."""
-    return _cross_max(dist, table, table)
+    return _cross_max(ground, table, table)
 
 
-def map_diameter(dist: np.ndarray, images) -> float:
-    return float(row_diameters(dist, padded_table(images)).max(initial=0.0))
+def map_diameter(ground: MetricGround, images) -> float:
+    return float(row_diameters(ground, padded_table(images)).max(initial=0.0))
 
 
-def nearest_sets(dist: np.ndarray, net, tie_tol: float) -> np.ndarray:
-    """Nearest-set table in ``net`` of the points whose distance rows are ``dist``.
+def nearest_sets(ground: MetricGround, net, tie_tol: float) -> np.ndarray:
+    """Nearest-set table in ``net`` of every ground point.
 
-    ``dist`` is a (points x ground) slice of the distance table and ``net``
-    lists ground indices; row r of the result holds the net points nearest to
-    point r, in net order, padded as in ``padded_table``.  A net point ties
-    when its distance is within ``tie_tol`` (relative) of the row minimum;
-    exact symmetric ties are always captured.  The (points x net) block is
-    read in row blocks.
+    ``net`` lists ground indices; row x of the result holds the net points
+    nearest to ground point x, in net order, padded as in ``padded_table``.
+    A net point ties when its distance is within ``tie_tol`` (relative) of
+    the row minimum; exact symmetric ties are always captured.  The
+    (ground x net) distances are read in row blocks.
     """
     net = np.asarray(net, dtype=np.intp)
     blocks = []
-    for s in row_blocks(dist.shape[0], len(net)):
-        block = dist[s, net]
+    for s in row_blocks(ground.n, len(net)):
+        block = ground.block(s, net)
         tie = block <= (block.min(axis=1) * (1.0 + tie_tol))[:, None]
         blocks.append(_compact(np.broadcast_to(net, tie.shape), tie))
     width = max(b.shape[1] for b in blocks)
@@ -261,8 +262,8 @@ def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> Multi
     net = tuple(net)
     if not net:
         raise ValueError("net must be non-empty")
-    table = nearest_sets(ground.dist, net, tie_tol)
-    return MultiMap.from_table("ground", table, float(row_diameters(ground.dist, table).max()))
+    table = nearest_sets(ground, net, tie_tol)
+    return MultiMap.from_table("ground", table, float(row_diameters(ground, table).max()))
 
 
 class Tower:
@@ -285,8 +286,7 @@ class Tower:
         self.seq = seq
         self.ground = seq.ground
         self.tie_tol = tie_tol
-        dist = seq.ground.dist
-        self.q = {lv.index: nearest_sets(dist, lv.net, tie_tol) for lv in seq.levels}
+        self.q = {lv.index: nearest_sets(seq.ground, lv.net, tie_tol) for lv in seq.levels}
         self._composites: dict[tuple[int, int], np.ndarray] = {}
         self._nearest_maps: dict[int, MultiMap] = {}
         self._positions: dict[int, np.ndarray] = {}
@@ -296,7 +296,7 @@ class Tower:
         mm = self._nearest_maps.get(n)
         if mm is None:
             q = self.q[n]
-            mm = MultiMap.from_table("ground", q, float(row_diameters(self.ground.dist, q).max()))
+            mm = MultiMap.from_table("ground", q, float(row_diameters(self.ground, q).max()))
             self._nearest_maps[n] = mm
         return mm
 
@@ -362,7 +362,7 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
     coarse = tower.seq.level(n)
     bound = 2.0 * coarse.epsilon
     table = tower.union_image(n, m, padded_table(fine.elements))
-    diameters = row_diameters(tower.ground.dist, table)
+    diameters = row_diameters(tower.ground, table)
     bad = np.flatnonzero(diameters >= bound)
     if bad.size:
         i = int(bad[0])
@@ -432,7 +432,6 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
     clause passes with zero instances.
     """
     ground = tower.ground
-    dist = ground.dist
 
     def clause(name):
         return ClauseReport(
@@ -464,9 +463,9 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
         eps_n = tower.seq.level(n).epsilon
         for m in range(n + 1, depth + 1):
             net_m = np.asarray(tower.seq.level(m).net, dtype=np.intp)
-            record(c1, _cross_max(dist, tower.q[n], tower.q[m]), eps_n, xs, n, m)
-            record(c2, _cross_max(dist, tower.composite(n, m), net_m[:, None]), eps_n, net_m, n, m)
-            record(c3, _cross_max(dist, tower.union_image(n, m, tower.q[m]), xs[:, None]), eps_n, xs, n, m)
+            record(c1, _cross_max(ground, tower.q[n], tower.q[m]), eps_n, xs, n, m)
+            record(c2, _cross_max(ground, tower.composite(n, m), net_m[:, None]), eps_n, net_m, n, m)
+            record(c3, _cross_max(ground, tower.union_image(n, m, tower.q[m]), xs[:, None]), eps_n, xs, n, m)
 
     return DistanceBoundsReport(clauses=[c1, c2, c3], tie_tol=tower.tie_tol, density=ground.density)
 

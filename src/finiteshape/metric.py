@@ -1,10 +1,13 @@
 """Finite ground samples of compact metric spaces.
 
-A :class:`MetricGround` is a finite point set with a full symmetric distance
-table.  It stands in for a compact metric space: ``density`` is the claimed
-covering radius, i.e. every point of the idealized space lies within
-``density`` of some ground point.  Exactly represented finite spaces carry
-``density = 0``.
+A :class:`MetricGround` is a finite point set read through a distance oracle:
+``block(rows, cols)`` for dense sub-blocks and ``pairs(i, j)`` for
+elementwise distances.  A distance-matrix ground keeps its validated table and
+slices it; a coordinate ground keeps no table and computes each distance from
+its coordinates when it is read.  A ground stands in for a compact metric
+space: ``density`` is the claimed covering radius, i.e. every point of the
+idealized space lies within ``density`` of some ground point.  Exactly
+represented finite spaces carry ``density = 0``.
 
 Generators are provided for the standard test spaces (two points, circle,
 interval, Cantor dust, and the sin(1/x) "Warsaw" curve closed by a
@@ -15,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,73 +47,118 @@ class GroundValidationError(ValueError):
 
 @dataclass(frozen=True)
 class MetricGround:
-    """Finite metric sample: optional coordinates, distance table, covering claim.
+    """Finite metric sample: a distance oracle, optional coordinates, covering claim.
 
-    ``dist`` is an ``n x n`` symmetric nonnegative array with zero diagonal
-    satisfying the triangle inequality.  ``density`` is the claimed covering
-    radius of the sample inside the idealized space (0 means the sample *is*
-    the space).  Immutable after construction; safe to share between workers.
+    Distances are read through ``block(rows, cols)``, a dense sub-block, and
+    ``pairs(i, j)``, elementwise distances of broadcast index arrays.  A
+    distance-matrix ground (``from_matrix``) holds its validated ``table``, a
+    symmetric nonnegative array with zero diagonal satisfying the triangle
+    inequality, and slices it.  A coordinate ground (``from_coords``) holds no
+    table: every distance is computed from ``coords`` when it is read, so its
+    memory grows with ``n * d``, not ``n * n``.  ``density`` is the claimed
+    covering radius of the sample inside the idealized space (0 means the
+    sample *is* the space).  Immutable after construction; safe to share
+    between workers.
     """
 
-    dist: np.ndarray
     coords: np.ndarray | None = None
     density: float = 0.0
     kind: str = "custom"
+    table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.dist.setflags(write=False)
-        if self.coords is not None:
-            self.coords.setflags(write=False)
+        if self.table is None and self.coords is None:
+            raise ValueError("a ground needs a distance table or coordinates")
+        for arr in (self.table, self.coords):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return self.dist.shape[0]
+        return (self.coords if self.table is None else self.table).shape[0]
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Distances from the points ``rows`` to the points ``cols`` (index arrays or slices).
+
+        For a distance-matrix ground the result may be a read-only view of the
+        stored table.
+        """
+        if self.table is not None:
+            return self.table[rows][:, cols]
+        return self._euclidean((rows, None), (None, cols))
+
+    def pairs(self, i, j) -> np.ndarray:
+        """Elementwise distances ``d(i, j)`` of the broadcast index arrays ``i`` and ``j``."""
+        if self.table is not None:
+            return self.table[i, j]
+        return self._euclidean(i, j)
+
+    def _euclidean(self, i, j) -> np.ndarray:
+        # Squares summed in coordinate order, then the root: for d <= 7 the
+        # same bits as sqrt((diff * diff).sum(axis=-1)), whose reduction adds
+        # fewer than eight terms in order.  d(i, j) and d(j, i) square the same
+        # magnitudes, so every distance is exactly symmetric and d(i, i) = 0.
+        out = None
+        for axis in self.coords.T:
+            t = axis[i] - axis[j]
+            t *= t
+            if out is None:
+                out = t
+            else:
+                out += t
+        return np.sqrt(out, out=out)
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The whole ``n x n`` table: the stored one, or computed afresh from coordinates.
+
+        The pipeline reads ``block`` and ``pairs`` instead; this is for small
+        grounds and for comparing with a reference.
+        """
+        return self.block(slice(None), slice(None))
+
+    @cached_property
+    def _row_extremes(self) -> tuple[float, float]:
+        """(diameter, largest nearest-neighbor distance), from one pass over row blocks."""
+        n = self.n
+        farthest = np.empty(n)
+        nearest = np.empty(n)
+        for rows in row_blocks(n, n):
+            block = self.block(rows, slice(None))
+            farthest[rows] = block.max(axis=1)
+            if not block.flags.writeable:  # a view of the stored table
+                block = block.copy()
+            np.fill_diagonal(block[:, rows], np.inf)  # a point is not its own neighbor
+            nearest[rows] = block.min(axis=1)
+        return float(farthest.max()), float(nearest.max()) if n > 1 else 0.0
 
     def diameter(self) -> float:
-        return float(self.dist.max())
+        return self._row_extremes[0]
 
     def max_nearest_neighbor(self) -> float:
         """Largest distance from a point to the rest of the sample."""
-        nearest = np.empty(self.n)
-        for rows in row_blocks(self.n, self.n):
-            block = self.dist[rows].copy()
-            np.fill_diagonal(block[:, rows], np.inf)  # a point is not its own neighbor
-            nearest[rows] = block.min(axis=1)
-        return float(nearest.max()) if self.n > 1 else 0.0
+        return self._row_extremes[1]
 
     @staticmethod
     def from_coords(coords, density: float = 0.0, kind: str = "custom") -> "MetricGround":
-        # Euclidean tables satisfy the triangle inequality by construction;
+        # Euclidean distances satisfy the triangle inequality by construction;
         # the exhaustive/sampled check runs on from_matrix inputs only.
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        if coords.ndim != 2 or coords.shape[0] < 1:
-            raise GroundValidationError("coordinate array must be (n, d) with n >= 1")
+        if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] < 1:
+            raise GroundValidationError("coordinate array must be (n, d) with n >= 1 and d >= 1")
         bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
         if bad.size:
             i = int(bad[0])
             raise GroundValidationError(f"non-finite coordinate in row {i}: {coords[i].tolist()}")
-        n = coords.shape[0]
-        dist = np.empty((n, n))
-        for rows in row_blocks(n, n * coords.shape[1]):
-            diff = coords[rows, None, :] - coords[None, :, :]
-            dist[rows] = np.sqrt((diff * diff).sum(axis=2))
-        # enforce exact symmetry against fp noise: 0.5 * (dist + dist.T), one
-        # diagonal strip at a time, each read before either half is written
-        for rows in row_blocks(n, n):
-            strip = dist[rows, rows.start:] + dist[rows.start:, rows].T
-            strip *= 0.5
-            dist[rows, rows.start:] = strip
-            dist[rows.start:, rows] = strip.T
-        np.fill_diagonal(dist, 0.0)
-        return MetricGround(dist=dist, coords=coords, density=float(density), kind=kind)
+        return MetricGround(coords=coords, density=float(density), kind=kind)
 
     @staticmethod
     def from_matrix(dist, density: float = 0.0, coords=None, kind: str = "custom") -> "MetricGround":
         dist = np.asarray(dist, dtype=float)
         _validate_distance_table(dist)
-        return MetricGround(dist=dist, coords=coords, density=float(density), kind=kind)
+        return MetricGround(coords=coords, density=float(density), kind=kind, table=dist)
 
 
 def _validate_distance_table(dist: np.ndarray) -> None:
@@ -134,20 +183,24 @@ def _validate_distance_table(dist: np.ndarray) -> None:
 
 def _check_triangle(dist: np.ndarray, exhaustive_limit: int = 512, samples: int = 256) -> None:
     # Exhaustive over all midpoints k for n <= exhaustive_limit, sampled above.
+    # One pair of n x n buffers serves every midpoint.
     n = dist.shape[0]
     tol = 1e-12 * max(1.0, float(dist.max()))
     if n <= exhaustive_limit:
         ks = range(n)
     else:
         ks = np.unique(np.linspace(0, n - 1, samples).astype(int))
-    for k in ks:
-        via = dist[:, int(k)][:, None] + dist[int(k), :][None, :]
-        viol = dist > via + tol
+    via = np.empty_like(dist)
+    viol = np.empty(dist.shape, dtype=bool)
+    for k in map(int, ks):
+        np.add(dist[:, k, None], dist[None, k, :], out=via)
+        via += tol
+        np.greater(dist, via, out=viol)
         if viol.any():
             i, j = map(int, np.argwhere(viol)[0])
             raise GroundValidationError(
-                f"triangle inequality violated for ({i},{int(k)},{j}): "
-                f"d({i},{j})={dist[i, j]!r} > d({i},{int(k)})+d({int(k)},{j})={via[i, j]!r}"
+                f"triangle inequality violated for ({i},{k},{j}): "
+                f"d({i},{j})={dist[i, j]!r} > d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]!r}"
             )
 
 
@@ -347,6 +400,7 @@ def write_coords_csv(ground: MetricGround, path: str) -> None:
 
 
 def write_distmatrix_csv(ground: MetricGround, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        for row in ground.dist:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    with open(path, "w") as fh:
+        for rows in row_blocks(ground.n, ground.n):
+            for row in ground.block(rows, slice(None)):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")

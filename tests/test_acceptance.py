@@ -187,7 +187,7 @@ def test_criterion_6_finite_type():
         qualifying = 0
         for k in range(len(betas)):
             if rep.bounds[k] < eps:
-                w = check_homotopic_in_U(am.maps[k], converted.maps[k], eps, g.dist)
+                w = check_homotopic_in_U(am.maps[k], converted.maps[k], eps, g)
                 assert w.verdict, f"index {k}: homotopy fails at eps={eps}"
                 qualifying += 1
         assert qualifying >= 2

@@ -1,9 +1,13 @@
 import functools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from finiteshape import cli, hyperspace, invariants
 from finiteshape.cli import main
+from finiteshape.metric import MetricGround
 
 
 def run_cli(args):
@@ -173,11 +177,12 @@ def test_run_one_level_tower_passes(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run_cli(["run", "--space", "circle", "--depth", "1", "--outdir", str(outdir)]) == 0
     out = capsys.readouterr().out
-    assert "depth 1 of 1 requested" in out
+    assert "depth: requested 1, built 1\n" in out
     assert "PASS distance-bounds: no pairs" in out
     assert "homology: skipped (1 level built, needs 2)" in out
     summary = (outdir / "summary.txt").read_text().splitlines()
     assert summary[0] == "verdict = pass"
+    assert "depth = requested 1, built 1" in summary
     assert "homology = skipped" in summary
 
 
@@ -185,7 +190,7 @@ def test_run_computes_nearest_sets_once_per_level(tmp_path, monkeypatch):
     original, calls = hyperspace.nearest_sets, []
 
     def counting_nearest_sets(*args):
-        calls.append(args[0].shape)
+        calls.append(args[0].n)
         return original(*args)
 
     monkeypatch.setattr(hyperspace, "nearest_sets", counting_nearest_sets)
@@ -304,3 +309,78 @@ def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):
     code = run_cli(["run", "--input", str(coords), "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "non-finite coordinate in row 1" in capsys.readouterr().err
+
+
+def write_jittered_circle_distmatrix(path, n, seed=0):
+    """Distance-matrix CSV of n unit-circle points: equally spaced angles, each
+    moved by up to a tenth of the spacing, listed in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.1, 0.1, n)) / n
+    theta = theta[rng.permutation(n)]
+    ground = MetricGround.from_coords(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    np.savetxt(path, ground.dist, delimiter=",", fmt="%.17g")
+
+
+def test_loaded_circle_at_stated_density_reports_the_circle(tmp_path, capsys):
+    # at the default density 0 the finest levels are the whole sample and the
+    # ranks are the sample's; stating the sampling resolution recovers the circle
+    matrix = tmp_path / "circle.csv"
+    write_jittered_circle_distmatrix(matrix, 1000)
+    density = 0.6 * 2.0 * math.pi / 1000
+    assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv", "--depth", "4",
+                    "--density", repr(density), "--outdir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert f"ground: 1000 points, density {density!r} (stated)\n" in out
+    assert "stabilized ranks (window 2): (1, 1)" in out
+
+
+@pytest.mark.parametrize("source, args, config", [
+    ("generated", ["--space", "circle", "--n", "32"], ""),
+    ("assumed 0", ["--input", "{coords}"], ""),
+    ("stated", ["--input", "{coords}"], "density = 0.03\n"),
+])
+def test_ground_line_names_the_density_source(tmp_path, capsys, source, args, config):
+    coords = tmp_path / "c.csv"
+    assert run_cli(["generate", "--space", "circle", "--n", "32", "--out", str(coords)]) == 0
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(config)
+    args = [a.format(coords=coords) for a in args]
+    capsys.readouterr()
+    assert run_cli(["run", *args, "--depth", "3", "--config", str(cfgfile), "--outdir", str(tmp_path / "out")]) == 0
+    ground_line = capsys.readouterr().out.splitlines()[0]
+    assert ground_line.startswith("ground: 32 points, density ") and ground_line.endswith(f" ({source})")
+    if source == "stated":
+        assert ground_line == "ground: 32 points, density 0.03 (stated)"
+
+
+@pytest.mark.parametrize("args", [
+    ["--space", "circle", "--density", "0.1"],
+    ["--input", "{coords}", "--density", "-0.1"],
+    ["--input", "{coords}", "--density", "nan"],
+], ids=["generated-space", "negative", "nan"])
+def test_bad_density_exits_2(tmp_path, capsys, args):
+    coords = tmp_path / "c.csv"
+    coords.write_text("id,x,y\n0,0,0\n1,1,0\n")
+    assert run_cli(["run", *[a.format(coords=coords) for a in args], "--outdir", str(tmp_path / "out")]) == 2
+    assert "density" in capsys.readouterr().err
+
+
+def test_run_reports_depth_shortfall(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run_cli(["run", "--space", "circle", "--n", "256", "--depth", "5", "--outdir", str(outdir)]) == 0
+    shortfall = "requested 5, built 4, stopped: epsilon_5 = "
+    assert f"\ndepth: {shortfall}" in capsys.readouterr().out
+    summary = (outdir / "summary.txt").read_text().splitlines()
+    assert summary[0] == "verdict = pass"
+    assert summary[1].startswith(f"depth = {shortfall}")
+
+
+def test_verify_heap_stays_below_half_a_distance_table(capsys):
+    n = 2000
+    tracemalloc.start()
+    try:
+        assert run_cli(["verify", "--space", "circle", "--n", str(n), "--depth", "4"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2

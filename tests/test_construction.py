@@ -9,7 +9,9 @@ from finiteshape.construction import (
     build_adjusted_sequence,
     build_net,
     check_sequence_inequalities,
+    cut_net,
     gamma,
+    greedy_permutation,
     load_sequence_text,
     write_sequence_csv,
     write_sequence_text,
@@ -165,6 +167,38 @@ def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypat
     seq = construction.build_adjusted_sequence(g, epsilon1=g.diameter() / 2.0, depth=4)
     assert seq.depth == 4
     assert calls == {"greedy_permutation": 1, "build_net": 0, "gamma": 0}
+
+
+def _lazy_cut_grounds():
+    rng = np.random.default_rng(11)
+    table = MetricGround.from_coords(rng.random((120, 3))).dist
+    return {
+        "circle300": generate(SpaceSpec("circle", n=300)),
+        "warsaw400": generate(SpaceSpec("warsaw_circle", n=400)),
+        "random250-3d": MetricGround.from_coords(rng.normal(size=(250, 3))),
+        "duplicates": MetricGround.from_coords(rng.integers(0, 4, size=(80, 2)).astype(float)),
+        "distmatrix120": MetricGround.from_matrix(table),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lazy_cut_grounds()))
+def test_lazy_greedy_cut_matches_full_pass(name):
+    g = _lazy_cut_grounds()[name]
+    full = greedy_permutation(g).extend(0.0)
+    assert len(full.order) == len(set(full.order.tolist())) and full.radii[-1] == 0.0
+    positive = full.radii[full.radii > 0]
+    rng = np.random.default_rng(0)
+    # 20 thresholds between the radii and 20 equal to one
+    thresholds = [*np.geomspace(1.1 * g.diameter(), 0.5 * positive.min(), 20), *rng.choice(positive, 20)]
+    shared = greedy_permutation(g)
+    for t in rng.permutation(thresholds):
+        lazy = greedy_permutation(g)
+        net, covered = cut_net(lazy, float(t))
+        assert (net, covered) == cut_net(full, float(t)) == cut_net(shared, float(t))
+        assert covered == gamma(g, net)
+        assert len(lazy.order) == len(net)  # the pass stopped at the threshold
+        assert np.array_equal(lazy.order, full.order[:len(net)])
+        assert np.array_equal(lazy.radii, full.radii[:len(net)])
 
 
 def test_sequence_roundtrip(tmp_path):

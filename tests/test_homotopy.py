@@ -33,8 +33,8 @@ def circle4():
 def test_witness_equal_maps():
     g = circle4()
     q = nearest_point_map(g, (0, 2))
-    w_pass = check_homotopic_in_U(q, q, q.diameter + 1e-9, g.dist)
-    w_fail = check_homotopic_in_U(q, q, q.diameter, g.dist)
+    w_pass = check_homotopic_in_U(q, q, q.diameter + 1e-9, g)
+    w_fail = check_homotopic_in_U(q, q, q.diameter, g)
     assert w_pass.verdict
     assert not w_fail.verdict  # strict inequality
     assert w_fail.max_union_diameter == q.diameter
@@ -47,7 +47,7 @@ def test_witness_nearest_pair_beats_two_epsilon():
     for n in range(1, seq.depth):
         f = nearest_point_map(g, seq.level(n).net)
         h = nearest_point_map(g, seq.level(n + 1).net)
-        w = check_homotopic_in_U(f, h, 2.0 * seq.level(n).epsilon, g.dist)
+        w = check_homotopic_in_U(f, h, 2.0 * seq.level(n).epsilon, g)
         assert w.verdict and w.slack > 0
 
 
@@ -55,7 +55,7 @@ def test_witness_constructed_failure():
     g = generate(SpaceSpec("interval", n=3))  # points 0, 0.5, 1
     f = MultiMap("ground", ((0,), (0,), (0,)), 0.0)
     h = MultiMap("ground", ((2,), (2,), (2,)), 0.0)
-    w = check_homotopic_in_U(f, h, 0.5, g.dist)
+    w = check_homotopic_in_U(f, h, 0.5, g)
     assert not w.verdict
     assert w.max_union_diameter == 1.0
 
@@ -65,7 +65,7 @@ def test_witness_domain_mismatch():
     f = MultiMap("ground", ((0,),) * 4, 0.0)
     h = MultiMap("ground", ((0,),) * 3, 0.0)
     with pytest.raises(ValueError):
-        check_homotopic_in_U(f, h, 1.0, g.dist)
+        check_homotopic_in_U(f, h, 1.0, g)
 
 
 def test_union_of_monotone_maps_is_monotone():
@@ -75,11 +75,11 @@ def test_union_of_monotone_maps_is_monotone():
     f_images = tuple((0,) for _ in hl.elements)             # constant
     g_images = tuple(el for el in hl.elements)              # identity
     f = MultiMap("elements", f_images, 0.0)
-    gmap = MultiMap("elements", g_images, map_diameter(g.dist, g_images))
+    gmap = MultiMap("elements", g_images, map_diameter(g, g_images))
     assert is_continuous(f, hl)[0]
     assert is_continuous(gmap, hl)[0]
     union_images = tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(f_images, g_images))
-    union = MultiMap("elements", union_images, map_diameter(g.dist, union_images))
+    union = MultiMap("elements", union_images, map_diameter(g, union_images))
     assert is_continuous(union, hl)[0]
 
 
@@ -214,7 +214,7 @@ def test_finite_type_homotopy_bound_circle64():
     eps = 0.5
     for k in range(len(betas)):
         if 2 * betas[k] + am.diameters[k] < eps:
-            w = check_homotopic_in_U(am.maps[k], out.maps[k], eps, g.dist)
+            w = check_homotopic_in_U(am.maps[k], out.maps[k], eps, g)
             assert w.verdict
 
 

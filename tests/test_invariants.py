@@ -353,9 +353,9 @@ def test_shape_report_computes_each_object_once(monkeypatch):
         checked.append(domain.level.index)
         return is_continuous(p, domain)
 
-    def counting_enumerate(dist, net, *args):
+    def counting_enumerate(ground, net, *args):
         enumerated.append(len(net))
-        return enumerate_small_subsets(dist, net, *args)
+        return enumerate_small_subsets(ground, net, *args)
 
     with monkeypatch.context() as m:
         m.setattr(invariants, "is_continuous", counting_is_continuous)

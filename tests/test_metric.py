@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finiteshape import metric
 from finiteshape.metric import (
     BLOCK_ELEMENTS,
     GroundValidationError,
@@ -108,10 +109,16 @@ def test_density_claim_is_honest(spec):
     ],
     ids=["n1", "n2", "n600", "duplicates", "all-equal"],
 )
-def test_max_nearest_neighbor_matches_dense_formula(coords):
+def test_max_nearest_neighbor_matches_dense_formula(coords, monkeypatch):
     g = MetricGround.from_coords(np.array(coords, dtype=float))
-    expected = 0.0 if g.n == 1 else float((g.dist + np.diag(np.full(g.n, np.inf))).min(axis=1).max())
+    table = g.dist
+    expected = 0.0 if g.n == 1 else float((table + np.diag(np.full(g.n, np.inf))).min(axis=1).max())
+    blocks_read = []
+    block = MetricGround.block
+    monkeypatch.setattr(MetricGround, "block", lambda self, rows, cols: blocks_read.append(rows) or block(self, rows, cols))
+    assert g.diameter() == float(table.max())
     assert g.max_nearest_neighbor() == expected
+    assert blocks_read == row_blocks(g.n, g.n)  # one pass serves both
     if g.n == 600:  # several row blocks, the last one short
         blocks = row_blocks(g.n, g.n)
         assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
@@ -237,3 +244,92 @@ def test_from_coords_row_blocks_match_broadcast_formula(dim):
     broadcast = 0.5 * (broadcast + broadcast.T)
     np.fill_diagonal(broadcast, 0.0)
     assert MetricGround.from_coords(coords).dist.tobytes() == broadcast.tobytes()
+
+
+def _broadcast_table(coords):
+    """The dense (n, n, d) formula, symmetrized, that coordinate grounds once stored."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    table = np.sqrt((diff * diff).sum(axis=2))
+    table = 0.5 * (table + table.T)
+    np.fill_diagonal(table, 0.0)
+    return table
+
+
+def _coordinate_order_table(coords):
+    """Squares of the coordinate differences added one coordinate at a time, then the root."""
+    table = np.zeros((len(coords), len(coords)))
+    for k in range(coords.shape[1]):
+        t = coords[:, None, k] - coords[None, :, k]
+        table += t * t
+    return np.sqrt(table)
+
+
+def _oracle_reads(g, rng):
+    """Every row block of the whole table, a gathered block, and broadcast pairs, with their index arrays."""
+    whole = np.concatenate([g.block(rows, slice(None)) for rows in row_blocks(g.n, g.n)])
+    rows, cols = rng.choice(g.n, size=37), rng.permutation(g.n)[:53]
+    i, j = rng.integers(0, g.n, size=(11, 3, 1)), rng.integers(0, g.n, size=(11, 1, 4))
+    return whole, (rows, cols, g.block(rows, cols)), (i, j, g.pairs(i, j))
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_coordinate_oracle_matches_stored_table_formula(dim):
+    # up to d = 7 the oracle's bits are the old broadcast table's; from d = 8
+    # numpy's reduction switches to eight accumulators, and the oracle keeps
+    # coordinate order
+    n = 700
+    assert n % (BLOCK_ELEMENTS // n)  # the last row block is partial
+    rng = np.random.default_rng(dim)
+    coords = rng.normal(size=(n, dim)) * 10.0 ** np.arange(dim)
+    g = MetricGround.from_coords(coords)
+    reference = _broadcast_table(coords) if dim <= 7 else _coordinate_order_table(coords)
+    whole, (rows, cols, block), (i, j, pairs) = _oracle_reads(g, rng)
+    assert whole.tobytes() == reference.tobytes()
+    assert block.tobytes() == reference[np.ix_(rows, cols)].tobytes()
+    assert pairs.shape == (11, 3, 4) and pairs.tobytes() == reference[i, j].tobytes()
+    assert g.dist.tobytes() == reference.tobytes()
+
+
+def test_distance_matrix_oracle_slices_its_table():
+    table = _broadcast_table(np.random.default_rng(3).normal(size=(60, 2)))
+    g = MetricGround.from_matrix(table)
+    whole, (rows, cols, block), (i, j, pairs) = _oracle_reads(g, np.random.default_rng(4))
+    assert np.array_equal(whole, table) and np.shares_memory(g.dist, g.table)
+    assert np.array_equal(block, table[np.ix_(rows, cols)])
+    assert np.array_equal(pairs, table[i, j])
+
+
+def test_from_coords_rejects_zero_dimensional_points():
+    with pytest.raises(GroundValidationError):
+        MetricGround.from_coords(np.empty((3, 0)))
+
+
+def _reference_check_triangle(dist, exhaustive_limit=512, samples=256):
+    """The check with fresh temporaries per midpoint, as the validator first did it."""
+    n = dist.shape[0]
+    tol = 1e-12 * max(1.0, float(dist.max()))
+    ks = range(n) if n <= exhaustive_limit else np.unique(np.linspace(0, n - 1, samples).astype(int))
+    for k in ks:
+        via = dist[:, int(k)][:, None] + dist[int(k), :][None, :]
+        viol = dist > via + tol
+        if viol.any():
+            i, j = map(int, np.argwhere(viol)[0])
+            raise GroundValidationError(
+                f"triangle inequality violated for ({i},{int(k)},{j}): "
+                f"d({i},{j})={dist[i, j]!r} > d({i},{int(k)})+d({int(k)},{j})={via[i, j]!r}"
+            )
+
+
+@pytest.mark.parametrize("n", [40, 600], ids=["exhaustive", "sampled"])
+def test_triangle_check_reports_the_reference_witness(n):
+    table = _broadcast_table(generate(SpaceSpec("circle", n=n)).coords)
+    metric._check_triangle(table)
+    _reference_check_triangle(table)
+    bad = table.copy()
+    for i, j in ((n - 3, 5), (7, n // 2)):
+        bad[i, j] = bad[j, i] = bad[i, j] + 0.5
+    with pytest.raises(GroundValidationError) as want:
+        _reference_check_triangle(bad)
+    with pytest.raises(GroundValidationError) as got:
+        metric._check_triangle(bad)
+    assert str(got.value) == str(want.value)

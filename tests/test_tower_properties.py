@@ -137,7 +137,8 @@ def test_square_witnesses_match_reference(drawn):
 @given(st.one_of(random_points, lattice_points, line_points, duplicate_points, single_point), st.floats(1e-3, 4.0))
 def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
     ground = MetricGround.from_coords(np.array(points, dtype=float))
-    order, radii = greedy_permutation(ground)
+    perm = greedy_permutation(ground).extend(0.0)
+    order, radii = perm.order, perm.radii
     assert order[0] == 0 and len(set(order.tolist())) == len(order) == len(radii)
     assert radii[-1] == 0.0 and (np.diff(radii) <= 0).all()
     recorded = np.unique(radii[radii > 0])
@@ -146,7 +147,7 @@ def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
     if recorded.size:
         thresholds.append(recorded[0] / 2)
     for t in thresholds:
-        net, covered = cut_net(order, radii, float(t))
+        net, covered = cut_net(perm, float(t))
         assert net == ref.reference_build_net(ground.dist, t) == build_net(ground, t)
         assert covered == gamma(ground, net)
         assert covered < t
