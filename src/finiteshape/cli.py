@@ -49,7 +49,7 @@ from .invariants import (
     shape_report,
     write_homology_csv,
 )
-from .metric import SpaceSpec, generate, load_ground, write_coords_csv
+from .metric import MetricGround, SpaceSpec, generate, load_ground, triangle_midpoints, write_coords_csv
 
 
 class ConfigError(ValueError):
@@ -265,6 +265,16 @@ def _run_checks(cfg: RunConfig, tower: Tower):
     return all_ok, witnesses
 
 
+def _triangle_label(ground: MetricGround) -> str:
+    """Names a sampled triangle-inequality check of a loaded distance table; empty when every midpoint was checked."""
+    if ground.table is None:
+        return ""
+    checked = len(triangle_midpoints(ground.n))
+    if checked == ground.n:
+        return ""
+    return f", triangle inequality checked at {checked} of {ground.n} midpoints"
+
+
 def cmd_run(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     if not os.access(cfg.outdir, os.W_OK):
@@ -278,7 +288,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
         write_coords_csv(ground, os.path.join(cfg.outdir, "ground.csv"))
 
     depth = f"requested {seq.requested_depth}, built {seq.depth}" + (f", stopped: {seq.stop_reason}" if seq.stopped_early else "")
-    print(f"ground: {ground.n} points, density {ground.density!r} ({cfg.density_source})")
+    print(f"ground: {ground.n} points, density {ground.density!r} ({cfg.density_source}){_triangle_label(ground)}")
     print(f"tower: epsilon1 {seq.level(1).epsilon!r}")
     print(f"depth: {depth}")
     for lv in seq.levels:
@@ -316,7 +326,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
             fh.write(f"stabilized window={rep.window} ranks={rep.stabilized}\n")
         print("homology (scale complex):")
         for row in rep.levels:
-            print(f"  level {row.index}: elements {row.n_elements} betti {row.betti}")
+            print(f"  level {row.index}: elements {row.n_elements} core {row.core_size} betti {row.betti}")
         for pr in rep.pairs:
             print(f"  induced {pr.fine_index}->{pr.coarse_index}: ranks {pr.ranks}")
         print(f"  stabilized ranks (window {rep.window}): {rep.stabilized}")

@@ -130,6 +130,10 @@ class ChainHomology:
     def b2(self) -> int:
         return self.n_triangles - self.rank_d2 - self.rank_d3
 
+    def betti(self, maxdim: int) -> tuple[int, ...]:
+        """Betti numbers b_0..b_maxdim (maxdim <= 2; b_2 needs the tetrahedra)."""
+        return (self.b0, self.b1, self.b2)[:maxdim + 1]
+
     def project(self, edge_ids) -> set[int]:
         """Fundamental coordinates of a cycle given by its edge-id support."""
         return {self.nontree[e] for e in edge_ids if e in self.nontree}

@@ -7,19 +7,36 @@ read off the level's hyperspace poset.  The order complex of that poset
 complex within the cardinality cap, so the two have the same Betti numbers;
 it is kept for exports, and the tests use it as the reference route.
 
+The scale complex is a flag (Vietoris-Rips) complex: a set of net points is
+a simplex exactly when each pair of them is an edge.  Before anything is
+reduced, each level is strong-collapsed on its 1-skeleton.  A vertex u is
+dominated by a neighbour w when the closed neighbourhood of u lies inside
+that of w; then every simplex through u spans a simplex with w, so u ↦ w is
+a simplicial retraction contiguous to the identity, and removing u keeps the
+homotopy type (Barmak & Minian, *Strong homotopy types, nerves and
+collapses*, 2012; Boissonnat & Pritam, *Edge collapse and persistence of
+flag complexes*, 2020).  Removing dominated vertices until none is left
+gives the core, and composing the elementary retractions gives a simplicial
+retraction r onto it whose inclusion is a homotopy inverse.  The chain
+complex that is reduced is the core's full subcomplex plus the edges u-w of
+the removals, a forest hanging off the core: same homology, and every vertex
+lies in the component of r(u).  A cone reduces to a point.
+
 Bonding maps are monotone, and their minimal selection sends singletons to
 singletons, so its restriction to net points is a vertex map that is
 simplicial on scale complexes (collapsed simplices are sent to zero).  The
 induced maps on homology are computed exactly: degree 0 through component
-tracking, degree 1 by pushing explicit cycle representatives and counting
-independence modulo boundaries.  The stabilized induced ranks over a
-trailing window of levels are the reported shape invariants of the finite
-tower.
+tracking, degree 1 by pushing explicit core cycle representatives through
+the vertex map and the coarse retraction, and counting independence modulo
+the coarse core's boundaries.  The stabilized induced ranks over a trailing
+window of levels are the reported shape invariants of the finite tower.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from .construction import Level
@@ -132,32 +149,118 @@ def chain_homology(cx: SimplicialComplex, maxdim: int = 1) -> ChainHomology:
     return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2])
 
 
-def betti(cx: SimplicialComplex, maxdim: int = 1, hom: ChainHomology | None = None) -> tuple[int, ...]:
-    """Betti numbers b_0..b_maxdim over the two-element field, exact, for maxdim <= 2.
+def betti(cx: SimplicialComplex, maxdim: int = 1) -> tuple[int, ...]:
+    """Betti numbers b_0..b_maxdim over the two-element field, exact, for maxdim <= 2."""
+    _check_maxdim(maxdim)
+    return chain_homology(cx, maxdim).betti(maxdim)
 
-    ``hom`` is the already-built ``ChainHomology`` of ``cx`` through degree
-    ``maxdim``, when the caller has one; otherwise it is built here.
-    """
+
+def _check_maxdim(maxdim: int) -> None:
     if not 0 <= maxdim <= 2:
         raise ValueError(f"Betti numbers are computed through degree 2, not {maxdim}")
-    if hom is None:
-        hom = chain_homology(cx, maxdim)
-    return (hom.b0, hom.b1, hom.b2)[:maxdim + 1]
+
+
+@dataclass(frozen=True)
+class StrongCollapse:
+    """Strong collapse of a flag complex, given by its 1-skeleton.
+
+    ``removals`` lists (u, w) in removal order: when u was removed, its
+    closed neighbourhood among the vertices still present lay inside that of
+    its neighbour w.  ``core`` is what is left, sorted; no core vertex is
+    dominated.  ``retraction`` sends every vertex to the core vertex its
+    chain of dominators ends at, and is the identity on the core.
+    """
+
+    core: tuple[int, ...]
+    removals: tuple[tuple[int, int], ...]
+    retraction: tuple[int, ...]
+
+
+def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
+    """Remove dominated vertices of the flag complex on ``edges`` until none is left.
+
+    Closed neighbourhoods are Python-int bitmasks.  Vertices are examined
+    from a worklist that starts with every vertex in index order; a removal
+    re-queues only the removed vertex's neighbours, the only vertices whose
+    domination it can create.  The dominator of a vertex is its
+    lowest-index neighbour that dominates it, so the result is determined by
+    the edges alone.
+    """
+    closed = [1 << v for v in range(n_vertices)]
+    adjacent: list[list[int]] = [[] for _ in range(n_vertices)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    for nbrs in adjacent:
+        nbrs.sort()
+    alive = [True] * n_vertices
+    queued = [True] * n_vertices
+    worklist = deque(range(n_vertices))
+    removals = []
+    while worklist:
+        u = worklist.popleft()
+        queued[u] = False
+        mask = closed[u]
+        for w in adjacent[u]:
+            if alive[w] and not mask & ~closed[w]:
+                break
+        else:
+            continue
+        alive[u] = False
+        removals.append((u, w))
+        for x in adjacent[u]:
+            if alive[x]:
+                closed[x] &= ~(1 << u)
+                if not queued[x]:
+                    queued[x] = True
+                    worklist.append(x)
+    retraction = list(range(n_vertices))
+    for u, w in reversed(removals):
+        retraction[u] = retraction[w]
+    core = tuple(v for v in range(n_vertices) if alive[v])
+    return StrongCollapse(core=core, removals=tuple(removals), retraction=tuple(retraction))
 
 
 class LevelHomology:
-    """Cached scale-complex homology of one hyperspace level.
+    """Scale-complex homology of one hyperspace level, reduced on its strong-collapse core.
 
     Vertices of the complex are net positions, which are also the element
     ids of the level's singletons (``build_hyperlevel`` lists them first).
+    The edges are read off the hyperlevel and strong-collapsed
+    (``strong_collapse``); the triangles and, at maxdim 2, the tetrahedra
+    are the elements inside the core, so none is formed for a collapsed
+    vertex.  ``hom`` reduces the core's full subcomplex plus the edges u-w
+    of the removals, which hang a forest off the core: its Betti numbers
+    are the level's, ``hom.comp_of[u]`` is the component of
+    ``collapse.retraction[u]``, and its degree-1 representatives are core
+    cycles.
     """
 
     def __init__(self, hl: HyperLevel, maxdim: int = 1):
+        _check_maxdim(maxdim)
+        top = maxdim + 2
+        if hl.cap < top:
+            raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
         self.hyperlevel = hl
         self.maxdim = maxdim
-        cx = scale_complex(hl, maxdim)
-        self.hom = chain_homology(cx, maxdim)
-        self.betti = betti(cx, maxdim, self.hom)
+        net = hl.level.net
+        position = {a: i for i, a in enumerate(net)}
+        # elements are sorted by cardinality, so each size is one slice
+        bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(2, top + 2)]
+        edges = [(position[a], position[b]) for a, b in hl.elements[bounds[0]:bounds[1]]]
+        self.collapse = strong_collapse(len(net), edges)
+        core = set(self.collapse.core)
+        reduced_edges = [(u, v) for u, v in edges if u in core and v in core]
+        reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
+        core_points = {net[v] for v in core}
+        higher = [
+            [tuple(position[a] for a in el) for el in hl.elements[lo:hi] if core_points.issuperset(el)]
+            for lo, hi in zip(bounds[1:], bounds[2:])
+        ]
+        self.hom = ChainHomology(len(net), reduced_edges, *higher)
+        self.betti = self.hom.betti(maxdim)
 
     def h1_reps(self):
         return self.hom.h1_representatives()
@@ -203,7 +306,11 @@ def induced_homology_map(
     map sends a fine net point to the coarse net point min p({a}): the
     singleton part of the minimal selection (see ``selection_vertex_map``),
     whose check on every fine element makes it simplicial, with collapsed
-    simplices sent to zero.  A caller that has already checked ``p`` monotone
+    simplices sent to zero.  Each fine core cycle is pushed through the
+    vertex map and then the coarse retraction, and reduced against the
+    coarse core's boundaries; a pushed edge that is not a coarse core edge,
+    or a pushed chain that is not a cycle, raises ``HomologyCheckError``.
+    A caller that has already checked ``p`` monotone
     and built its selection map passes it as ``vertex_map``, and both steps
     are skipped (``shape_report`` does them once per bonding pair, not once
     per degree).
@@ -230,14 +337,17 @@ def induced_homology_map(
     coarse_edge_id = coarse_data.hom.edge_id
     coarse_edges = coarse_data.hom.edges
     fine_edges = fine_data.hom.edges
+    to_core = [coarse_data.collapse.retraction[pv] for pv in vertex_map]
     for rep in fine_data.h1_reps():
         pushed: set[int] = set()
         for eid in rep:
             u, v = fine_edges[eid]
-            pu, pv = vertex_map[u], vertex_map[v]
+            pu, pv = to_core[u], to_core[v]
             if pu == pv:
                 continue
             key = (pu, pv) if pu < pv else (pv, pu)
+            if key not in coarse_edge_id:
+                raise HomologyCheckError(f"pushed edge {key} is not an edge of the coarse core; chain map broken")
             pushed ^= {coarse_edge_id[key]}
         boundary: set[int] = set()
         for eid in pushed:
@@ -255,6 +365,7 @@ class LevelRow:
     net_size: int
     n_elements: int
     betti: tuple[int, ...]
+    core_size: int
 
 
 @dataclass
@@ -299,8 +410,9 @@ def shape_report(
     """Full homology pipeline over a built tower (depth >= 2).
 
     Builds hyperspace levels, reads each level's scale complex off its
-    hyperspace level and reduces it once, computes induced ranks along every
-    consecutive bonding map, and stabilizes them over the trailing window.
+    hyperspace level, strong-collapses it and reduces its core once,
+    computes induced ranks along every consecutive bonding map, and
+    stabilizes them over the trailing window.
     Each bonding map is checked monotone once, and its selection map is
     checked on every fine element; every induced rank is checked against the
     Betti numbers it maps between, and every pushed representative is checked
@@ -317,7 +429,8 @@ def shape_report(
     datas = [LevelHomology(hl, maxdim) for hl in hls]
 
     rows = [
-        LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_elements=hl.n_elements, betti=data.betti)
+        LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_elements=hl.n_elements,
+                 betti=data.betti, core_size=len(data.collapse.core))
         for lv, hl, data in zip(seq.levels, hls, datas)
     ]
 

@@ -6,17 +6,18 @@ prefix of one greedy order, or over covering pairs only.  The tests require
 equal results: the same tuples, the same maxima and the same first witness
 in scan order (max is exact, so no tolerance applies).
 
-The homology functions work on order complexes, the barycentric
-subdivisions of the scale complexes the library reduces: chain-level
-matrices of the selection map, and induced ranks pushed through the full
-selection map on every poset element.
+The homology functions reduce whole complexes, with no strong collapse:
+the full scale complex of each level, as the library reduced it before it
+collapsed dominated vertices, and the order complex, its barycentric
+subdivision.  They give chain-level matrices of the selection map, and
+induced ranks pushed through the selection map on every vertex.
 """
 
 import itertools
 
 import numpy as np
 
-from finiteshape.invariants import chain_homology, order_complex, selection_vertex_map
+from finiteshape.invariants import chain_homology, order_complex, scale_complex, selection_vertex_map
 
 
 def reference_build_net(dist, epsilon):
@@ -193,20 +194,15 @@ def gf2_matrix_product(outer, inner):
     return out
 
 
-def order_route_ranks(p, fine, coarse):
-    """Induced ranks in degrees 0 and 1 of a bonding map, on order complexes.
+def pushed_ranks(vertex_map, fine_hom, coarse_hom):
+    """Induced ranks in degrees 0 and 1 of a simplicial vertex map between two reduced complexes.
 
-    Each level's order complex is reduced on its own, and the full selection
-    map sends every poset element (every order-complex vertex) to its coarse
-    element: degree 0 tracks the components of all elements, degree 1 pushes
+    Degree 0 tracks the components of every fine vertex; degree 1 pushes
     each fine representative cycle and counts independence modulo the coarse
     boundaries.
     """
-    vertex_map = selection_vertex_map(p, fine, coarse)
-    fine_hom = chain_homology(order_complex(fine))
-    coarse_hom = chain_homology(order_complex(coarse))
     comps = {}
-    for v in range(fine.n_elements):
+    for v in range(fine_hom.n):
         comps.setdefault(fine_hom.comp_of[v], coarse_hom.comp_of[vertex_map[v]])
     counter = coarse_hom.image_rank_counter()
     for rep in fine_hom.h1_representatives():
@@ -221,3 +217,29 @@ def order_route_ranks(p, fine, coarse):
         assert not boundary, "pushed representative is not a cycle"
         counter.add_cycle(pushed)
     return len(set(comps.values())), counter.rank
+
+
+def order_route_ranks(p, fine, coarse):
+    """Induced ranks in degrees 0 and 1 of a bonding map, on order complexes.
+
+    Each level's order complex is reduced on its own, and the full selection
+    map sends every poset element (every order-complex vertex) to its coarse
+    element.
+    """
+    vertex_map = selection_vertex_map(p, fine, coarse)
+    return pushed_ranks(vertex_map, chain_homology(order_complex(fine)), chain_homology(order_complex(coarse)))
+
+
+def full_scale_homology(hl, maxdim=1):
+    """``ChainHomology`` of a level's whole scale complex through degree ``maxdim``."""
+    return chain_homology(scale_complex(hl, maxdim), maxdim)
+
+
+def full_scale_ranks(p, fine, coarse, maxdim=1):
+    """Induced ranks in degrees 0 and 1 of a bonding map, on whole scale complexes.
+
+    The vertex map is the singleton part of the selection map; no vertex is
+    collapsed away on either side.
+    """
+    vertex_map = selection_vertex_map(p, fine, coarse)[:len(fine.level.net)]
+    return pushed_ranks(vertex_map, full_scale_homology(fine, maxdim), full_scale_homology(coarse, maxdim))

@@ -330,8 +330,22 @@ def test_loaded_circle_at_stated_density_reports_the_circle(tmp_path, capsys):
     assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv", "--depth", "4",
                     "--density", repr(density), "--outdir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
-    assert f"ground: 1000 points, density {density!r} (stated)\n" in out
+    sampled = ", triangle inequality checked at 256 of 1000 midpoints"
+    assert f"ground: 1000 points, density {density!r} (stated){sampled}\n" in out
     assert "stabilized ranks (window 2): (1, 1)" in out
+
+
+@pytest.mark.parametrize("n, label", [
+    (40, ""),
+    (600, ", triangle inequality checked at 256 of 600 midpoints"),
+], ids=["exhaustive", "sampled"])
+def test_ground_line_names_a_sampled_triangle_check(tmp_path, capsys, n, label):
+    matrix = tmp_path / "circle.csv"
+    write_jittered_circle_distmatrix(matrix, n)
+    assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv", "--depth", "2",
+                    "--skip-homology", "--outdir", str(tmp_path / "out")]) == 0
+    ground_line = capsys.readouterr().out.splitlines()[0]
+    assert ground_line == f"ground: {n} points, density 0.0 (assumed 0){label}"
 
 
 @pytest.mark.parametrize("source, args, config", [

@@ -16,6 +16,7 @@ from finiteshape.hyperspace import (
     is_continuous,
 )
 from finiteshape.invariants import (
+    HomologyCheckError,
     LevelHomology,
     SimplicialComplex,
     betti,
@@ -27,6 +28,7 @@ from finiteshape.invariants import (
     scale_complex,
     selection_vertex_map,
     shape_report,
+    strong_collapse,
     write_homology_csv,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -205,6 +207,56 @@ def test_euler_characteristic_consistency_when_cap_not_binding():
     cx4 = SimplicialComplex(4, (((0,), (1,), (2,), (3,)), ((0, 1), (0, 3), (1, 2), (2, 3))))
     b4 = betti(cx4, maxdim=1)
     assert cx4.euler_characteristic() == b4[0] - b4[1]
+
+
+# --- strong collapse -------------------------------------------------------------
+
+def hexagon_level(with_centre):
+    """Level at 2 eps = 1.2 on six unit-circle points (a 6-cycle), optionally with the centre (a cone on it)."""
+    theta = 2.0 * np.pi * np.arange(6) / 6
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if with_centre:
+        pts = np.vstack([pts, [[0.0, 0.0]]])
+    g = MetricGround.from_coords(pts)
+    lv = Level(1, 0.6, tuple(range(len(pts))), 0.0, 0.6)
+    return build_hyperlevel(g, lv, cap=4)
+
+
+def test_cone_collapses_to_one_vertex():
+    hl = hexagon_level(with_centre=True)
+    data = LevelHomology(hl)
+    assert data.collapse.core == (6,)  # the centre
+    assert data.collapse.retraction == (6,) * 7
+    assert data.betti == (1, 0) == betti(scale_complex(hl))
+    assert data.hom.n_triangles == 0  # nothing left to reduce
+
+
+def test_cycle_has_nothing_to_collapse():
+    hl = hexagon_level(with_centre=False)
+    data = LevelHomology(hl, maxdim=2)
+    assert data.collapse.core == tuple(range(6)) and data.collapse.removals == ()
+    assert data.collapse.retraction == tuple(range(6))
+    assert data.betti == (1, 1, 0) == betti(scale_complex(hl, 2), 2)
+
+
+def test_collapse_removes_the_lowest_dominated_vertex_first():
+    # path 0 - 1 - 2: 0 goes to 1, then 1 goes to 2; the composite sends 0 to
+    # 2, which is not adjacent to 0, so only each elementary retraction is
+    # contiguous to the identity, not their composite
+    col = strong_collapse(3, [(0, 1), (1, 2)])
+    assert col.removals == ((0, 1), (1, 2))
+    assert col.core == (2,) and col.retraction == (2, 2, 2)
+    # twins: each dominates the other, and the lower index goes
+    assert strong_collapse(2, [(0, 1)]).removals == ((0, 1),)
+    assert strong_collapse(4, []).core == (0, 1, 2, 3)
+
+
+def test_pushed_edge_outside_the_coarse_core_is_a_check_failure():
+    hl = hexagon_level(with_centre=False)
+    data = LevelHomology(hl)
+    doubling = [2 * v % 6 for v in range(6)]  # sends the edge 0-1 to the non-edge 0-2
+    with pytest.raises(HomologyCheckError, match="not an edge of the coarse core"):
+        induced_homology_map(None, hl, hl, 1, data, data, vertex_map=doubling)
 
 
 # --- induced maps ----------------------------------------------------------------

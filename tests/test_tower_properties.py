@@ -1,6 +1,7 @@
 """Property tests: the array-backed tower against per-point reference loops,
 greedy nets cut from one permutation against the per-threshold loop, and
-scale-complex homology against the order-complex route.
+collapsed scale-complex homology against full reductions of the scale and
+order complexes.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from finiteshape.construction import build_adjusted_sequence, build_net, cut_net, gamma, greedy_permutation
 from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
 from finiteshape.hyperspace import Tower, bonding_map, build_hyperlevel, verify_adjusted_distance_bounds
-from finiteshape.invariants import betti, order_complex, shape_report
+from finiteshape.invariants import LevelHomology, betti, order_complex, shape_report
 from finiteshape.metric import MetricGround
 import reference_loops as ref
 
@@ -46,9 +47,9 @@ def towers(draw):
 
 
 @st.composite
-def ring_grounds(draw):
-    """64 to 128 jittered points on the unit circle; density is their covering radius on the circle."""
-    n = draw(st.integers(64, 128))
+def ring_grounds(draw, max_n=128):
+    """64 to ``max_n`` jittered points on the unit circle; density is their covering radius on the circle."""
+    n = draw(st.integers(64, max_n))
     jitter = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
     theta = 2.0 * np.pi * (np.arange(n) + jitter) / n
     gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
@@ -56,19 +57,28 @@ def ring_grounds(draw):
     return MetricGround.from_coords(coords, density=2.0 * np.sin(gaps.max() / 4.0))
 
 
+# Largest ring drawn at maxdim 2 for the order-complex oracle.  From 80 points
+# on, a level-1 net of 32 points gives order complexes of 2.4 million
+# simplices, whose reduction took 21-29 s; up to 79 points the level-1 net
+# has at most 16, and the whole test body took at most 2.1 s per draw.
+ORDER_ROUTE_MAX_RING_AT_MAXDIM_2 = 72
+
+
 @st.composite
-def homology_towers(draw):
+def homology_towers(draw, max_ring_at_maxdim_2=128):
     """(tower at the default tie tolerance, maxdim) for a drawn cloud, depth 3 or 4.
 
     Rings carry a loop over several levels, so degree-1 ranks are exercised
     as well as components.
     """
+    maxdim = draw(st.sampled_from([1, 2]))
     points = st.one_of(random_points, lattice_points, line_points)
-    ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))), ring_grounds()))
+    rings = ring_grounds(128 if maxdim == 1 else max_ring_at_maxdim_2)
+    ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))), rings))
     assume(ground.diameter() > 0.0)
     seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(3, 4)))
     assume(seq.depth >= 2)  # a shape report needs two levels
-    return Tower(seq), draw(st.sampled_from([1, 2]))
+    return Tower(seq), maxdim
 
 
 def full_lattice_tower(tie_tol, depth):
@@ -168,7 +178,7 @@ def test_hyperlevels_list_singletons_first_in_net_order(drawn):
 
 
 @PROPERTY_SETTINGS
-@given(homology_towers())
+@given(homology_towers(max_ring_at_maxdim_2=ORDER_ROUTE_MAX_RING_AT_MAXDIM_2))
 @example((full_lattice_tower(1e-9, 3)[0], 1))
 @example((full_lattice_tower(1e-9, 4)[0], 2))
 def test_scale_route_homology_matches_order_route(drawn):
@@ -179,3 +189,64 @@ def test_scale_route_homology_matches_order_route(drawn):
         assert row.betti == betti(order_complex(hl, maxdim), maxdim)
     for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
         assert pr.ranks == ref.order_route_ranks(bonding_map(tower, fine), fine, coarse)
+
+
+def level_complex(hl):
+    """Vertices (net positions) and the set of every simplex of a level's scale complex."""
+    position = {a: i for i, a in enumerate(hl.level.net)}
+    return len(position), {tuple(position[a] for a in el) for el in hl.elements}
+
+
+def closed_neighbourhoods(n, simplices):
+    """Closed neighbourhood of each vertex in the 1-skeleton."""
+    nbr = {v: {v} for v in range(n)}
+    for s in simplices:
+        if len(s) == 2:
+            nbr[s[0]].add(s[1])
+            nbr[s[1]].add(s[0])
+    return nbr
+
+
+@PROPERTY_SETTINGS
+@given(homology_towers())
+@example((full_lattice_tower(1e-9, 3)[0], 1))
+@example((full_lattice_tower(1e-9, 4)[0], 2))
+def test_collapsed_homology_matches_full_reduction(drawn):
+    tower, maxdim = drawn
+    rep = shape_report(tower, maxdim=maxdim)
+    hls = [build_hyperlevel(tower.ground, lv, cap=maxdim + 2) for lv in tower.seq.levels]
+    for row, hl in zip(rep.levels, hls):
+        assert row.betti == ref.full_scale_homology(hl, maxdim).betti(maxdim)
+    for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
+        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse, maxdim)
+
+    for row, hl in zip(rep.levels, hls):
+        n, simplices = level_complex(hl)
+        data = LevelHomology(hl, maxdim)
+        core, r = set(data.collapse.core), data.collapse.retraction
+        assert row.core_size == len(core) >= 1
+
+        # flag: a triangle is present exactly when its three edges are
+        nbr = closed_neighbourhoods(n, simplices)
+        edges = [s for s in simplices if len(s) == 2]
+        triangles = {(a, b, c) for a, b in edges for c in nbr[a] & nbr[b] if c > b}
+        assert triangles == {s for s in simplices if len(s) == 3}
+
+        # r is the identity on the core and a simplicial map onto it
+        assert all(r[v] == v for v in core) and all(r[v] in core for v in range(n))
+        for s in simplices:
+            image = tuple(sorted({r[v] for v in s}))
+            assert set(image) <= core and image in simplices
+
+        # each elementary retraction u -> w is contiguous to the identity:
+        # sigma and sigma + w are simplices for every edge sigma through u
+        alive = set(range(n))
+        for u, w in data.collapse.removals:
+            assert w != u and w in alive and nbr[u] & alive <= nbr[w]
+            for x in nbr[u] & alive - {u, w}:
+                assert tuple(sorted({u, x, w})) in simplices
+            alive.discard(u)
+        assert alive == core
+
+        # no core vertex is dominated
+        assert not any(nbr[v] & core <= nbr[w] for v in core for w in nbr[v] & core - {v})
