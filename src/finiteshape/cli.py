@@ -265,14 +265,14 @@ def _run_checks(cfg: RunConfig, tower: Tower):
     return all_ok, witnesses
 
 
-def _triangle_label(ground: MetricGround) -> str:
+def _triangle_note(ground: MetricGround) -> str:
     """Names a sampled triangle-inequality check of a loaded distance table; empty when every midpoint was checked."""
     if ground.table is None:
         return ""
     checked = len(triangle_midpoints(ground.n))
     if checked == ground.n:
         return ""
-    return f", triangle inequality checked at {checked} of {ground.n} midpoints"
+    return f"triangle inequality checked at {checked} of {ground.n} midpoints"
 
 
 def cmd_run(cfg: RunConfig, args) -> int:
@@ -288,7 +288,8 @@ def cmd_run(cfg: RunConfig, args) -> int:
         write_coords_csv(ground, os.path.join(cfg.outdir, "ground.csv"))
 
     depth = f"requested {seq.requested_depth}, built {seq.depth}" + (f", stopped: {seq.stop_reason}" if seq.stopped_early else "")
-    print(f"ground: {ground.n} points, density {ground.density!r} ({cfg.density_source}){_triangle_label(ground)}")
+    note = _triangle_note(ground)
+    print(f"ground: {ground.n} points, density {ground.density!r} ({cfg.density_source})" + (f", {note}" if note else ""))
     print(f"tower: epsilon1 {seq.level(1).epsilon!r}")
     print(f"depth: {depth}")
     for lv in seq.levels:
@@ -349,6 +350,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         _print_verdict("sequence-format", False, str(exc))
         return 1
     seq = tower.seq
+    note = _triangle_note(tower.ground)
+    if note:
+        print(f"ground: {note}")
     ok, _ = _run_checks(cfg, tower)
 
     if seq.depth >= 2 and not cfg.skip_homology:

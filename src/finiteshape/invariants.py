@@ -80,6 +80,13 @@ class SimplicialComplex:
                         raise AssertionError(f"face {s[:i] + s[i + 1:]} of {s} missing")
 
 
+def _net_positions(hl: HyperLevel, maxdim: int) -> dict[int, int]:
+    """Net point -> local vertex id, after checking ``hl`` holds every simplex homology through ``maxdim`` reads."""
+    if hl.cap < maxdim + 2:
+        raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
+    return {a: i for i, a in enumerate(hl.level.net)}
+
+
 def scale_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
     """Scale complex of a level, read off its hyperspace level.
 
@@ -89,9 +96,7 @@ def scale_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
     hyperlevel must be enumerated with a cap of at least ``maxdim + 2``.
     """
     top = maxdim + 2
-    if hl.cap < top:
-        raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
-    position = {a: i for i, a in enumerate(hl.level.net)}
+    position = _net_positions(hl, maxdim)
     by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
     for el in hl.elements:
         if len(el) <= top:
@@ -241,12 +246,10 @@ class LevelHomology:
     def __init__(self, hl: HyperLevel, maxdim: int = 1):
         _check_maxdim(maxdim)
         top = maxdim + 2
-        if hl.cap < top:
-            raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
+        position = _net_positions(hl, maxdim)
         self.hyperlevel = hl
         self.maxdim = maxdim
         net = hl.level.net
-        position = {a: i for i, a in enumerate(net)}
         # elements are sorted by cardinality, so each size is one slice
         bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(2, top + 2)]
         edges = [(position[a], position[b]) for a, b in hl.elements[bounds[0]:bounds[1]]]

@@ -181,18 +181,20 @@ def _validate_distance_table(dist: np.ndarray) -> None:
     _check_triangle(dist)
 
 
-def triangle_midpoints(n: int, exhaustive_limit: int = 512, samples: int = 256) -> np.ndarray:
-    """Midpoints k at which the validator checks d(i, j) <= d(i, k) + d(k, j) on an n-point table.
+# Tables up to this many points have the triangle inequality checked at every
+# midpoint; larger ones at this many evenly spaced midpoints.
+TRIANGLE_EXHAUSTIVE_LIMIT = 512
+TRIANGLE_SAMPLES = 256
 
-    Every point up to ``exhaustive_limit`` points; above that, ``samples``
-    evenly spaced indices.
-    """
-    if n <= exhaustive_limit:
+
+def triangle_midpoints(n: int) -> np.ndarray:
+    """Midpoints k at which the validator checks d(i, j) <= d(i, k) + d(k, j) on an n-point table."""
+    if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, samples).astype(int))
+    return np.unique(np.linspace(0, n - 1, TRIANGLE_SAMPLES).astype(int))
 
 
-def _check_triangle(dist: np.ndarray, exhaustive_limit: int = 512, samples: int = 256) -> None:
+def _check_triangle(dist: np.ndarray) -> None:
     # The table is symmetric (checked first), so a violation at (i, j) is one
     # at (j, i): only columns j >= the block's first row are read.  Per row
     # block the min-plus product over the midpoints is formed in place; adding
@@ -202,7 +204,7 @@ def _check_triangle(dist: np.ndarray, exhaustive_limit: int = 512, samples: int 
     # quarter of the usual size keep the three block arrays in cache.
     n = dist.shape[0]
     tol = 1e-12 * max(1.0, float(dist.max()))
-    ks = triangle_midpoints(n, exhaustive_limit, samples)
+    ks = triangle_midpoints(n)
     to_mid = np.ascontiguousarray(dist[:, ks])
     for rows in row_blocks(n, 4 * n):
         tail = dist[rows, rows.start:]

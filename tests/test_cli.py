@@ -335,17 +335,22 @@ def test_loaded_circle_at_stated_density_reports_the_circle(tmp_path, capsys):
     assert "stabilized ranks (window 2): (1, 1)" in out
 
 
-@pytest.mark.parametrize("n, label", [
-    (40, ""),
-    (600, ", triangle inequality checked at 256 of 600 midpoints"),
+@pytest.mark.parametrize("n, note", [
+    (40, None),
+    (600, "triangle inequality checked at 256 of 600 midpoints"),
 ], ids=["exhaustive", "sampled"])
-def test_ground_line_names_a_sampled_triangle_check(tmp_path, capsys, n, label):
+def test_ground_line_names_a_sampled_triangle_check(tmp_path, capsys, n, note):
     matrix = tmp_path / "circle.csv"
     write_jittered_circle_distmatrix(matrix, n)
-    assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv", "--depth", "2",
-                    "--skip-homology", "--outdir", str(tmp_path / "out")]) == 0
+    load = ["--input", str(matrix), "--format", "distmatrix_csv", "--depth", "2", "--skip-homology"]
+    assert run_cli(["run", *load, "--outdir", str(tmp_path / "out")]) == 0
     ground_line = capsys.readouterr().out.splitlines()[0]
-    assert ground_line == f"ground: {n} points, density 0.0 (assumed 0){label}"
+    assert ground_line == f"ground: {n} points, density 0.0 (assumed 0)" + (f", {note}" if note else "")
+    # verify names the same check on a line of its own, ahead of its verdicts
+    assert run_cli(["verify", *load]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")] == ([f"ground: {note}"] if note else [])
+    assert not note or lines[0] == f"ground: {note}"
 
 
 @pytest.mark.parametrize("source, args, config", [
