@@ -87,10 +87,10 @@ class RunConfig:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
         if not (0.0 < self.safety < 1.0):
             raise ConfigError(f"safety must lie strictly in (0, 1), got {self.safety}")
-        if self.epsilon1 is not None and self.epsilon1 <= 0:
-            raise ConfigError(f"epsilon1 must be positive, got {self.epsilon1}")
-        if self.tie_tol < 0:
-            raise ConfigError("tie tolerance must be nonnegative")
+        if self.epsilon1 is not None and not 0.0 < self.epsilon1 < math.inf:
+            raise ConfigError(f"epsilon1 must be finite and positive, got {self.epsilon1}")
+        if not 0.0 <= self.tie_tol < math.inf:
+            raise ConfigError(f"tie tolerance must be finite and nonnegative, got {self.tie_tol}")
         if self.maxdim not in (1, 2):
             raise ConfigError(f"maxdim must be 1 or 2, got {self.maxdim}")
         if self.cap is not None and self.cap < self.maxdim + 2:

@@ -165,35 +165,19 @@ class ChainHomology:
                 reps.append(self.fundamental_cycle(self._nontree_by_coord[coord]))
         return reps
 
-    def image_rank_counter(self) -> "ImageRankCounter":
-        return ImageRankCounter(self)
+    def image_rank(self, cycles) -> int:
+        """Rank the cycles (edge-id supports) add to the boundaries, over GF(2).
 
-
-class ImageRankCounter:
-    """Counts independent pushed cycles modulo boundaries of the target.
-
-    Boundary pivots and accepted-cycle pivots are searched together: a
-    reduction through an accepted cycle can re-expose a boundary pivot row,
-    so a layered two-phase reduction would overcount.
-    """
-
-    def __init__(self, hom: ChainHomology):
-        self._hom = hom
-        self._base = hom.boundary_reducer.pivots
-        self._extra: dict[int, frozenset[int]] = {}
-        self.rank = 0
-
-    def add_cycle(self, edge_ids) -> bool:
-        col = set(self._hom.project(edge_ids))
-        while col:
-            p = max(col)
-            piv = self._base.get(p) or self._extra.get(p)
-            if piv is None:
-                self._extra[p] = frozenset(col)
-                self.rank += 1
-                return True
-            col ^= piv
-        return False
+        The cycles are reduced against the boundary pivots and each other in
+        one elimination: a reduction through an accepted cycle can re-expose
+        a boundary pivot row, so a layered two-phase reduction would
+        overcount.
+        """
+        red = ColumnReducer()
+        red.pivots = dict(self.boundary_reducer.pivots)
+        for cycle in cycles:
+            red.add(self.project(cycle))
+        return red.rank
 
 
 def _triangle_edges(tri, edge_id):

@@ -9,13 +9,18 @@ monotone.
 
 Subsets are enumerated up to a cardinality cap (homology through degree ``d``
 only consumes subsets of size ``d + 2``).  Down-closure is exact within the
-cap: every non-empty subset of a stored element is stored.
+cap: every non-empty subset of a stored element is stored.  An element is a
+sorted tuple of net positions, indices into the level's sorted net, so the
+hyperspace level and the scale complex number the net's points alike; ground
+indices are formed only where a distance is read and where members are
+written out.
 
-Multivalued maps are tabulated images: the nearest-point map sends a ground
-point to its set of nearest net points (ties within a relative tolerance),
-and the bonding map of consecutive levels sends a subset of the finer net to
-the union of nearest coarser points over its members.  A ``Tower`` computes
-these tables once for a built tower, and every check reads them from it.
+Multivalued maps are tabulated images in ground indices: the nearest-point
+map sends a ground point to its set of nearest net points (ties within a
+relative tolerance), and the bonding map of consecutive levels sends a
+subset of the finer net to the union of nearest coarser points over its
+members.  A ``Tower`` computes these tables once for a built tower, and
+every check reads them from it.
 """
 
 from __future__ import annotations
@@ -42,9 +47,11 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
 
     ``net`` lists the ground indices of the ``m`` net points; net x net
     distances are read from ``ground`` in row blocks, so no ``m x m`` block
-    is formed.  Returns (elements, diameters) with elements
-    sorted by (size, lex) over positions.  Uses per-vertex ahead-neighbor
-    bitmasks so only qualifying cliques are visited.
+    is formed.  Returns (elements, diameters): elements are sorted tuples of
+    positions, listed by size and within a size in lex order, so element
+    ``i < m`` is the singleton ``(i,)``.  Uses per-vertex ahead-neighbor
+    bitmasks so only qualifying cliques are visited; the depth-first growth
+    visits each size in lex order, and each size is kept in its own list.
     """
     net = np.asarray(net, dtype=np.intp)
     m = len(net)
@@ -61,8 +68,8 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
                 mask |= 1 << j
             ahead.append(mask)
 
-    elements: list[tuple[int, ...]] = [(i,) for i in range(m)]
-    diameters: list[float] = [0.0] * m
+    elements: list[list[tuple[int, ...]]] = [[(i,) for i in range(m)]] + [[] for _ in range(cap - 1)]
+    diameters: list[list[float]] = [[0.0] * m] + [[] for _ in range(cap - 1)]
     budget = max_elements - m
     if budget < 0:
         raise ElementCapError(f"element budget {max_elements} exceeded already at cardinality 1 ({m} singletons)")
@@ -89,8 +96,8 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
                     f"element budget {max_elements} exceeded at cardinality {size + 1}"
                 )
             new = clique + (j,)
-            elements.append(new)
-            diameters.append(float(d))
+            elements[size].append(new)
+            diameters[size].append(float(d))
             if size + 1 < cap:
                 grow(new, mask & ahead[j], d, size + 1)
 
@@ -98,16 +105,18 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
         for i in range(m):
             grow((i,), ahead[i], 0.0, 1)
 
-    order = sorted(range(len(elements)), key=lambda k: (len(elements[k]), elements[k]))
-    return [elements[k] for k in order], [diameters[k] for k in order]
+    return list(itertools.chain.from_iterable(elements)), list(itertools.chain.from_iterable(diameters))
 
 
 @dataclass(frozen=True)
 class HyperLevel:
     """Poset of small-diameter net subsets at one tower level.
 
-    Elements are sorted tuples of ground indices; the order relation is set
-    inclusion, queryable directly (``leq``) or through covering pairs.
+    Elements are sorted tuples of net positions (``level.net[v]`` is the
+    ground index of position ``v``), listed by size and within a size in lex
+    order, so element ``i < len(level.net)`` is the singleton ``(i,)``.  The
+    order relation is set inclusion, queryable directly (``leq``) or through
+    covering pairs.
     """
 
     level: Level
@@ -151,11 +160,9 @@ def build_hyperlevel(
     cap: int = 3,
     max_elements: int = 2_000_000,
 ) -> HyperLevel:
-    """Enumerate the subsets of the level net with diameter < 2 * epsilon."""
-    net = list(level.net)
-    local_elements, diameters = enumerate_small_subsets(ground, net, 2.0 * level.epsilon, cap, max_elements)
-    elements = tuple(tuple(net[v] for v in el) for el in local_elements)
-    return HyperLevel(level=level, elements=elements, diameters=tuple(diameters), cap=cap)
+    """Enumerate the subsets of the level net with diameter < 2 * epsilon, as net positions."""
+    elements, diameters = enumerate_small_subsets(ground, level.net, 2.0 * level.epsilon, cap, max_elements)
+    return HyperLevel(level=level, elements=tuple(elements), diameters=tuple(diameters), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -361,13 +368,15 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
         raise ValueError(f"hyperspace level {m} was not built on this tower's level")
     coarse = tower.seq.level(n)
     bound = 2.0 * coarse.epsilon
-    table = tower.union_image(n, m, padded_table(fine.elements))
+    net_m = np.asarray(fine.level.net, dtype=np.intp)
+    table = tower.union_image(n, m, net_m[padded_table(fine.elements)])
     diameters = row_diameters(tower.ground, table)
     bad = np.flatnonzero(diameters >= bound)
     if bad.size:
         i = int(bad[0])
+        members = tuple(fine.level.net[v] for v in fine.elements[i])
         raise BondingDiameterError(
-            f"{what} of {fine.elements[i]} has diameter {float(diameters[i])!r} >= 2*epsilon = {bound!r} "
+            f"{what} of {members} has diameter {float(diameters[i])!r} >= 2*epsilon = {bound!r} "
             f"(levels {m} -> {coarse.index})"
         )
     return MultiMap.from_table("elements", table, float(diameters.max(initial=0.0)))
@@ -394,7 +403,6 @@ def is_continuous(mm: MultiMap, domain: HyperLevel):
 @dataclass
 class ClauseReport:
     name: str
-    bound_name: str
     instances: int
     worst_distance: float
     worst_bound: float
@@ -435,7 +443,7 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
 
     def clause(name):
         return ClauseReport(
-            name=name, bound_name="epsilon_n", instances=0,
+            name=name, instances=0,
             worst_distance=-1.0, worst_bound=float("nan"),
             min_slack=float("inf"), worst_witness=(), violations=[],
         )
@@ -471,9 +479,11 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
 
 
 def export_poset_dot(hl: HyperLevel, path: str) -> None:
-    """DOT digraph with an edge C -> D exactly when D covers C."""
+    """DOT digraph with an edge C -> D exactly when D covers C; labels list ground indices."""
+    net = hl.level.net
+
     def label(el):
-        return "{" + ",".join(str(v) for v in el) + "}"
+        return "{" + ",".join(str(net[v]) for v in el) + "}"
 
     with open(path, "w") as fh:
         fh.write("digraph hyperlevel {\n")
@@ -486,8 +496,10 @@ def export_poset_dot(hl: HyperLevel, path: str) -> None:
 
 
 def export_poset_csv(hl: HyperLevel, path: str) -> None:
+    """One row per element; members are ground indices."""
+    net = hl.level.net
     with open(path, "w") as fh:
         fh.write("element_id,cardinality,diameter,members\n")
         for i, el in enumerate(hl.elements):
-            members = " ".join(str(v) for v in el)
+            members = " ".join(str(net[v]) for v in el)
             fh.write(f"{i},{len(el)},{hl.diameters[i]!r},{members}\n")

@@ -39,6 +39,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .construction import Level
 from .gf2 import ChainHomology
 from .hyperspace import (
@@ -80,11 +82,16 @@ class SimplicialComplex:
                         raise AssertionError(f"face {s[:i] + s[i + 1:]} of {s} missing")
 
 
-def _net_positions(hl: HyperLevel, maxdim: int) -> dict[int, int]:
-    """Net point -> local vertex id, after checking ``hl`` holds every simplex homology through ``maxdim`` reads."""
+def _simplices_by_size(hl: HyperLevel, maxdim: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The elements of each size 1..maxdim + 2: every simplex homology through ``maxdim`` reads.
+
+    Elements are listed by size, so each size is one slice; the hyperlevel
+    must be enumerated with a cap of at least ``maxdim + 2``.
+    """
     if hl.cap < maxdim + 2:
         raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
-    return {a: i for i, a in enumerate(hl.level.net)}
+    bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(1, maxdim + 4)]
+    return [hl.elements[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def scale_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
@@ -92,25 +99,18 @@ def scale_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
 
     The k-simplices are the elements of k + 1 net points, up to dimension
     ``maxdim + 1`` (exactly what homology through degree ``maxdim``
-    consumes), with vertices renumbered to local net positions.  The
-    hyperlevel must be enumerated with a cap of at least ``maxdim + 2``.
+    consumes); vertices are net positions, as in the elements themselves.
     """
-    top = maxdim + 2
-    position = _net_positions(hl, maxdim)
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
-    for el in hl.elements:
-        if len(el) <= top:
-            by_dim[len(el) - 1].append(tuple(position[a] for a in el))
-    return SimplicialComplex(n_vertices=len(position), simplices=tuple(tuple(s) for s in by_dim))
+    return SimplicialComplex(n_vertices=len(hl.level.net), simplices=tuple(_simplices_by_size(hl, maxdim)))
 
 
-def rips_complex(ground: MetricGround, level: Level, maxdim: int = 1, max_simplices: int = 2_000_000) -> SimplicialComplex:
+def rips_complex(ground: MetricGround, level: Level, maxdim: int = 1) -> SimplicialComplex:
     """Scale complex of a level: simplices are small-diameter net subsets.
 
     Simplices run up to dimension ``maxdim + 1``, exactly what homology
-    through degree ``maxdim`` consumes.  Vertices are local net positions.
+    through degree ``maxdim`` consumes.  Vertices are net positions.
     """
-    return scale_complex(build_hyperlevel(ground, level, cap=maxdim + 2, max_elements=max_simplices), maxdim)
+    return scale_complex(build_hyperlevel(ground, level, cap=maxdim + 2), maxdim)
 
 
 def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
@@ -231,8 +231,9 @@ def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
 class LevelHomology:
     """Scale-complex homology of one hyperspace level, reduced on its strong-collapse core.
 
-    Vertices of the complex are net positions, which are also the element
-    ids of the level's singletons (``build_hyperlevel`` lists them first).
+    Vertices of the complex are net positions, which number the points of
+    every hyperlevel element and are also the element ids of the level's
+    singletons (``build_hyperlevel`` lists them first).
     The edges are read off the hyperlevel and strong-collapsed
     (``strong_collapse``); the triangles and, at maxdim 2, the tetrahedra
     are the elements inside the core, so none is formed for a collapsed
@@ -245,28 +246,14 @@ class LevelHomology:
 
     def __init__(self, hl: HyperLevel, maxdim: int = 1):
         _check_maxdim(maxdim)
-        top = maxdim + 2
-        position = _net_positions(hl, maxdim)
-        self.hyperlevel = hl
-        self.maxdim = maxdim
-        net = hl.level.net
-        # elements are sorted by cardinality, so each size is one slice
-        bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(2, top + 2)]
-        edges = [(position[a], position[b]) for a, b in hl.elements[bounds[0]:bounds[1]]]
-        self.collapse = strong_collapse(len(net), edges)
+        vertices, edges, *higher = _simplices_by_size(hl, maxdim)
+        self.collapse = strong_collapse(len(vertices), edges)
         core = set(self.collapse.core)
         reduced_edges = [(u, v) for u, v in edges if u in core and v in core]
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
-        core_points = {net[v] for v in core}
-        higher = [
-            [tuple(position[a] for a in el) for el in hl.elements[lo:hi] if core_points.issuperset(el)]
-            for lo, hi in zip(bounds[1:], bounds[2:])
-        ]
-        self.hom = ChainHomology(len(net), reduced_edges, *higher)
+        higher = [[s for s in simplices if core.issuperset(s)] for simplices in higher]
+        self.hom = ChainHomology(len(vertices), reduced_edges, *higher)
         self.betti = self.hom.betti(maxdim)
-
-    def h1_reps(self):
-        return self.hom.h1_representatives()
 
 
 def selection_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> list[int]:
@@ -281,17 +268,13 @@ def selection_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> l
     raises ``KeyError``.  Checked on every fine element, this says the vertex
     map a -> min p({a}) is simplicial on scale complexes; that vertex map is
     the first ``len(fine.level.net)`` entries, because singletons come first
-    and their ids are net positions.
+    and their ids are net positions.  The images of ``p`` are ground
+    indices; ``Level.net`` is sorted, so the coarse position of each
+    singleton's minimum is found by binary search.
     """
-    singleton_min = {}
-    for el, img in zip(fine.elements, p.images):
-        if len(el) == 1:
-            singleton_min[el[0]] = min(img)
-    out = []
-    for el in fine.elements:
-        sel = tuple(sorted({singleton_min[a] for a in el}))
-        out.append(coarse.element_id(sel))
-    return out
+    m = len(fine.level.net)
+    singleton_min = np.searchsorted(coarse.level.net, p.table[:m].min(axis=1)).tolist()
+    return [coarse.element_id({singleton_min[v] for v in el}) for el in fine.elements]
 
 
 def induced_homology_map(
@@ -336,12 +319,12 @@ def induced_homology_map(
             comps.setdefault(fine_data.hom.comp_of[v], coarse_data.hom.comp_of[pv])
         return len(set(comps.values()))
 
-    counter = coarse_data.hom.image_rank_counter()
     coarse_edge_id = coarse_data.hom.edge_id
     coarse_edges = coarse_data.hom.edges
     fine_edges = fine_data.hom.edges
     to_core = [coarse_data.collapse.retraction[pv] for pv in vertex_map]
-    for rep in fine_data.h1_reps():
+    cycles = []
+    for rep in fine_data.hom.h1_representatives():
         pushed: set[int] = set()
         for eid in rep:
             u, v = fine_edges[eid]
@@ -357,8 +340,8 @@ def induced_homology_map(
             boundary ^= set(coarse_edges[eid])
         if boundary:
             raise HomologyCheckError("pushed representative is not a cycle; chain map broken")
-        counter.add_cycle(pushed)
-    return counter.rank
+        cycles.append(pushed)
+    return coarse_data.hom.image_rank(cycles)
 
 
 @dataclass

@@ -204,7 +204,7 @@ def pushed_ranks(vertex_map, fine_hom, coarse_hom):
     comps = {}
     for v in range(fine_hom.n):
         comps.setdefault(fine_hom.comp_of[v], coarse_hom.comp_of[vertex_map[v]])
-    counter = coarse_hom.image_rank_counter()
+    cycles = []
     for rep in fine_hom.h1_representatives():
         pushed = set()
         for eid in rep:
@@ -215,8 +215,8 @@ def pushed_ranks(vertex_map, fine_hom, coarse_hom):
         for eid in pushed:
             boundary ^= set(coarse_hom.edges[eid])
         assert not boundary, "pushed representative is not a cycle"
-        counter.add_cycle(pushed)
-    return len(set(comps.values())), counter.rank
+        cycles.append(pushed)
+    return len(set(comps.values())), coarse_hom.image_rank(cycles)
 
 
 def order_route_ranks(p, fine, coarse):

@@ -384,6 +384,17 @@ def test_bad_density_exits_2(tmp_path, capsys, args):
     assert "density" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tie-tol", "nan"), ("--tie-tol", "inf"), ("--epsilon1", "nan"), ("--epsilon1", "inf"),
+], ids=["tie-tol-nan", "tie-tol-inf", "epsilon1-nan", "epsilon1-inf"])
+def test_non_finite_tie_tol_or_epsilon1_exits_2(tmp_path, capsys, command, flag, value):
+    args = [command, "--space", "circle", "--n", "64", flag, value, "--outdir", str(tmp_path / "out")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and value in err
+
+
 def test_run_reports_depth_shortfall(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run_cli(["run", "--space", "circle", "--n", "256", "--depth", "5", "--outdir", str(outdir)]) == 0

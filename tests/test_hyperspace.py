@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,14 +140,16 @@ def test_bonding_monotone_on_triangle():
 
 
 def test_bonding_diameter_error_aborts():
-    # two clusters; coarse "net" has gamma violating the scale so images blow up
-    pts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 0.0]])
+    # two clusters; coarse "net" has gamma violating the scale so images blow up.
+    # Ground point 0 lies in no net, so net positions and ground indices differ:
+    # the message names the element by ground indices, (3,), not position (2,).
+    pts = np.array([[40.0, 0.0], [0.0, 0.0], [10.0, 0.0], [5.0, 0.0]])
     g = MetricGround.from_coords(pts)
-    fine = Level(2, 6.0, (0, 1, 2), 5.0, 6.0)
-    coarse = Level(1, 0.5, (0, 1), 0.4, 0.5)
+    fine = Level(2, 6.0, (1, 2, 3), 5.0, 6.0)
+    coarse = Level(1, 0.5, (1, 2), 0.4, 0.5)
     hl = build_hyperlevel(g, fine, cap=2)
     tower = Tower(AdjustedSequence(g, (coarse, fine), 0.9, 2))
-    with pytest.raises(BondingDiameterError):
+    with pytest.raises(BondingDiameterError, match=r"^bonding image of \(3,\) has diameter 10\.0 "):
         bonding_map(tower, hl)
 
 
@@ -208,8 +211,14 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
             assert comp == singleton_bonding_chain(g, seq.levels[n - 1:m])
 
 
+def ground_members(hl):
+    """Each element of ``hl`` as the sorted ground indices of its net positions."""
+    net = hl.level.net
+    return [tuple(net[v] for v in el) for el in hl.elements]
+
+
 def per_element_union_map(dist, elements, point_images):
-    """Reference: union image of every element, each measured on its own."""
+    """Reference: union image of every element (ground indices), each measured on its own."""
     images = tuple(tuple(sorted(set().union(*(point_images[a] for a in el)))) for el in elements)
     worst = 0.0
     for img in images:
@@ -229,13 +238,13 @@ def test_bonding_maps_match_per_element_diameter_reference():
         fine_net, coarse_net = list(seq.levels[k + 1].net), list(seq.levels[k].net)
         q = dict(zip(fine_net, reference_nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
         p = bonding_map(tower, hls[k + 1])
-        assert (p.images, p.diameter) == per_element_union_map(g.dist, hls[k + 1].elements, q)
+        assert (p.images, p.diameter) == per_element_union_map(g.dist, ground_members(hls[k + 1]), q)
         shared += len(p.images) - len(set(p.images))
     assert shared > 0  # some elements share an image, so the measured-once path runs
     for k in range(len(hls) - 2):
         comp = composite_bonding(tower, hls[-1], k + 1)
         chain = singleton_bonding_chain(g, seq.levels[k:])
-        assert (comp.images, comp.diameter) == per_element_union_map(g.dist, hls[-1].elements, chain)
+        assert (comp.images, comp.diameter) == per_element_union_map(g.dist, ground_members(hls[-1]), chain)
 
 
 def test_is_continuous_constant_map():
@@ -360,3 +369,26 @@ def test_poset_exports(tmp_path):
     lines = csvp.read_text().splitlines()
     assert lines[0] == "element_id,cardinality,diameter,members"
     assert len(lines) == 1 + hl.n_elements
+
+
+def test_poset_exports_write_members_as_ground_indices(tmp_path):
+    # elements hold net positions; on a net that is not 0..m-1 the exports
+    # must still name every member by its ground index
+    g = generate(SpaceSpec("warsaw_circle", n=300))
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
+    hl = build_hyperlevel(g, seq.level(3))
+    assert hl.level.net != tuple(range(len(hl.level.net)))
+    members = ground_members(hl)
+    export_poset_csv(hl, str(tmp_path / "p.csv"))
+    export_poset_dot(hl, str(tmp_path / "p.dot"))
+
+    rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+    assert len(rows) == hl.n_elements
+    for i, (row, el) in enumerate(zip(rows, members)):
+        eid, card, diam, text = row.split(",")
+        assert (int(eid), int(card)) == (i, len(el))
+        assert tuple(map(int, text.split())) == el
+        assert float(diam) == set_diameter(g.dist, el)
+
+    labels = re.findall(r'^  e(\d+) \[label="\{([\d,]+)\}"\];$', (tmp_path / "p.dot").read_text(), re.M)
+    assert [(int(i), tuple(map(int, text.split(",")))) for i, text in labels] == list(enumerate(members))

@@ -167,14 +167,17 @@ def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
 @given(towers())
 @with_lattice_examples
 def test_hyperlevels_list_singletons_first_in_net_order(drawn):
-    # element id i < |net| is the singleton of net point i: the scale vertex
-    # map is a prefix of the selection map over all elements
+    # element id i < |net| is the singleton of net position i: the scale
+    # vertex map is a prefix of the selection map over all elements; the
+    # elements are listed by size, each size in lex order, so each size is
+    # one slice
     tower, _ = drawn
     for lv in tower.seq.levels:
         hl = build_hyperlevel(tower.ground, lv)
         m = len(lv.net)
-        assert hl.elements[:m] == tuple((a,) for a in lv.net)
+        assert hl.elements[:m] == tuple((v,) for v in range(m))
         assert all(len(el) > 1 for el in hl.elements[m:])
+        assert list(hl.elements) == sorted(hl.elements, key=lambda el: (len(el), el))
 
 
 @PROPERTY_SETTINGS
@@ -193,8 +196,7 @@ def test_scale_route_homology_matches_order_route(drawn):
 
 def level_complex(hl):
     """Vertices (net positions) and the set of every simplex of a level's scale complex."""
-    position = {a: i for i, a in enumerate(hl.level.net)}
-    return len(position), {tuple(position[a] for a in el) for el in hl.elements}
+    return len(hl.level.net), set(hl.elements)
 
 
 def closed_neighbourhoods(n, simplices):
