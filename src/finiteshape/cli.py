@@ -138,7 +138,7 @@ def _build_sequence(cfg: RunConfig, sequence: str | None = None) -> AdjustedSequ
     if sequence:
         return load_sequence_text(ground, sequence)
     eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-    return build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
+    return build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety, cfg.tie_tol)
 
 
 def _add_space_options(p: argparse.ArgumentParser) -> None:

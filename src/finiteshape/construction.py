@@ -14,7 +14,10 @@ Nets are prefixes of one greedy farthest-point order of the ground, each cut
 where the insertion radius drops below its threshold, and ``gamma_n`` is the
 next insertion radius (Gonzalez 1985).  The order is extended lazily, one
 distance row per inserted point, and stops once its radius falls below the
-finest threshold asked for.  Exactly represented grounds
+finest threshold asked for.  The same rows give every level's nearest-point
+table: each insertion records the ground points it comes within the tie
+tolerance of, and the table of any prefix is assembled from those records,
+so no ground-to-net distance is read twice.  Exactly represented grounds
 (``density == 0``) build each net at the plain threshold ``epsilon_n``, the
 textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
 would stall after one or two levels that way, because the greedy stopping
@@ -32,7 +35,7 @@ scale ``2 * epsilon_n`` even though every ground point is covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +68,7 @@ class AdjustedSequence:
     requested_depth: int
     stopped_early: bool = False
     stop_reason: str | None = None
+    greedy: GreedyPermutation | None = field(default=None, repr=False, compare=False)  # the pass the nets were cut from
 
     @property
     def depth(self) -> int:
@@ -73,6 +77,24 @@ class AdjustedSequence:
     def level(self, n: int) -> Level:
         """1-based level access."""
         return self.levels[n - 1]
+
+
+def ties(d, nearest, tie_tol: float):
+    """The tie rule: distance ``d`` ties the nearest distance when ``d <= nearest * (1 + tie_tol)``."""
+    return d <= nearest * (1.0 + tie_tol)
+
+
+def padded_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Table whose row r lists the ``values`` paired with r, in the given order.
+
+    ``rows`` is nondecreasing and names every row at least once.  A short
+    row repeats its first entry, as in ``hyperspace.padded_table``.
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    out = np.repeat(values[starts][:, None], int(counts.max(initial=1)), axis=1)
+    out[rows, np.arange(len(rows)) - starts[rows]] = values
+    return out
 
 
 class GreedyPermutation:
@@ -85,20 +107,46 @@ class GreedyPermutation:
     inserts points until the last radius falls below ``t`` (``extend(0)``
     runs the whole pass).  Each insertion reads one distance row, and the
     computed prefix does not depend on where the pass stops.
+
+    Each insertion also records every ground point whose distance to the new
+    point ties (``ties`` at ``tie_tol``) its coverage so far, with that
+    distance; ``nearest_sets`` assembles the nearest-set table of any net cut
+    from the pass out of these records.
     """
 
-    def __init__(self, ground: MetricGround):
+    def __init__(self, ground: MetricGround, tie_tol: float = 1e-9):
         self.ground = ground
+        self.tie_tol = tie_tol
         self._cover = np.full(ground.n, np.inf)
         self._order: list[int] = []
         self._radii: list[float] = []
+        # Records, insertion after insertion: the ground points each insertion
+        # came within tie of, and their distances to it.  Insertion k holds
+        # entries [_recorded[k], _recorded[k + 1]) of the two record arrays.
+        # New records wait in _unfolded until a table is read, and are then
+        # folded in, so the pass leaves no per-insertion arrays behind.
+        self._near_points = np.empty(0, dtype=np.intp)
+        self._near_dists = np.empty(0)
+        self._recorded = [0]
+        self._unfolded: list[tuple[np.ndarray, np.ndarray]] = []
         self._insert(0)
 
     def _insert(self, i: int) -> None:
         self._order.append(i)
-        np.minimum(self._cover, self.ground.block(slice(i, i + 1), slice(None))[0], out=self._cover)
+        row = self.ground.block(slice(i, i + 1), slice(None))[0]
+        np.minimum(self._cover, row, out=self._cover)
+        near = np.flatnonzero(ties(row, self._cover, self.tie_tol))
+        self._unfolded.append((near, row[near]))
+        self._recorded.append(self._recorded[-1] + len(near))
         self._next = int(np.argmax(self._cover))
         self._radii.append(float(self._cover[self._next]))
+
+    def _fold(self) -> None:
+        if self._unfolded:
+            points, dists = zip(*self._unfolded)
+            self._near_points = np.concatenate([self._near_points, *points])
+            self._near_dists = np.concatenate([self._near_dists, *dists])
+            self._unfolded = []
 
     def extend(self, threshold: float) -> "GreedyPermutation":
         while self._radii[-1] >= threshold and self._radii[-1] > 0.0:
@@ -113,10 +161,36 @@ class GreedyPermutation:
     def radii(self) -> np.ndarray:
         return np.array(self._radii)
 
+    def nearest_sets(self, net) -> np.ndarray:
+        """Nearest-set table of a net cut from this pass, equal to ``hyperspace.nearest_sets`` at ``tie_tol``.
 
-def greedy_permutation(ground: MetricGround) -> GreedyPermutation:
+        ``net`` must be a computed prefix of the order, sorted.  Row x lists
+        the net points whose distance to x ties x's coverage by the net, the
+        smallest recorded distance.  Nothing is missed: coverage only
+        decreases and ``ties`` rounds monotonically, so each such point, and
+        the nearest one, tied x's coverage when it was inserted.  The
+        recorded distances are those ``ground.block`` gives with rows and
+        columns swapped, which a ground's symmetric distances make equal
+        bit for bit.
+        """
+        size = len(net)
+        if not np.array_equal(np.sort(self._order[:size]), np.asarray(net)):
+            raise ValueError("net is not a prefix of this farthest-point pass")
+        self._fold()
+        points = self._near_points[:self._recorded[size]]
+        dists = self._near_dists[:self._recorded[size]]
+        members = np.repeat(np.array(self._order[:size], dtype=np.intp), np.diff(self._recorded[:size + 1]))
+        cover = np.full(self.ground.n, np.inf)
+        np.minimum.at(cover, points, dists)
+        keep = ties(dists, cover[points], self.tie_tol)
+        points, members = points[keep], members[keep]
+        by_point = np.lexsort((members, points))
+        return padded_rows(self.ground.n, points[by_point], members[by_point])
+
+
+def greedy_permutation(ground: MetricGround, tie_tol: float = 1e-9) -> GreedyPermutation:
     """The ground's farthest-point order (Gonzalez 1985), to be extended by ``cut_net``."""
-    return GreedyPermutation(ground)
+    return GreedyPermutation(ground, tie_tol)
 
 
 def cut_net(perm: GreedyPermutation, threshold: float) -> tuple[tuple[int, ...], float]:
@@ -204,13 +278,17 @@ def build_adjusted_sequence(
     epsilon1: float,
     depth: int,
     safety: float = 0.9,
+    tie_tol: float = 1e-9,
 ) -> AdjustedSequence:
     """Build levels 1..depth, stopping early at the sampling resolution.
 
     Preconditions: ``epsilon1 > 2 * ground.density`` (finite sampling noise
     must not be able to fake the inequalities), ``depth >= 1``,
     ``0 < safety < 1``.  Construction stops with an explicit status as soon as
-    the next scale would fall to ``2 * ground.density`` or below.
+    the next scale would fall to ``2 * ground.density`` or below.  The nets
+    are cut from one farthest-point pass recording nearest-point ties at
+    ``tie_tol``; the sequence keeps it, so a ``Tower`` at that tolerance
+    reads its nearest-point tables from the pass.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -222,7 +300,7 @@ def build_adjusted_sequence(
         )
     ladder = plan_ladder(epsilon1, depth, ground.density, safety)
     max_nn = ground.max_nearest_neighbor() if ground.density > 0 else 0.0
-    perm = greedy_permutation(ground)
+    perm = greedy_permutation(ground, tie_tol)
 
     levels: list[Level] = []
     stopped = False
@@ -251,6 +329,7 @@ def build_adjusted_sequence(
         requested_depth=depth,
         stopped_early=stopped,
         stop_reason=reason,
+        greedy=perm,
     )
     for rec in check_sequence_inequalities(seq):
         if not rec["ok"]:

@@ -1,7 +1,7 @@
 """Sparse GF(2) elimination and chain-complex helpers.
 
-Columns are represented as Python sets of row indices; XOR is symmetric
-difference and the pivot of a column is its maximum row.  Reduction keeps one
+Columns are represented as Python-int bitmasks of row indices; XOR is ``^``
+and the pivot of a column is its highest set bit.  Reduction keeps one
 column per pivot row, so the number of stored columns is bounded by the rank.
 """
 
@@ -12,20 +12,23 @@ class ColumnReducer:
     """Incremental left-to-right column reduction over GF(2)."""
 
     def __init__(self):
-        self.pivots: dict[int, frozenset[int]] = {}
+        self.pivots: dict[int, int] = {}  # pivot row -> reduced column, as a bitmask
         self.rank = 0
 
     def add(self, col) -> bool:
-        """Insert a column; returns True when it increased the rank."""
-        col = set(col)
-        while col:
-            p = max(col)
-            piv = self.pivots.get(p)
+        """Insert a column, given as an iterable of row indices; returns True when it increased the rank."""
+        mask = 0
+        for row in col:
+            mask |= 1 << int(row)
+        pivots = self.pivots
+        while mask:
+            p = mask.bit_length() - 1
+            piv = pivots.get(p)
             if piv is None:
-                self.pivots[p] = frozenset(col)
+                pivots[p] = mask
                 self.rank += 1
                 return True
-            col ^= piv
+            mask ^= piv
         return False
 
 

@@ -281,6 +281,6 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     if not (1 <= n < tower.seq.depth):
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
     ground = tower.ground
-    g_table = tower.union_image(n, n + 1, tower.q[n + 1])
+    g_table = tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1]))
     g = MultiMap.from_table("ground", g_table, float(row_diameters(ground, g_table).max()))
     return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, ground, name=f"diagram_level_{n}")

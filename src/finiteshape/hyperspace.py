@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import AdjustedSequence, Level
+from .construction import AdjustedSequence, Level, padded_rows, ties
 from .metric import MetricGround, row_blocks
 
 
@@ -207,25 +207,13 @@ def padded_table(images) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
-def _compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The kept entries of each row in row order, padded with the row's first kept entry.
-
-    Every row must keep at least one entry.
-    """
-    r, c = np.nonzero(keep)
-    counts = np.bincount(r, minlength=len(keep))
-    starts = np.cumsum(counts) - counts
-    out = np.repeat(values[r[starts], c[starts]][:, None], int(counts.max(initial=1)), axis=1)
-    out[r, np.arange(len(r)) - starts[r]] = values[r, c]
-    return out
-
-
 def _union_rows(table: np.ndarray) -> np.ndarray:
     """Each row's distinct entries in ascending order, padded with the row minimum."""
     t = np.sort(table, axis=1)
     keep = np.ones(t.shape, dtype=bool)
     keep[:, 1:] = t[:, 1:] != t[:, :-1]
-    return _compact(t, keep)
+    r, c = np.nonzero(keep)
+    return padded_rows(len(t), r, t[r, c])
 
 
 def _cross_max(ground: MetricGround, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -251,17 +239,19 @@ def nearest_sets(ground: MetricGround, net, tie_tol: float) -> np.ndarray:
     ``net`` lists ground indices; row x of the result holds the net points
     nearest to ground point x, in net order, padded as in ``padded_table``.
     A net point ties when its distance is within ``tie_tol`` (relative) of
-    the row minimum; exact symmetric ties are always captured.  The
-    (ground x net) distances are read in row blocks.
+    the row minimum (``construction.ties``); exact symmetric ties are always
+    captured.  The (ground x net) distances are read in row blocks.  A tower
+    built by ``build_adjusted_sequence`` gets the same tables from its
+    farthest-point pass; this is the route for any other net.
     """
     net = np.asarray(net, dtype=np.intp)
-    blocks = []
+    rows, members = [], []
     for s in row_blocks(ground.n, len(net)):
         block = ground.block(s, net)
-        tie = block <= (block.min(axis=1) * (1.0 + tie_tol))[:, None]
-        blocks.append(_compact(np.broadcast_to(net, tie.shape), tie))
-    width = max(b.shape[1] for b in blocks)
-    return np.concatenate([np.hstack([b, np.repeat(b[:, :1], width - b.shape[1], axis=1)]) for b in blocks])
+        r, c = np.nonzero(ties(block, block.min(axis=1)[:, None], tie_tol))
+        rows.append(r + s.start)
+        members.append(net[c])
+    return padded_rows(ground.n, np.concatenate(rows), np.concatenate(members))
 
 
 def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> MultiMap:
@@ -278,9 +268,12 @@ class Tower:
 
     Every table is a padded integer array of ground indices (see
     ``padded_table``).  ``q[n]`` holds the nearest-set image in ``A_n`` of
-    every ground point, one row per ground point; it is the tower's only
-    ``nearest_sets`` evaluation, one per level.  ``step(n)`` sends each point
-    of ``A_{n+1}`` to its image in ``A_n``, read off ``q[n]`` at that point
+    every ground point, one row per ground point.  A sequence from
+    ``build_adjusted_sequence`` at this tie tolerance supplies these tables
+    from its farthest-point pass, which already read every ground-to-net
+    distance; any other sequence, a loaded one among them, gets one
+    ``nearest_sets`` evaluation per level.  ``step(n)`` sends each point of
+    ``A_{n+1}`` to its image in ``A_n``, read off ``q[n]`` at that point
     (the same distance row and tie threshold a per-pair block would use).
     ``composite(n, m)`` sends each point of ``A_m`` into ``A_n`` through the
     steps; it is memoized and extended one step from ``composite(n, m - 1)``.
@@ -293,10 +286,13 @@ class Tower:
         self.seq = seq
         self.ground = seq.ground
         self.tie_tol = tie_tol
-        self.q = {lv.index: nearest_sets(seq.ground, lv.net, tie_tol) for lv in seq.levels}
+        greedy = seq.greedy
+        if greedy is not None and greedy.ground is seq.ground and greedy.tie_tol == tie_tol:
+            self.q = {lv.index: greedy.nearest_sets(lv.net) for lv in seq.levels}
+        else:
+            self.q = {lv.index: nearest_sets(seq.ground, lv.net, tie_tol) for lv in seq.levels}
         self._composites: dict[tuple[int, int], np.ndarray] = {}
         self._nearest_maps: dict[int, MultiMap] = {}
-        self._positions: dict[int, np.ndarray] = {}
 
     def nearest_map(self, n: int) -> MultiMap:
         """``q[n]`` as a ground-domain map, with its diameter."""
@@ -318,23 +314,21 @@ class Tower:
             if m == n + 1:
                 comp = self.q[n][np.asarray(self.seq.level(m).net, dtype=np.intp)]
             else:
-                comp = self.union_image(n, m - 1, self.step(m - 1))
+                comp = self.union_image(n, m - 1, self.positions(m - 1, self.step(m - 1)))
             self._composites[(n, m)] = comp
         return comp
 
+    def positions(self, m: int, points: np.ndarray) -> np.ndarray:
+        """Positions in the sorted net ``A_m`` of ground indices that all lie in it."""
+        return np.searchsorted(np.asarray(self.seq.level(m).net, dtype=np.intp), points)
+
     def union_image(self, n: int, m: int, sets: np.ndarray) -> np.ndarray:
-        """Image in ``A_n`` of each row of ``sets`` (padded sets of ``A_m`` points).
+        """Image in ``A_n`` of each row of ``sets`` (padded rows of positions in ``A_m``).
 
         A row's image is the union of ``composite(n, m)`` over its points,
         sorted and padded as in ``_union_rows``.
         """
-        position = self._positions.get(m)
-        if position is None:
-            net = np.asarray(self.seq.level(m).net, dtype=np.intp)
-            position = np.full(self.ground.n, -1, dtype=np.intp)
-            position[net] = np.arange(len(net))
-            self._positions[m] = position
-        return _union_rows(self.composite(n, m)[position[sets]].reshape(len(sets), -1))
+        return _union_rows(self.composite(n, m)[sets].reshape(len(sets), -1))
 
 
 def bonding_map(tower: Tower, fine: HyperLevel) -> MultiMap:
@@ -368,8 +362,7 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
         raise ValueError(f"hyperspace level {m} was not built on this tower's level")
     coarse = tower.seq.level(n)
     bound = 2.0 * coarse.epsilon
-    net_m = np.asarray(fine.level.net, dtype=np.intp)
-    table = tower.union_image(n, m, net_m[padded_table(fine.elements)])
+    table = tower.union_image(n, m, padded_table(fine.elements))
     diameters = row_diameters(tower.ground, table)
     bad = np.flatnonzero(diameters >= bound)
     if bad.size:
@@ -473,7 +466,8 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
             net_m = np.asarray(tower.seq.level(m).net, dtype=np.intp)
             record(c1, _cross_max(ground, tower.q[n], tower.q[m]), eps_n, xs, n, m)
             record(c2, _cross_max(ground, tower.composite(n, m), net_m[:, None]), eps_n, net_m, n, m)
-            record(c3, _cross_max(ground, tower.union_image(n, m, tower.q[m]), xs[:, None]), eps_n, xs, n, m)
+            image = tower.union_image(n, m, tower.positions(m, tower.q[m]))
+            record(c3, _cross_max(ground, image, xs[:, None]), eps_n, xs, n, m)
 
     return DistanceBoundsReport(clauses=[c1, c2, c3], tie_tol=tower.tie_tol, density=ground.density)
 

@@ -93,11 +93,11 @@ class MetricGround:
             return self.table[i, j]
         return self._euclidean(i, j)
 
-    def _euclidean(self, i, j) -> np.ndarray:
-        # Squares summed in coordinate order, then the root: for d <= 7 the
-        # same bits as sqrt((diff * diff).sum(axis=-1)), whose reduction adds
-        # fewer than eight terms in order.  d(i, j) and d(j, i) square the same
-        # magnitudes, so every distance is exactly symmetric and d(i, i) = 0.
+    def _squared_sums(self, i, j) -> np.ndarray:
+        # Squares summed in coordinate order: for d <= 7 the same bits as
+        # (diff * diff).sum(axis=-1), whose reduction adds fewer than eight
+        # terms in order.  (i, j) and (j, i) square the same magnitudes, so
+        # every sum is exactly symmetric and (i, i) gives 0.
         out = None
         for axis in self.coords.T:
             t = axis[i] - axis[j]
@@ -106,6 +106,10 @@ class MetricGround:
                 out = t
             else:
                 out += t
+        return out
+
+    def _euclidean(self, i, j) -> np.ndarray:
+        out = self._squared_sums(i, j)
         return np.sqrt(out, out=out)
 
     @property
@@ -119,18 +123,32 @@ class MetricGround:
 
     @cached_property
     def _row_extremes(self) -> tuple[float, float]:
-        """(diameter, largest nearest-neighbor distance), from one pass over row blocks."""
+        """(diameter, largest nearest-neighbor distance), from one pass over half the table.
+
+        Each row block reads only the columns from its first row onwards, so
+        every unordered pair lies in exactly one block; its row and column
+        minima both feed the nearest-neighbor distances.  A coordinate ground
+        compares squared sums and takes the root of the two extremes only: a
+        correctly rounded square root is monotone, so it commutes with max and
+        min, and the result has the bits of the distances themselves.
+        """
         n = self.n
-        farthest = np.empty(n)
-        nearest = np.empty(n)
+        farthest = 0.0
+        nearest = np.full(n, np.inf)
         for rows in row_blocks(n, n):
-            block = self.block(rows, slice(None))
-            farthest[rows] = block.max(axis=1)
-            if not block.flags.writeable:  # a view of the stored table
-                block = block.copy()
-            np.fill_diagonal(block[:, rows], np.inf)  # a point is not its own neighbor
-            nearest[rows] = block.min(axis=1)
-        return float(farthest.max()), float(nearest.max()) if n > 1 else 0.0
+            cols = slice(rows.start, None)
+            if self.table is None:
+                block = self._squared_sums((rows, None), (None, cols))
+            else:
+                block = self.block(rows, cols).copy()
+            farthest = max(farthest, float(block.max()))
+            np.fill_diagonal(block, np.inf)  # a point is not its own neighbor
+            np.minimum(nearest[rows], block.min(axis=1), out=nearest[rows])
+            np.minimum(nearest[cols], block.min(axis=0), out=nearest[cols])
+        widest = float(nearest.max()) if n > 1 else 0.0
+        if self.table is None:
+            return math.sqrt(farthest), math.sqrt(widest)
+        return farthest, widest
 
     def diameter(self) -> float:
         return self._row_extremes[0]
@@ -191,7 +209,8 @@ def triangle_midpoints(n: int) -> np.ndarray:
     """Midpoints k at which the validator checks d(i, j) <= d(i, k) + d(k, j) on an n-point table."""
     if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, TRIANGLE_SAMPLES).astype(int))
+    ks = np.linspace(0, n - 1, TRIANGLE_SAMPLES).astype(int)  # nondecreasing
+    return ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
 
 
 def _check_triangle(dist: np.ndarray) -> None:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finiteshape import cli, hyperspace, invariants
+from finiteshape import cli, construction, hyperspace, invariants
 from finiteshape.cli import main
 from finiteshape.metric import MetricGround
 
@@ -186,7 +186,9 @@ def test_run_one_level_tower_passes(tmp_path, capsys):
     assert "homology = skipped" in summary
 
 
-def test_run_computes_nearest_sets_once_per_level(tmp_path, monkeypatch):
+def test_run_reads_nearest_tables_off_the_pass_and_stored_sequences_compute_them(tmp_path, monkeypatch, capsys):
+    # a built tower takes its nearest-point tables from the farthest-point
+    # pass; a stored sequence has no pass, so each level is computed once
     original, calls = hyperspace.nearest_sets, []
 
     def counting_nearest_sets(*args):
@@ -194,11 +196,24 @@ def test_run_computes_nearest_sets_once_per_level(tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(hyperspace, "nearest_sets", counting_nearest_sets)
+    space = ["--space", "warsaw", "--n", "300", "--depth", "3"]
     outdir = tmp_path / "out"
-    assert run_cli(["run", "--space", "warsaw", "--n", "300", "--depth", "3", "--outdir", str(outdir)]) == 0
+    assert run_cli(["run", *space, "--outdir", str(outdir)]) == 0
+    assert calls == []
     depth = len((outdir / "sequence.csv").read_text().splitlines()) - 1
     assert depth >= 2
+
+    def verdicts():
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+
+    capsys.readouterr()
+    assert run_cli(["verify", *space]) == 0
+    built = verdicts()
+    assert calls == []
+    assert run_cli(["verify", *space, "--sequence", str(outdir / "sequence.txt")]) == 0
+    stored = verdicts()
     assert len(calls) == depth
+    assert stored == built and len(built) >= 4
 
 
 def test_run_from_distance_matrix(tmp_path, capsys):
@@ -239,6 +254,9 @@ def test_exports_compute_no_nearest_sets(tmp_path, monkeypatch, command):
         return original(*args)
 
     monkeypatch.setattr(hyperspace, "nearest_sets", counting_nearest_sets)
+    assembled = construction.GreedyPermutation.nearest_sets
+    monkeypatch.setattr(construction.GreedyPermutation, "nearest_sets",
+                        lambda self, net: calls.append(len(net)) or assembled(self, net))
     code = run_cli([command, "--space", "circle", "--n", "64", "--depth", "3",
                     "--level", "2", "--out", str(tmp_path / "level2")])
     assert code == 0

@@ -65,3 +65,38 @@ def test_fundamental_cycle_closes():
     assert len(nontree) == 1
     cyc = hom.fundamental_cycle(nontree[0])
     assert cyc == {0, 1, 2, 3}
+
+
+class SetColumnReducer:
+    """Column reduction on Python sets of rows, pivot the largest row: the reference for the bitmask reducer."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.rank = 0
+
+    def add(self, col):
+        col = set(col)
+        while col:
+            p = max(col)
+            if p not in self.pivots:
+                self.pivots[p] = frozenset(col)
+                self.rank += 1
+                return True
+            col ^= self.pivots[p]
+        return False
+
+
+def test_bitmask_reducer_matches_set_reduction():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n_rows = int(rng.integers(1, 200))
+        red, ref = ColumnReducer(), SetColumnReducer()
+        for _ in range(int(rng.integers(1, 120))):
+            col = rng.integers(0, n_rows, size=int(rng.integers(0, 6))).tolist()  # repeats count once
+            feed = iter(col) if trial % 2 else col  # any iterable of rows
+            assert red.add(feed) == ref.add(col)
+        assert red.rank == ref.rank
+        assert red.pivots.keys() == ref.pivots.keys()
+        for p, mask in red.pivots.items():
+            assert mask.bit_length() - 1 == p
+            assert {r for r in range(mask.bit_length()) if mask >> r & 1} == ref.pivots[p]

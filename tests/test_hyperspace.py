@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from finiteshape import hyperspace
 from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     BondingDiameterError,
@@ -209,6 +210,34 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
         for m in range(n + 1, seq.depth + 1):
             comp = dict(zip(seq.level(m).net, images_of(tower.composite(n, m))))
             assert comp == singleton_bonding_chain(g, seq.levels[n - 1:m])
+
+
+@pytest.mark.parametrize("tower_tie_tol", [1e-9, 0.05])
+def test_tower_reads_tables_off_the_pass_only_at_its_tie_tolerance(tower_tie_tol, monkeypatch):
+    # a sequence built at 1e-9 serves a 1e-9 tower from its farthest-point
+    # pass; a tower at another tolerance, or on a sequence without a pass,
+    # computes each level with nearest_sets; the tables agree either way
+    g = generate(SpaceSpec("warsaw_circle", n=500))
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
+    original, calls = hyperspace.nearest_sets, []
+    monkeypatch.setattr(hyperspace, "nearest_sets", lambda *args: calls.append(args[1]) or original(*args))
+    tower = Tower(seq, tower_tie_tol)
+    assert calls == ([] if tower_tie_tol == seq.greedy.tie_tol else [lv.net for lv in seq.levels])
+    passless = Tower(AdjustedSequence(g, seq.levels, seq.safety, seq.requested_depth), tower_tie_tol)
+    for lv in seq.levels:
+        expected = reference_nearest_sets(g.dist[:, list(lv.net)], lv.net, tower_tie_tol)
+        assert images_of(tower.q[lv.index]) == tuple(expected)
+        assert tower.q[lv.index].tobytes() == passless.q[lv.index].tobytes()
+
+
+def test_pass_tables_refuse_a_net_not_cut_from_the_pass():
+    g = generate(SpaceSpec("circle", n=64))
+    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=2)
+    net = seq.level(2).net
+    assert seq.greedy.nearest_sets(net).shape[0] == g.n
+    for wrong in (net[:-1], net[1:] + (net[0],), tuple(range(len(net))), net + (max(net) + 1,)):
+        with pytest.raises(ValueError, match="not a prefix"):
+            seq.greedy.nearest_sets(wrong)
 
 
 def ground_members(hl):

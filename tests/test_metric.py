@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,34 @@ def test_density_claim_is_honest(spec):
     assert g.max_nearest_neighbor() <= 2.0 * g.density + 1e-12
 
 
+def _dense_extremes(table):
+    """(diameter, largest nearest-neighbor distance) of a whole table, diagonal masked."""
+    n = table.shape[0]
+    return float(table.max()), 0.0 if n == 1 else float((table + np.diag(np.full(n, np.inf))).min(axis=1).max())
+
+
+def _record_extreme_reads(monkeypatch):
+    """(rows, cols) of every distance block the extremes pass reads, from either oracle."""
+    reads = []
+    block, squared_sums = MetricGround.block, MetricGround._squared_sums
+    monkeypatch.setattr(MetricGround, "block", lambda self, rows, cols: reads.append((rows, cols)) or block(self, rows, cols))
+    monkeypatch.setattr(MetricGround, "_squared_sums",
+                        lambda self, i, j: reads.append((i[0], j[1])) or squared_sums(self, i, j))
+    return reads
+
+
+def _assert_half_table_pass(reads, n):
+    # one pass over the usual row blocks, each reading the columns from its
+    # first row on, so every unordered pair lies in exactly one block
+    assert reads == [(rows, slice(rows.start, None)) for rows in row_blocks(n, n)]
+    blocks_holding = np.zeros((n, n), dtype=int)
+    for rows, cols in reads:
+        seen = np.zeros((n, n), dtype=bool)
+        seen[rows, cols] = True
+        blocks_holding += seen | seen.T
+    assert (blocks_holding[np.triu_indices(n, 1)] == 1).all()
+
+
 @pytest.mark.parametrize(
     "coords",
     [
@@ -113,15 +145,29 @@ def test_max_nearest_neighbor_matches_dense_formula(coords, monkeypatch):
     g = MetricGround.from_coords(np.array(coords, dtype=float))
     table = g.dist
     expected = 0.0 if g.n == 1 else float((table + np.diag(np.full(g.n, np.inf))).min(axis=1).max())
-    blocks_read = []
-    block = MetricGround.block
-    monkeypatch.setattr(MetricGround, "block", lambda self, rows, cols: blocks_read.append(rows) or block(self, rows, cols))
+    blocks_read = _record_extreme_reads(monkeypatch)
     assert g.diameter() == float(table.max())
     assert g.max_nearest_neighbor() == expected
-    assert blocks_read == row_blocks(g.n, g.n)  # one pass serves both
+    _assert_half_table_pass(blocks_read, g.n)
     if g.n == 600:  # several row blocks, the last one short
         blocks = row_blocks(g.n, g.n)
         assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, "table"])
+def test_row_extremes_read_half_the_pairs_with_the_dense_values(dim, monkeypatch):
+    # squared sums compared, roots taken of the two extremes only: the bits
+    # of the dense table's max and masked row minima, on every dimension and
+    # on a stored table, over several row blocks
+    coords = np.random.default_rng(7).normal(size=(700, 2 if dim == "table" else dim))
+    g = MetricGround.from_coords(coords)
+    if dim == "table":
+        g = MetricGround.from_matrix(g.dist)
+    expected = _dense_extremes(g.dist)
+    assert expected[1] > 0.0 and len(row_blocks(g.n, g.n)) > 1
+    reads = _record_extreme_reads(monkeypatch)
+    assert (g.diameter(), g.max_nearest_neighbor()) == expected
+    _assert_half_table_pass(reads, g.n)
 
 
 def test_generate_deterministic():
@@ -333,3 +379,31 @@ def test_triangle_check_reports_the_reference_witness(n):
     with pytest.raises(GroundValidationError) as got:
         metric._check_triangle(bad)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("exhaustive_limit", [metric.TRIANGLE_EXHAUSTIVE_LIMIT, 0])
+def test_triangle_midpoints_match_the_unique_form(exhaustive_limit, monkeypatch):
+    # with no exhaustive range, small tables sample fewer distinct midpoints
+    # than TRIANGLE_SAMPLES, so the repeats to drop are exercised too
+    monkeypatch.setattr(metric, "TRIANGLE_EXHAUSTIVE_LIMIT", exhaustive_limit)
+    for n in [*range(1, 601), 1000, 4097, 123_457]:
+        if n <= exhaustive_limit:
+            want = np.arange(n)
+        else:
+            want = np.unique(np.linspace(0, n - 1, metric.TRIANGLE_SAMPLES).astype(int))
+        got = metric.triangle_midpoints(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+def test_sampled_triangle_check_imports_no_masked_arrays():
+    # np.unique imports numpy.ma on first use; the validator must not pay that import
+    src = str(Path(metric.__file__).resolve().parents[1])
+    code = (
+        "import sys; import numpy as np; from finiteshape.metric import MetricGround\n"
+        "g = MetricGround.from_coords(np.random.default_rng(0).random((600, 2)))\n"
+        "MetricGround.from_matrix(g.dist)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

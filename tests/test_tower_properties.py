@@ -1,13 +1,14 @@
 """Property tests: the array-backed tower against per-point reference loops,
-greedy nets cut from one permutation against the per-threshold loop, and
-collapsed scale-complex homology against full reductions of the scale and
-order complexes.
+greedy nets cut from one permutation against the per-threshold loop, the
+nearest-point tables the permutation records against ``nearest_sets`` and a
+per-point loop, and collapsed scale-complex homology against full
+reductions of the scale and order complexes.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
 tolerances widen the tie rows and can break the distance bounds, so the
-violation lists are exercised too.  The greedy nets also see duplicate points
-and a single point.
+violation lists are exercised too.  The greedy nets and their tables also
+see duplicate points, a single point and distance-matrix grounds.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from finiteshape.construction import build_adjusted_sequence, build_net, cut_net, gamma, greedy_permutation
 from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
-from finiteshape.hyperspace import Tower, bonding_map, build_hyperlevel, verify_adjusted_distance_bounds
+from finiteshape.hyperspace import Tower, bonding_map, build_hyperlevel, nearest_sets, verify_adjusted_distance_bounds
 from finiteshape.invariants import LevelHomology, betti, order_complex, shape_report
 from finiteshape.metric import MetricGround
 import reference_loops as ref
@@ -34,15 +35,24 @@ single_point = st.just([(0.0, 0.0)])
 
 
 
+TIE_TOLERANCES = st.sampled_from([0.0, 1e-9, 0.05, 0.5])
+
+
 @st.composite
 def towers(draw):
-    """(tower, tie tolerance) for a drawn cloud, depth 2 to 4."""
+    """(tower, tie tolerance) for a drawn cloud, depth 2 to 4.
+
+    The sequence is built at the tower's tie tolerance, so the tower reads
+    its tables off the farthest-point pass, or at the default one, so it
+    computes them with ``nearest_sets``.
+    """
     points = draw(st.one_of(random_points, lattice_points, line_points))
     ground = MetricGround.from_coords(np.array(points, dtype=float))
     if ground.diameter() == 0.0:  # distinct floats can still be 0 apart after rounding
         ground = MetricGround.from_coords(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    tie_tol = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.5]))
-    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(2, 4)))
+    tie_tol = draw(TIE_TOLERANCES)
+    built_at = draw(st.sampled_from([tie_tol, 1e-9]))
+    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(2, 4)), tie_tol=built_at)
     return Tower(seq, tie_tol), tie_tol
 
 
@@ -85,7 +95,7 @@ def full_lattice_tower(tie_tol, depth):
     """The 5 x 4 integer grid: three-way ties at level 1; at tie tolerance 0.5 every clause is violated."""
     points = np.array([(i, j) for i in range(5) for j in range(4)], dtype=float)
     ground = MetricGround.from_coords(points)
-    return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth), tie_tol), tie_tol
+    return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth, tie_tol=tie_tol), tie_tol), tie_tol
 
 
 def with_lattice_examples(test):
@@ -161,6 +171,35 @@ def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
         assert net == ref.reference_build_net(ground.dist, t) == build_net(ground, t)
         assert covered == gamma(ground, net)
         assert covered < t
+
+
+@st.composite
+def metric_grounds(draw):
+    """A drawn cloud, as coordinates or as a validated distance table (Euclidean, or L1 on integer clouds)."""
+    integer_clouds = st.one_of(lattice_points, line_points, duplicate_points)
+    points = np.array(draw(st.one_of(random_points, integer_clouds, single_point)), dtype=float)
+    kind = draw(st.sampled_from(["coords", "euclidean table", "l1 table"]))
+    if kind == "coords":
+        return MetricGround.from_coords(points)
+    if kind == "l1 table" and (points == np.round(points)).all():
+        return MetricGround.from_matrix(np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2))
+    return MetricGround.from_matrix(MetricGround.from_coords(points).dist)
+
+
+@PROPERTY_SETTINGS
+@given(metric_grounds(), TIE_TOLERANCES, st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=4))
+def test_pass_nearest_tables_match_nearest_sets(ground, tie_tol, drawn_thresholds):
+    # the thresholds come in drawn order, then a finer cut is followed by a
+    # coarser one, so a net is cut after the pass has run past it
+    perm = greedy_permutation(ground, tie_tol)
+    thresholds = [*drawn_thresholds, min(drawn_thresholds) / 4, 2 * max(drawn_thresholds)]
+    for t in thresholds:
+        net, _ = cut_net(perm, t)
+        got = perm.nearest_sets(net)
+        want = nearest_sets(ground, net, tie_tol)
+        loops = ref.padded(ref.reference_nearest_sets(ground.dist[:, list(net)], net, tie_tol))
+        assert got.dtype == want.dtype == loops.dtype and got.shape == want.shape == loops.shape
+        assert got.tobytes() == want.tobytes() == loops.tobytes()
 
 
 @PROPERTY_SETTINGS
