@@ -72,7 +72,6 @@ class RunConfig:
     safety: float = 0.9
     tie_tol: float = 1e-9
     maxdim: int = 1
-    cap: int | None = None  # None: maxdim + 2
     window: int = 2
     outdir: str = "out"
     skip_bounds: bool = False
@@ -93,8 +92,6 @@ class RunConfig:
             raise ConfigError(f"tie tolerance must be finite and nonnegative, got {self.tie_tol}")
         if self.maxdim not in (1, 2):
             raise ConfigError(f"maxdim must be 1 or 2, got {self.maxdim}")
-        if self.cap is not None and self.cap < self.maxdim + 2:
-            raise ConfigError(f"cardinality cap {self.cap} too small for maxdim {self.maxdim}")
         if self.window < 2:
             raise ConfigError("stabilization window must be >= 2")
         if self.format not in ("coords_csv", "distmatrix_csv"):
@@ -161,7 +158,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--safety", type=float, default=0.9)
     p.add_argument("--tie-tol", type=float, default=1e-9)
     p.add_argument("--maxdim", type=int, default=1)
-    p.add_argument("--cap", type=int, help="element cardinality cap (default maxdim + 2)")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--outdir", default="out")
     p.add_argument("--config", help="key = value file; explicit flags override it")
@@ -171,11 +167,17 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--skip-homology", action="store_true")
 
 
+def _add_export_options(p: argparse.ArgumentParser) -> None:
+    _add_run_options(p)
+    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--cap", type=int, help="element cardinality cap (default maxdim + 2)")
+    p.add_argument("--out", required=True, help="output path base (suffixes added)")
+
+
 _CONFIG_KEYS = {
     "space": str, "n": int, "radius": float, "separation": float, "length": float,
     "cantor_depth": int, "input": str, "format": str, "density": float, "epsilon1": float,
-    "depth": int, "safety": float, "tie_tol": float, "maxdim": int, "cap": int,
-    "window": int, "outdir": str,
+    "depth": int, "safety": float, "tie_tol": float, "maxdim": int, "window": int, "outdir": str,
     "skip_bounds": bool, "skip_identity": bool, "skip_diagram": bool, "skip_homology": bool,
 }
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -208,8 +210,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{key: value for key, value in vars(args).items() if key in names})
     cfg.validate()
-    if cfg.cap is None:
-        cfg.cap = cfg.maxdim + 2
     return cfg
 
 
@@ -311,7 +311,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
         print(f"homology: skipped ({seq.depth} level built, needs 2)")
     elif not cfg.skip_homology:
         try:
-            rep = shape_report(tower, maxdim=cfg.maxdim, window=cfg.window, cap=cfg.cap)
+            rep = shape_report(tower, maxdim=cfg.maxdim, window=cfg.window)
         except (ElementCapError, BondingDiameterError, HomologyCheckError) as exc:
             all_ok &= _print_verdict("homology", False, str(exc))
     if rep is not None:
@@ -320,14 +320,14 @@ def cmd_run(cfg: RunConfig, args) -> int:
             for row in rep.levels:
                 fh.write(
                     f"level n={row.index} epsilon={row.epsilon!r} net_size={row.net_size} "
-                    f"elements={row.n_elements} betti={row.betti}\n"
+                    f"edges={row.n_edges} betti={row.betti}\n"
                 )
             for pr in rep.pairs:
                 fh.write(f"pair fine={pr.fine_index} coarse={pr.coarse_index} ranks={pr.ranks}\n")
             fh.write(f"stabilized window={rep.window} ranks={rep.stabilized}\n")
         print("homology (scale complex):")
         for row in rep.levels:
-            print(f"  level {row.index}: elements {row.n_elements} core {row.core_size} betti {row.betti}")
+            print(f"  level {row.index}: edges {row.n_edges} core {row.core_size} betti {row.betti}")
         for pr in rep.pairs:
             print(f"  induced {pr.fine_index}->{pr.coarse_index}: ranks {pr.ranks}")
         print(f"  stabilized ranks (window {rep.window}): {rep.stabilized}")
@@ -357,7 +357,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     if seq.depth >= 2 and not cfg.skip_homology:
         try:
-            hls = [build_hyperlevel(tower.ground, lv, cap=cfg.cap) for lv in seq.levels]
+            hls = [build_hyperlevel(tower.ground, lv, cap=2) for lv in seq.levels]
             mono = True
             for hl in hls[1:]:
                 mono &= is_continuous(bonding_map(tower, hl), hl)[0]
@@ -371,15 +371,19 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def _export_level(cfg: RunConfig, args):
+    """The ground, the level to export and its cardinality cap (default ``maxdim + 2``)."""
+    cap = cfg.maxdim + 2 if args.cap is None else args.cap
+    if cap < cfg.maxdim + 2:
+        raise ConfigError(f"cardinality cap {cap} too small for maxdim {cfg.maxdim}")
     seq = _build_sequence(cfg)
     if not (1 <= args.level <= seq.depth):
         raise ConfigError(f"level {args.level} outside built depth {seq.depth}")
-    return seq.ground, seq.level(args.level)
+    return seq.ground, seq.level(args.level), cap
 
 
 def cmd_export_poset(cfg: RunConfig, args) -> int:
-    ground, level = _export_level(cfg, args)
-    hl = build_hyperlevel(ground, level, cap=cfg.cap)
+    ground, level, cap = _export_level(cfg, args)
+    hl = build_hyperlevel(ground, level, cap=cap)
     export_poset_dot(hl, args.out + ".dot")
     export_poset_csv(hl, args.out + ".csv")
     print(f"wrote {hl.n_elements} elements to {args.out}.dot / .csv")
@@ -387,9 +391,9 @@ def cmd_export_poset(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_complex(cfg: RunConfig, args) -> int:
-    ground, level = _export_level(cfg, args)
+    ground, level, cap = _export_level(cfg, args)
     if args.complex == "order":
-        cx = order_complex(build_hyperlevel(ground, level, cap=cfg.cap), cfg.maxdim)
+        cx = order_complex(build_hyperlevel(ground, level, cap=cap), cfg.maxdim)
     else:
         cx = rips_complex(ground, level, cfg.maxdim)
     export_complex_off(cx, args.out + ".off")
@@ -419,16 +423,12 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
     p_ver.set_defaults(func=cmd_verify, subparser=p_ver)
 
     p_ep = sub.add_parser("export-poset", help="DOT and CSV export of one hyperspace level")
-    _add_run_options(p_ep)
-    p_ep.add_argument("--level", type=int, required=True)
-    p_ep.add_argument("--out", required=True, help="output path base (suffixes added)")
+    _add_export_options(p_ep)
     p_ep.set_defaults(func=cmd_export_poset, subparser=p_ep)
 
     p_ec = sub.add_parser("export-complex", help="facet-list and CSV export of a level complex")
-    _add_run_options(p_ec)
-    p_ec.add_argument("--level", type=int, required=True)
+    _add_export_options(p_ec)
     p_ec.add_argument("--complex", choices=["order", "rips"], default="order")
-    p_ec.add_argument("--out", required=True)
     p_ec.set_defaults(func=cmd_export_complex, subparser=p_ec)
 
     return parser
@@ -445,6 +445,9 @@ def main(argv=None) -> int:
         return args.func(_config_from_args(args), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ElementCapError as exc:
+        print(f"error: hyperspace enumeration: {exc}", file=sys.stderr)
         return 2
 
 

@@ -7,13 +7,15 @@ finite topological space whose open sets are the down-sets of the inclusion
 order, so a map between two such posets is continuous exactly when it is
 monotone.
 
-Subsets are enumerated up to a cardinality cap (homology through degree ``d``
-only consumes subsets of size ``d + 2``).  Down-closure is exact within the
-cap: every non-empty subset of a stored element is stored.  An element is a
-sorted tuple of net positions, indices into the level's sorted net, so the
-hyperspace level and the scale complex number the net's points alike; ground
-indices are formed only where a distance is read and where members are
-written out.
+Subsets are enumerated up to a cardinality cap; every non-empty subset of a
+stored element is stored.  They are the simplices of a flag complex, so the
+vertices and edges (cap 2) decide every check of a bonding map: an image's
+diameter is the largest over the images of the element's vertices and
+edges, and a selection is a coarse element exactly when the selection of
+every fine edge is.  Checks and homology build levels at cap 2; larger caps
+serve the exports.  An element is a sorted tuple of net positions, so the
+hyperspace level and the scale complex number the net's points alike;
+ground indices are formed only where a distance is read or written out.
 
 Multivalued maps are tabulated images in ground indices: the nearest-point
 map sends a ground point to its set of nearest net points (ties within a
@@ -49,13 +51,11 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
     distances are read from ``ground`` in row blocks, so no ``m x m`` block
     is formed.  Returns (elements, diameters): elements are sorted tuples of
     positions, listed by size and within a size in lex order, so element
-    ``i < m`` is the singleton ``(i,)``.  Uses per-vertex ahead-neighbor
-    bitmasks so only qualifying cliques are visited; the depth-first growth
-    visits each size in lex order, and each size is kept in its own list.
+    ``i < m`` is the singleton ``(i,)``.  The subsets are the cliques of the
+    graph of pairs closer than two_eps (``grow_cliques``).
     """
     net = np.asarray(net, dtype=np.intp)
     m = len(net)
-    ahead = []
     near = []  # near[i][j]: distance of positions i < j closer than two_eps
     for rows in row_blocks(m, m):
         block = ground.block(net[rows], net[rows.start:])  # columns from the block's first row on
@@ -63,38 +63,43 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
             row = row[i - rows.start + 1:]
             idx = np.flatnonzero(row < two_eps)
             near.append(dict(zip((idx + i + 1).tolist(), row[idx].tolist())))
-            mask = 0
-            for j in near[i]:
-                mask |= 1 << j
-            ahead.append(mask)
+    elements, diameters = grow_cliques(near, cap, max_elements)
+    return list(itertools.chain.from_iterable(elements)), list(itertools.chain.from_iterable(diameters))
 
+
+def grow_cliques(near: list[dict[int, float]], cap: int, max_elements: int):
+    """Cliques of size <= cap of the graph on {0..m-1} with edges i < j, j in ``near[i]``, of length ``near[i][j]``.
+
+    Returns (elements, diameters) as one list per size, each in lex order.
+    Depth-first growth over per-vertex ahead-neighbor bitmasks visits only
+    cliques; more than ``max_elements`` in all raise ``ElementCapError``.
+    """
+    m = len(near)
+    ahead = []
+    for nbrs in near:
+        mask = 0
+        for j in nbrs:
+            mask |= 1 << j
+        ahead.append(mask)
     elements: list[list[tuple[int, ...]]] = [[(i,) for i in range(m)]] + [[] for _ in range(cap - 1)]
     diameters: list[list[float]] = [[0.0] * m] + [[] for _ in range(cap - 1)]
     budget = max_elements - m
     if budget < 0:
         raise ElementCapError(f"element budget {max_elements} exceeded already at cardinality 1 ({m} singletons)")
 
-    def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
     def grow(clique, mask, diam, size):
         nonlocal budget
-        for j in bits(mask):
+        while mask:  # each set bit j in ascending order; ahead[j] holds only bits above j
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
             d = diam
             for v in clique:
                 dv = near[v][j]
                 if dv > d:
                     d = dv
-            if d >= two_eps:
-                continue
             budget -= 1
             if budget < 0:
-                raise ElementCapError(
-                    f"element budget {max_elements} exceeded at cardinality {size + 1}"
-                )
+                raise ElementCapError(f"element budget {max_elements} exceeded at cardinality {size + 1}")
             new = clique + (j,)
             elements[size].append(new)
             diameters[size].append(float(d))
@@ -105,7 +110,7 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
         for i in range(m):
             grow((i,), ahead[i], 0.0, 1)
 
-    return list(itertools.chain.from_iterable(elements)), list(itertools.chain.from_iterable(diameters))
+    return elements, diameters
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,7 @@ class HyperLevel:
     Elements are sorted tuples of net positions (``level.net[v]`` is the
     ground index of position ``v``), listed by size and within a size in lex
     order, so element ``i < len(level.net)`` is the singleton ``(i,)``.  The
-    order relation is set inclusion, queryable directly (``leq``) or through
-    covering pairs.
+    order relation is set inclusion, given by its covering pairs.
     """
 
     level: Level
@@ -138,12 +142,6 @@ class HyperLevel:
         if got is None:
             raise KeyError(f"{el} is not an element of this hyperspace level")
         return got
-
-    def has_element(self, element) -> bool:
-        return tuple(sorted(element)) in self._index
-
-    def leq(self, i: int, j: int) -> bool:
-        return set(self.elements[i]) <= set(self.elements[j])
 
     def covering_pairs(self):
         """Pairs (i, j) where j covers i: |j| = |i| + 1 and i subset of j."""

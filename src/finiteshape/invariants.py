@@ -1,15 +1,13 @@
 """Homology invariants of the hyperspace tower over the two-element field.
 
 Homology is computed on the scale complex of every level: its k-simplices
-are the (k+1)-point net subsets of diameter below twice the level scale,
-read off the level's hyperspace poset.  The order complex of that poset
-(strict inclusion chains) is the barycentric subdivision of the scale
-complex within the cardinality cap, so the two have the same Betti numbers;
-it is kept for exports, and the tests use it as the reference route.
+are the (k+1)-point net subsets of diameter below twice the level scale.
+Its barycentric subdivision, the order complex of the hyperspace poset, is
+kept for exports and as the tests' reference route.
 
 The scale complex is a flag (Vietoris-Rips) complex: a set of net points is
-a simplex exactly when each pair of them is an edge.  Before anything is
-reduced, each level is strong-collapsed on its 1-skeleton.  A vertex u is
+a simplex exactly when each pair of them is an edge.  So a level is read as
+its vertices and edges (cap 2) and strong-collapsed on them.  A vertex u is
 dominated by a neighbour w when the closed neighbourhood of u lies inside
 that of w; then every simplex through u spans a simplex with w, so u ↦ w is
 a simplicial retraction contiguous to the identity, and removing u keeps the
@@ -20,7 +18,8 @@ gives the core, and composing the elementary retractions gives a simplicial
 retraction r onto it whose inclusion is a homotopy inverse.  The chain
 complex that is reduced is the core's full subcomplex plus the edges u-w of
 the removals, a forest hanging off the core: same homology, and every vertex
-lies in the component of r(u).  A cone reduces to a point.
+lies in the component of r(u).  Triangles are grown on the core only, and
+a cone reduces to a point.
 
 Bonding maps are monotone, and their minimal selection sends singletons to
 singletons, so its restriction to net points is a vertex map that is
@@ -49,6 +48,7 @@ from .hyperspace import (
     Tower,
     bonding_map,
     build_hyperlevel,
+    grow_cliques,
     is_continuous,
 )
 from .metric import MetricGround
@@ -233,25 +233,27 @@ class LevelHomology:
 
     Vertices of the complex are net positions, which number the points of
     every hyperlevel element and are also the element ids of the level's
-    singletons (``build_hyperlevel`` lists them first).
-    The edges are read off the hyperlevel and strong-collapsed
-    (``strong_collapse``); the triangles and, at maxdim 2, the tetrahedra
-    are the elements inside the core, so none is formed for a collapsed
-    vertex.  ``hom`` reduces the core's full subcomplex plus the edges u-w
-    of the removals, which hang a forest off the core: its Betti numbers
-    are the level's, ``hom.comp_of[u]`` is the component of
-    ``collapse.retraction[u]``, and its degree-1 representatives are core
-    cycles.
+    singletons (``build_hyperlevel`` lists them first).  The vertices and
+    edges are read off the hyperlevel and strong-collapsed; the triangles
+    and, at maxdim 2, the tetrahedra are grown from the core's edges
+    (``grow_cliques``, lex order, at most ``max_elements``).  ``hom``
+    reduces the core's full subcomplex plus the edges u-w of the removals,
+    which hang a forest off the core: its Betti numbers are the level's,
+    ``hom.comp_of[u]`` is the component of ``collapse.retraction[u]``, and
+    its degree-1 representatives are core cycles.
     """
 
-    def __init__(self, hl: HyperLevel, maxdim: int = 1):
+    def __init__(self, hl: HyperLevel, maxdim: int = 1, max_elements: int = 2_000_000):
         _check_maxdim(maxdim)
-        vertices, edges, *higher = _simplices_by_size(hl, maxdim)
+        vertices, edges = _simplices_by_size(hl, 0)
         self.collapse = strong_collapse(len(vertices), edges)
         core = set(self.collapse.core)
-        reduced_edges = [(u, v) for u, v in edges if u in core and v in core]
+        near: list[dict[int, float]] = [{} for _ in vertices]
+        for (u, v), d in zip(edges, hl.diameters[len(vertices):]):
+            if u in core and v in core:
+                near[u][v] = d
+        _, reduced_edges, *higher = grow_cliques(near, maxdim + 2, max_elements)[0]
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
-        higher = [[s for s in simplices if core.issuperset(s)] for simplices in higher]
         self.hom = ChainHomology(len(vertices), reduced_edges, *higher)
         self.betti = self.hom.betti(maxdim)
 
@@ -265,8 +267,9 @@ def selection_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> l
     p(C) pointwise (which makes it homotopic to the full map in the upper
     semifinite sense, so induced homology maps agree), and it always lands
     inside the stored elements: a selection that is not a coarse element
-    raises ``KeyError``.  Checked on every fine element, this says the vertex
-    map a -> min p({a}) is simplicial on scale complexes; that vertex map is
+    raises ``KeyError``.  Checked on every fine element (vertices and edges
+    suffice: scale complexes are flag complexes), this says the vertex map
+    a -> min p({a}) is simplicial on scale complexes; that vertex map is
     the first ``len(fine.level.net)`` entries, because singletons come first
     and their ids are net positions.  The images of ``p`` are ground
     indices; ``Level.net`` is sorted, so the coarse position of each
@@ -349,7 +352,7 @@ class LevelRow:
     index: int
     epsilon: float
     net_size: int
-    n_elements: int
+    n_edges: int
     betti: tuple[int, ...]
     core_size: int
 
@@ -377,7 +380,6 @@ class HomologyReport:
     stabilized: tuple[int, ...]
     window: int
     maxdim: int
-    cap: int
 
     def level_row(self, index: int) -> LevelRow:
         for row in self.levels:
@@ -390,32 +392,28 @@ def shape_report(
     tower: Tower,
     maxdim: int = 1,
     window: int = 2,
-    cap: int | None = None,
     max_elements: int = 2_000_000,
 ) -> HomologyReport:
     """Full homology pipeline over a built tower (depth >= 2).
 
-    Builds hyperspace levels, reads each level's scale complex off its
-    hyperspace level, strong-collapses it and reduces its core once,
-    computes induced ranks along every consecutive bonding map, and
-    stabilizes them over the trailing window.
-    Each bonding map is checked monotone once, and its selection map is
-    checked on every fine element; every induced rank is checked against the
-    Betti numbers it maps between, and every pushed representative is checked
-    to be a cycle.  A failed check raises ``HomologyCheckError``.
+    Builds each level's vertices and edges (cap 2), reduces its collapsed
+    scale complex once (``LevelHomology``), computes induced ranks along
+    every consecutive bonding map, and stabilizes them over the trailing
+    window.  Each bonding map is checked monotone once, and its selection
+    map on every fine vertex and edge; every induced rank is checked against
+    the Betti numbers it maps between, and every pushed representative is
+    checked to be a cycle.  A failed check raises ``HomologyCheckError``.
     """
     seq = tower.seq
     if seq.depth < 2:
         raise ValueError("shape report needs at least two levels")
-    if cap is None:
-        cap = maxdim + 2
     ground = seq.ground
 
-    hls = [build_hyperlevel(ground, lv, cap=cap, max_elements=max_elements) for lv in seq.levels]
-    datas = [LevelHomology(hl, maxdim) for hl in hls]
+    hls = [build_hyperlevel(ground, lv, cap=2, max_elements=max_elements) for lv in seq.levels]
+    datas = [LevelHomology(hl, maxdim, max_elements) for hl in hls]
 
     rows = [
-        LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_elements=hl.n_elements,
+        LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_edges=hl.n_elements - len(lv.net),
                  betti=data.betti, core_size=len(data.collapse.core))
         for lv, hl, data in zip(seq.levels, hls, datas)
     ]
@@ -448,7 +446,7 @@ def shape_report(
     n_deg = len(tail[0].ranks)
     stabilized = tuple(min(pr.ranks[d] for pr in tail) for d in range(n_deg))
 
-    return HomologyReport(levels=rows, pairs=pairs, stabilized=stabilized, window=window, maxdim=maxdim, cap=cap)
+    return HomologyReport(levels=rows, pairs=pairs, stabilized=stabilized, window=window, maxdim=maxdim)
 
 
 def export_complex_off(cx: SimplicialComplex, path: str) -> None:

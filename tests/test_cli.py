@@ -274,7 +274,7 @@ def test_export_complex_both_kinds(tmp_path):
 
 
 def test_run_shape_stage_failure_is_a_fail_verdict(tmp_path, capsys, monkeypatch):
-    # circle-64 level 1 alone has more than 40 poset elements
+    # circle-64 level 2 alone has more than 40 vertices and edges
     monkeypatch.setattr(cli, "shape_report", functools.partial(invariants.shape_report, max_elements=40))
     outdir = tmp_path / "out"
     code = run_cli(["run", "--space", "circle", "--n", "64", "--depth", "3", "--outdir", str(outdir)])
@@ -284,6 +284,39 @@ def test_run_shape_stage_failure_is_a_fail_verdict(tmp_path, capsys, monkeypatch
     assert "CHECKS FAILED" in out
     assert (outdir / "summary.txt").read_text().splitlines()[0] == "verdict = fail"
     assert not (outdir / "homology.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["export-poset", "export-complex"])
+def test_export_over_the_element_budget_exits_2(tmp_path, capsys, monkeypatch, command):
+    # circle-64 level 1 has more than 40 elements up to size 3
+    monkeypatch.setattr(cli, "build_hyperlevel", functools.partial(hyperspace.build_hyperlevel, max_elements=40))
+    code = run_cli([command, "--space", "circle", "--n", "64", "--depth", "3",
+                    "--level", "1", "--out", str(tmp_path / "level1")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: hyperspace enumeration: element budget 40 exceeded")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cap_is_no_option_of_run_or_verify(tmp_path, capsys, command):
+    args = [command, "--space", "circle", "--n", "32", "--depth", "3", "--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--cap", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 4" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("depth = 3\ncap = 4\n")
+    assert run_cli([*args, "--config", str(cfgfile)]) == 2
+    assert f"{cfgfile}:2: unknown key 'cap'" in capsys.readouterr().err
+
+
+def test_export_poset_cap_sets_the_largest_element(tmp_path):
+    base = tmp_path / "poset"
+    assert run_cli(["export-poset", "--space", "circle", "--n", "16", "--depth", "2",
+                    "--level", "1", "--cap", "4", "--out", str(base)]) == 0
+    sizes = {int(line.split(",")[1]) for line in (tmp_path / "poset.csv").read_text().splitlines()[1:]}
+    assert sizes == {1, 2, 3, 4}
 
 
 def _edit_level_line(path, n, edit):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from finiteshape import hyperspace, invariants
+from finiteshape import cli, hyperspace, invariants
 from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     MultiMap,
@@ -13,6 +13,7 @@ from finiteshape.hyperspace import (
     build_hyperlevel,
     composite_bonding,
     enumerate_small_subsets,
+    grow_cliques,
     is_continuous,
 )
 from finiteshape.invariants import (
@@ -367,10 +368,12 @@ def test_shape_report_maxdim_two():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     rep = shape_report(Tower(seq), maxdim=2)
-    assert rep.cap == 4
+    assert rep.maxdim == 2
     for row, lv in zip(rep.levels, seq.levels):
+        hl = build_hyperlevel(g, lv, cap=4)
         assert len(row.betti) == 3
-        assert row.betti == betti(order_complex(build_hyperlevel(g, lv, cap=4), maxdim=2), maxdim=2)
+        assert row.n_edges == sum(len(el) == 2 for el in hl.elements)
+        assert row.betti == betti(order_complex(hl, maxdim=2), maxdim=2)
     assert rep.stabilized[:2] == (1, 1)
 
 
@@ -396,7 +399,7 @@ def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch, maxdim
         assert builds == [len(lv.net)]  # one reduction, of the scale complex
 
 
-def test_shape_report_computes_each_object_once(monkeypatch):
+def test_shape_report_computes_each_object_once(monkeypatch, capsys):
     g = generate(SpaceSpec("circle", n=128))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
     checked, enumerated = [], []
@@ -405,16 +408,21 @@ def test_shape_report_computes_each_object_once(monkeypatch):
         checked.append(domain.level.index)
         return is_continuous(p, domain)
 
-    def counting_enumerate(ground, net, *args):
-        enumerated.append(len(net))
-        return enumerate_small_subsets(ground, net, *args)
+    def counting_enumerate(ground, net, two_eps, cap, max_elements):
+        enumerated.append((len(net), cap))
+        return enumerate_small_subsets(ground, net, two_eps, cap, max_elements)
 
     with monkeypatch.context() as m:
         m.setattr(invariants, "is_continuous", counting_is_continuous)
         m.setattr(hyperspace, "enumerate_small_subsets", counting_enumerate)
         rep = shape_report(Tower(seq))
+        # each level is enumerated once, as vertices and edges only
+        assert enumerated == [(len(lv.net), 2) for lv in seq.levels]
+        enumerated.clear()
+        assert cli.main(["verify", "--space", "circle", "--n", "128", "--depth", "4"]) == 0
+        assert enumerated == [(len(lv.net), 2) for lv in seq.levels]
+    assert "PASS monotone-bondings" in capsys.readouterr().out
     assert checked == [lv.index for lv in seq.levels[1:]]  # once per bonding pair
-    assert enumerated == [len(lv.net) for lv in seq.levels]  # once per level
 
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
     datas = [LevelHomology(hl) for hl in hls]
@@ -426,6 +434,25 @@ def test_shape_report_computes_each_object_once(monkeypatch):
         )
         assert pr.ranks == expected
     assert {pr.ranks for pr in rep.pairs} == {(1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("maxdim", [1, 2])
+def test_triangles_are_grown_on_cores_only(monkeypatch, maxdim):
+    g = generate(SpaceSpec("warsaw_circle", n=300))
+    seq = build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=3)
+    cores = [set(LevelHomology(build_hyperlevel(g, lv, cap=2)).collapse.core) for lv in seq.levels]
+    assert any(1 < len(core) < len(lv.net) for core, lv in zip(cores, seq.levels))  # a partial core
+    grown = []
+
+    def counting_grow(near, cap, max_elements):
+        grown.append((cap, {v for u, nbrs in enumerate(near) for v in (u, *nbrs) if nbrs}))
+        return grow_cliques(near, cap, max_elements)
+
+    monkeypatch.setattr(invariants, "grow_cliques", counting_grow)
+    shape_report(Tower(seq), maxdim=maxdim)
+    assert [cap for cap, _ in grown] == [maxdim + 2] * len(cores)  # once per level
+    for (_, touched), core in zip(grown, cores):
+        assert touched <= core
 
 
 def test_induced_requires_monotone():

@@ -1,8 +1,9 @@
 """Property tests: the array-backed tower against per-point reference loops,
 greedy nets cut from one permutation against the per-threshold loop, the
 nearest-point tables the permutation records against ``nearest_sets`` and a
-per-point loop, and collapsed scale-complex homology against full
-reductions of the scale and order complexes.
+per-point loop, collapsed scale-complex homology against full
+reductions of the scale and order complexes, and the checks and homology
+decided on levels of vertices and edges against the same on full posets.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
@@ -11,14 +12,25 @@ violation lists are exercised too.  The greedy nets and their tables also
 see duplicate points, a single point and distance-matrix grounds.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finiteshape.construction import build_adjusted_sequence, build_net, cut_net, gamma, greedy_permutation
 from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
-from finiteshape.hyperspace import Tower, bonding_map, build_hyperlevel, nearest_sets, verify_adjusted_distance_bounds
-from finiteshape.invariants import LevelHomology, betti, order_complex, shape_report
+from finiteshape.hyperspace import (
+    BondingDiameterError,
+    MultiMap,
+    Tower,
+    bonding_map,
+    build_hyperlevel,
+    composite_bonding,
+    nearest_sets,
+    verify_adjusted_distance_bounds,
+)
+from finiteshape.invariants import LevelHomology, betti, order_complex, selection_vertex_map, shape_report
 from finiteshape.metric import MetricGround
 import reference_loops as ref
 
@@ -75,8 +87,8 @@ ORDER_ROUTE_MAX_RING_AT_MAXDIM_2 = 72
 
 
 @st.composite
-def homology_towers(draw, max_ring_at_maxdim_2=128):
-    """(tower at the default tie tolerance, maxdim) for a drawn cloud, depth 3 or 4.
+def homology_towers(draw, max_ring_at_maxdim_2=128, tie_tolerances=st.just(1e-9)):
+    """(tower, maxdim) for a drawn cloud, depth 3 or 4, at a drawn tie tolerance (default 1e-9).
 
     Rings carry a loop over several levels, so degree-1 ranks are exercised
     as well as components.
@@ -86,9 +98,10 @@ def homology_towers(draw, max_ring_at_maxdim_2=128):
     rings = ring_grounds(128 if maxdim == 1 else max_ring_at_maxdim_2)
     ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))), rings))
     assume(ground.diameter() > 0.0)
-    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(3, 4)))
+    tie_tol = draw(tie_tolerances)
+    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(3, 4)), tie_tol=tie_tol)
     assume(seq.depth >= 2)  # a shape report needs two levels
-    return Tower(seq), maxdim
+    return Tower(seq, tie_tol), maxdim
 
 
 def full_lattice_tower(tie_tol, depth):
@@ -291,3 +304,73 @@ def test_collapsed_homology_matches_full_reduction(drawn):
 
         # no core vertex is dominated
         assert not any(nbr[v] & core <= nbr[w] for v in core for w in nbr[v] & core - {v})
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the text of the ``BondingDiameterError`` it raises."""
+    try:
+        return fn(*args)
+    except BondingDiameterError as exc:
+        return str(exc)
+
+
+def assert_routes_agree(tower, maxdim):
+    """The edge route (levels at cap 2) against the full posets at cap maxdim + 2.
+
+    Every bonding composite has the same diameter and the same selection on
+    net points, or raises the same first error; the shape report has the
+    Betti numbers, core sizes and ranks of the uncollapsed reduction of the
+    full posets, or raises the error of their first failing bonding map.
+    """
+    levels = tower.seq.levels
+    edges = [build_hyperlevel(tower.ground, lv, cap=2) for lv in levels]
+    full = [build_hyperlevel(tower.ground, lv, cap=maxdim + 2) for lv in levels]
+    for m in range(2, len(levels) + 1):
+        for n in range(1, m):
+            got, want = (outcome(composite_bonding, tower, hls[m - 1], n) for hls in (edges, full))
+            if not isinstance(want, MultiMap):
+                assert got == want
+                continue
+            assert isinstance(got, MultiMap) and got.diameter == want.diameter
+            k = len(levels[m - 1].net)
+            assert (selection_vertex_map(got, edges[m - 1], edges[n - 1])[:k]
+                    == selection_vertex_map(want, full[m - 1], full[n - 1])[:k])
+
+    first_error = next((e for e in (outcome(bonding_map, tower, hl) for hl in full[1:]) if isinstance(e, str)), None)
+    try:
+        rep = shape_report(tower, maxdim=maxdim)
+    except BondingDiameterError as exc:
+        assert str(exc) == first_error
+        return
+    assert first_error is None
+    for row, hl in zip(rep.levels, full):
+        assert row.betti == ref.full_scale_homology(hl, maxdim).betti(maxdim)
+        assert row.core_size == len(LevelHomology(hl, maxdim).collapse.core)
+        assert row.n_edges == sum(len(el) == 2 for el in hl.elements)
+    for pr, fine, coarse in zip(rep.pairs, full[1:], full):
+        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse, maxdim)
+
+
+@PROPERTY_SETTINGS
+@given(homology_towers(tie_tolerances=st.sampled_from([1e-9, 0.5])))
+@example((full_lattice_tower(1e-9, 3)[0], 1))
+@example((full_lattice_tower(0.5, 4)[0], 2))
+def test_edge_route_matches_full_poset_route(drawn):
+    tower, maxdim = drawn
+    assert_routes_agree(tower, maxdim)
+
+    # plant a bonding-diameter failure at each pair n + 1 -> n: shrink
+    # epsilon_n until the largest image of the bonding map reaches 2 epsilon_n
+    seq = tower.seq
+    for n in range(1, seq.depth):
+        fine = seq.level(n + 1)
+        p = outcome(bonding_map, tower, build_hyperlevel(tower.ground, fine, cap=2))
+        if not isinstance(p, MultiMap):
+            continue
+        shrunk = list(seq.levels)
+        shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=p.diameter / 2)
+        planted = Tower(dataclasses.replace(seq, levels=tuple(shrunk)), tower.tie_tol)
+        errors = [outcome(bonding_map, planted, build_hyperlevel(tower.ground, fine, cap=cap))
+                  for cap in (2, maxdim + 2)]
+        assert isinstance(errors[0], str) and errors[0] == errors[1]
+        assert_routes_agree(planted, maxdim)
