@@ -170,7 +170,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 def _add_export_options(p: argparse.ArgumentParser) -> None:
     _add_run_options(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--cap", type=int, help="element cardinality cap (default maxdim + 2)")
+    p.add_argument("--cap", type=int, help="poset element cardinality cap (default maxdim + 2; not with --complex rips)")
     p.add_argument("--out", required=True, help="output path base (suffixes added)")
 
 
@@ -391,6 +391,8 @@ def cmd_export_poset(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_complex(cfg: RunConfig, args) -> int:
+    if args.complex == "rips" and args.cap is not None:
+        raise ConfigError("--cap applies only to the order complex (--complex order)")
     ground, level, cap = _export_level(cfg, args)
     if args.complex == "order":
         cx = order_complex(build_hyperlevel(ground, level, cap=cap), cfg.maxdim)

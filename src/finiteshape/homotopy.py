@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import gamma as net_gamma
-from .hyperspace import MultiMap, Tower, _union_rows, map_diameter, nearest_sets, row_diameters
+from .hyperspace import MultiMap, Tower, _union_rows, map_diameter, nearest_sets, padded_table, row_diameters
 from .metric import MetricGround, row_blocks
 
 
@@ -50,7 +50,7 @@ def check_homotopic_in_U(
     recorded either way.  The union diameters are one reduction over the
     side-by-side tables of f and g.
     """
-    if f.domain_kind != g.domain_kind or len(f.images) != len(g.images):
+    if f.domain_kind != g.domain_kind or len(f.table) != len(g.table):
         raise ValueError("maps must share a domain")
     diameters = row_diameters(ground, np.hstack([f.table, g.table]))
     worst_item = int(np.argmax(diameters)) if len(diameters) else 0
@@ -79,7 +79,7 @@ class ApproximativeMap:
         if len(self.maps) != len(self.diameters):
             raise ValueError("one diameter per map required")
         for k, (mm, d) in enumerate(zip(self.maps, self.diameters)):
-            if len(mm.images) != self.source.n:
+            if len(mm.table) != self.source.n:
                 raise ValueError(f"map {k} does not cover the source ground")
             if d != mm.diameter:
                 raise ValueError(f"map {k}: recorded diameter {d!r} != map diameter {mm.diameter!r}")
@@ -89,14 +89,9 @@ class ApproximativeMap:
 
     @staticmethod
     def from_images(source: MetricGround, target: MetricGround, image_seq) -> "ApproximativeMap":
-        maps = []
-        for images in image_seq:
-            images = tuple(tuple(sorted(img)) for img in images)
-            maps.append(MultiMap(domain_kind="ground", images=images, diameter=map_diameter(target, images)))
-        return ApproximativeMap(
-            source=source, target=target, maps=tuple(maps),
-            diameters=tuple(m.diameter for m in maps),
-        )
+        tables = [padded_table([sorted(img) for img in images]) for images in image_seq]
+        maps = tuple(MultiMap("ground", t, map_diameter(target, t)) for t in tables)
+        return ApproximativeMap(source, target, maps, tuple(m.diameter for m in maps))
 
 
 def ball_map_prefix(ground: MetricGround, radii) -> ApproximativeMap:
@@ -156,7 +151,7 @@ def finite_type_convert(
     for mm, net in zip(am.maps, nets):
         pushed = nearest_sets(target, net, tie_tol)[mm.table]
         table = _union_rows(pushed.reshape(len(pushed), -1))
-        maps.append(MultiMap.from_table("ground", table, float(row_diameters(target, table).max())))
+        maps.append(MultiMap("ground", table, map_diameter(target, table)))
 
     converted = ApproximativeMap(am.source, am.target, tuple(maps), tuple(m.diameter for m in maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
@@ -222,7 +217,7 @@ def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConverg
     ground = tower.ground
     levels = list(tower.seq.levels)
     qs = [tower.nearest_map(lv.index) for lv in levels]
-    inclusion = MultiMap.from_table("ground", np.arange(ground.n)[:, None], 0.0)
+    inclusion = MultiMap("ground", np.arange(ground.n)[:, None], 0.0)
     pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, ground) for f, g, lv in zip(qs, qs[1:], levels)]
     incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, ground) for f, lv in zip(qs, levels)]
     pair_diams = [w.max_union_diameter for w in pair_ws]
@@ -282,5 +277,5 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
     ground = tower.ground
     g_table = tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1]))
-    g = MultiMap.from_table("ground", g_table, float(row_diameters(ground, g_table).max()))
+    g = MultiMap("ground", g_table, map_diameter(ground, g_table))
     return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, ground, name=f"diagram_level_{n}")

@@ -21,14 +21,17 @@ Multivalued maps are tabulated images in ground indices: the nearest-point
 map sends a ground point to its set of nearest net points (ties within a
 relative tolerance), and the bonding map of consecutive levels sends a
 subset of the finer net to the union of nearest coarser points over its
-members.  A ``Tower`` computes these tables once for a built tower, and
-every check reads them from it.
+members.  A ``MultiMap`` holds its images only as the rows of a padded
+table; a ``Tower`` computes these tables once for a built tower, and every
+check reads them from it.  Image tuples are formed on demand, for tests and
+the benchmark tracer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,46 +166,42 @@ def build_hyperlevel(
     return HyperLevel(level=level, elements=tuple(elements), diameters=tuple(diameters), cap=cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiMap:
     """Tabulated multivalued map into a net, with its recorded diameter.
 
     ``domain_kind`` is ``"ground"`` (one image per ground point) or
-    ``"elements"`` (one image per hyperspace element).  Images are non-empty
-    sorted tuples of ground indices; ``diameter`` is the largest image
-    diameter.  ``table`` holds the same images as a padded integer array
-    (see ``padded_table``), the form every distance reduction reads.
+    ``"elements"`` (one image per hyperspace element).  Each image is a row
+    of ground indices in the padded ``table`` (see ``padded_table``), which
+    every check reads; ``diameter`` is the largest image diameter.
+    ``images`` forms the tuples on first read, for tests and the tracer.
     """
 
     domain_kind: str
-    images: tuple[tuple[int, ...], ...]
+    table: np.ndarray = field(repr=False)
     diameter: float
-    table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain_kind not in ("ground", "elements"):
             raise ValueError(f"unknown domain kind {self.domain_kind!r}")
-        if any(len(img) == 0 for img in self.images):
-            raise ValueError("multivalued map images must be non-empty")
-        if self.table is None:
-            object.__setattr__(self, "table", padded_table(self.images))
 
-    @classmethod
-    def from_table(cls, domain_kind: str, table: np.ndarray, diameter: float) -> "MultiMap":
-        """The map whose images are the rows of a padded table."""
-        images = tuple(map(tuple, map(dict.fromkeys, table.tolist())))
-        return cls(domain_kind, images, diameter, table)
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, map(dict.fromkeys, self.table.tolist())))
 
 
 def padded_table(images) -> np.ndarray:
     """Images as an integer array, one row each; a short row repeats its first entry.
 
     Repeated entries change no union, minimum or maximum over a row, so
-    every image check is a reduction over gathers of whole rows.
+    every image check is a reduction over gathers of whole rows.  An empty
+    image raises ``ValueError``.
     """
-    width = max(map(len, images), default=1)
-    rows = [tuple(img) + tuple(img[:1]) * (width - len(img)) for img in images]
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    rows = [tuple(img) for img in images]
+    if () in rows:
+        raise ValueError(f"multivalued map image {rows.index(())} is empty")
+    width = max(map(len, rows), default=1)
+    return np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.intp).reshape(len(rows), width)
 
 
 def _union_rows(table: np.ndarray) -> np.ndarray:
@@ -227,8 +226,8 @@ def row_diameters(ground: MetricGround, table: np.ndarray) -> np.ndarray:
     return _cross_max(ground, table, table)
 
 
-def map_diameter(ground: MetricGround, images) -> float:
-    return float(row_diameters(ground, padded_table(images)).max(initial=0.0))
+def map_diameter(ground: MetricGround, table: np.ndarray) -> float:
+    return float(row_diameters(ground, table).max(initial=0.0))
 
 
 def nearest_sets(ground: MetricGround, net, tie_tol: float) -> np.ndarray:
@@ -258,7 +257,7 @@ def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> Multi
     if not net:
         raise ValueError("net must be non-empty")
     table = nearest_sets(ground, net, tie_tol)
-    return MultiMap.from_table("ground", table, float(row_diameters(ground, table).max()))
+    return MultiMap("ground", table, map_diameter(ground, table))
 
 
 class Tower:
@@ -294,12 +293,9 @@ class Tower:
 
     def nearest_map(self, n: int) -> MultiMap:
         """``q[n]`` as a ground-domain map, with its diameter."""
-        mm = self._nearest_maps.get(n)
-        if mm is None:
-            q = self.q[n]
-            mm = MultiMap.from_table("ground", q, float(row_diameters(self.ground, q).max()))
-            self._nearest_maps[n] = mm
-        return mm
+        if n not in self._nearest_maps:
+            self._nearest_maps[n] = MultiMap("ground", self.q[n], map_diameter(self.ground, self.q[n]))
+        return self._nearest_maps[n]
 
     def step(self, n: int) -> np.ndarray:
         return self.composite(n, n + 1)
@@ -370,7 +366,7 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
             f"{what} of {members} has diameter {float(diameters[i])!r} >= 2*epsilon = {bound!r} "
             f"(levels {m} -> {coarse.index})"
         )
-    return MultiMap.from_table("elements", table, float(diameters.max(initial=0.0)))
+    return MultiMap("elements", table, float(diameters.max(initial=0.0)))
 
 
 def is_continuous(mm: MultiMap, domain: HyperLevel):
@@ -384,7 +380,7 @@ def is_continuous(mm: MultiMap, domain: HyperLevel):
     """
     if mm.domain_kind != "elements":
         raise ValueError("continuity check needs an element-domain map")
-    image_sets = [set(img) for img in mm.images]
+    image_sets = [set(row) for row in mm.table.tolist()]
     for i, j in domain.covering_pairs():
         if not image_sets[i] <= image_sets[j]:
             return False, (i, j)

@@ -3,9 +3,11 @@
 ``bench/tracing.py`` rebinds library names from outside the package: it
 fails when a traced name is gone, its ``ChainHomology`` subclass takes
 exactly ``(n_vertices, edges, triangles)``, and its union-item counter reads
-``MultiMap.images``.  A refactor that breaks any of these shows only in a
-traced benchmark run, so each case here runs ``bench/child.py`` with the
-tracer installed, as the benchmark does, and reads the record it writes.
+``MultiMap.images``, which the library itself never reads and forms only on
+demand from the map's padded table.  A refactor that breaks any of these
+shows only in a traced benchmark run, so each case here runs
+``bench/child.py`` with the tracer installed, as the benchmark does, and
+reads the record it writes.
 A built tower reads its nearest-point tables off the farthest-point pass,
 so only ``verify --sequence`` (a stored tower) still reaches the traced
 ``nearest_sets``; that case keeps its counter honest.  Nothing under

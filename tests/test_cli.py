@@ -319,6 +319,41 @@ def test_export_poset_cap_sets_the_largest_element(tmp_path):
     assert sizes == {1, 2, 3, 4}
 
 
+def test_export_complex_rips_takes_no_cap(tmp_path, capsys):
+    args = ["export-complex", "--space", "circle", "--n", "64", "--depth", "2", "--level", "2",
+            "--complex", "rips", "--out", str(tmp_path / "level2")]
+    assert run_cli([*args, "--cap", "5"]) == 2
+    assert capsys.readouterr().err == "error: --cap applies only to the order complex (--complex order)\n"
+    assert not (tmp_path / "level2.off").exists()
+    assert run_cli(args) == 0
+
+
+def test_pipeline_never_forms_image_tuples(tmp_path, monkeypatch, capsys):
+    # every check reads the padded tables; MultiMap.images is formed only on
+    # demand, for tests and the benchmark tracer
+    warsaw = ["--space", "warsaw", "--n", "500", "--depth", "4"]
+
+    def outputs(tag):
+        outdir = tmp_path / tag
+        got = []
+        for argv in (["run", *warsaw, "--outdir", str(outdir)],
+                     ["verify", "--space", "circle", "--n", "256", "--depth", "4"],
+                     ["verify", *warsaw, "--sequence", str(tmp_path / "plain" / "sequence.txt")]):
+            assert run_cli(argv) == 0
+            got.append([line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS ", "FAIL "))])
+        return got, (outdir / "homology.csv").read_bytes(), (outdir / "witnesses.txt").read_bytes()
+
+    capsys.readouterr()
+    plain = outputs("plain")
+
+    def no_tuples(mm):
+        raise AssertionError("MultiMap.images was read")
+
+    monkeypatch.setattr(hyperspace.MultiMap, "images", property(no_tuples))
+    assert outputs("patched") == plain
+    assert all(plain[0])
+
+
 def _edit_level_line(path, n, edit):
     lines = []
     for line in path.read_text().splitlines():

@@ -19,6 +19,7 @@ from finiteshape.hyperspace import (
     is_continuous,
     map_diameter,
     nearest_point_map,
+    padded_table,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
 from finiteshape.construction import Level
@@ -53,8 +54,8 @@ def test_witness_nearest_pair_beats_two_epsilon():
 
 def test_witness_constructed_failure():
     g = generate(SpaceSpec("interval", n=3))  # points 0, 0.5, 1
-    f = MultiMap("ground", ((0,), (0,), (0,)), 0.0)
-    h = MultiMap("ground", ((2,), (2,), (2,)), 0.0)
+    f = MultiMap("ground", padded_table(((0,), (0,), (0,))), 0.0)
+    h = MultiMap("ground", padded_table(((2,), (2,), (2,))), 0.0)
     w = check_homotopic_in_U(f, h, 0.5, g)
     assert not w.verdict
     assert w.max_union_diameter == 1.0
@@ -62,8 +63,8 @@ def test_witness_constructed_failure():
 
 def test_witness_domain_mismatch():
     g = circle4()
-    f = MultiMap("ground", ((0,),) * 4, 0.0)
-    h = MultiMap("ground", ((0,),) * 3, 0.0)
+    f = MultiMap("ground", padded_table(((0,),) * 4), 0.0)
+    h = MultiMap("ground", padded_table(((0,),) * 3), 0.0)
     with pytest.raises(ValueError):
         check_homotopic_in_U(f, h, 1.0, g)
 
@@ -74,12 +75,13 @@ def test_union_of_monotone_maps_is_monotone():
     hl = build_hyperlevel(g, lv, cap=3)
     f_images = tuple((0,) for _ in hl.elements)             # constant
     g_images = tuple(el for el in hl.elements)              # identity
-    f = MultiMap("elements", f_images, 0.0)
-    gmap = MultiMap("elements", g_images, map_diameter(g, g_images))
+    f = MultiMap("elements", padded_table(f_images), 0.0)
+    g_table = padded_table(g_images)
+    gmap = MultiMap("elements", g_table, map_diameter(g, g_table))
     assert is_continuous(f, hl)[0]
     assert is_continuous(gmap, hl)[0]
-    union_images = tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(f_images, g_images))
-    union = MultiMap("elements", union_images, map_diameter(g, union_images))
+    union_table = padded_table([sorted(set(a) | set(b)) for a, b in zip(f_images, g_images)])
+    union = MultiMap("elements", union_table, map_diameter(g, union_table))
     assert is_continuous(union, hl)[0]
 
 
@@ -170,6 +172,14 @@ def test_approximative_map_validation():
         ApproximativeMap.from_images(g, g, [images_small, images_big])  # increasing
     am = ApproximativeMap.from_images(g, g, [images_big, images_small])
     assert am.diameters == (2.0, 0.0)
+
+
+def test_empty_image_is_rejected():
+    g = circle4()
+    with pytest.raises(ValueError, match="multivalued map image 2 is empty"):
+        ApproximativeMap.from_images(g, g, [[(0,), (1,), (), (3,)]])
+    with pytest.raises(ValueError, match="multivalued map image 1 is empty"):
+        padded_table([(0,), ()])
 
 
 def test_finite_type_fixpoint():

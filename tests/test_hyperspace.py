@@ -18,6 +18,7 @@ from finiteshape.hyperspace import (
     export_poset_dot,
     is_continuous,
     nearest_point_map,
+    padded_table,
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -280,7 +281,7 @@ def test_is_continuous_constant_map():
     g = triangle()
     lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
     hl = build_hyperlevel(g, lv, cap=3)
-    const = MultiMap("elements", tuple((0,) for _ in hl.elements), 0.0)
+    const = MultiMap("elements", padded_table([(0,)] * hl.n_elements), 0.0)
     ok, _ = is_continuous(const, hl)
     assert ok
 
@@ -293,7 +294,7 @@ def test_is_continuous_reports_violation():
     images = []
     for el in hl.elements:
         images.append((2,) if el == (0, 1) else (0,))
-    mm = MultiMap("elements", tuple(images), 1.0)
+    mm = MultiMap("elements", padded_table(images), 1.0)
     ok, ce = is_continuous(mm, hl)
     assert not ok
     i, j = ce
@@ -311,9 +312,9 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
     maps = [(bonding_map(tower, hl), hl) for hl in hls[1:]]
     maps += [(composite_bonding(tower, hls[-1], n), hls[-1]) for n in range(1, seq.depth - 1)]
     rng = np.random.default_rng(0)
-    failed = 0
+    failed = passed_mixed = failed_mixed = 0
     for mm, hl in maps:
-        trials = [mm.images]
+        trials = [(mm.table, False)]
         for _ in range(6):
             # one image moved to a random ground point, or shrunk to that of a covered subset
             images = list(mm.images)
@@ -324,17 +325,40 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
                 images[j] = images[hl.element_id(el[:k] + el[k + 1:])]
             else:
                 images[j] = (int(rng.integers(g.n)),)
-            trials.append(tuple(images))
-        for images in trials:
-            ok, ce = is_continuous(MultiMap("elements", images, mm.diameter), hl)
+            trials.append((padded_table(images), False))
+        for t in range(6):
+            # rows of mixed widths: 1-2 extra points, in no particular order,
+            # join the image of a vertex and of every element above it, which
+            # keeps a monotone map monotone; odd trials also cut one image to
+            # a single point.  Short rows then carry padding repeats next to
+            # wide ones.
+            images = list(mm.images)
+            v = int(rng.integers(len(hl.level.net)))
+            extra = tuple(rng.choice(g.n, size=int(rng.integers(1, 3)), replace=False).tolist())
+            for j, el in enumerate(hl.elements):
+                if v in el:
+                    images[j] = tuple(dict.fromkeys(extra + images[j]))
+            if t % 2:
+                j = int(rng.integers(len(images)))
+                images[j] = images[j][-1:]
+            table = padded_table(images)
+            assert table.shape[1] >= 2 and min(map(len, images)) == 1
+            trials.append((table, True))
+        for table, mixed in trials:
+            images = images_of(table)
+            ok, ce = is_continuous(MultiMap("elements", table, mm.diameter), hl)
             assert ok == monotone_on_all_pairs(images, hl)
+            first = next(((i, j) for i, j in hl.covering_pairs() if not set(images[i]) <= set(images[j])), None)
+            assert ce == first
+            if mixed:
+                passed_mixed += ok
+                failed_mixed += not ok
             if not ok:
                 failed += 1
                 i, j = ce
                 small, big = hl.elements[i], hl.elements[j]
                 assert len(big) == len(small) + 1 and set(small) < set(big)
-                assert not set(images[i]) <= set(images[j])
-    assert failed > 0
+    assert failed > 0 and failed_mixed > 0 and passed_mixed > 0
 
 
 def test_distance_bounds_singleton_ground():

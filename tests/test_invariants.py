@@ -15,6 +15,7 @@ from finiteshape.hyperspace import (
     enumerate_small_subsets,
     grow_cliques,
     is_continuous,
+    padded_table,
 )
 from finiteshape.invariants import (
     HomologyCheckError,
@@ -460,7 +461,7 @@ def test_induced_requires_monotone():
     lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
     hl = build_hyperlevel(g, lv, cap=3)
     images = tuple((2,) if el == (0, 1) else (0,) for el in hl.elements)
-    broken = MultiMap("elements", images, 1.0)
+    broken = MultiMap("elements", padded_table(images), 1.0)
     with pytest.raises(ValueError):
         induced_homology_map(broken, hl, hl, 1)
 
