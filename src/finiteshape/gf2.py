@@ -3,9 +3,24 @@
 Columns are represented as Python-int bitmasks of row indices; XOR is ``^``
 and the pivot of a column is its highest set bit.  Reduction keeps one
 column per pivot row, so the number of stored columns is bounded by the rank.
+
+Boundary matrices skip, before any reduction, the columns a cone makes
+dependent (``_cone_free``).  For a simplex s and a vertex x not in it,
+``∂∂(x∗s) = 0`` gives ``∂s = Σ_τ ∂(x∗τ)`` over the facets τ of s.  When some
+x below the first vertex of s has every x∗τ in the complex, ∂s is a sum of
+boundaries of simplices whose first vertex is x, lower than s's; by
+induction on the first vertex the columns that are kept span every
+boundary, so ranks are unchanged.  In lex order the cone faces x∗τ come
+before s, so a skipped column is one the full reduction would have reduced
+to zero, and on lex-ordered input the pivots are those of the full
+reduction as well.  Ripser skips columns the same way through apparent
+pairs and clearing (Bauer, JACT 2021; Chen & Kerber, *Persistent homology
+computation with a twist*, 2011).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 class ColumnReducer:
@@ -73,6 +88,16 @@ class ChainHomology:
     representatives in degree 1 are fundamental cycles of the non-tree edges
     whose coordinate never became a pivot.  Tetrahedra, when given, are
     reduced as columns of triangle ids for the degree-2 Betti number.
+
+    A triangle (a, b, c) is not reduced when some vertex x < a has (x, a, b),
+    (x, a, c) and (x, b, c) among the triangles, and a tetrahedron likewise
+    when x joined to each of its four triangles is a tetrahedron: its
+    boundary is the sum of theirs (see the module docstring).  x is the
+    lowest common lower neighbour of the vertices, found by one AND of
+    bitmasks; its cone faces are then looked up, so the rule is exact on any
+    complex, and on a flag complex they are always there.  On lex-ordered input
+    ``boundary_reducer.pivots`` equals the pivots of reducing every column;
+    in any order it has the same keys.
     """
 
     def __init__(self, n_vertices: int, edges=(), triangles=(), tetrahedra=()):
@@ -111,15 +136,19 @@ class ChainHomology:
                         stack.append(w)
 
         self._nontree_by_coord = {c: e for e, c in self.nontree.items()}
+        lower = [0] * n_vertices  # lower[v]: the neighbours of v below it, as a bitmask
+        for u, v in self.edges:
+            lower[v] |= 1 << u
         self.boundary_reducer = ColumnReducer()
-        for tri in triangles:
+        for tri in _cone_free(triangles, lower):
             self.boundary_reducer.add(self.project(_triangle_edges(tri, self.edge_id)))
         self.rank_d2 = self.boundary_reducer.rank
         self.n_triangles = len(triangles)
         self.rank_d3 = 0
         if tetrahedra:
             triangle_id = {tuple(t): i for i, t in enumerate(triangles)}
-            self.rank_d3 = rank_of({triangle_id[tet[:i] + tet[i + 1:]] for i in range(4)} for tet in tetrahedra)
+            self.rank_d3 = rank_of({triangle_id[tet[:i] + tet[i + 1:]] for i in range(4)}
+                                   for tet in _cone_free(tetrahedra, lower))
 
     @property
     def b0(self) -> int:
@@ -181,6 +210,26 @@ class ChainHomology:
         for cycle in cycles:
             red.add(self.project(cycle))
         return red.rank
+
+
+def _cone_free(simplices, lower):
+    """The simplices, as tuples in input order, less those whose boundary a lower cone spans.
+
+    A simplex s is left out when x, the lowest common neighbour of its
+    vertices below s[0] (``lower[v]``: bitmask of the neighbours of v below
+    v), has x∗τ among ``simplices`` for every facet τ of s.
+    """
+    simplices = [tuple(s) for s in simplices]
+    present = set(simplices)
+    for s in simplices:
+        common = lower[s[0]]
+        for v in s[1:]:
+            common &= lower[v]
+        if common:
+            x = (common & -common).bit_length() - 1
+            if all(map(present.__contains__, map((x,).__add__, combinations(s, len(s) - 1)))):
+                continue
+        yield s
 
 
 def _triangle_edges(tri, edge_id):

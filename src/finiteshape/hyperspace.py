@@ -55,65 +55,53 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
     is formed.  Returns (elements, diameters): elements are sorted tuples of
     positions, listed by size and within a size in lex order, so element
     ``i < m`` is the singleton ``(i,)``.  The subsets are the cliques of the
-    graph of pairs closer than two_eps (``grow_cliques``).
+    graph of pairs closer than two_eps (``grow_cliques``); an element's
+    diameter is the largest distance among its points.
     """
     net = np.asarray(net, dtype=np.intp)
     m = len(net)
-    near = []  # near[i][j]: distance of positions i < j closer than two_eps
+    ahead = []  # ahead[i]: bitmask of the positions j > i closer than two_eps to i
     for rows in row_blocks(m, m):
-        block = ground.block(net[rows], net[rows.start:])  # columns from the block's first row on
-        for i, row in zip(range(rows.start, rows.stop), block):
-            row = row[i - rows.start + 1:]
-            idx = np.flatnonzero(row < two_eps)
-            near.append(dict(zip((idx + i + 1).tolist(), row[idx].tolist())))
-    elements, diameters = grow_cliques(near, cap, max_elements)
-    return list(itertools.chain.from_iterable(elements)), list(itertools.chain.from_iterable(diameters))
+        close = ground.block(net[rows], net[rows.start:]) < two_eps  # columns from the block's first row on
+        for i, packed in zip(range(rows.start, rows.stop), np.packbits(close, axis=1, bitorder="little")):
+            ahead.append(int.from_bytes(packed.tobytes(), "little") >> (i - rows.start + 1) << (i + 1))
+    elements = grow_cliques(ahead, cap, max_elements)
+    diameters = [row_diameters(ground, net[np.array(els, dtype=np.intp).reshape(len(els), size)])
+                 for size, els in enumerate(elements, 1)]
+    return list(itertools.chain.from_iterable(elements)), np.concatenate(diameters).tolist()
 
 
-def grow_cliques(near: list[dict[int, float]], cap: int, max_elements: int):
-    """Cliques of size <= cap of the graph on {0..m-1} with edges i < j, j in ``near[i]``, of length ``near[i][j]``.
+def grow_cliques(ahead: list[int], cap: int, max_elements: int) -> list[list[tuple[int, ...]]]:
+    """Cliques of size <= cap of the graph on {0..m-1} whose edges are i < j with bit j set in ``ahead[i]``.
 
-    Returns (elements, diameters) as one list per size, each in lex order.
-    Depth-first growth over per-vertex ahead-neighbor bitmasks visits only
-    cliques; more than ``max_elements`` in all raise ``ElementCapError``.
+    Returns one list of cliques per size, each in lex order.  Depth-first
+    growth over the per-vertex ahead-neighbour bitmasks visits only cliques;
+    more than ``max_elements`` in all raise ``ElementCapError``.
     """
-    m = len(near)
-    ahead = []
-    for nbrs in near:
-        mask = 0
-        for j in nbrs:
-            mask |= 1 << j
-        ahead.append(mask)
+    m = len(ahead)
     elements: list[list[tuple[int, ...]]] = [[(i,) for i in range(m)]] + [[] for _ in range(cap - 1)]
-    diameters: list[list[float]] = [[0.0] * m] + [[] for _ in range(cap - 1)]
     budget = max_elements - m
     if budget < 0:
         raise ElementCapError(f"element budget {max_elements} exceeded already at cardinality 1 ({m} singletons)")
 
-    def grow(clique, mask, diam, size):
+    def grow(clique, mask, size):
         nonlocal budget
         while mask:  # each set bit j in ascending order; ahead[j] holds only bits above j
             j = (mask & -mask).bit_length() - 1
             mask &= mask - 1
-            d = diam
-            for v in clique:
-                dv = near[v][j]
-                if dv > d:
-                    d = dv
             budget -= 1
             if budget < 0:
                 raise ElementCapError(f"element budget {max_elements} exceeded at cardinality {size + 1}")
             new = clique + (j,)
             elements[size].append(new)
-            diameters[size].append(float(d))
             if size + 1 < cap:
-                grow(new, mask & ahead[j], d, size + 1)
+                grow(new, mask & ahead[j], size + 1)
 
     if cap >= 2:
         for i in range(m):
-            grow((i,), ahead[i], 0.0, 1)
+            grow((i,), ahead[i], 1)
 
-    return elements, diameters
+    return elements
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,8 @@ class HyperLevel:
     Elements are sorted tuples of net positions (``level.net[v]`` is the
     ground index of position ``v``), listed by size and within a size in lex
     order, so element ``i < len(level.net)`` is the singleton ``(i,)``.  The
-    order relation is set inclusion, given by its covering pairs.
+    order relation is set inclusion, given by its covering pairs.  ``table``
+    holds the elements once as a padded array, for every map out of the level.
     """
 
     level: Level
@@ -138,6 +127,11 @@ class HyperLevel:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The elements as a padded table of net positions (``padded_table``), formed on first read."""
+        return padded_table(self.elements)
 
     def element_id(self, element) -> int:
         el = tuple(sorted(element))
@@ -356,7 +350,7 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
         raise ValueError(f"hyperspace level {m} was not built on this tower's level")
     coarse = tower.seq.level(n)
     bound = 2.0 * coarse.epsilon
-    table = tower.union_image(n, m, padded_table(fine.elements))
+    table = tower.union_image(n, m, fine.table)
     diameters = row_diameters(tower.ground, table)
     bad = np.flatnonzero(diameters >= bound)
     if bad.size:

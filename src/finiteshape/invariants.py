@@ -174,11 +174,15 @@ class StrongCollapse:
     its neighbour w.  ``core`` is what is left, sorted; no core vertex is
     dominated.  ``retraction`` sends every vertex to the core vertex its
     chain of dominators ends at, and is the identity on the core.
+    ``ahead[v]`` is the bitmask of the core neighbours above v of a core
+    vertex v (0 off the core): the core's edges, as ``grow_cliques`` reads
+    them.
     """
 
     core: tuple[int, ...]
     removals: tuple[tuple[int, int], ...]
     retraction: tuple[int, ...]
+    ahead: tuple[int, ...]
 
 
 def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
@@ -187,7 +191,9 @@ def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
     Closed neighbourhoods are Python-int bitmasks.  Vertices are examined
     from a worklist that starts with every vertex in index order; a removal
     re-queues only the removed vertex's neighbours, the only vertices whose
-    domination it can create.  The dominator of a vertex is its
+    domination it can create.  A removal clears its bit from the
+    neighbourhoods of the vertices still present, so what is left of them
+    at the end is the core's adjacency.  The dominator of a vertex is its
     lowest-index neighbour that dominates it, so the result is determined by
     the edges alone.
     """
@@ -225,7 +231,8 @@ def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
     for u, w in reversed(removals):
         retraction[u] = retraction[w]
     core = tuple(v for v in range(n_vertices) if alive[v])
-    return StrongCollapse(core=core, removals=tuple(removals), retraction=tuple(retraction))
+    ahead = tuple(closed[v] >> (v + 1) << (v + 1) if alive[v] else 0 for v in range(n_vertices))
+    return StrongCollapse(core=core, removals=tuple(removals), retraction=tuple(retraction), ahead=ahead)
 
 
 class LevelHomology:
@@ -234,25 +241,21 @@ class LevelHomology:
     Vertices of the complex are net positions, which number the points of
     every hyperlevel element and are also the element ids of the level's
     singletons (``build_hyperlevel`` lists them first).  The vertices and
-    edges are read off the hyperlevel and strong-collapsed; the triangles
-    and, at maxdim 2, the tetrahedra are grown from the core's edges
-    (``grow_cliques``, lex order, at most ``max_elements``).  ``hom``
-    reduces the core's full subcomplex plus the edges u-w of the removals,
-    which hang a forest off the core: its Betti numbers are the level's,
-    ``hom.comp_of[u]`` is the component of ``collapse.retraction[u]``, and
-    its degree-1 representatives are core cycles.
+    edges are read off the hyperlevel and strong-collapsed; the core's
+    edges, triangles and, at maxdim 2, tetrahedra are grown from the core
+    adjacency the collapse leaves (``grow_cliques``, lex order, at most
+    ``max_elements``).  ``hom`` reduces the core's full subcomplex plus the
+    edges u-w of the removals, which hang a forest off the core: its Betti
+    numbers are the level's, ``hom.comp_of[u]`` is the component of
+    ``collapse.retraction[u]``, and its degree-1 representatives are core
+    cycles.
     """
 
     def __init__(self, hl: HyperLevel, maxdim: int = 1, max_elements: int = 2_000_000):
         _check_maxdim(maxdim)
         vertices, edges = _simplices_by_size(hl, 0)
         self.collapse = strong_collapse(len(vertices), edges)
-        core = set(self.collapse.core)
-        near: list[dict[int, float]] = [{} for _ in vertices]
-        for (u, v), d in zip(edges, hl.diameters[len(vertices):]):
-            if u in core and v in core:
-                near[u][v] = d
-        _, reduced_edges, *higher = grow_cliques(near, maxdim + 2, max_elements)[0]
+        _, reduced_edges, *higher = grow_cliques(self.collapse.ahead, maxdim + 2, max_elements)
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
         self.hom = ChainHomology(len(vertices), reduced_edges, *higher)
         self.betti = self.hom.betti(maxdim)

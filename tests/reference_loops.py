@@ -11,12 +11,15 @@ the full scale complex of each level, as the library reduced it before it
 collapsed dominated vertices, and the order complex, its barycentric
 subdivision.  They give chain-level matrices of the selection map, and
 induced ranks pushed through the selection map on every vertex.
+``EveryColumnHomology`` and ``every_column_pivots`` reduce every boundary
+column of a complex, with no column skipped by a cone.
 """
 
 import itertools
 
 import numpy as np
 
+from finiteshape.gf2 import ColumnReducer, rank_of
 from finiteshape.invariants import chain_homology, order_complex, scale_complex, selection_vertex_map
 
 
@@ -243,3 +246,34 @@ def full_scale_ranks(p, fine, coarse, maxdim=1):
     """
     vertex_map = selection_vertex_map(p, fine, coarse)[:len(fine.level.net)]
     return pushed_ranks(vertex_map, full_scale_homology(fine, maxdim), full_scale_homology(coarse, maxdim))
+
+
+class EveryColumnHomology:
+    """Ranks and Betti numbers through degree 2 with every boundary column reduced.
+
+    Boundaries are columns of edge ids (of triangles) and of triangle ids
+    (of tetrahedra), with no spanning forest and no column left out; a
+    cycle's image rank is the rank it adds to the triangle boundaries.
+    """
+
+    def __init__(self, n_vertices, edges, triangles=(), tetrahedra=()):
+        edge_id = {tuple(e): i for i, e in enumerate(edges)}
+        triangle_id = {tuple(t): i for i, t in enumerate(triangles)}
+        self.boundaries = [{edge_id[f] for f in itertools.combinations(t, 2)} for t in triangles]
+        rank_d1 = rank_of({u, v} for u, v in edges)
+        self.rank_d2 = rank_of(self.boundaries)
+        self.rank_d3 = rank_of({triangle_id[f] for f in itertools.combinations(t, 3)} for t in tetrahedra)
+        self.b0 = n_vertices - rank_d1
+        self.b1 = len(edges) - rank_d1 - self.rank_d2
+        self.b2 = len(triangles) - self.rank_d2 - self.rank_d3
+
+    def image_rank(self, cycles) -> int:
+        return rank_of(self.boundaries + [set(c) for c in cycles]) - self.rank_d2
+
+
+def every_column_pivots(hom, triangles):
+    """Pivots of every triangle column of ``hom``, in the given order, in its fundamental coordinates."""
+    red = ColumnReducer()
+    for tri in triangles:
+        red.add(hom.project({hom.edge_id[f] for f in itertools.combinations(tri, 2)}))
+    return red.pivots

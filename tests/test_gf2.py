@@ -1,6 +1,12 @@
+import itertools
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finiteshape.gf2 import ChainHomology, ColumnReducer, rank_of
+from reference_loops import EveryColumnHomology, every_column_pivots
 
 
 def test_column_reducer_rank():
@@ -100,3 +106,99 @@ def test_bitmask_reducer_matches_set_reduction():
         for p, mask in red.pivots.items():
             assert mask.bit_length() - 1 == p
             assert {r for r in range(mask.bit_length()) if mask >> r & 1} == ref.pivots[p]
+
+
+# --- cone rule against reducing every column -------------------------------------
+
+
+def check_against_every_column(n, edges, triangles, tetrahedra, seed=0, picks=((0, 1), (1,), (2, 3))):
+    """``ChainHomology`` on lex-ordered and on shuffled columns against ``EveryColumnHomology``.
+
+    ``seed`` shuffles the triangles and tetrahedra of the second build; each
+    pick is a set of fundamental-cycle indices whose sum is a cycle passed to
+    ``image_rank`` (indices past the last cycle are ignored).
+    """
+    triangles, tetrahedra = sorted(triangles), sorted(tetrahedra)
+    ref = EveryColumnHomology(n, edges, triangles, tetrahedra)
+    hom = ChainHomology(n, edges, triangles, tetrahedra)
+    got = (hom.rank_d2, hom.rank_d3, hom.b0, hom.b1, hom.b2)
+    assert got == (ref.rank_d2, ref.rank_d3, ref.b0, ref.b1, ref.b2)
+    pivots = every_column_pivots(hom, triangles)
+    assert hom.boundary_reducer.pivots == pivots
+
+    reps = hom.h1_representatives()
+    coords = [c for c in range(hom.cycle_dim) if c not in pivots]
+    assert reps == [hom.fundamental_cycle(hom._nontree_by_coord[c]) for c in coords]
+    assert len(reps) == ref.image_rank(reps) == ref.b1
+
+    fundamental = [hom.fundamental_cycle(e) for e in sorted(hom.nontree)]
+    cycles = []
+    for pick in picks:
+        cycle = set()
+        for k in pick:
+            if k < len(fundamental):
+                cycle ^= fundamental[k]
+        cycles.append(cycle)
+    assert hom.image_rank(cycles) == ref.image_rank(cycles)
+
+    rng = np.random.default_rng(seed)
+    shuffled = ChainHomology(n, edges, [triangles[i] for i in rng.permutation(len(triangles))],
+                             [tetrahedra[i] for i in rng.permutation(len(tetrahedra))])
+    assert (shuffled.rank_d2, shuffled.rank_d3, shuffled.b1, shuffled.b2) == (ref.rank_d2, ref.rank_d3, ref.b1, ref.b2)
+    assert shuffled.boundary_reducer.pivots.keys() == pivots.keys()
+    assert shuffled.h1_representatives() == reps
+
+
+def cliques(n, edges, size):
+    edge_set = set(edges)
+    return [c for c in itertools.combinations(range(n), size)
+            if all(f in edge_set for f in itertools.combinations(c, 2))]
+
+
+def simplex_faces(n, size):
+    return list(itertools.combinations(range(n), size))
+
+
+OCTAHEDRON_EDGES = [e for e in simplex_faces(6, 2) if e not in {(0, 1), (2, 3), (4, 5)}]
+
+
+@pytest.mark.parametrize("n, edges, triangles, tetrahedra, betti", [
+    # hollow tetrahedron: each triangle is a cone from the fourth vertex, which lies below only (1, 2, 3)
+    (4, simplex_faces(4, 2), simplex_faces(4, 3), [], (1, 0, 1)),
+    (4, simplex_faces(4, 2), simplex_faces(4, 3), simplex_faces(4, 4), (1, 0, 0)),
+    # K4 with one triangle: vertex 0 lies below (1, 2, 3) and is adjacent to it, but its cone faces are missing
+    (4, simplex_faces(4, 2), [(1, 2, 3)], [], (1, 2, 0)),
+    (6, OCTAHEDRON_EDGES, cliques(6, OCTAHEDRON_EDGES, 3), [], (1, 0, 1)),
+    # 3-skeleton of the 4-simplex: the tetrahedron (1, 2, 3, 4) is skipped
+    (5, simplex_faces(5, 2), simplex_faces(5, 3), simplex_faces(5, 4), (1, 0, 0)),
+])
+def test_cone_rule_on_named_complexes(n, edges, triangles, tetrahedra, betti):
+    check_against_every_column(n, edges, triangles, tetrahedra)
+    assert ChainHomology(n, edges, triangles, tetrahedra).betti(2) == betti
+
+
+@st.composite
+def complexes(draw):
+    """A graph on up to 9 vertices with its flag triangles and tetrahedra, or a random face-closed subset of them."""
+    n = draw(st.integers(1, 9))
+    flag = draw(st.booleans())
+
+    def subset(items):
+        keep = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+        return [s for s, k in zip(items, keep) if k]
+
+    edges = subset(simplex_faces(n, 2))
+    triangles = cliques(n, edges, 3)
+    if not flag:
+        triangles = subset(triangles)
+    present = set(triangles)
+    tetrahedra = [t for t in cliques(n, edges, 4) if all(f in present for f in itertools.combinations(t, 3))]
+    if not flag:
+        tetrahedra = subset(tetrahedra)
+    return n, draw(st.permutations(edges)), triangles, tetrahedra  # the spanning forest follows the edge order
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes(), st.integers(0, 2**32 - 1), st.lists(st.sets(st.integers(0, 12), max_size=4), min_size=1, max_size=4))
+def test_cone_rule_matches_every_column_reduction(cx, seed, picks):
+    check_against_every_column(*cx, seed, picks)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from finiteshape import cli, hyperspace, invariants
+from finiteshape import cli, gf2, hyperspace, invariants
 from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     MultiMap,
@@ -34,7 +34,7 @@ from finiteshape.invariants import (
     write_homology_csv,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
-from reference_loops import chain_map_matrices, gf2_matrix_product
+from reference_loops import EveryColumnHomology, chain_map_matrices, gf2_matrix_product
 
 
 # --- independent dense GF(2) oracle -----------------------------------------
@@ -386,9 +386,10 @@ def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch, maxdim
 
     class CountingChainHomology(invariants.ChainHomology):
         def __init__(self, *args):
-            builds.append(args[0])
+            builds.append(args)
             super().__init__(*args)
 
+    dependent_tetrahedra = 0
     for lv in seq.levels:
         hl = build_hyperlevel(g, lv, cap=maxdim + 2)
         fresh = betti(order_complex(hl, maxdim), maxdim)
@@ -397,7 +398,38 @@ def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch, maxdim
             m.setattr(invariants, "ChainHomology", CountingChainHomology)
             data = LevelHomology(hl, maxdim)
         assert data.betti == fresh
-        assert builds == [len(lv.net)]  # one reduction, of the scale complex
+        assert [args[0] for args in builds] == [len(lv.net)]  # one reduction, of the scale complex
+        ref = EveryColumnHomology(*builds[0])
+        assert (data.hom.rank_d2, data.hom.rank_d3) == (ref.rank_d2, ref.rank_d3)
+        if maxdim == 2:
+            dependent_tetrahedra += len(builds[0][3]) - data.hom.rank_d3
+    if maxdim == 2:
+        assert dependent_tetrahedra > 0  # the rank_d3 comparison sees columns that reduce to zero
+
+
+def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
+    g = generate(SpaceSpec("circle", n=256))
+    seq = build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=5)
+    added = []
+    add = gf2.ColumnReducer.add
+
+    def counting_add(self, col):
+        added.append(col)
+        return add(self, col)
+
+    counts, bettis = {}, []
+    for lv in seq.levels:
+        hl = build_hyperlevel(g, lv, cap=2)
+        added.clear()
+        with monkeypatch.context() as m:
+            m.setattr(gf2.ColumnReducer, "add", counting_add)
+            data = LevelHomology(hl)
+        counts[lv.index] = (len(added), data.hom.n_triangles, len(data.collapse.core), len(lv.net))
+        bettis.append(data.betti)
+    assert bettis == [(1, 0), (1, 1), (1, 1), (1, 1)]
+    # full cores on levels 2 and 3: most triangle columns are cones from a lower vertex and are not reduced
+    assert counts[2] == (540, 2304, 64, 64)
+    assert counts[3] == (650, 1920, 128, 128)
 
 
 def test_shape_report_computes_each_object_once(monkeypatch, capsys):
@@ -445,9 +477,10 @@ def test_triangles_are_grown_on_cores_only(monkeypatch, maxdim):
     assert any(1 < len(core) < len(lv.net) for core, lv in zip(cores, seq.levels))  # a partial core
     grown = []
 
-    def counting_grow(near, cap, max_elements):
-        grown.append((cap, {v for u, nbrs in enumerate(near) for v in (u, *nbrs) if nbrs}))
-        return grow_cliques(near, cap, max_elements)
+    def counting_grow(ahead, cap, max_elements):
+        bits = [{j for j in range(mask.bit_length()) if mask >> j & 1} for mask in ahead]
+        grown.append((cap, {v for u, nbrs in enumerate(bits) for v in (u, *nbrs) if nbrs}))
+        return grow_cliques(ahead, cap, max_elements)
 
     monkeypatch.setattr(invariants, "grow_cliques", counting_grow)
     shape_report(Tower(seq), maxdim=maxdim)
