@@ -23,6 +23,7 @@ from .hyperspace import (
 from .invariants import (
     SimplicialComplex,
     betti,
+    bonding_vertex_map,
     induced_homology_map,
     order_complex,
     rips_complex,
@@ -45,6 +46,7 @@ __all__ = [
     "Tower",
     "betti",
     "bonding_map",
+    "bonding_vertex_map",
     "build_adjusted_sequence",
     "build_hyperlevel",
     "build_net",

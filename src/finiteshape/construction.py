@@ -199,7 +199,7 @@ def cut_net(perm: GreedyPermutation, threshold: float) -> tuple[tuple[int, ...],
     The pass is extended only until its radius falls below ``threshold``.
     """
     if threshold <= 0:
-        raise ValueError(f"epsilon must be positive, got {threshold!r}")
+        raise ValueError(f"net threshold must be positive, got {threshold!r}")
     radii = perm.extend(threshold).radii
     size = 1 + int(np.count_nonzero(radii >= threshold))
     return tuple(sorted(perm.order[:size].tolist())), float(radii[size - 1])
@@ -308,6 +308,10 @@ def build_adjusted_sequence(
     eps = float(epsilon1)
     for n in range(1, depth + 1):
         t = net_threshold(eps, ground.density, max_nn, n, ladder, safety)
+        if t <= 0:  # the gap clamp 0.98 epsilon - max_nn / 2 left nothing
+            raise ValueError(f"level {n} has no positive net threshold: epsilon_{n} = {eps!r}, and the largest "
+                             f"nearest-neighbour distance {max_nn!r} at density {ground.density!r} is at least "
+                             f"1.96 * epsilon_{n}, so no net keeps its gaps below the level scale")
         net, g = cut_net(perm, t)
         levels.append(Level(index=n, epsilon=eps, net=net, gamma=g, net_threshold=t))
         if n == depth:

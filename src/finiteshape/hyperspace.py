@@ -9,13 +9,14 @@ monotone.
 
 Subsets are enumerated up to a cardinality cap; every non-empty subset of a
 stored element is stored.  They are the simplices of a flag complex, so the
-vertices and edges (cap 2) decide every check of a bonding map: an image's
-diameter is the largest over the images of the element's vertices and
-edges, and a selection is a coarse element exactly when the selection of
-every fine edge is.  Checks and homology build levels at cap 2; larger caps
-serve the exports.  An element is a sorted tuple of net positions, so the
-hyperspace level and the scale complex number the net's points alike;
-ground indices are formed only where a distance is read or written out.
+vertices and edges (cap 2) decide the one check a bonding map needs: an
+image's diameter is the largest over the images of the element's vertices
+and edges.  Images are unions of singleton images, so a bonding map is
+monotone (continuous) by construction.  Checks and homology build levels at
+cap 2; larger caps serve the exports.  An element is a sorted tuple of net
+positions, so the hyperspace level and the scale complex number the net's
+points alike; ground indices are formed only where a distance is read or
+written out.
 
 Multivalued maps are tabulated images in ground indices: the nearest-point
 map sends a ground point to its set of nearest net points (ties within a
@@ -113,16 +114,17 @@ class HyperLevel:
     order, so element ``i < len(level.net)`` is the singleton ``(i,)``.  The
     order relation is set inclusion, given by its covering pairs.  ``table``
     holds the elements once as a padded array, for every map out of the level.
+    ``_index``, for the exports and tests only, is formed on first read.
     """
 
     level: Level
     elements: tuple[tuple[int, ...], ...]
     diameters: tuple[float, ...]
     cap: int
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
-    def __post_init__(self):
-        self._index.update({el: i for i, el in enumerate(self.elements)})
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {el: i for i, el in enumerate(self.elements)}
 
     @property
     def n_elements(self) -> int:
@@ -141,7 +143,7 @@ class HyperLevel:
         return got
 
     def covering_pairs(self):
-        """Pairs (i, j) where j covers i: |j| = |i| + 1 and i subset of j."""
+        """Pairs (i, j) where j covers i: |j| = |i| + 1 and i subset of j (exports, ``is_continuous``)."""
         for j, el in enumerate(self.elements):
             if len(el) < 2:
                 continue
@@ -370,7 +372,8 @@ def is_continuous(mm: MultiMap, domain: HyperLevel):
     continuity.  A hyperlevel is down-closed within its cap, so every proper
     inclusion is a chain of covers and monotone on covers means monotone on
     all pairs.  The counterexample, when present, is a covering pair (i, j)
-    of element ids with image(i) not a subset of image(j).
+    of element ids with image(i) not a subset of image(j).  Bonding maps are
+    monotone by construction; this is the tests' oracle, not a pipeline check.
     """
     if mm.domain_kind != "elements":
         raise ValueError("continuity check needs an element-domain map")

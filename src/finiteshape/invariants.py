@@ -21,14 +21,14 @@ the removals, a forest hanging off the core: same homology, and every vertex
 lies in the component of r(u).  Triangles are grown on the core only, and
 a cone reduces to a point.
 
-Bonding maps are monotone, and their minimal selection sends singletons to
-singletons, so its restriction to net points is a vertex map that is
-simplicial on scale complexes (collapsed simplices are sent to zero).  The
-induced maps on homology are computed exactly: degree 0 through component
-tracking, degree 1 by pushing explicit core cycle representatives through
-the vertex map and the coarse retraction, and counting independence modulo
-the coarse core's boundaries.  The stabilized induced ranks over a trailing
-window of levels are the reported shape invariants of the finite tower.
+The vertex map a -> min p({a}) of a bonding map p sends a fine simplex C
+into p(C), whose diameter p has checked, so it is simplicial on scale
+complexes (collapsed simplices are sent to zero).  The induced maps on
+homology are computed exactly: degree 0 through component tracking, degree
+1 by pushing explicit core cycle representatives through the vertex map and
+the coarse retraction, and counting independence modulo the coarse core's
+boundaries.  The stabilized induced ranks over a trailing window of levels
+are the reported shape invariants of the finite tower.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .hyperspace import (
     bonding_map,
     build_hyperlevel,
     grow_cliques,
-    is_continuous,
 )
 from .metric import MetricGround
 
@@ -261,62 +260,45 @@ class LevelHomology:
         self.betti = self.hom.betti(maxdim)
 
 
+def bonding_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> list[int]:
+    """Vertex map a -> min p({a}) of a map out of ``fine``: entry v is a coarse net position.
+
+    Singletons come first among the fine elements, so their images are the
+    first rows of ``p``; ``Level.net`` is sorted, so the coarse position of
+    each row's minimum (a ground index) is found by binary search.
+    """
+    m = len(fine.level.net)
+    return np.searchsorted(coarse.level.net, p.table[:m].min(axis=1)).tolist()
+
+
 def selection_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> list[int]:
     """Element map of the fine poset into the coarse poset induced by a bonding map.
 
     The full image p(C) can exceed the cardinality cap when nearest-point
     ties stack up across the members of C, so the functor uses the minimal
-    selection sel(C) = {min p({a}) : a in C}.  It is monotone, contained in
-    p(C) pointwise (which makes it homotopic to the full map in the upper
-    semifinite sense, so induced homology maps agree), and it always lands
-    inside the stored elements: a selection that is not a coarse element
-    raises ``KeyError``.  Checked on every fine element (vertices and edges
-    suffice: scale complexes are flag complexes), this says the vertex map
-    a -> min p({a}) is simplicial on scale complexes; that vertex map is
-    the first ``len(fine.level.net)`` entries, because singletons come first
-    and their ids are net positions.  The images of ``p`` are ground
-    indices; ``Level.net`` is sorted, so the coarse position of each
-    singleton's minimum is found by binary search.
+    selection sel(C) = {min p({a}) : a in C}, whose singleton part is
+    ``bonding_vertex_map``.  It is monotone and contained in p(C) pointwise
+    (so homotopic to the full map in the upper semifinite sense), and once
+    ``bonding_map`` has returned it lands inside the stored elements, since
+    |sel(C)| <= |C| and diam sel(C) <= diam p(C); one outside raises
+    ``KeyError``.  A test oracle: ``run`` and ``verify`` never form it.
     """
-    m = len(fine.level.net)
-    singleton_min = np.searchsorted(coarse.level.net, p.table[:m].min(axis=1)).tolist()
-    return [coarse.element_id({singleton_min[v] for v in el}) for el in fine.elements]
+    vertex_map = bonding_vertex_map(p, fine, coarse)
+    return [coarse.element_id({vertex_map[v] for v in el}) for el in fine.elements]
 
 
-def induced_homology_map(
-    p: MultiMap,
-    fine: HyperLevel,
-    coarse: HyperLevel,
-    degree: int,
-    fine_data: LevelHomology | None = None,
-    coarse_data: LevelHomology | None = None,
-    vertex_map: list[int] | None = None,
-) -> int:
-    """Rank of the map induced on degree-k homology by a bonding map.
+def induced_homology_map(vertex_map: list[int], fine_data: LevelHomology, coarse_data: LevelHomology,
+                         degree: int) -> int:
+    """Rank of the map induced on degree-k scale-complex homology by a simplicial vertex map.
 
-    Homology is that of the scale complexes (``LevelHomology``).  The vertex
-    map sends a fine net point to the coarse net point min p({a}): the
-    singleton part of the minimal selection (see ``selection_vertex_map``),
-    whose check on every fine element makes it simplicial, with collapsed
-    simplices sent to zero.  Each fine core cycle is pushed through the
-    vertex map and then the coarse retraction, and reduced against the
-    coarse core's boundaries; a pushed edge that is not a coarse core edge,
-    or a pushed chain that is not a cycle, raises ``HomologyCheckError``.
-    A caller that has already checked ``p`` monotone
-    and built its selection map passes it as ``vertex_map``, and both steps
-    are skipped (``shape_report`` does them once per bonding pair, not once
-    per degree).
+    ``vertex_map`` sends each fine net position to a coarse one (as
+    ``bonding_vertex_map`` does).  Each fine core cycle is pushed through it
+    and then the coarse retraction, and reduced against the coarse core's
+    boundaries; a pushed edge that is not a coarse core edge, or a pushed
+    chain that is not a cycle, raises ``HomologyCheckError``.
     """
     if degree not in (0, 1):
         raise ValueError("induced ranks are computed in degrees 0 and 1")
-    if vertex_map is None:
-        ok, ce = is_continuous(p, fine)
-        if not ok:
-            raise ValueError(f"bonding map is not monotone at element pair {ce}; refusing induced map")
-        vertex_map = selection_vertex_map(p, fine, coarse)
-    fine_data = fine_data or LevelHomology(fine)
-    coarse_data = coarse_data or LevelHomology(coarse)
-    vertex_map = vertex_map[:len(fine.level.net)]
 
     if degree == 0:
         # one coarse component per fine component; rank = distinct images
@@ -402,10 +384,10 @@ def shape_report(
     Builds each level's vertices and edges (cap 2), reduces its collapsed
     scale complex once (``LevelHomology``), computes induced ranks along
     every consecutive bonding map, and stabilizes them over the trailing
-    window.  Each bonding map is checked monotone once, and its selection
-    map on every fine vertex and edge; every induced rank is checked against
-    the Betti numbers it maps between, and every pushed representative is
-    checked to be a cycle.  A failed check raises ``HomologyCheckError``.
+    window.  Each bonding map is checked where it can fail, its diameter
+    (``BondingDiameterError``), and its vertex map is read once.  Every
+    induced rank is checked against the Betti numbers it maps between, and
+    every pushed representative to be a cycle (``HomologyCheckError``).
     """
     seq = tower.seq
     if seq.depth < 2:
@@ -424,16 +406,9 @@ def shape_report(
     pairs = []
     for k in range(len(hls) - 1):
         fine, coarse = hls[k + 1], hls[k]
-        p = bonding_map(tower, fine)
-        ok, ce = is_continuous(p, fine)
-        if not ok:
-            raise HomologyCheckError(
-                f"bonding map {fine.level.index}->{coarse.level.index} is not monotone at element pair {ce}"
-            )
-        vertex_map = selection_vertex_map(p, fine, coarse)
+        vertex_map = bonding_vertex_map(bonding_map(tower, fine), fine, coarse)
         ranks = tuple(
-            induced_homology_map(p, fine, coarse, deg, datas[k + 1], datas[k], vertex_map)
-            for deg in range(min(maxdim, 1) + 1)
+            induced_homology_map(vertex_map, datas[k + 1], datas[k], deg) for deg in range(min(maxdim, 1) + 1)
         )
         for deg, r in enumerate(ranks):
             if r > min(datas[k + 1].betti[deg], datas[k].betti[deg]):

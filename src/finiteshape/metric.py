@@ -170,6 +170,10 @@ class MetricGround:
         if bad.size:
             i = int(bad[0])
             raise GroundValidationError(f"non-finite coordinate in row {i}: {coords[i].tolist()}")
+        with np.errstate(over="ignore"):  # float rounding is monotone, so this bounds every squared distance
+            extent = float(np.sum(np.ptp(coords, axis=0) ** 2))
+        if not math.isfinite(extent):
+            raise GroundValidationError(f"coordinates overflow: the squared extent {extent!r} is not finite")
         return MetricGround(coords=coords, density=float(density), kind=kind)
 
     @staticmethod

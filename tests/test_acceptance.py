@@ -30,6 +30,7 @@ from finiteshape.hyperspace import (
 from finiteshape.invariants import (
     LevelHomology,
     betti,
+    bonding_vertex_map,
     induced_homology_map,
     order_complex,
     rips_complex,
@@ -268,8 +269,8 @@ def test_criterion_9_chain_functoriality():
         # induced ranks compose consistently on the same tower
         d = [LevelHomology(hl) for hl in hls]
         p31 = composite_bonding(tower, hls[2], 1)
-        r21 = induced_homology_map(p21, hls[1], hls[0], 1, d[1], d[0])
-        r32 = induced_homology_map(p32, hls[2], hls[1], 1, d[2], d[1])
-        r31 = induced_homology_map(p31, hls[2], hls[0], 1, d[2], d[0])
+        r21 = induced_homology_map(bonding_vertex_map(p21, hls[1], hls[0]), d[1], d[0], 1)
+        r32 = induced_homology_map(bonding_vertex_map(p32, hls[2], hls[1]), d[2], d[1], 1)
+        r31 = induced_homology_map(bonding_vertex_map(p31, hls[2], hls[0]), d[2], d[0], 1)
         assert r31 <= min(r21, r32)
         info["detail"] = f"(nets {[len(lv.net) for lv in seq.levels]}, {dims_checked} chain dimensions exact)"

@@ -137,13 +137,18 @@ def test_config_file_skip_bounds_drops_distance_bounds_line(tmp_path, capsys):
     assert "2eps_3->" in out and "2eps_4" not in out  # the file's depth, not the default 4
 
 
-@pytest.mark.parametrize("line", ["colour = blue", "depth 3", "skip_bounds = ture"],
-                         ids=["unknown-key", "no-equals", "bad-boolean"])
-def test_config_file_bad_line_exits_2(tmp_path, capsys, line):
+@pytest.mark.parametrize("line, reason", [
+    ("colour = blue", "unknown key 'colour'"),
+    ("depth 3", "expected key = value"),
+    ("skip_bounds = ture", "skip_bounds must be one of 1/true/yes/0/false/no"),
+    ("depth = 2.5", "depth = '2.5' is not a valid int"),
+    ("tie_tol = abc", "tie_tol = 'abc' is not a valid float"),
+], ids=["unknown-key", "no-equals", "bad-boolean", "non-integer", "non-number"])
+def test_config_file_bad_line_exits_2(tmp_path, capsys, line, reason):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"space = circle\n{line}\n")
     assert run_cli(["verify", "--config", str(cfgfile)]) == 2
-    assert f"{cfgfile}:2" in capsys.readouterr().err
+    assert f"error: {cfgfile}:2: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, skipped", [("TRUE", True), ("Yes", True), ("1", True),
@@ -167,10 +172,23 @@ def test_verify_one_level_tower_passes(capsys):
     # a 12-point circle stops after level 1: the pair clauses hold vacuously
     assert run_cli(["verify", "--space", "circle", "--n", "12", "--depth", "3"]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("depth: requested 3, built 1, stopped: epsilon_2 = ")
+    assert out.splitlines()[0].endswith("; built 1 of 3 requested levels")
     assert "PASS identity-convergence: 2eps_1->n0=1/1\n" in out  # one level only
     assert "PASS distance-bounds: no pairs" in out
     assert "PASS square-commutes: no pairs" in out
     assert "FAIL" not in out
+
+
+def test_verify_reads_the_depth_line_of_a_stored_sequence(tmp_path, capsys):
+    # the requested depth and stop reason come from the stored file, not from --depth
+    outdir = tmp_path / "out"
+    assert run_cli(["run", "--space", "circle", "--n", "12", "--depth", "3", "--outdir", str(outdir)]) == 0
+    depth_line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("depth: "))
+    assert depth_line.startswith("depth: requested 3, built 1, stopped: ")
+    assert run_cli(["verify", "--space", "circle", "--n", "12", "--depth", "5",
+                    "--sequence", str(outdir / "sequence.txt")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == depth_line
 
 
 def test_run_one_level_tower_passes(tmp_path, capsys):
@@ -330,7 +348,10 @@ def test_export_complex_rips_takes_no_cap(tmp_path, capsys):
 
 def test_pipeline_never_forms_image_tuples(tmp_path, monkeypatch, capsys):
     # every check reads the padded tables; MultiMap.images is formed only on
-    # demand, for tests and the benchmark tracer
+    # demand, for tests and the benchmark tracer.  The element index and the
+    # monotonicity and selection oracles are not read either: a bonding map
+    # that passes its diameter check is monotone and its selections are
+    # coarse elements
     warsaw = ["--space", "warsaw", "--n", "500", "--depth", "4"]
 
     def outputs(tag):
@@ -349,7 +370,16 @@ def test_pipeline_never_forms_image_tuples(tmp_path, monkeypatch, capsys):
     def no_tuples(mm):
         raise AssertionError("MultiMap.images was read")
 
+    def never(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return called
+
     monkeypatch.setattr(hyperspace.MultiMap, "images", property(no_tuples))
+    monkeypatch.setattr(hyperspace, "is_continuous", never("is_continuous"))
+    monkeypatch.setattr(invariants, "selection_vertex_map", never("selection_vertex_map"))
+    monkeypatch.setattr(hyperspace.HyperLevel, "element_id", never("HyperLevel.element_id"))
+    monkeypatch.setattr(hyperspace.HyperLevel, "covering_pairs", never("HyperLevel.covering_pairs"))
     assert outputs("patched") == plain
     assert all(plain[0])
 
@@ -397,6 +427,33 @@ def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):
     assert "non-finite coordinate in row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, data", [
+    (["--space", "circle", "--n", "64", "--radius", "1e300"], None),
+    (["--space", "interval", "--n", "16", "--length", "1e300"], None),
+    (["--input", "{coords}"], "id,x,y\n0,1e200,0\n1,0,1e200\n2,1e200,1e200\n"),
+], ids=["circle-radius", "interval-length", "coords-csv"])
+def test_overflowing_coordinates_are_input_errors(tmp_path, capsys, args, data):
+    # finite coordinates whose squared distances overflow would reach the tower checks as nan
+    coords = tmp_path / "g.csv"
+    if data:
+        coords.write_text(data)
+    argv = ["run", *[a.format(coords=coords) for a in args], "--outdir", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coordinates overflow") and "Traceback" not in err
+
+
+def test_gap_clamp_without_room_names_the_net_threshold(tmp_path, capsys):
+    # 0.98 epsilon_1 - maxNN / 2 = 0.49 - 0.5 < 0: no net threshold is positive
+    matrix = tmp_path / "two.csv"
+    matrix.write_text("0,1\n1,0\n")
+    assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv", "--density", "0.1",
+                    "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: level 1 has no positive net threshold: epsilon_1 = 0.5, ")
+    assert "nearest-neighbour distance 1.0 at density 0.1" in err
+
+
 def write_jittered_circle_distmatrix(path, n, seed=0):
     """Distance-matrix CSV of n unit-circle points: equally spaced angles, each
     moved by up to a tenth of the spacing, listed in a seeded random order."""
@@ -435,7 +492,8 @@ def test_ground_line_names_a_sampled_triangle_check(tmp_path, capsys, n, note):
     # verify names the same check on a line of its own, ahead of its verdicts
     assert run_cli(["verify", *load]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if not line.startswith("PASS ")] == ([f"ground: {note}"] if note else [])
+    assert [line for line in lines if not line.startswith("PASS ")] == (
+        [f"ground: {note}"] if note else []) + ["depth: requested 2, built 2"]
     assert not note or lines[0] == f"ground: {note}"
 
 

@@ -7,7 +7,6 @@ import pytest
 from finiteshape import cli, gf2, hyperspace, invariants
 from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
-    MultiMap,
     Tower,
     bonding_map,
     build_hyperlevel,
@@ -15,13 +14,13 @@ from finiteshape.hyperspace import (
     enumerate_small_subsets,
     grow_cliques,
     is_continuous,
-    padded_table,
 )
 from finiteshape.invariants import (
     HomologyCheckError,
     LevelHomology,
     SimplicialComplex,
     betti,
+    bonding_vertex_map,
     export_complex_csv,
     export_complex_off,
     induced_homology_map,
@@ -258,7 +257,7 @@ def test_pushed_edge_outside_the_coarse_core_is_a_check_failure():
     data = LevelHomology(hl)
     doubling = [2 * v % 6 for v in range(6)]  # sends the edge 0-1 to the non-edge 0-2
     with pytest.raises(HomologyCheckError, match="not an edge of the coarse core"):
-        induced_homology_map(None, hl, hl, 1, data, data, vertex_map=doubling)
+        induced_homology_map(doubling, data, data, 1)
 
 
 # --- induced maps ----------------------------------------------------------------
@@ -272,8 +271,10 @@ def test_induced_identity_bonding_has_full_rank():
     p = bonding_map(Tower(AdjustedSequence(g, (lv1, lv2), 0.9, 2)), hl2)
     d1, d2 = LevelHomology(hl1), LevelHomology(hl2)
     assert d1.betti == d2.betti == (1, 1)
-    assert induced_homology_map(p, hl2, hl1, 0, d2, d1) == 1
-    assert induced_homology_map(p, hl2, hl1, 1, d2, d1) == 1
+    vertex_map = bonding_vertex_map(p, hl2, hl1)
+    assert vertex_map == [0, 1, 2, 3]
+    assert induced_homology_map(vertex_map, d2, d1, 0) == 1
+    assert induced_homology_map(vertex_map, d2, d1, 1) == 1
 
 
 def test_induced_circle_rank_one_between_fine_levels():
@@ -294,7 +295,8 @@ def test_induced_two_points_rank_two():
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
     p = bonding_map(Tower(seq), hls[1])
     # component-tracking oracle: two fine components land in two coarse ones
-    assert induced_homology_map(p, hls[1], hls[0], 0) == 2
+    vertex_map = bonding_vertex_map(p, hls[1], hls[0])
+    assert induced_homology_map(vertex_map, LevelHomology(hls[1]), LevelHomology(hls[0]), 0) == 2
 
 
 class _UnionFind:
@@ -342,7 +344,7 @@ def test_induced_rank_zero_matches_component_tracking_oracle():
         oracle_rank = len(set(hit.values()))
 
         p = bonding_map(tower, hls[k + 1])
-        got = induced_homology_map(p, hls[k + 1], hls[k], 0, datas[k + 1], datas[k])
+        got = induced_homology_map(bonding_vertex_map(p, hls[k + 1], hls[k]), datas[k + 1], datas[k], 0)
         assert got == oracle_rank
 
 
@@ -446,7 +448,7 @@ def test_shape_report_computes_each_object_once(monkeypatch, capsys):
         return enumerate_small_subsets(ground, net, two_eps, cap, max_elements)
 
     with monkeypatch.context() as m:
-        m.setattr(invariants, "is_continuous", counting_is_continuous)
+        m.setattr(hyperspace, "is_continuous", counting_is_continuous)
         m.setattr(hyperspace, "enumerate_small_subsets", counting_enumerate)
         rep = shape_report(Tower(seq))
         # each level is enumerated once, as vertices and edges only
@@ -455,16 +457,14 @@ def test_shape_report_computes_each_object_once(monkeypatch, capsys):
         assert cli.main(["verify", "--space", "circle", "--n", "128", "--depth", "4"]) == 0
         assert enumerated == [(len(lv.net), 2) for lv in seq.levels]
     assert "PASS monotone-bondings" in capsys.readouterr().out
-    assert checked == [lv.index for lv in seq.levels[1:]]  # once per bonding pair
+    assert checked == []  # a bonding map is monotone by construction; neither command re-checks it
 
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
     datas = [LevelHomology(hl) for hl in hls]
     tower = Tower(seq)
     for k, pr in enumerate(rep.pairs):
-        p = bonding_map(tower, hls[k + 1])
-        expected = tuple(
-            induced_homology_map(p, hls[k + 1], hls[k], deg, datas[k + 1], datas[k]) for deg in (0, 1)
-        )
+        vertex_map = bonding_vertex_map(bonding_map(tower, hls[k + 1]), hls[k + 1], hls[k])
+        expected = tuple(induced_homology_map(vertex_map, datas[k + 1], datas[k], deg) for deg in (0, 1))
         assert pr.ranks == expected
     assert {pr.ranks for pr in rep.pairs} == {(1, 0), (1, 1)}
 
@@ -487,16 +487,6 @@ def test_triangles_are_grown_on_cores_only(monkeypatch, maxdim):
     assert [cap for cap, _ in grown] == [maxdim + 2] * len(cores)  # once per level
     for (_, touched), core in zip(grown, cores):
         assert touched <= core
-
-
-def test_induced_requires_monotone():
-    g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
-    hl = build_hyperlevel(g, lv, cap=3)
-    images = tuple((2,) if el == (0, 1) else (0,) for el in hl.elements)
-    broken = MultiMap("elements", padded_table(images), 1.0)
-    with pytest.raises(ValueError):
-        induced_homology_map(broken, hl, hl, 1)
 
 
 # --- shape report -----------------------------------------------------------------
@@ -560,9 +550,9 @@ def test_composite_induced_rank_bounded_by_steps():
     p32 = bonding_map(tower, hls[2])
     p31 = composite_bonding(tower, hls[2], 1)
     d = [LevelHomology(hl) for hl in hls]
-    r21 = induced_homology_map(p21, hls[1], hls[0], 1, d[1], d[0])
-    r32 = induced_homology_map(p32, hls[2], hls[1], 1, d[2], d[1])
-    r31 = induced_homology_map(p31, hls[2], hls[0], 1, d[2], d[0])
+    r21 = induced_homology_map(bonding_vertex_map(p21, hls[1], hls[0]), d[1], d[0], 1)
+    r32 = induced_homology_map(bonding_vertex_map(p32, hls[2], hls[1]), d[2], d[1], 1)
+    r31 = induced_homology_map(bonding_vertex_map(p31, hls[2], hls[0]), d[2], d[0], 1)
     assert r31 <= min(r21, r32)
 
 
@@ -577,9 +567,9 @@ def test_composite_induced_rank_equality_on_circle_tail():
     p_step1 = bonding_map(tower, hls[1])
     p_step2 = bonding_map(tower, hls[2])
     p_comp = composite_bonding(tower, hls[2], levels[0].index)
-    r1 = induced_homology_map(p_step1, hls[1], hls[0], 1, d[1], d[0])
-    r2 = induced_homology_map(p_step2, hls[2], hls[1], 1, d[2], d[1])
-    rc = induced_homology_map(p_comp, hls[2], hls[0], 1, d[2], d[0])
+    r1 = induced_homology_map(bonding_vertex_map(p_step1, hls[1], hls[0]), d[1], d[0], 1)
+    r2 = induced_homology_map(bonding_vertex_map(p_step2, hls[2], hls[1]), d[2], d[1], 1)
+    rc = induced_homology_map(bonding_vertex_map(p_comp, hls[2], hls[0]), d[2], d[0], 1)
     assert r1 == r2 == rc == 1
 
 

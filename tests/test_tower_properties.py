@@ -2,8 +2,9 @@
 greedy nets cut from one permutation against the per-threshold loop, the
 nearest-point tables the permutation records against ``nearest_sets`` and a
 per-point loop, collapsed scale-complex homology against full
-reductions of the scale and order complexes, and the checks and homology
-decided on levels of vertices and edges against the same on full posets.
+reductions of the scale and order complexes, the checks and homology
+decided on levels of vertices and edges against the same on full posets, and
+the monotonicity and selections that a bonding map's diameter check implies.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
@@ -27,10 +28,18 @@ from finiteshape.hyperspace import (
     bonding_map,
     build_hyperlevel,
     composite_bonding,
+    is_continuous,
     nearest_sets,
     verify_adjusted_distance_bounds,
 )
-from finiteshape.invariants import LevelHomology, betti, order_complex, selection_vertex_map, shape_report
+from finiteshape.invariants import (
+    LevelHomology,
+    betti,
+    bonding_vertex_map,
+    order_complex,
+    selection_vertex_map,
+    shape_report,
+)
 from finiteshape.metric import MetricGround
 import reference_loops as ref
 
@@ -374,3 +383,32 @@ def test_edge_route_matches_full_poset_route(drawn):
                   for cap in (2, maxdim + 2)]
         assert isinstance(errors[0], str) and errors[0] == errors[1]
         assert_routes_agree(planted, maxdim)
+
+
+@PROPERTY_SETTINGS
+@given(homology_towers())
+@example((full_lattice_tower(1e-9, 3)[0], 1))
+def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(drawn):
+    # what run and verify do not re-check: every step bonding map and every
+    # composite that passes its diameter check is monotone, and its minimal
+    # selection lands on coarse elements, with the vertex map a -> min p({a})
+    # as its singleton part
+    tower, _ = drawn
+    levels = tower.seq.levels
+    for cap in (2, 3):
+        hls = [build_hyperlevel(tower.ground, lv, cap=cap) for lv in levels]
+        for m in range(2, len(levels) + 1):
+            fine = hls[m - 1]
+            k = len(fine.level.net)
+            for n in range(1, m):
+                if n == m - 1:
+                    p = outcome(bonding_map, tower, fine)
+                else:
+                    p = outcome(composite_bonding, tower, fine, n)
+                if not isinstance(p, MultiMap):
+                    continue
+                coarse = hls[n - 1]
+                assert is_continuous(p, fine) == (True, None)
+                vertex_map = bonding_vertex_map(p, fine, coarse)
+                assert vertex_map == [coarse.level.net.index(min(p.images[v])) for v in range(k)]
+                assert selection_vertex_map(p, fine, coarse)[:k] == vertex_map
