@@ -9,6 +9,11 @@ space: ``density`` is the claimed covering radius, i.e. every point of the
 idealized space lies within ``density`` of some ground point.  Exactly
 represented finite spaces carry ``density = 0``.
 
+The ground statistics, the diameter and the largest nearest-neighbor
+distance, are exact.  A coordinate ground reads them off tiles of k-d leaf
+pairs, skipping every tile whose box bounds show it cannot change either
+value; a distance-matrix ground reads half its table once.
+
 Generators are provided for the standard test spaces (two points, circle,
 interval, Cantor dust, and the sin(1/x) "Warsaw" curve closed by a
 rectangular arc).
@@ -93,23 +98,8 @@ class MetricGround:
             return self.table[i, j]
         return self._euclidean(i, j)
 
-    def _squared_sums(self, i, j) -> np.ndarray:
-        # Squares summed in coordinate order: for d <= 7 the same bits as
-        # (diff * diff).sum(axis=-1), whose reduction adds fewer than eight
-        # terms in order.  (i, j) and (j, i) square the same magnitudes, so
-        # every sum is exactly symmetric and (i, i) gives 0.
-        out = None
-        for axis in self.coords.T:
-            t = axis[i] - axis[j]
-            t *= t
-            if out is None:
-                out = t
-            else:
-                out += t
-        return out
-
     def _euclidean(self, i, j) -> np.ndarray:
-        out = self._squared_sums(i, j)
+        out = _squared_sums(self.coords, i, j)
         return np.sqrt(out, out=out)
 
     @property
@@ -123,32 +113,32 @@ class MetricGround:
 
     @cached_property
     def _row_extremes(self) -> tuple[float, float]:
-        """(diameter, largest nearest-neighbor distance), from one pass over half the table.
+        """(diameter, largest nearest-neighbor distance), exact.
 
-        Each row block reads only the columns from its first row onwards, so
-        every unordered pair lies in exactly one block; its row and column
-        minima both feed the nearest-neighbor distances.  A coordinate ground
-        compares squared sums and takes the root of the two extremes only: a
-        correctly rounded square root is monotone, so it commutes with max and
-        min, and the result has the bits of the distances themselves.
+        A coordinate ground walks pairs of k-d leaves (``_leaf_pair_extremes``)
+        and reads a leaf-pair tile only while its box bounds could still change
+        either value.  It compares squared sums and takes the root of the two
+        extremes only: a correctly rounded square root is monotone, so it
+        commutes with max and min, and the result has the bits of the
+        distances themselves.  A distance-matrix ground makes one pass over
+        half its table: each row block reads only the columns from its first
+        row onwards, so every unordered pair lies in exactly one block, and its
+        row and column minima both feed the nearest-neighbor distances.
         """
+        if self.table is None:
+            farthest, widest = _leaf_pair_extremes(self.coords)
+            return math.sqrt(farthest), math.sqrt(widest)
         n = self.n
         farthest = 0.0
         nearest = np.full(n, np.inf)
         for rows in row_blocks(n, n):
             cols = slice(rows.start, None)
-            if self.table is None:
-                block = self._squared_sums((rows, None), (None, cols))
-            else:
-                block = self.block(rows, cols).copy()
+            block = self.block(rows, cols).copy()
             farthest = max(farthest, float(block.max()))
             np.fill_diagonal(block, np.inf)  # a point is not its own neighbor
             np.minimum(nearest[rows], block.min(axis=1), out=nearest[rows])
             np.minimum(nearest[cols], block.min(axis=0), out=nearest[cols])
-        widest = float(nearest.max()) if n > 1 else 0.0
-        if self.table is None:
-            return math.sqrt(farthest), math.sqrt(widest)
-        return farthest, widest
+        return farthest, float(nearest.max()) if n > 1 else 0.0
 
     def diameter(self) -> float:
         return self._row_extremes[0]
@@ -181,6 +171,131 @@ class MetricGround:
         dist = np.asarray(dist, dtype=float)
         _validate_distance_table(dist)
         return MetricGround(coords=coords, density=float(density), kind=kind, table=dist)
+
+
+def _squared_sums(coords: np.ndarray, i, j) -> np.ndarray:
+    # Squares summed in coordinate order: for d <= 7 the same bits as
+    # (diff * diff).sum(axis=-1), whose reduction adds fewer than eight terms
+    # in order.  (i, j) and (j, i) square the same magnitudes, so every sum is
+    # exactly symmetric and (i, i) gives 0.
+    out = None
+    for axis in coords.T:
+        t = axis[i] - axis[j]
+        t *= t
+        if out is None:
+            out = t
+        else:
+            out += t
+    return out
+
+
+LEAF_SIZE = 64  # most points in one k-d leaf of the ground-statistics walk
+
+
+def _kd_leaves(coords: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+    """A k-d order of the points (Bentley 1975) and its leaves, as slices of that order.
+
+    Each index range longer than ``LEAF_SIZE`` is sorted along its widest
+    coordinate (stable, so ties keep index order) and split near its median,
+    at a multiple of ``LEAF_SIZE``: every leaf but the last is full.
+    """
+    n = coords.shape[0]
+    perm = np.arange(n)
+    leaves = []
+    stack = [(0, n)]
+    while stack:
+        a, b = stack.pop()
+        if b - a <= LEAF_SIZE:
+            leaves.append(slice(a, b))
+            continue
+        idx = perm[a:b]
+        pts = coords[idx]
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        perm[a:b] = idx[np.argsort(pts[:, axis], kind="stable")]
+        mid = a + (b - a + LEAF_SIZE - 1) // LEAF_SIZE // 2 * LEAF_SIZE
+        stack += [(mid, b), (a, mid)]  # left first: leaves come out in order
+    return perm, leaves
+
+
+def _box_bounds(lo: np.ndarray, hi: np.ndarray, a: int, others) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on every squared sum between leaf ``a`` and each leaf of ``others``.
+
+    ``lo`` and ``hi`` are (d, leaves) box corners.  Per axis the gap between
+    two boxes bounds ``|fl(x - y)|`` from below and their span bounds it from
+    above, since rounding is monotone and symmetric; squaring and summing in
+    coordinate order, as ``_squared_sums`` does, is monotone too.  So the
+    bounds hold for the computed sums with no margin.
+    """
+    low = high = None
+    for lo_k, hi_k in zip(lo, hi):
+        gap = np.maximum(lo_k[others] - hi_k[a], lo_k[a] - hi_k[others])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        span = np.maximum(hi_k[a] - lo_k[others], hi_k[others] - lo_k[a])
+        span *= span
+        if low is None:
+            low, high = gap, span
+        else:
+            low += gap
+            high += span
+    return low, high
+
+
+def _leaf_pair_extremes(coords: np.ndarray) -> tuple[float, float]:
+    """(largest squared distance, largest squared nearest-neighbor distance) of a coordinate sample.
+
+    The points are put in k-d order (``_kd_leaves``) and read in leaf-pair
+    tiles of ``_squared_sums``.  Every self tile is read first (diagonal
+    masked), then, for each leaf, the tile with the partner whose upper
+    bound is largest, to seed the farthest value.  Then each leaf takes the later
+    leaves by ascending lower bound and skips a tile whose upper bound is at
+    most the running farthest value and whose lower bound is at least the
+    largest nearest-so-far of both its leaves: no value in it can change
+    either statistic.  No tile is read twice, and the results are exact.
+    The transients are one tile plus O(n) vectors; on low-dimensional
+    samples most tiles are skipped.
+    """
+    perm, leaves = _kd_leaves(coords)
+    pts = coords[perm]
+    starts = [leaf.start for leaf in leaves]
+    lo = np.minimum.reduceat(pts, starts, axis=0).T.copy()
+    hi = np.maximum.reduceat(pts, starts, axis=0).T.copy()
+    nearest = np.full(len(pts), np.inf)
+    leaf_nearest = np.full(len(leaves), np.inf)  # largest nearest-so-far in each leaf
+    farthest = 0.0
+    done = set()
+
+    def read(a: int, b: int) -> None:
+        nonlocal farthest
+        done.add((a, b))
+        rows, cols = leaves[a], leaves[b]
+        tile = _squared_sums(pts, (rows, None), (None, cols))
+        farthest = max(farthest, float(tile.max()))
+        if a == b:
+            np.fill_diagonal(tile, np.inf)  # a point is not its own neighbor
+        else:
+            np.minimum(nearest[cols], tile.min(axis=0), out=nearest[cols])
+            leaf_nearest[b] = nearest[cols].max()
+        np.minimum(nearest[rows], tile.min(axis=1), out=nearest[rows])
+        leaf_nearest[a] = nearest[rows].max()
+
+    for a in range(len(leaves)):
+        read(a, a)
+    for a in range(len(leaves)):
+        high = _box_bounds(lo, hi, a, slice(None))[1]
+        high[a] = -np.inf
+        pair = tuple(sorted((a, int(np.argmax(high)))))
+        if pair not in done:
+            read(*pair)
+    for a in range(len(leaves) - 1):
+        low, high = _box_bounds(lo, hi, a, slice(a + 1, None))
+        wanted = np.flatnonzero((high > farthest) | (low < np.maximum(leaf_nearest[a + 1:], leaf_nearest[a])))
+        for c in wanted[np.argsort(low[wanted], kind="stable")].tolist():
+            b = a + 1 + c
+            if (a, b) in done or (high[c] <= farthest and low[c] >= max(leaf_nearest[a], leaf_nearest[b])):
+                continue
+            read(a, b)
+    return farthest, float(nearest.max()) if len(pts) > 1 else 0.0
 
 
 def _validate_distance_table(dist: np.ndarray) -> None:
@@ -331,13 +446,34 @@ def _cantor_ground(depth: int) -> MetricGround:
 _WARSAW_W = 2.0 / math.pi
 
 
+WARSAW_CHUNK = 1 << 15  # grid points per chunk of the arc-length table
+
+
 def _warsaw_graph_table(x_min: float, grid: int):
-    # Arc-length table of the graph y = sin(1/x), traversed from x = 2/pi down
-    # to x = x_min.  In u = 1/x coordinates ds = sqrt(cos(u)^2 + u^-4) du.
+    """Arc-length table of the graph y = sin(1/x), traversed from x = 2/pi down to x = x_min.
+
+    In u = 1/x coordinates ds = sqrt(cos(u)^2 + u^-4) du, integrated by the
+    trapezoid rule on ``grid`` points.  The integrand, trapezoids and running
+    sums are formed over chunks of ``WARSAW_CHUNK`` points that overlap by one,
+    each chunk's first trapezoid carrying the previous running sum: the same
+    operations in the same order as over the whole grid, so the same bits,
+    with transients of one chunk.
+    """
     u = np.linspace(math.pi / 2.0, 1.0 / x_min, grid)
-    integrand = np.sqrt(np.cos(u) ** 2 + u ** (-4.0))
-    du = np.diff(u)
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * du)])
+    s = np.empty(grid)
+    s[0] = 0.0
+    for a in range(0, grid - 1, WARSAW_CHUNK - 1):
+        b = min(a + WARSAW_CHUNK, grid)
+        uc = u[a:b]
+        f = np.cos(uc)
+        f *= f
+        f += uc ** -4.0
+        np.sqrt(f, out=f)
+        t = f[1:] + f[:-1]
+        t *= 0.5
+        t *= np.diff(uc)
+        t[0] += s[a]
+        np.cumsum(t, out=s[a + 1:b])
     return u, s
 
 

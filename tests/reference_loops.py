@@ -1,4 +1,10 @@
-"""Reference routes for the tower tables, the distance checks and the homology.
+"""Reference routes for the ground statistics, the tower tables, the distance checks and the homology.
+
+``reference_row_extremes`` reads the diameter and the largest
+nearest-neighbour distance off one pass over half the pairs, in row blocks;
+``reference_warsaw_graph_table`` forms the Warsaw arc-length table over the
+whole grid at once.  The library computes the same floats from leaf-pair
+tiles and in chunks.
 
 Each tower function here computes, one ground point or one net point at a
 time, what the library computes as array reductions over a ``Tower``, as a
@@ -16,11 +22,49 @@ column of a complex, with no column skipped by a cone.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from finiteshape.gf2 import ColumnReducer, rank_of
 from finiteshape.invariants import chain_homology, order_complex, scale_complex, selection_vertex_map
+from finiteshape.metric import _squared_sums, row_blocks
+
+
+def reference_row_extremes(ground):
+    """(diameter, largest nearest-neighbor distance) from one pass over half the table.
+
+    Each row block reads only the columns from its first row onwards, so
+    every unordered pair lies in exactly one block; its row and column minima
+    both feed the nearest-neighbor distances.  A coordinate ground compares
+    squared sums and takes the root of the two extremes only.
+    """
+    n = ground.n
+    farthest = 0.0
+    nearest = np.full(n, np.inf)
+    for rows in row_blocks(n, n):
+        cols = slice(rows.start, None)
+        if ground.table is None:
+            block = _squared_sums(ground.coords, (rows, None), (None, cols))
+        else:
+            block = ground.block(rows, cols).copy()
+        farthest = max(farthest, float(block.max()))
+        np.fill_diagonal(block, np.inf)  # a point is not its own neighbor
+        np.minimum(nearest[rows], block.min(axis=1), out=nearest[rows])
+        np.minimum(nearest[cols], block.min(axis=0), out=nearest[cols])
+    widest = float(nearest.max()) if n > 1 else 0.0
+    if ground.table is None:
+        return math.sqrt(farthest), math.sqrt(widest)
+    return farthest, widest
+
+
+def reference_warsaw_graph_table(x_min, grid):
+    """The Warsaw arc-length table ``(u, s)`` formed over the whole grid in one shot."""
+    u = np.linspace(math.pi / 2.0, 1.0 / x_min, grid)
+    integrand = np.sqrt(np.cos(u) ** 2 + u ** (-4.0))
+    du = np.diff(u)
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * du)])
+    return u, s
 
 
 def reference_build_net(dist, epsilon):

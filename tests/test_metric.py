@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finiteshape import metric
 from finiteshape.metric import (
@@ -19,6 +22,7 @@ from finiteshape.metric import (
     write_coords_csv,
     write_distmatrix_csv,
 )
+from reference_loops import reference_row_extremes, reference_warsaw_graph_table
 
 
 class UnionFind:
@@ -109,12 +113,11 @@ def _dense_extremes(table):
 
 
 def _record_extreme_reads(monkeypatch):
-    """(rows, cols) of every distance block the extremes pass reads, from either oracle."""
+    """(rows, cols) of every distance block the extremes read: table blocks, or leaf-pair tiles of squared sums."""
     reads = []
-    block, squared_sums = MetricGround.block, MetricGround._squared_sums
+    block, squared_sums = MetricGround.block, metric._squared_sums
     monkeypatch.setattr(MetricGround, "block", lambda self, rows, cols: reads.append((rows, cols)) or block(self, rows, cols))
-    monkeypatch.setattr(MetricGround, "_squared_sums",
-                        lambda self, i, j: reads.append((i[0], j[1])) or squared_sums(self, i, j))
+    monkeypatch.setattr(metric, "_squared_sums", lambda coords, i, j: reads.append((i[0], j[1])) or squared_sums(coords, i, j))
     return reads
 
 
@@ -128,6 +131,21 @@ def _assert_half_table_pass(reads, n):
         seen[rows, cols] = True
         blocks_holding += seen | seen.T
     assert (blocks_holding[np.triu_indices(n, 1)] == 1).all()
+
+
+def _assert_leaf_tile_walk(reads, coords):
+    # every read is a tile of two k-d leaves, earlier leaf first; every self
+    # tile is read, and no tile twice, so no unordered pair lies in two reads
+    perm, leaves = metric._kd_leaves(np.asarray(coords, dtype=float))
+    assert sorted(perm.tolist()) == list(range(len(perm)))
+    assert [(leaf.start, leaf.stop) for leaf in leaves] == [
+        (a, min(a + metric.LEAF_SIZE, len(perm))) for a in range(0, len(perm), metric.LEAF_SIZE)]
+    index = {leaf.start: k for k, leaf in enumerate(leaves)}
+    tiles = [(index[rows.start], index[cols.start]) for rows, cols in reads]
+    assert all(leaves[a] == rows and leaves[b] == cols and a <= b for (a, b), (rows, cols) in zip(tiles, reads))
+    assert len(set(tiles)) == len(tiles)
+    assert {(a, a) for a in range(len(leaves))} <= set(tiles)
+    return tiles, len(leaves)
 
 
 @pytest.mark.parametrize(
@@ -145,20 +163,21 @@ def test_max_nearest_neighbor_matches_dense_formula(coords, monkeypatch):
     g = MetricGround.from_coords(np.array(coords, dtype=float))
     table = g.dist
     expected = 0.0 if g.n == 1 else float((table + np.diag(np.full(g.n, np.inf))).min(axis=1).max())
-    blocks_read = _record_extreme_reads(monkeypatch)
+    tiles_read = _record_extreme_reads(monkeypatch)
     assert g.diameter() == float(table.max())
     assert g.max_nearest_neighbor() == expected
-    _assert_half_table_pass(blocks_read, g.n)
-    if g.n == 600:  # several row blocks, the last one short
-        blocks = row_blocks(g.n, g.n)
-        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    n_leaves = _assert_leaf_tile_walk(tiles_read, coords)[1]
+    if g.n == 600:  # several leaves, the last one short
+        assert n_leaves > 1 and g.n % metric.LEAF_SIZE
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, "table"])
 def test_row_extremes_read_half_the_pairs_with_the_dense_values(dim, monkeypatch):
     # squared sums compared, roots taken of the two extremes only: the bits
     # of the dense table's max and masked row minima, on every dimension and
-    # on a stored table, over several row blocks
+    # on a stored table.  A stored table is read in one pass over half its
+    # row blocks; coordinates in leaf-pair tiles, no tile twice, so no
+    # unordered pair is read twice either
     coords = np.random.default_rng(7).normal(size=(700, 2 if dim == "table" else dim))
     g = MetricGround.from_coords(coords)
     if dim == "table":
@@ -167,7 +186,102 @@ def test_row_extremes_read_half_the_pairs_with_the_dense_values(dim, monkeypatch
     assert expected[1] > 0.0 and len(row_blocks(g.n, g.n)) > 1
     reads = _record_extreme_reads(monkeypatch)
     assert (g.diameter(), g.max_nearest_neighbor()) == expected
-    _assert_half_table_pass(reads, g.n)
+    if dim == "table":
+        _assert_half_table_pass(reads, g.n)
+    else:
+        _assert_leaf_tile_walk(reads, coords)
+
+
+def _extreme_bytes(g):
+    return np.array([g.diameter(), g.max_nearest_neighbor()]).tobytes()
+
+
+@st.composite
+def extreme_clouds(draw):
+    """Point clouds whose extremes are easy to get wrong: circles, lattices with exact ties,
+    duplicated points, collinear points, a single point, and drawn floats, in d = 1, 2, 3 and 8."""
+    kind = draw(st.sampled_from(["circle", "lattice", "duplicates", "collinear", "single", "drawn"]))
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "circle":
+        theta = 2.0 * np.pi * np.arange(n) / n
+        pts = np.zeros((n, d))
+        pts[:, 0] = np.cos(theta)
+        if d > 1:
+            pts[:, 1] = np.sin(theta)
+        return pts
+    if kind == "lattice":
+        return rng.integers(0, draw(st.integers(1, 12)), size=(n, d)).astype(float)
+    if kind == "duplicates":
+        distinct = draw(st.integers(1, 40))
+        return rng.random((distinct, d))[rng.integers(0, distinct, size=n)]
+    if kind == "collinear":
+        return rng.random(n)[:, None] * rng.normal(size=d) + rng.normal(size=d)
+    if kind == "single":
+        return rng.normal(size=(1, d))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=80)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(extreme_clouds())
+def test_extremes_are_the_half_table_pass_bits(coords):
+    g = MetricGround.from_coords(coords)
+    expected = np.array(reference_row_extremes(g)).tobytes()
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
+        reads = _record_extreme_reads(mp)
+        got = _extreme_bytes(g)
+    assert got == expected
+    _assert_leaf_tile_walk(reads, coords)
+    if g.n == 1:
+        assert (g.diameter(), g.max_nearest_neighbor()) == (0.0, 0.0)
+
+
+def test_extremes_read_under_a_quarter_of_the_tiles_on_a_circle(monkeypatch):
+    g = generate(SpaceSpec("circle", n=4000))
+    reads = _record_extreme_reads(monkeypatch)
+    assert _extreme_bytes(g) == np.array(reference_row_extremes(g)).tobytes()
+    tiles, n_leaves = _assert_leaf_tile_walk(reads, g.coords)
+    assert len(tiles) < n_leaves * (n_leaves + 1) / 2 / 4
+
+
+def test_extremes_of_a_large_warsaw_ground_stay_within_a_tile_and_vectors():
+    g = generate(SpaceSpec("warsaw_circle", n=20000))
+    tracemalloc.start()
+    try:
+        g.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("grid", [2, 3, metric.WARSAW_CHUNK - 1, metric.WARSAW_CHUNK, metric.WARSAW_CHUNK + 1, 100_000])
+def test_warsaw_table_in_chunks_is_the_one_shot_table(grid):
+    for x_min in (0.01, 0.0134467):
+        expected = reference_warsaw_graph_table(x_min, grid)
+        got = metric._warsaw_graph_table(x_min, grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+@pytest.mark.parametrize("n", [8, 64, 2000])
+def test_warsaw_coordinates_are_those_of_the_one_shot_table(n, monkeypatch):
+    chunked = generate(SpaceSpec("warsaw_circle", n=n))
+    monkeypatch.setattr(metric, "_warsaw_graph_table", reference_warsaw_graph_table)
+    one_shot = generate(SpaceSpec("warsaw_circle", n=n))
+    assert chunked.coords.tobytes() == one_shot.coords.tobytes()
+    assert chunked.density == one_shot.density
+
+
+def test_warsaw_generation_holds_no_more_than_its_table():
+    tracemalloc.start()
+    try:
+        generate(SpaceSpec("warsaw_circle", n=50000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_generate_deterministic():
