@@ -12,11 +12,13 @@ bad input or configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 from .construction import (
     AdjustedSequence,
@@ -57,6 +59,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Settings of every command; their defaults are stated here only, the parser leaves unset flags out."""
+
     space: str | None = None
     n: int = 256
     radius: float = 1.0
@@ -139,27 +143,27 @@ def _build_sequence(cfg: RunConfig, sequence: str | None = None) -> AdjustedSequ
 
 def _add_space_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", choices=["two_points", "circle", "interval", "cantor", "warsaw", "warsaw_circle"])
-    p.add_argument("--n", type=int, default=256, help="sample count")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--cantor-depth", type=int, default=4)
+    p.add_argument("--n", type=int, help="sample count")
+    p.add_argument("--radius", type=float)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--length", type=float)
+    p.add_argument("--cantor-depth", type=int)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     _add_space_options(p)
     p.add_argument("--input", help="load a ground sample instead of generating one")
-    p.add_argument("--format", choices=["coords_csv", "distmatrix_csv"], default="coords_csv")
+    p.add_argument("--format", choices=["coords_csv", "distmatrix_csv"])
     p.add_argument("--density", type=float,
                    help="claimed covering radius of an --input sample (default: 0, the sample is the space)")
     p.add_argument("--epsilon1", type=float, help="first scale (default: half the space diameter)")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--safety", type=float, default=0.9)
-    p.add_argument("--tie-tol", type=float, default=1e-9)
-    p.add_argument("--maxdim", type=int, default=1)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--outdir", default="out")
-    p.add_argument("--config", help="key = value file; explicit flags override it")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--safety", type=float)
+    p.add_argument("--tie-tol", type=float)
+    p.add_argument("--maxdim", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--outdir")
+    p.add_argument("--config", default=None, help="key = value file; explicit flags override it")
     p.add_argument("--skip-bounds", action="store_true")
     p.add_argument("--skip-identity", action="store_true")
     p.add_argument("--skip-diagram", action="store_true")
@@ -169,15 +173,13 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 def _add_export_options(p: argparse.ArgumentParser) -> None:
     _add_run_options(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--cap", type=int, help="poset element cardinality cap (default maxdim + 2; not with --complex rips)")
+    p.add_argument("--cap", type=int, default=None, help="poset element cardinality cap (default maxdim + 2; not with --complex rips)")
     p.add_argument("--out", required=True, help="output path base (suffixes added)")
 
 
-_CONFIG_KEYS = {
-    "space": str, "n": int, "radius": float, "separation": float, "length": float,
-    "cantor_depth": int, "input": str, "format": str, "density": float, "epsilon1": float,
-    "depth": int, "safety": float, "tie_tol": float, "maxdim": int, "window": int, "outdir": str,
-    "skip_bounds": bool, "skip_identity": bool, "skip_diagram": bool, "skip_homology": bool,
+_CONFIG_KEYS = {  # each RunConfig field and its type; X for a field typed X | None
+    name: next(t for t in (*get_args(hint), hint) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()
 }
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -209,8 +211,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**{key: value for key, value in vars(args).items() if key in names})
+    cfg = RunConfig(**{key: value for key, value in vars(args).items() if key in _CONFIG_KEYS})
     cfg.validate()
     return cfg
 
@@ -393,7 +394,7 @@ def cmd_export_poset(cfg: RunConfig, args) -> int:
     ground, level, cap = _export_level(cfg, args)
     hl = build_hyperlevel(ground, level, cap=cap)
     export_poset_dot(hl, args.out + ".dot")
-    export_poset_csv(hl, args.out + ".csv")
+    export_poset_csv(ground, hl, args.out + ".csv")
     print(f"wrote {hl.n_elements} elements to {args.out}.dot / .csv")
     return 0
 
@@ -413,30 +414,31 @@ def cmd_export_complex(cfg: RunConfig, args) -> int:
     return 0
 
 
-def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
-    parser = parser or argparse.ArgumentParser(prog="finiteshape", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="finiteshape", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)  # defaults come from RunConfig
 
-    p_gen = sub.add_parser("generate", help="generate a ground sample as coords_csv")
+    p_gen = command("generate", help="generate a ground sample as coords_csv")
     _add_space_options(p_gen)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--config", help=argparse.SUPPRESS)
+    p_gen.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p_gen.set_defaults(func=cmd_generate, subparser=p_gen)
 
-    p_run = sub.add_parser("run", help="full pipeline with exports and verdicts")
+    p_run = command("run", help="full pipeline with exports and verdicts")
     _add_run_options(p_run)
     p_run.set_defaults(func=cmd_run, subparser=p_run)
 
-    p_ver = sub.add_parser("verify", help="verification checks only, machine-readable verdicts")
+    p_ver = command("verify", help="verification checks only, machine-readable verdicts")
     _add_run_options(p_ver)
-    p_ver.add_argument("--sequence", help="verify a stored sequence export instead of rebuilding")
+    p_ver.add_argument("--sequence", default=None, help="verify a stored sequence export instead of rebuilding")
     p_ver.set_defaults(func=cmd_verify, subparser=p_ver)
 
-    p_ep = sub.add_parser("export-poset", help="DOT and CSV export of one hyperspace level")
+    p_ep = command("export-poset", help="DOT and CSV export of one hyperspace level")
     _add_export_options(p_ep)
     p_ep.set_defaults(func=cmd_export_poset, subparser=p_ep)
 
-    p_ec = sub.add_parser("export-complex", help="facet-list and CSV export of a level complex")
+    p_ec = command("export-complex", help="facet-list and CSV export of a level complex")
     _add_export_options(p_ec)
     p_ec.add_argument("--complex", choices=["order", "rips"], default="order")
     p_ec.set_defaults(func=cmd_export_complex, subparser=p_ec)

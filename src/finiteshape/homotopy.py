@@ -106,9 +106,6 @@ def ball_map_prefix(ground: MetricGround, radii) -> ApproximativeMap:
 
 @dataclass
 class FiniteTypeReport:
-    betas: tuple[float, ...]
-    input_diameters: tuple[float, ...]
-    output_diameters: tuple[float, ...]
     bounds: tuple[float, ...]  # 2*beta_n + D_n per index
     slacks: tuple[float, ...]
 
@@ -156,13 +153,7 @@ def finite_type_convert(
     converted = ApproximativeMap(am.source, am.target, tuple(maps), tuple(m.diameter for m in maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
     slacks = tuple(bound - d for bound, d in zip(bounds, converted.diameters))
-    report = FiniteTypeReport(
-        betas=betas,
-        input_diameters=am.diameters,
-        output_diameters=converted.diameters,
-        bounds=bounds,
-        slacks=slacks,
-    )
+    report = FiniteTypeReport(bounds=bounds, slacks=slacks)
     if not report.ok:
         k = min(range(len(slacks)), key=lambda i: slacks[i])
         raise AssertionError(
@@ -191,7 +182,6 @@ class IdentityConvergenceReport:
     """
 
     levels: tuple[int, ...]
-    epsilons: tuple[float, ...]
     pair_diameters: tuple[float, ...]
     inclusion_diameters: tuple[float, ...]
     per_bound: list[BoundConvergence]
@@ -258,7 +248,6 @@ def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConverg
 
     return IdentityConvergenceReport(
         levels=tuple(lv.index for lv in levels),
-        epsilons=tuple(lv.epsilon for lv in levels),
         pair_diameters=tuple(pair_diams),
         inclusion_diameters=tuple(incl_diams),
         per_bound=per_bound,

@@ -13,7 +13,8 @@ vertices and edges (cap 2) decide the one check a bonding map needs: an
 image's diameter is the largest over the images of the element's vertices
 and edges.  Images are unions of singleton images, so a bonding map is
 monotone (continuous) by construction.  Checks and homology build levels at
-cap 2; larger caps serve the exports.  An element is a sorted tuple of net
+cap 2; larger caps serve the exports, and ``export_poset_csv`` alone
+computes an element's own diameter.  An element is a sorted tuple of net
 positions, so the hyperspace level and the scale complex number the net's
 points alike; ground indices are formed only where a distance is read or
 written out.
@@ -40,24 +41,26 @@ from .construction import AdjustedSequence, Level, padded_rows, ties
 from .metric import MetricGround, row_blocks
 
 
+MAX_ELEMENTS = 2_000_000  # element budget of one enumeration (``grow_cliques``)
+
+
 class ElementCapError(RuntimeError):
-    """Hyperspace enumeration exceeded its element budget."""
+    """Hyperspace enumeration exceeded its element budget, ``MAX_ELEMENTS``."""
 
 
 class BondingDiameterError(RuntimeError):
     """A bonding image has diameter at or above the coarse scale bound."""
 
 
-def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int, max_elements: int):
+def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int) -> list[tuple[int, ...]]:
     """All subsets of the net positions {0..m-1} with diameter < two_eps and size <= cap.
 
     ``net`` lists the ground indices of the ``m`` net points; net x net
     distances are read from ``ground`` in row blocks, so no ``m x m`` block
-    is formed.  Returns (elements, diameters): elements are sorted tuples of
-    positions, listed by size and within a size in lex order, so element
-    ``i < m`` is the singleton ``(i,)``.  The subsets are the cliques of the
-    graph of pairs closer than two_eps (``grow_cliques``); an element's
-    diameter is the largest distance among its points.
+    is formed.  Returns the elements: sorted tuples of positions, listed by
+    size and within a size in lex order, so element ``i < m`` is the
+    singleton ``(i,)``.  The subsets are the cliques of the graph of pairs
+    closer than two_eps (``grow_cliques``).
     """
     net = np.asarray(net, dtype=np.intp)
     m = len(net)
@@ -66,24 +69,21 @@ def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int,
         close = ground.block(net[rows], net[rows.start:]) < two_eps  # columns from the block's first row on
         for i, packed in zip(range(rows.start, rows.stop), np.packbits(close, axis=1, bitorder="little")):
             ahead.append(int.from_bytes(packed.tobytes(), "little") >> (i - rows.start + 1) << (i + 1))
-    elements = grow_cliques(ahead, cap, max_elements)
-    diameters = [row_diameters(ground, net[np.array(els, dtype=np.intp).reshape(len(els), size)])
-                 for size, els in enumerate(elements, 1)]
-    return list(itertools.chain.from_iterable(elements)), np.concatenate(diameters).tolist()
+    return list(itertools.chain.from_iterable(grow_cliques(ahead, cap)))
 
 
-def grow_cliques(ahead: list[int], cap: int, max_elements: int) -> list[list[tuple[int, ...]]]:
+def grow_cliques(ahead: list[int], cap: int) -> list[list[tuple[int, ...]]]:
     """Cliques of size <= cap of the graph on {0..m-1} whose edges are i < j with bit j set in ``ahead[i]``.
 
     Returns one list of cliques per size, each in lex order.  Depth-first
     growth over the per-vertex ahead-neighbour bitmasks visits only cliques;
-    more than ``max_elements`` in all raise ``ElementCapError``.
+    more than ``MAX_ELEMENTS`` in all raise ``ElementCapError``.
     """
     m = len(ahead)
     elements: list[list[tuple[int, ...]]] = [[(i,) for i in range(m)]] + [[] for _ in range(cap - 1)]
-    budget = max_elements - m
+    budget = MAX_ELEMENTS - m
     if budget < 0:
-        raise ElementCapError(f"element budget {max_elements} exceeded already at cardinality 1 ({m} singletons)")
+        raise ElementCapError(f"element budget {MAX_ELEMENTS} exceeded already at cardinality 1 ({m} singletons)")
 
     def grow(clique, mask, size):
         nonlocal budget
@@ -92,7 +92,7 @@ def grow_cliques(ahead: list[int], cap: int, max_elements: int) -> list[list[tup
             mask &= mask - 1
             budget -= 1
             if budget < 0:
-                raise ElementCapError(f"element budget {max_elements} exceeded at cardinality {size + 1}")
+                raise ElementCapError(f"element budget {MAX_ELEMENTS} exceeded at cardinality {size + 1}")
             new = clique + (j,)
             elements[size].append(new)
             if size + 1 < cap:
@@ -119,7 +119,6 @@ class HyperLevel:
 
     level: Level
     elements: tuple[tuple[int, ...], ...]
-    diameters: tuple[float, ...]
     cap: int
 
     @cached_property
@@ -151,15 +150,10 @@ class HyperLevel:
                 yield self._index[sub], j
 
 
-def build_hyperlevel(
-    ground: MetricGround,
-    level: Level,
-    cap: int = 3,
-    max_elements: int = 2_000_000,
-) -> HyperLevel:
+def build_hyperlevel(ground: MetricGround, level: Level, cap: int = 3) -> HyperLevel:
     """Enumerate the subsets of the level net with diameter < 2 * epsilon, as net positions."""
-    elements, diameters = enumerate_small_subsets(ground, level.net, 2.0 * level.epsilon, cap, max_elements)
-    return HyperLevel(level=level, elements=tuple(elements), diameters=tuple(diameters), cap=cap)
+    elements = enumerate_small_subsets(ground, level.net, 2.0 * level.epsilon, cap)
+    return HyperLevel(level=level, elements=tuple(elements), cap=cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,14 +259,15 @@ class Tower:
     ``build_adjusted_sequence`` at this tie tolerance supplies these tables
     from its farthest-point pass, which already read every ground-to-net
     distance; any other sequence, a loaded one among them, gets one
-    ``nearest_sets`` evaluation per level.  ``step(n)`` sends each point of
-    ``A_{n+1}`` to its image in ``A_n``, read off ``q[n]`` at that point
-    (the same distance row and tie threshold a per-pair block would use).
-    ``composite(n, m)`` sends each point of ``A_m`` into ``A_n`` through the
-    steps; it is memoized and extended one step from ``composite(n, m - 1)``.
-    Step and composite rows follow the order of the net ``A_m``.  Bonding
-    maps act on subsets by unions of singleton images, so these tables
-    determine every bonding map.
+    ``nearest_sets`` evaluation per level.  ``composite(n, n + 1)``, a step,
+    sends each point of ``A_{n+1}`` to its image in ``A_n``: the rows of
+    ``q[n]`` at those points (the same distance row and tie threshold a
+    per-pair block would use), cut to the widest of them.  ``composite(n, m)``
+    sends each point of ``A_m`` into ``A_n`` through the steps; it is
+    memoized and extended one step from ``composite(n, m - 1)``.  Composite
+    rows follow the order of the net ``A_m``.  Bonding maps act on subsets
+    by unions of singleton images, so these tables determine every bonding
+    map.
     """
 
     def __init__(self, seq: AdjustedSequence, tie_tol: float = 1e-9):
@@ -293,18 +288,15 @@ class Tower:
             self._nearest_maps[n] = MultiMap("ground", self.q[n], map_diameter(self.ground, self.q[n]))
         return self._nearest_maps[n]
 
-    def step(self, n: int) -> np.ndarray:
-        return self.composite(n, n + 1)
-
     def composite(self, n: int, m: int) -> np.ndarray:
         if not 1 <= n < m <= self.seq.depth:
             raise ValueError(f"need levels {n} < {m} in a depth-{self.seq.depth} tower")
         comp = self._composites.get((n, m))
         if comp is None:
             if m == n + 1:
-                comp = self.q[n][np.asarray(self.seq.level(m).net, dtype=np.intp)]
+                comp = _union_rows(self.q[n][np.asarray(self.seq.level(m).net, dtype=np.intp)])
             else:
-                comp = self.union_image(n, m - 1, self.positions(m - 1, self.step(m - 1)))
+                comp = self.union_image(n, m - 1, self.positions(m - 1, self.composite(m - 1, m)))
             self._composites[(n, m)] = comp
         return comp
 
@@ -402,8 +394,6 @@ class ClauseReport:
 @dataclass
 class DistanceBoundsReport:
     clauses: list[ClauseReport]
-    tie_tol: float
-    density: float
 
     @property
     def ok(self) -> bool:
@@ -460,7 +450,7 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
             image = tower.union_image(n, m, tower.positions(m, tower.q[m]))
             record(c3, _cross_max(ground, image, xs[:, None]), eps_n, xs, n, m)
 
-    return DistanceBoundsReport(clauses=[c1, c2, c3], tie_tol=tower.tie_tol, density=ground.density)
+    return DistanceBoundsReport(clauses=[c1, c2, c3])
 
 
 def export_poset_dot(hl: HyperLevel, path: str) -> None:
@@ -480,11 +470,12 @@ def export_poset_dot(hl: HyperLevel, path: str) -> None:
         fh.write("}\n")
 
 
-def export_poset_csv(hl: HyperLevel, path: str) -> None:
-    """One row per element; members are ground indices."""
+def export_poset_csv(ground: MetricGround, hl: HyperLevel, path: str) -> None:
+    """One row per element; members are ground indices, and diameters are computed here from ``ground``."""
     net = hl.level.net
+    diameters = row_diameters(ground, np.asarray(net, dtype=np.intp)[hl.table]).tolist()
     with open(path, "w") as fh:
         fh.write("element_id,cardinality,diameter,members\n")
         for i, el in enumerate(hl.elements):
             members = " ".join(str(net[v]) for v in el)
-            fh.write(f"{i},{len(el)},{hl.diameters[i]!r},{members}\n")
+            fh.write(f"{i},{len(el)},{diameters[i]!r},{members}\n")

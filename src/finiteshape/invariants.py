@@ -242,19 +242,19 @@ class LevelHomology:
     singletons (``build_hyperlevel`` lists them first).  The vertices and
     edges are read off the hyperlevel and strong-collapsed; the core's
     edges, triangles and, at maxdim 2, tetrahedra are grown from the core
-    adjacency the collapse leaves (``grow_cliques``, lex order, at most
-    ``max_elements``).  ``hom`` reduces the core's full subcomplex plus the
+    adjacency the collapse leaves (``grow_cliques``, lex order, within its
+    element budget).  ``hom`` reduces the core's full subcomplex plus the
     edges u-w of the removals, which hang a forest off the core: its Betti
     numbers are the level's, ``hom.comp_of[u]`` is the component of
     ``collapse.retraction[u]``, and its degree-1 representatives are core
     cycles.
     """
 
-    def __init__(self, hl: HyperLevel, maxdim: int = 1, max_elements: int = 2_000_000):
+    def __init__(self, hl: HyperLevel, maxdim: int = 1):
         _check_maxdim(maxdim)
         vertices, edges = _simplices_by_size(hl, 0)
         self.collapse = strong_collapse(len(vertices), edges)
-        _, reduced_edges, *higher = grow_cliques(self.collapse.ahead, maxdim + 2, max_elements)
+        _, reduced_edges, *higher = grow_cliques(self.collapse.ahead, maxdim + 2)
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
         self.hom = ChainHomology(len(vertices), reduced_edges, *higher)
         self.betti = self.hom.betti(maxdim)
@@ -366,19 +366,8 @@ class HomologyReport:
     window: int
     maxdim: int
 
-    def level_row(self, index: int) -> LevelRow:
-        for row in self.levels:
-            if row.index == index:
-                return row
-        raise KeyError(index)
 
-
-def shape_report(
-    tower: Tower,
-    maxdim: int = 1,
-    window: int = 2,
-    max_elements: int = 2_000_000,
-) -> HomologyReport:
+def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyReport:
     """Full homology pipeline over a built tower (depth >= 2).
 
     Builds each level's vertices and edges (cap 2), reduces its collapsed
@@ -394,8 +383,8 @@ def shape_report(
         raise ValueError("shape report needs at least two levels")
     ground = seq.ground
 
-    hls = [build_hyperlevel(ground, lv, cap=2, max_elements=max_elements) for lv in seq.levels]
-    datas = [LevelHomology(hl, maxdim, max_elements) for hl in hls]
+    hls = [build_hyperlevel(ground, lv, cap=2) for lv in seq.levels]
+    datas = [LevelHomology(hl, maxdim) for hl in hls]
 
     rows = [
         LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_edges=hl.n_elements - len(lv.net),

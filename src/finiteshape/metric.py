@@ -2,12 +2,13 @@
 
 A :class:`MetricGround` is a finite point set read through a distance oracle:
 ``block(rows, cols)`` for dense sub-blocks and ``pairs(i, j)`` for
-elementwise distances.  A distance-matrix ground keeps its validated table and
-slices it; a coordinate ground keeps no table and computes each distance from
-its coordinates when it is read.  A ground stands in for a compact metric
-space: ``density`` is the claimed covering radius, i.e. every point of the
-idealized space lies within ``density`` of some ground point.  Exactly
-represented finite spaces carry ``density = 0``.
+elementwise distances.  A ground is either coordinates or a table: a
+distance-matrix ground keeps its validated table and slices it; a coordinate
+ground keeps no table and computes each distance from its coordinates when it
+is read.  A ground stands in for a compact metric space: ``density`` is the
+claimed covering radius, i.e. every point of the idealized space lies within
+``density`` of some ground point.  Exactly represented finite spaces carry
+``density = 0``.
 
 The ground statistics, the diameter and the largest nearest-neighbor
 distance, are exact.  A coordinate ground reads them off tiles of k-d leaf
@@ -28,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-VALID_KINDS = ("two_points", "circle", "interval", "cantor", "warsaw_circle", "custom")
+VALID_KINDS = ("two_points", "circle", "interval", "cantor", "warsaw_circle")
 
 
 BLOCK_ELEMENTS = 1 << 18  # entries in one row block's temporaries (2 MB of float64)
@@ -52,7 +53,7 @@ class GroundValidationError(ValueError):
 
 @dataclass(frozen=True)
 class MetricGround:
-    """Finite metric sample: a distance oracle, optional coordinates, covering claim.
+    """Finite metric sample: a distance oracle over coordinates or a table, and a covering claim.
 
     Distances are read through ``block(rows, cols)``, a dense sub-block, and
     ``pairs(i, j)``, elementwise distances of broadcast index arrays.  A
@@ -68,12 +69,11 @@ class MetricGround:
 
     coords: np.ndarray | None = None
     density: float = 0.0
-    kind: str = "custom"
     table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.table is None and self.coords is None:
-            raise ValueError("a ground needs a distance table or coordinates")
+        if (self.table is None) == (self.coords is None):
+            raise ValueError("a ground needs either a distance table or coordinates")
         for arr in (self.table, self.coords):
             if arr is not None:
                 arr.setflags(write=False)
@@ -148,7 +148,7 @@ class MetricGround:
         return self._row_extremes[1]
 
     @staticmethod
-    def from_coords(coords, density: float = 0.0, kind: str = "custom") -> "MetricGround":
+    def from_coords(coords, density: float = 0.0) -> "MetricGround":
         # Euclidean distances satisfy the triangle inequality by construction;
         # the exhaustive/sampled check runs on from_matrix inputs only.
         coords = np.asarray(coords, dtype=float)
@@ -164,13 +164,13 @@ class MetricGround:
             extent = float(np.sum(np.ptp(coords, axis=0) ** 2))
         if not math.isfinite(extent):
             raise GroundValidationError(f"coordinates overflow: the squared extent {extent!r} is not finite")
-        return MetricGround(coords=coords, density=float(density), kind=kind)
+        return MetricGround(coords=coords, density=float(density))
 
     @staticmethod
-    def from_matrix(dist, density: float = 0.0, coords=None, kind: str = "custom") -> "MetricGround":
+    def from_matrix(dist, density: float = 0.0) -> "MetricGround":
         dist = np.asarray(dist, dtype=float)
         _validate_distance_table(dist)
-        return MetricGround(coords=coords, density=float(density), kind=kind, table=dist)
+        return MetricGround(density=float(density), table=dist)
 
 
 def _squared_sums(coords: np.ndarray, i, j) -> np.ndarray:
@@ -409,23 +409,21 @@ def generate(spec: SpaceSpec) -> MetricGround:
     spec.validate()
     if spec.kind == "two_points":
         coords = np.array([[0.0, 0.0], [spec.separation, 0.0]])
-        return MetricGround.from_coords(coords, density=0.0, kind=spec.kind)
+        return MetricGround.from_coords(coords, density=0.0)
     if spec.kind == "circle":
         theta = 2.0 * np.pi * np.arange(spec.n) / spec.n
         coords = spec.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         density = spec.radius * 2.0 * math.sin(math.pi / (2 * spec.n)) if spec.n > 1 else 2 * spec.radius
-        return MetricGround.from_coords(coords, density=density, kind=spec.kind)
+        return MetricGround.from_coords(coords, density=density)
     if spec.kind == "interval":
         if spec.n == 1:
-            return MetricGround.from_coords(np.array([[spec.length / 2]]), density=spec.length / 2, kind=spec.kind)
+            return MetricGround.from_coords(np.array([[spec.length / 2]]), density=spec.length / 2)
         xs = np.linspace(0.0, spec.length, spec.n)
         h = spec.length / (spec.n - 1)
-        return MetricGround.from_coords(xs[:, None], density=h / 2, kind=spec.kind)
+        return MetricGround.from_coords(xs[:, None], density=h / 2)
     if spec.kind == "cantor":
         return _cantor_ground(spec.cantor_depth)
-    if spec.kind == "warsaw_circle":
-        return _warsaw_ground(spec.n)
-    raise ValueError("custom grounds are built from files or arrays, not generated; see load_ground")
+    return _warsaw_ground(spec.n)
 
 
 def _cantor_ground(depth: int) -> MetricGround:
@@ -440,7 +438,7 @@ def _cantor_ground(depth: int) -> MetricGround:
         segs = nxt
     pts = sorted({x for s in segs for x in s})
     density = 3.0 ** (-depth) / 2.0
-    return MetricGround.from_coords(np.array(pts)[:, None], density=density, kind="cantor")
+    return MetricGround.from_coords(np.array(pts)[:, None], density=density)
 
 
 _WARSAW_W = 2.0 / math.pi
@@ -541,7 +539,7 @@ def _warsaw_ground(n: int) -> MetricGround:
     spacing = max(seg_len / k_seg, arc_len / k_arc, graph_len / k_graph)
     tail = math.sqrt(x_min ** 2 + (seg_len / k_seg / 2.0) ** 2)
     density = max(spacing / 2.0, tail)
-    return MetricGround.from_coords(coords, density=density, kind="warsaw_circle")
+    return MetricGround.from_coords(coords, density=density)
 
 
 def load_ground(path: str, fmt: str = "coords_csv", density: float = 0.0) -> MetricGround:

@@ -1,4 +1,4 @@
-import functools
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finiteshape import cli, construction, hyperspace, invariants
-from finiteshape.cli import main
+from finiteshape.cli import RunConfig, main
 from finiteshape.metric import MetricGround
 
 
@@ -168,6 +168,50 @@ def test_generate_config_honours_n(tmp_path):
     assert len(out.read_text().splitlines()) == 41
 
 
+# every RunConfig field away from its default; together they pass validation
+NON_DEFAULT_CONFIG = RunConfig(
+    space="interval", n=17, radius=2.0, separation=3.0, length=4.0, cantor_depth=2,
+    input="in.csv", format="distmatrix_csv", density=0.5, epsilon1=0.7, depth=3, safety=0.8,
+    tie_tol=1e-6, maxdim=2, window=3, outdir="elsewhere",
+    skip_bounds=True, skip_identity=True, skip_diagram=True, skip_homology=True,
+)
+
+
+def _spelled(value) -> str:
+    return "true" if value is True else str(value)
+
+
+def test_every_config_field_is_a_flag_and_a_config_key_of_its_type():
+    parser = cli.build_parser()
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(cli._CONFIG_KEYS) == names
+    for name in names:
+        value = getattr(NON_DEFAULT_CONFIG, name)
+        assert value != getattr(RunConfig(), name)
+        assert cli._CONFIG_KEYS[name] is type(value)
+        flag = ["--" + name.replace("_", "-")] + ([] if value is True else [_spelled(value)])
+        for command in ("run", "verify"):
+            got = getattr(parser.parse_args([command, *flag]), name)
+            assert (got, type(got)) == (value, type(value))
+
+
+def test_unset_flags_take_the_run_config_defaults():
+    args = cli.build_parser().parse_args(["run", "--space", "circle"])
+    assert cli._config_from_args(args) == RunConfig(space="circle")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_config_file_sets_every_field_and_a_flag_overrides_it(tmp_path, monkeypatch, command):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, args: seen.append(cfg) or 0)
+    cfgfile = tmp_path / "all.cfg"
+    lines = (f"{name} = {_spelled(getattr(NON_DEFAULT_CONFIG, name))}\n" for name in cli._CONFIG_KEYS)
+    cfgfile.write_text("".join(lines))
+    assert main([command, "--config", str(cfgfile)]) == 0
+    assert main([command, "--config", str(cfgfile), "--depth", "5"]) == 0
+    assert seen == [NON_DEFAULT_CONFIG, dataclasses.replace(NON_DEFAULT_CONFIG, depth=5)]
+
+
 def test_verify_one_level_tower_passes(capsys):
     # a 12-point circle stops after level 1: the pair clauses hold vacuously
     assert run_cli(["verify", "--space", "circle", "--n", "12", "--depth", "3"]) == 0
@@ -293,7 +337,7 @@ def test_export_complex_both_kinds(tmp_path):
 
 def test_run_shape_stage_failure_is_a_fail_verdict(tmp_path, capsys, monkeypatch):
     # circle-64 level 2 alone has more than 40 vertices and edges
-    monkeypatch.setattr(cli, "shape_report", functools.partial(invariants.shape_report, max_elements=40))
+    monkeypatch.setattr(hyperspace, "MAX_ELEMENTS", 40)
     outdir = tmp_path / "out"
     code = run_cli(["run", "--space", "circle", "--n", "64", "--depth", "3", "--outdir", str(outdir)])
     out = capsys.readouterr().out
@@ -307,7 +351,7 @@ def test_run_shape_stage_failure_is_a_fail_verdict(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("command", ["export-poset", "export-complex"])
 def test_export_over_the_element_budget_exits_2(tmp_path, capsys, monkeypatch, command):
     # circle-64 level 1 has more than 40 elements up to size 3
-    monkeypatch.setattr(cli, "build_hyperlevel", functools.partial(hyperspace.build_hyperlevel, max_elements=40))
+    monkeypatch.setattr(hyperspace, "MAX_ELEMENTS", 40)
     code = run_cli([command, "--space", "circle", "--n", "64", "--depth", "3",
                     "--level", "1", "--out", str(tmp_path / "level1")])
     captured = capsys.readouterr()

@@ -69,11 +69,14 @@ def test_hyperlevel_triangle_counts(eps, count):
     assert list(hl.elements) == brute_elements(g.dist, (0, 1, 2), 2 * eps, 3)
 
 
-def test_hyperlevel_down_closed_and_diameters():
+def test_hyperlevel_down_closed_and_diameters(tmp_path):
     g = generate(SpaceSpec("circle", n=16))
     lv = Level(1, 0.5, tuple(range(16)), 0.3, 0.5)
     hl = build_hyperlevel(g, lv, cap=3)
-    for el, d in zip(hl.elements, hl.diameters):
+    export_poset_csv(g, hl, str(tmp_path / "p.csv"))
+    diameters = [float(row.split(",")[2]) for row in (tmp_path / "p.csv").read_text().splitlines()[1:]]
+    assert len(diameters) == hl.n_elements
+    for el, d in zip(hl.elements, diameters):
         assert d == set_diameter(g.dist, el) < 1.0
         for r in range(1, len(el)):
             for sub in itertools.combinations(el, r):
@@ -207,7 +210,8 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
         assert images_of(tower.q[lv.index]) == nearest_point_map(g, lv.net).images == expected
     for n in range(1, seq.depth):
         fine_net = seq.level(n + 1).net
-        assert dict(zip(fine_net, images_of(tower.step(n)))) == singleton_bonding_chain(g, seq.levels[n - 1:n + 1])
+        step = tower.composite(n, n + 1)
+        assert dict(zip(fine_net, images_of(step))) == singleton_bonding_chain(g, seq.levels[n - 1:n + 1])
         for m in range(n + 1, seq.depth + 1):
             comp = dict(zip(seq.level(m).net, images_of(tower.composite(n, m))))
             assert comp == singleton_bonding_chain(g, seq.levels[n - 1:m])
@@ -387,13 +391,14 @@ def test_distance_bounds_circle64_exhaustive():
     assert rep.ok
 
 
-def test_element_budget_overflow_reports_cardinality():
+def test_element_budget_overflow_reports_cardinality(monkeypatch):
+    monkeypatch.setattr(hyperspace, "MAX_ELEMENTS", 40)
     g = generate(SpaceSpec("circle", n=32))
     lv = Level(1, 1.0, tuple(range(32)), 0.5, 1.0)
     from finiteshape.hyperspace import ElementCapError
 
     with pytest.raises(ElementCapError) as err:
-        build_hyperlevel(g, lv, cap=3, max_elements=40)
+        build_hyperlevel(g, lv, cap=3)
     assert "cardinality" in str(err.value)
     assert "40" in str(err.value)
 
@@ -414,7 +419,7 @@ def test_poset_exports(tmp_path):
     dot = tmp_path / "p.dot"
     csvp = tmp_path / "p.csv"
     export_poset_dot(hl, str(dot))
-    export_poset_csv(hl, str(csvp))
+    export_poset_csv(g, hl, str(csvp))
     text = dot.read_text()
     assert text.startswith("digraph")
     # covering edges: 3 singletons -> 3 pairs (2 each) + 3 pairs -> triple
@@ -432,7 +437,7 @@ def test_poset_exports_write_members_as_ground_indices(tmp_path):
     hl = build_hyperlevel(g, seq.level(3))
     assert hl.level.net != tuple(range(len(hl.level.net)))
     members = ground_members(hl)
-    export_poset_csv(hl, str(tmp_path / "p.csv"))
+    export_poset_csv(g, hl, str(tmp_path / "p.csv"))
     export_poset_dot(hl, str(tmp_path / "p.dot"))
 
     rows = (tmp_path / "p.csv").read_text().splitlines()[1:]

@@ -283,8 +283,9 @@ def test_induced_circle_rank_one_between_fine_levels():
     rep = shape_report(Tower(seq))
     # circle-shape oracle: the loop class has rank one along every pair of
     # genuinely circular levels
+    betti = {row.index: row.betti for row in rep.levels}
     for pr in rep.pairs:
-        if rep.level_row(pr.fine_index).betti == (1, 1) and rep.level_row(pr.coarse_index).betti == (1, 1):
+        if betti[pr.fine_index] == (1, 1) and betti[pr.coarse_index] == (1, 1):
             assert pr.ranks[1] == 1
         assert pr.ranks[0] == 1
 
@@ -443,9 +444,9 @@ def test_shape_report_computes_each_object_once(monkeypatch, capsys):
         checked.append(domain.level.index)
         return is_continuous(p, domain)
 
-    def counting_enumerate(ground, net, two_eps, cap, max_elements):
+    def counting_enumerate(ground, net, two_eps, cap):
         enumerated.append((len(net), cap))
-        return enumerate_small_subsets(ground, net, two_eps, cap, max_elements)
+        return enumerate_small_subsets(ground, net, two_eps, cap)
 
     with monkeypatch.context() as m:
         m.setattr(hyperspace, "is_continuous", counting_is_continuous)
@@ -477,10 +478,10 @@ def test_triangles_are_grown_on_cores_only(monkeypatch, maxdim):
     assert any(1 < len(core) < len(lv.net) for core, lv in zip(cores, seq.levels))  # a partial core
     grown = []
 
-    def counting_grow(ahead, cap, max_elements):
+    def counting_grow(ahead, cap):
         bits = [{j for j in range(mask.bit_length()) if mask >> j & 1} for mask in ahead]
         grown.append((cap, {v for u, nbrs in enumerate(bits) for v in (u, *nbrs) if nbrs}))
-        return grow_cliques(ahead, cap, max_elements)
+        return grow_cliques(ahead, cap)
 
     monkeypatch.setattr(invariants, "grow_cliques", counting_grow)
     shape_report(Tower(seq), maxdim=maxdim)

@@ -59,33 +59,42 @@ single_point = st.just([(0.0, 0.0)])
 TIE_TOLERANCES = st.sampled_from([0.0, 1e-9, 0.05, 0.5])
 
 
+def ring(jitter) -> MetricGround:
+    """Points on the unit circle at angles 2 pi (k + jitter[k]) / n; density is their covering radius on the circle."""
+    n = len(jitter)
+    theta = 2.0 * np.pi * (np.arange(n) + np.asarray(jitter, dtype=float)) / n
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return MetricGround.from_coords(coords, density=2.0 * np.sin(gaps.max() / 4.0))
+
+
+@st.composite
+def ring_grounds(draw, max_n=128):
+    """A ``ring`` of 64 to ``max_n`` points, each jittered by at most 0.05 of a gap."""
+    n = draw(st.integers(64, max_n))
+    return ring(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
+
+
 @st.composite
 def towers(draw):
-    """(tower, tie tolerance) for a drawn cloud, depth 2 to 4.
+    """(tower, tie tolerance) for a drawn cloud or ring, depth 2 to 4.
 
-    The sequence is built at the tower's tie tolerance, so the tower reads
-    its tables off the farthest-point pass, or at the default one, so it
-    computes them with ``nearest_sets``.
+    The clouds have at most 20 points, so past level 1 their levels are
+    mostly whole samples without edges; rings give levels past the first
+    with edges and bonding images of several points.  The sequence is built
+    at the tower's tie tolerance, so the tower reads its tables off the
+    farthest-point pass, or at the default one, so it computes them with
+    ``nearest_sets``.
     """
-    points = draw(st.one_of(random_points, lattice_points, line_points))
-    ground = MetricGround.from_coords(np.array(points, dtype=float))
+    clouds = st.one_of(random_points, lattice_points, line_points).map(
+        lambda p: MetricGround.from_coords(np.array(p, dtype=float)))
+    ground = draw(st.one_of(clouds, ring_grounds(96)))
     if ground.diameter() == 0.0:  # distinct floats can still be 0 apart after rounding
         ground = MetricGround.from_coords(np.array([[0.0, 0.0], [1.0, 0.0]]))
     tie_tol = draw(TIE_TOLERANCES)
     built_at = draw(st.sampled_from([tie_tol, 1e-9]))
     seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(2, 4)), tie_tol=built_at)
     return Tower(seq, tie_tol), tie_tol
-
-
-@st.composite
-def ring_grounds(draw, max_n=128):
-    """64 to ``max_n`` jittered points on the unit circle; density is their covering radius on the circle."""
-    n = draw(st.integers(64, max_n))
-    jitter = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
-    theta = 2.0 * np.pi * (np.arange(n) + jitter) / n
-    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
-    coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return MetricGround.from_coords(coords, density=2.0 * np.sin(gaps.max() / 4.0))
 
 
 # Largest ring drawn at maxdim 2 for the order-complex oracle.  From 80 points
@@ -122,6 +131,16 @@ def full_lattice_tower(tie_tol, depth):
 
 def with_lattice_examples(test):
     return example(full_lattice_tower(1e-9, 3))(example(full_lattice_tower(0.5, 4))(test))
+
+
+def test_ring_towers_have_edges_and_wide_bonding_images():
+    # the least ring towers() draws: past level 1 it has edges, and bonding images of more than one point
+    ground = ring(np.zeros(64))
+    for depth in (2, 3, 4):
+        tower = Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth))
+        hls = [build_hyperlevel(ground, lv, cap=2) for lv in tower.seq.levels]
+        assert any(hl.n_elements > len(hl.level.net) for hl in hls[1:])
+        assert max(len(set(row)) for hl in hls[1:] for row in bonding_map(tower, hl).table.tolist()) >= 2
 
 
 @PROPERTY_SETTINGS
