@@ -5,14 +5,14 @@ at f, pass through the union f ∪ g at the midpoint, end at g.  The union of
 two continuous maps into a hyperspace is continuous, and two maps contained
 in a common third are homotopic through it, so the whole claim reduces to one
 number: the largest diameter of f(x) ∪ g(x) over the domain.  The homotopy
-exists inside the scale-bound neighborhood exactly when that number is
-strictly below the bound.
+exists inside the scale-bound neighborhood exactly when that number, which
+the check computes from the two maps' tables (a ``MultiMap`` records no
+diameter), is strictly below the bound.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,8 @@ def check_homotopic_in_U(
     diameters = row_diameters(ground, np.hstack([f.table, g.table]))
     worst_item = int(np.argmax(diameters)) if len(diameters) else 0
     worst = float(diameters[worst_item]) if len(diameters) else -1.0
-    return HomotopyWitness(
-        name=name, bound=float(bound), max_union_diameter=float(worst),
-        worst_item=worst_item, verdict=worst < bound,
-    )
+    return HomotopyWitness(name=name, bound=float(bound), max_union_diameter=worst,
+                           worst_item=worst_item, verdict=worst < bound)
 
 
 @dataclass(frozen=True)
@@ -66,32 +64,28 @@ class ApproximativeMap:
     """Finite prefix of a multivalued map sequence with shrinking images.
 
     ``maps[k]`` sends each source ground point to a subset of the target
-    ground; ``diameters[k]`` is its largest image diameter, non-increasing
-    over the stored prefix.
+    ground; ``diameters[k]``, derived here from its table, is its largest
+    image diameter, non-increasing over the stored prefix.
     """
 
     source: MetricGround
     target: MetricGround
     maps: tuple[MultiMap, ...]
-    diameters: tuple[float, ...]
+    diameters: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.maps) != len(self.diameters):
-            raise ValueError("one diameter per map required")
-        for k, (mm, d) in enumerate(zip(self.maps, self.diameters)):
+        for k, mm in enumerate(self.maps):
             if len(mm.table) != self.source.n:
                 raise ValueError(f"map {k} does not cover the source ground")
-            if d != mm.diameter:
-                raise ValueError(f"map {k}: recorded diameter {d!r} != map diameter {mm.diameter!r}")
+        object.__setattr__(self, "diameters", tuple(map_diameter(self.target, mm.table) for mm in self.maps))
         for a, b in zip(self.diameters, self.diameters[1:]):
             if b > a:
                 raise ValueError(f"diameters must be non-increasing, got {a!r} then {b!r}")
 
     @staticmethod
     def from_images(source: MetricGround, target: MetricGround, image_seq) -> "ApproximativeMap":
-        tables = [padded_table([sorted(img) for img in images]) for images in image_seq]
-        maps = tuple(MultiMap("ground", t, map_diameter(target, t)) for t in tables)
-        return ApproximativeMap(source, target, maps, tuple(m.diameter for m in maps))
+        maps = tuple(MultiMap("ground", padded_table([sorted(img) for img in images])) for images in image_seq)
+        return ApproximativeMap(source, target, maps)
 
 
 def ball_map_prefix(ground: MetricGround, radii) -> ApproximativeMap:
@@ -143,14 +137,11 @@ def finite_type_convert(
                 f"net {k} is not a beta-approximation: coverage {cov!r} >= beta {beta!r}"
             )
 
-    target = am.target
     maps = []
     for mm, net in zip(am.maps, nets):
-        pushed = nearest_sets(target, net, tie_tol)[mm.table]
-        table = _union_rows(pushed.reshape(len(pushed), -1))
-        maps.append(MultiMap("ground", table, map_diameter(target, table)))
-
-    converted = ApproximativeMap(am.source, am.target, tuple(maps), tuple(m.diameter for m in maps))
+        pushed = nearest_sets(am.target, net, tie_tol)[mm.table]
+        maps.append(MultiMap("ground", _union_rows(pushed.reshape(len(pushed), -1))))
+    converted = ApproximativeMap(am.source, am.target, tuple(maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
     slacks = tuple(bound - d for bound, d in zip(bounds, converted.diameters))
     report = FiniteTypeReport(bounds=bounds, slacks=slacks)
@@ -165,9 +156,8 @@ def finite_type_convert(
 @dataclass
 class BoundConvergence:
     bound: float
-    n0_consecutive: int | None  # least level from which all stored pairs pass
+    n0_consecutive: int         # least level from which all stored pairs pass; the last passes vacuously
     n0_inclusion: int | None    # least level from which the point-inclusion passes
-    vacuous_consecutive: bool   # no stored pair remains at or after n0
 
 
 @dataclass
@@ -177,8 +167,9 @@ class IdentityConvergenceReport:
     ``pair_diameters[m]`` is the worst diameter of q_m(x) ∪ q_{m+1}(x) over
     the ground; ``inclusion_diameters[n]`` the worst of q_n(x) ∪ {x}.  Both
     must beat 2 * epsilon at their own level (violations signal a broken
-    tower, not insufficient depth).  Per requested bound the report gives the
-    least usable start level, or None when the stored prefix is too short.
+    tower, not insufficient depth).  Per bound 2 epsilon_n the report gives
+    the least usable start levels; the inclusion's is None when the stored
+    prefix is too short.
     """
 
     levels: tuple[int, ...]
@@ -189,25 +180,34 @@ class IdentityConvergenceReport:
 
     @property
     def ok(self) -> bool:
-        if self.own_level_violations:
-            return False
-        return all(b.n0_consecutive is not None and b.n0_inclusion is not None for b in self.per_bound)
+        return not self.own_level_violations and all(b.n0_inclusion is not None for b in self.per_bound)
 
 
-def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConvergenceReport:
+def _least_start(levels, diameters, bound: float) -> int | None:
+    """Least level from which every later diameter is below ``bound``, or None.
+
+    ``diameters[i]`` belongs to ``levels[i]``; a level past the last one passes vacuously.
+    """
+    start = len(diameters)
+    while start > 0 and diameters[start - 1] < bound:
+        start -= 1
+    return levels[start].index if start < len(levels) else None
+
+
+def check_identity_convergence(tower: Tower) -> IdentityConvergenceReport:
     """Verify the nearest-point tower represents the identity on the sample.
 
     Tested on the neighborhood basis given by the level scales: the bound
-    schedule is {2 epsilon_n} plus any extras.  For each bound b the report
-    carries the least n0 such that every stored consecutive pair from n0 on is
+    schedule is {2 epsilon_n}.  For each bound b the report carries the
+    least n0 such that every stored consecutive pair from n0 on is
     homotopic inside b (union diameter < b), and the least n0 from which
     q_n ~ (x -> {x}) inside b.  Both diameters are union-homotopy witnesses
     at the pair's own bound 2 epsilon_n.
     """
     ground = tower.ground
     levels = list(tower.seq.levels)
-    qs = [tower.nearest_map(lv.index) for lv in levels]
-    inclusion = MultiMap("ground", np.arange(ground.n)[:, None], 0.0)
+    qs = [MultiMap("ground", tower.q[lv.index]) for lv in levels]
+    inclusion = MultiMap("ground", np.arange(ground.n)[:, None])
     pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, ground) for f, g, lv in zip(qs, qs[1:], levels)]
     incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, ground) for f, lv in zip(qs, levels)]
     pair_diams = [w.max_union_diameter for w in pair_ws]
@@ -215,36 +215,12 @@ def check_identity_convergence(tower: Tower, extra_bounds=()) -> IdentityConverg
 
     violations = []
     for k, lv in enumerate(levels):
-        if k < len(pair_ws) and not pair_ws[k].verdict:
-            violations.append({"kind": "consecutive", "level": lv.index, "diameter": pair_diams[k], "bound": 2.0 * lv.epsilon})
-        if not incl_ws[k].verdict:
-            violations.append({"kind": "inclusion", "level": lv.index, "diameter": incl_diams[k], "bound": 2.0 * lv.epsilon})
+        for kind, ws in (("consecutive", pair_ws), ("inclusion", incl_ws)):
+            if k < len(ws) and not ws[k].verdict:
+                violations.append({"kind": kind, "level": lv.index, "diameter": ws[k].max_union_diameter, "bound": ws[k].bound})
 
-    # suffix maxima over levels; an empty pair suffix passes vacuously (the
-    # stored prefix has nothing left to check from that level on)
-    sfx_pairs = [-math.inf] * len(levels)
-    for i in range(len(pair_diams) - 1, -1, -1):
-        sfx_pairs[i] = max(pair_diams[i], sfx_pairs[i + 1])
-    sfx_incl = list(incl_diams)
-    for i in range(len(sfx_incl) - 2, -1, -1):
-        sfx_incl[i] = max(sfx_incl[i], sfx_incl[i + 1])
-
-    bounds = [2.0 * lv.epsilon for lv in levels] + [float(b) for b in extra_bounds]
-    per_bound = []
-    for b in bounds:
-        n0_pair = None
-        vac = False
-        for idx, v in enumerate(sfx_pairs):
-            if v < b:
-                n0_pair = levels[idx].index
-                vac = idx >= len(pair_diams)
-                break
-        n0_incl = None
-        for idx, v in enumerate(sfx_incl):
-            if v < b:
-                n0_incl = levels[idx].index
-                break
-        per_bound.append(BoundConvergence(bound=b, n0_consecutive=n0_pair, n0_inclusion=n0_incl, vacuous_consecutive=vac))
+    per_bound = [BoundConvergence(b, _least_start(levels, pair_diams, b), _least_start(levels, incl_diams, b))
+                 for b in (2.0 * lv.epsilon for lv in levels)]
 
     return IdentityConvergenceReport(
         levels=tuple(lv.index for lv in levels),
@@ -264,7 +240,6 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     """
     if not (1 <= n < tower.seq.depth):
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
-    ground = tower.ground
-    g_table = tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1]))
-    g = MultiMap("ground", g_table, map_diameter(ground, g_table))
-    return check_homotopic_in_U(tower.nearest_map(n), g, 2.0 * tower.seq.level(n).epsilon, ground, name=f"diagram_level_{n}")
+    f = MultiMap("ground", tower.q[n])
+    g = MultiMap("ground", tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1])))
+    return check_homotopic_in_U(f, g, 2.0 * tower.seq.level(n).epsilon, tower.ground, name=f"diagram_level_{n}")

@@ -23,10 +23,10 @@ Multivalued maps are tabulated images in ground indices: the nearest-point
 map sends a ground point to its set of nearest net points (ties within a
 relative tolerance), and the bonding map of consecutive levels sends a
 subset of the finer net to the union of nearest coarser points over its
-members.  A ``MultiMap`` holds its images only as the rows of a padded
-table; a ``Tower`` computes these tables once for a built tower, and every
-check reads them from it.  Image tuples are formed on demand, for tests and
-the benchmark tracer.
+members.  A ``MultiMap`` is its domain and padded table; a ``Tower``
+computes the tables once for a built tower, and a check reads them from it
+and computes the image diameters it compares with a bound.  Image tuples are
+formed on demand, for tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -158,18 +158,17 @@ def build_hyperlevel(ground: MetricGround, level: Level, cap: int = 3) -> HyperL
 
 @dataclass(frozen=True, eq=False)
 class MultiMap:
-    """Tabulated multivalued map into a net, with its recorded diameter.
+    """Tabulated multivalued map into a net: its domain and its padded table.
 
     ``domain_kind`` is ``"ground"`` (one image per ground point) or
     ``"elements"`` (one image per hyperspace element).  Each image is a row
     of ground indices in the padded ``table`` (see ``padded_table``), which
-    every check reads; ``diameter`` is the largest image diameter.
+    every check reads; a check that needs image diameters computes them.
     ``images`` forms the tuples on first read, for tests and the tracer.
     """
 
     domain_kind: str
     table: np.ndarray = field(repr=False)
-    diameter: float
 
     def __post_init__(self):
         if self.domain_kind not in ("ground", "elements"):
@@ -246,8 +245,7 @@ def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> Multi
     net = tuple(net)
     if not net:
         raise ValueError("net must be non-empty")
-    table = nearest_sets(ground, net, tie_tol)
-    return MultiMap("ground", table, map_diameter(ground, table))
+    return MultiMap("ground", nearest_sets(ground, net, tie_tol))
 
 
 class Tower:
@@ -280,13 +278,6 @@ class Tower:
         else:
             self.q = {lv.index: nearest_sets(seq.ground, lv.net, tie_tol) for lv in seq.levels}
         self._composites: dict[tuple[int, int], np.ndarray] = {}
-        self._nearest_maps: dict[int, MultiMap] = {}
-
-    def nearest_map(self, n: int) -> MultiMap:
-        """``q[n]`` as a ground-domain map, with its diameter."""
-        if n not in self._nearest_maps:
-            self._nearest_maps[n] = MultiMap("ground", self.q[n], map_diameter(self.ground, self.q[n]))
-        return self._nearest_maps[n]
 
     def composite(self, n: int, m: int) -> np.ndarray:
         if not 1 <= n < m <= self.seq.depth:
@@ -342,8 +333,7 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
     tower.composite(n, m)  # rejects a level pair outside the tower first
     if fine.level != tower.seq.level(m):
         raise ValueError(f"hyperspace level {m} was not built on this tower's level")
-    coarse = tower.seq.level(n)
-    bound = 2.0 * coarse.epsilon
+    bound = 2.0 * tower.seq.level(n).epsilon
     table = tower.union_image(n, m, fine.table)
     diameters = row_diameters(tower.ground, table)
     bad = np.flatnonzero(diameters >= bound)
@@ -352,9 +342,9 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
         members = tuple(fine.level.net[v] for v in fine.elements[i])
         raise BondingDiameterError(
             f"{what} of {members} has diameter {float(diameters[i])!r} >= 2*epsilon = {bound!r} "
-            f"(levels {m} -> {coarse.index})"
+            f"(levels {m} -> {n})"
         )
-    return MultiMap("elements", table, float(diameters.max(initial=0.0)))
+    return MultiMap("elements", table)
 
 
 def is_continuous(mm: MultiMap, domain: HyperLevel):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -567,9 +568,13 @@ def load_ground(path: str, fmt: str = "coords_csv", density: float = 0.0) -> Met
         return MetricGround.from_coords(coords, density=density)
     if fmt == "distmatrix_csv":
         try:
-            dist = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty file is reported below, as for coords_csv
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                dist = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise GroundValidationError(f"{path}: parse failure: {exc}") from exc
+        if dist.size == 0:
+            raise GroundValidationError(f"{path}: no data rows")
         return MetricGround.from_matrix(dist, density=density)
     raise ValueError(f"unknown format {fmt!r}; expected coords_csv or distmatrix_csv")
 

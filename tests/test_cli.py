@@ -487,6 +487,16 @@ def test_overflowing_coordinates_are_input_errors(tmp_path, capsys, args, data):
     assert err.startswith("error: coordinates overflow") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")  # a warning printed beside the error fails the case
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["zero-bytes", "blank-lines"])
+def test_empty_distance_matrix_exits_2_with_one_error_line(tmp_path, capsys, text):
+    matrix = tmp_path / "empty.csv"
+    matrix.write_text(text)
+    assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv",
+                    "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {matrix}: no data rows\n"
+
+
 def test_gap_clamp_without_room_names_the_net_threshold(tmp_path, capsys):
     # 0.98 epsilon_1 - maxNN / 2 = 0.49 - 0.5 < 0: no net threshold is positive
     matrix = tmp_path / "two.csv"

@@ -34,11 +34,12 @@ def circle4():
 def test_witness_equal_maps():
     g = circle4()
     q = nearest_point_map(g, (0, 2))
-    w_pass = check_homotopic_in_U(q, q, q.diameter + 1e-9, g)
-    w_fail = check_homotopic_in_U(q, q, q.diameter, g)
+    d = map_diameter(g, q.table)
+    w_pass = check_homotopic_in_U(q, q, d + 1e-9, g)
+    w_fail = check_homotopic_in_U(q, q, d, g)
     assert w_pass.verdict
     assert not w_fail.verdict  # strict inequality
-    assert w_fail.max_union_diameter == q.diameter
+    assert w_fail.max_union_diameter == d
 
 
 def test_witness_nearest_pair_beats_two_epsilon():
@@ -54,8 +55,8 @@ def test_witness_nearest_pair_beats_two_epsilon():
 
 def test_witness_constructed_failure():
     g = generate(SpaceSpec("interval", n=3))  # points 0, 0.5, 1
-    f = MultiMap("ground", padded_table(((0,), (0,), (0,))), 0.0)
-    h = MultiMap("ground", padded_table(((2,), (2,), (2,))), 0.0)
+    f = MultiMap("ground", padded_table(((0,), (0,), (0,))))
+    h = MultiMap("ground", padded_table(((2,), (2,), (2,))))
     w = check_homotopic_in_U(f, h, 0.5, g)
     assert not w.verdict
     assert w.max_union_diameter == 1.0
@@ -63,8 +64,8 @@ def test_witness_constructed_failure():
 
 def test_witness_domain_mismatch():
     g = circle4()
-    f = MultiMap("ground", padded_table(((0,),) * 4), 0.0)
-    h = MultiMap("ground", padded_table(((0,),) * 3), 0.0)
+    f = MultiMap("ground", padded_table(((0,),) * 4))
+    h = MultiMap("ground", padded_table(((0,),) * 3))
     with pytest.raises(ValueError):
         check_homotopic_in_U(f, h, 1.0, g)
 
@@ -75,13 +76,11 @@ def test_union_of_monotone_maps_is_monotone():
     hl = build_hyperlevel(g, lv, cap=3)
     f_images = tuple((0,) for _ in hl.elements)             # constant
     g_images = tuple(el for el in hl.elements)              # identity
-    f = MultiMap("elements", padded_table(f_images), 0.0)
-    g_table = padded_table(g_images)
-    gmap = MultiMap("elements", g_table, map_diameter(g, g_table))
+    f = MultiMap("elements", padded_table(f_images))
+    gmap = MultiMap("elements", padded_table(g_images))
     assert is_continuous(f, hl)[0]
     assert is_continuous(gmap, hl)[0]
-    union_table = padded_table([sorted(set(a) | set(b)) for a, b in zip(f_images, g_images)])
-    union = MultiMap("elements", union_table, map_diameter(g, union_table))
+    union = MultiMap("elements", padded_table([sorted(set(a) | set(b)) for a, b in zip(f_images, g_images)]))
     assert is_continuous(union, hl)[0]
 
 
@@ -105,8 +104,6 @@ def test_identity_convergence_circle():
     for n, bc in zip(rep.levels, rep.per_bound[: len(rep.levels)]):
         assert bc.n0_consecutive is not None and bc.n0_consecutive <= n
         assert bc.n0_inclusion is not None and bc.n0_inclusion <= n
-    # the non-vacuous pairs exist through level 3
-    assert not rep.per_bound[2].vacuous_consecutive
 
 
 def test_identity_convergence_detects_own_level_violation():
@@ -129,12 +126,21 @@ def test_identity_convergence_detects_own_level_violation():
 
 
 def test_identity_convergence_unreachable_bound_reported():
-    g = generate(SpaceSpec("circle", n=64))
-    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=2)
-    rep = check_identity_convergence(Tower(seq), extra_bounds=(1e-12,))
-    last = rep.per_bound[-1]
-    assert last.n0_consecutive is None or last.n0_inclusion is None
+    # a stored tower whose scales grow: every union beats its own level's
+    # bound, but q_2 is too coarse to stay inside 2 * epsilon_1
+    from finiteshape.construction import AdjustedSequence
+
+    g = MetricGround.from_coords(np.array([[-1.0], [-0.1], [0.0]]))
+    levels = (Level(1, 0.48, (0, 1), 0.1, 0.48), Level(2, 0.6, (0,), 1.0, 0.6))
+    rep = check_identity_convergence(Tower(AdjustedSequence(g, levels, safety=2.0, requested_depth=2)))
+    assert rep.pair_diameters == (0.9,)
+    assert rep.inclusion_diameters == (0.1, 1.0)
+    first = rep.per_bound[0]
+    assert first.bound == 0.96
+    assert first.n0_consecutive == 1
+    assert first.n0_inclusion is None  # unreachable in the stored prefix
     assert not rep.own_level_violations  # insufficient depth, not a violation
+    assert not rep.ok
 
 
 def test_diagram_commutes_singleton():
@@ -220,7 +226,7 @@ def test_finite_type_homotopy_bound_circle64():
         q = reference_nearest_sets(g.dist[:, list(net)], net, 1e-9)
         expected = tuple(tuple(sorted(set().union(*(q[y] for y in img)))) for img in mm.images)
         assert got.images == expected
-        assert got.diameter == max(set_diameter(g.dist, img) for img in expected)
+        assert map_diameter(g, got.table) == max(set_diameter(g.dist, img) for img in expected)
     eps = 0.5
     for k in range(len(betas)):
         if 2 * betas[k] + am.diameters[k] < eps:

@@ -17,6 +17,7 @@ from finiteshape.hyperspace import (
     export_poset_csv,
     export_poset_dot,
     is_continuous,
+    map_diameter,
     nearest_point_map,
     padded_table,
     verify_adjusted_distance_bounds,
@@ -101,7 +102,7 @@ def test_nearest_point_map_circle4_antipodal():
     q = nearest_point_map(g, (0, 2))
     assert q.images[1] == (0, 2)
     assert q.images[3] == (0, 2)
-    assert q.diameter == pytest.approx(2.0)
+    assert map_diameter(g, q.table) == pytest.approx(2.0)
 
 
 def test_bonding_singleton_fixed_point():
@@ -175,7 +176,7 @@ def test_composite_two_levels_equals_bonding():
     single = bonding_map(tower, hls[1])
     comp = composite_bonding(tower, hls[1], 1)
     assert comp.images == single.images
-    assert comp.diameter == single.diameter
+    assert map_diameter(g, comp.table) == map_diameter(g, single.table)
 
 
 def test_composite_singleton_ground_identity():
@@ -272,20 +273,20 @@ def test_bonding_maps_match_per_element_diameter_reference():
         fine_net, coarse_net = list(seq.levels[k + 1].net), list(seq.levels[k].net)
         q = dict(zip(fine_net, reference_nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
         p = bonding_map(tower, hls[k + 1])
-        assert (p.images, p.diameter) == per_element_union_map(g.dist, ground_members(hls[k + 1]), q)
+        assert (p.images, map_diameter(g, p.table)) == per_element_union_map(g.dist, ground_members(hls[k + 1]), q)
         shared += len(p.images) - len(set(p.images))
     assert shared > 0  # some elements share an image, so the measured-once path runs
     for k in range(len(hls) - 2):
         comp = composite_bonding(tower, hls[-1], k + 1)
         chain = singleton_bonding_chain(g, seq.levels[k:])
-        assert (comp.images, comp.diameter) == per_element_union_map(g.dist, ground_members(hls[-1]), chain)
+        assert (comp.images, map_diameter(g, comp.table)) == per_element_union_map(g.dist, ground_members(hls[-1]), chain)
 
 
 def test_is_continuous_constant_map():
     g = triangle()
     lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
     hl = build_hyperlevel(g, lv, cap=3)
-    const = MultiMap("elements", padded_table([(0,)] * hl.n_elements), 0.0)
+    const = MultiMap("elements", padded_table([(0,)] * hl.n_elements))
     ok, _ = is_continuous(const, hl)
     assert ok
 
@@ -298,7 +299,7 @@ def test_is_continuous_reports_violation():
     images = []
     for el in hl.elements:
         images.append((2,) if el == (0, 1) else (0,))
-    mm = MultiMap("elements", padded_table(images), 1.0)
+    mm = MultiMap("elements", padded_table(images))
     ok, ce = is_continuous(mm, hl)
     assert not ok
     i, j = ce
@@ -350,7 +351,7 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
             trials.append((table, True))
         for table, mixed in trials:
             images = images_of(table)
-            ok, ce = is_continuous(MultiMap("elements", table, mm.diameter), hl)
+            ok, ce = is_continuous(MultiMap("elements", table), hl)
             assert ok == monotone_on_all_pairs(images, hl)
             first = next(((i, j) for i, j in hl.covering_pairs() if not set(images[i]) <= set(images[j])), None)
             assert ce == first

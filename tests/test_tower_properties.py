@@ -29,6 +29,7 @@ from finiteshape.hyperspace import (
     build_hyperlevel,
     composite_bonding,
     is_continuous,
+    map_diameter,
     nearest_sets,
     verify_adjusted_distance_bounds,
 )
@@ -359,7 +360,8 @@ def assert_routes_agree(tower, maxdim):
             if not isinstance(want, MultiMap):
                 assert got == want
                 continue
-            assert isinstance(got, MultiMap) and got.diameter == want.diameter
+            assert isinstance(got, MultiMap)
+            assert map_diameter(tower.ground, got.table) == map_diameter(tower.ground, want.table)
             k = len(levels[m - 1].net)
             assert (selection_vertex_map(got, edges[m - 1], edges[n - 1])[:k]
                     == selection_vertex_map(want, full[m - 1], full[n - 1])[:k])
@@ -396,7 +398,7 @@ def test_edge_route_matches_full_poset_route(drawn):
         if not isinstance(p, MultiMap):
             continue
         shrunk = list(seq.levels)
-        shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=p.diameter / 2)
+        shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=map_diameter(tower.ground, p.table) / 2)
         planted = Tower(dataclasses.replace(seq, levels=tuple(shrunk)), tower.tie_tol)
         errors = [outcome(bonding_map, planted, build_hyperlevel(tower.ground, fine, cap=cap))
                   for cap in (2, maxdim + 2)]
