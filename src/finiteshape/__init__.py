@@ -1,6 +1,6 @@
 """Finite approximation towers for compact metric samples."""
 
-from .construction import AdjustedSequence, Level, build_adjusted_sequence, build_net, gamma
+from .construction import AdjustedSequence, Level, build_adjusted_sequence, gamma
 from .homotopy import (
     ApproximativeMap,
     HomotopyWitness,
@@ -16,8 +16,6 @@ from .hyperspace import (
     bonding_map,
     build_hyperlevel,
     composite_bonding,
-    is_continuous,
-    nearest_point_map,
     verify_adjusted_distance_bounds,
 )
 from .invariants import (
@@ -49,7 +47,6 @@ __all__ = [
     "bonding_vertex_map",
     "build_adjusted_sequence",
     "build_hyperlevel",
-    "build_net",
     "check_diagram_commutes",
     "check_homotopic_in_U",
     "check_identity_convergence",
@@ -58,9 +55,7 @@ __all__ = [
     "gamma",
     "generate",
     "induced_homology_map",
-    "is_continuous",
     "load_ground",
-    "nearest_point_map",
     "order_complex",
     "rips_complex",
     "shape_report",

@@ -66,9 +66,12 @@ class AdjustedSequence:
     levels: tuple[Level, ...]
     safety: float
     requested_depth: int
-    stopped_early: bool = False
-    stop_reason: str | None = None
+    stop_reason: str | None = None  # why fewer than requested_depth levels were built
     greedy: GreedyPermutation | None = field(default=None, repr=False, compare=False)  # the pass the nets were cut from
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_reason is not None
 
     @property
     def depth(self) -> int:
@@ -188,11 +191,6 @@ class GreedyPermutation:
         return padded_rows(self.ground.n, points[by_point], members[by_point])
 
 
-def greedy_permutation(ground: MetricGround, tie_tol: float = 1e-9) -> GreedyPermutation:
-    """The ground's farthest-point order (Gonzalez 1985), to be extended by ``cut_net``."""
-    return GreedyPermutation(ground, tie_tol)
-
-
 def cut_net(perm: GreedyPermutation, threshold: float) -> tuple[tuple[int, ...], float]:
     """Greedy net at ``threshold`` (the points inserted at radius >= it, sorted) and its coverage.
 
@@ -206,8 +204,8 @@ def cut_net(perm: GreedyPermutation, threshold: float) -> tuple[tuple[int, ...],
 
 
 def build_net(ground: MetricGround, epsilon: float) -> tuple[int, ...]:
-    """Greedy farthest-point net covering the ground within epsilon; a prefix of ``greedy_permutation``."""
-    return cut_net(greedy_permutation(ground), epsilon)[0]
+    """Greedy farthest-point net covering the ground within epsilon; a prefix of ``GreedyPermutation``."""
+    return cut_net(GreedyPermutation(ground), epsilon)[0]
 
 
 def gamma(ground: MetricGround, net) -> float:
@@ -300,10 +298,9 @@ def build_adjusted_sequence(
         )
     ladder = plan_ladder(epsilon1, depth, ground.density, safety)
     max_nn = ground.max_nearest_neighbor() if ground.density > 0 else 0.0
-    perm = greedy_permutation(ground, tie_tol)
+    perm = GreedyPermutation(ground, tie_tol)
 
     levels: list[Level] = []
-    stopped = False
     reason = None
     eps = float(epsilon1)
     for n in range(1, depth + 1):
@@ -318,7 +315,6 @@ def build_adjusted_sequence(
             break
         nxt = safety * (eps - g) / 2.0
         if ground.density > 0 and nxt <= 2.0 * ground.density:
-            stopped = True
             reason = (
                 f"epsilon_{n + 1} = {nxt!r} <= 2 * density = {2.0 * ground.density!r}; "
                 f"built {n} of {depth} requested levels"
@@ -331,7 +327,6 @@ def build_adjusted_sequence(
         levels=tuple(levels),
         safety=safety,
         requested_depth=depth,
-        stopped_early=stopped,
         stop_reason=reason,
         greedy=perm,
     )
@@ -398,15 +393,15 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     """Re-load an exported sequence (for verification of stored towers).
 
     Raises ``SequenceFormatError``, naming the line, for an unparsable line,
-    level numbers that do not run 1, 2, 3, ..., a net that is not a sorted,
-    duplicate-free list of ground indices in ``[0, ground.n)``, or a stored
-    ``gamma`` that is not the net's coverage radius on ``ground``: the tower
-    inequalities are checked against the stored value, so it must be the
-    real one.
+    level numbers that do not run 1, 2, 3, ..., an ``epsilon`` that is not
+    finite and positive, a net that is not a sorted, duplicate-free list of
+    ground indices in ``[0, ground.n)``, a stored ``gamma`` that is not the
+    net's coverage radius on ``ground`` (the checks judge the stored values),
+    or a ``requested_depth`` below the number of levels.  The ``density`` and
+    ``stopped_early`` lines are not read; ``stop_reason`` alone marks a stop.
     """
     safety = 0.9
-    requested = 0
-    stopped = False
+    requested = requested_at = None
     reason = None
     levels = []
     with open(path) as fh:
@@ -421,9 +416,7 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                     if body.startswith("safety ="):
                         safety = float(body.split("=", 1)[1])
                     elif body.startswith("requested_depth ="):
-                        requested = int(body.split("=", 1)[1])
-                    elif body.startswith("stopped_early ="):
-                        stopped = body.split("=", 1)[1].strip() == "True"
+                        requested, requested_at = int(body.split("=", 1)[1]), where
                     elif body.startswith("stop_reason ="):
                         reason = body.split("=", 1)[1].strip()
                     continue
@@ -444,6 +437,8 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                     f"{where}: level n={lv.index} where n={len(levels) + 1} was expected; "
                     f"levels must be numbered 1, 2, 3, ... in order"
                 )
+            if not 0.0 < lv.epsilon < np.inf:
+                raise SequenceFormatError(f"{where}: level {lv.index} epsilon={lv.epsilon!r} is not finite and positive")
             outside = [i for i in lv.net if not 0 <= i < ground.n]
             if outside:
                 raise SequenceFormatError(
@@ -460,11 +455,12 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
             levels.append(lv)
     if not levels:
         raise SequenceFormatError(f"{path}: no level lines")
+    if requested is not None and requested < len(levels):
+        raise SequenceFormatError(f"{requested_at}: requested_depth = {requested} is below the {len(levels)} stored levels")
     return AdjustedSequence(
         ground=ground,
         levels=tuple(levels),
         safety=safety,
-        requested_depth=requested or len(levels),
-        stopped_early=stopped,
+        requested_depth=len(levels) if requested is None else requested,
         stop_reason=reason,
     )

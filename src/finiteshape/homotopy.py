@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import gamma as net_gamma
+from .construction import gamma
 from .hyperspace import MultiMap, Tower, _union_rows, map_diameter, nearest_sets, padded_table, row_diameters
 from .metric import MetricGround, row_blocks
 
@@ -50,7 +50,7 @@ def check_homotopic_in_U(
     recorded either way.  The union diameters are one reduction over the
     side-by-side tables of f and g.
     """
-    if f.domain_kind != g.domain_kind or len(f.table) != len(g.table):
+    if len(f.table) != len(g.table):
         raise ValueError("maps must share a domain")
     diameters = row_diameters(ground, np.hstack([f.table, g.table]))
     worst_item = int(np.argmax(diameters)) if len(diameters) else 0
@@ -65,7 +65,8 @@ class ApproximativeMap:
 
     ``maps[k]`` sends each source ground point to a subset of the target
     ground; ``diameters[k]``, derived here from its table, is its largest
-    image diameter, non-increasing over the stored prefix.
+    image diameter, non-increasing over the stored prefix.  A library and
+    test object: no command of the CLI reaches it.
     """
 
     source: MetricGround
@@ -84,7 +85,7 @@ class ApproximativeMap:
 
     @staticmethod
     def from_images(source: MetricGround, target: MetricGround, image_seq) -> "ApproximativeMap":
-        maps = tuple(MultiMap("ground", padded_table([sorted(img) for img in images])) for images in image_seq)
+        maps = tuple(MultiMap(padded_table([sorted(img) for img in images])) for images in image_seq)
         return ApproximativeMap(source, target, maps)
 
 
@@ -119,7 +120,8 @@ def finite_type_convert(
     ``nets[k]`` must cover the target ground within ``betas[k]`` (checked up
     front), and the betas must decrease.  The converted map has images inside
     the finite nets and diameter strictly below ``2 * beta_k + D_k``, which is
-    asserted per index and reported with its slack.
+    asserted per index and reported with its slack.  A library and test
+    route: no command of the CLI reaches it.
     """
     betas = tuple(float(b) for b in betas)
     nets = [tuple(net) for net in nets]
@@ -131,7 +133,7 @@ def finite_type_convert(
         if not b < a:
             raise ValueError(f"betas must strictly decrease, got {a!r} then {b!r}")
     for k, (beta, net) in enumerate(zip(betas, nets)):
-        cov = net_gamma(am.target, net)
+        cov = gamma(am.target, net)
         if not cov < beta:
             raise ValueError(
                 f"net {k} is not a beta-approximation: coverage {cov!r} >= beta {beta!r}"
@@ -140,7 +142,7 @@ def finite_type_convert(
     maps = []
     for mm, net in zip(am.maps, nets):
         pushed = nearest_sets(am.target, net, tie_tol)[mm.table]
-        maps.append(MultiMap("ground", _union_rows(pushed.reshape(len(pushed), -1))))
+        maps.append(MultiMap(_union_rows(pushed.reshape(len(pushed), -1))))
     converted = ApproximativeMap(am.source, am.target, tuple(maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
     slacks = tuple(bound - d for bound, d in zip(bounds, converted.diameters))
@@ -206,8 +208,8 @@ def check_identity_convergence(tower: Tower) -> IdentityConvergenceReport:
     """
     ground = tower.ground
     levels = list(tower.seq.levels)
-    qs = [MultiMap("ground", tower.q[lv.index]) for lv in levels]
-    inclusion = MultiMap("ground", np.arange(ground.n)[:, None])
+    qs = [MultiMap(tower.q[lv.index]) for lv in levels]
+    inclusion = MultiMap(np.arange(ground.n)[:, None])
     pair_ws = [check_homotopic_in_U(f, g, 2.0 * lv.epsilon, ground) for f, g, lv in zip(qs, qs[1:], levels)]
     incl_ws = [check_homotopic_in_U(f, inclusion, 2.0 * lv.epsilon, ground) for f, lv in zip(qs, levels)]
     pair_diams = [w.max_union_diameter for w in pair_ws]
@@ -240,6 +242,6 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     """
     if not (1 <= n < tower.seq.depth):
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
-    f = MultiMap("ground", tower.q[n])
-    g = MultiMap("ground", tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1])))
+    f = MultiMap(tower.q[n])
+    g = MultiMap(tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1])))
     return check_homotopic_in_U(f, g, 2.0 * tower.seq.level(n).epsilon, tower.ground, name=f"diagram_level_{n}")

@@ -23,10 +23,10 @@ Multivalued maps are tabulated images in ground indices: the nearest-point
 map sends a ground point to its set of nearest net points (ties within a
 relative tolerance), and the bonding map of consecutive levels sends a
 subset of the finer net to the union of nearest coarser points over its
-members.  A ``MultiMap`` is its domain and padded table; a ``Tower``
-computes the tables once for a built tower, and a check reads them from it
-and computes the image diameters it compares with a bound.  Image tuples are
-formed on demand, for tests and the benchmark tracer.
+members.  A ``MultiMap`` is its padded table, one row per domain item; a
+``Tower`` computes the tables once for a built tower, and a check reads them
+from it and computes the image diameters it compares with a bound.  Image
+tuples are formed on demand, for tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class HyperLevel:
     order, so element ``i < len(level.net)`` is the singleton ``(i,)``.  The
     order relation is set inclusion, given by its covering pairs.  ``table``
     holds the elements once as a padded array, for every map out of the level.
-    ``_index``, for the exports and tests only, is formed on first read.
+    ``_index``, for the exports and the order complex, is formed on first read.
     """
 
     level: Level
@@ -134,13 +134,6 @@ class HyperLevel:
         """The elements as a padded table of net positions (``padded_table``), formed on first read."""
         return padded_table(self.elements)
 
-    def element_id(self, element) -> int:
-        el = tuple(sorted(element))
-        got = self._index.get(el)
-        if got is None:
-            raise KeyError(f"{el} is not an element of this hyperspace level")
-        return got
-
     def covering_pairs(self):
         """Pairs (i, j) where j covers i: |j| = |i| + 1 and i subset of j (exports, ``is_continuous``)."""
         for j, el in enumerate(self.elements):
@@ -158,21 +151,15 @@ def build_hyperlevel(ground: MetricGround, level: Level, cap: int = 3) -> HyperL
 
 @dataclass(frozen=True, eq=False)
 class MultiMap:
-    """Tabulated multivalued map into a net: its domain and its padded table.
+    """Tabulated multivalued map into a net: it is its padded table.
 
-    ``domain_kind`` is ``"ground"`` (one image per ground point) or
-    ``"elements"`` (one image per hyperspace element).  Each image is a row
-    of ground indices in the padded ``table`` (see ``padded_table``), which
-    every check reads; a check that needs image diameters computes them.
-    ``images`` forms the tuples on first read, for tests and the tracer.
+    Row i of ``table`` (see ``padded_table``) is the image, in ground
+    indices, of domain item i (a ground point or a hyperspace element), and
+    every check reads it.  It stays a type only for the benchmark tracer,
+    which reads ``images``: the tuples, formed on first read.
     """
 
-    domain_kind: str
     table: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.domain_kind not in ("ground", "elements"):
-            raise ValueError(f"unknown domain kind {self.domain_kind!r}")
 
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
@@ -238,14 +225,6 @@ def nearest_sets(ground: MetricGround, net, tie_tol: float) -> np.ndarray:
         rows.append(r + s.start)
         members.append(net[c])
     return padded_rows(ground.n, np.concatenate(rows), np.concatenate(members))
-
-
-def nearest_point_map(ground: MetricGround, net, tie_tol: float = 1e-9) -> MultiMap:
-    """Nearest-point multivalued map from all ground points into the net."""
-    net = tuple(net)
-    if not net:
-        raise ValueError("net must be non-empty")
-    return MultiMap("ground", nearest_sets(ground, net, tie_tol))
 
 
 class Tower:
@@ -344,7 +323,7 @@ def _union_images(tower: Tower, fine: HyperLevel, n: int, what: str) -> MultiMap
             f"{what} of {members} has diameter {float(diameters[i])!r} >= 2*epsilon = {bound!r} "
             f"(levels {m} -> {n})"
         )
-    return MultiMap("elements", table)
+    return MultiMap(table)
 
 
 def is_continuous(mm: MultiMap, domain: HyperLevel):
@@ -357,8 +336,8 @@ def is_continuous(mm: MultiMap, domain: HyperLevel):
     of element ids with image(i) not a subset of image(j).  Bonding maps are
     monotone by construction; this is the tests' oracle, not a pipeline check.
     """
-    if mm.domain_kind != "elements":
-        raise ValueError("continuity check needs an element-domain map")
+    if len(mm.table) != domain.n_elements:
+        raise ValueError("continuity check needs one image per element of the domain")
     image_sets = [set(row) for row in mm.table.tolist()]
     for i, j in domain.covering_pairs():
         if not image_sets[i] <= image_sets[j]:

@@ -69,17 +69,6 @@ class SimplicialComplex:
             return 0
         return len(self.simplices[dim])
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
-
-    def check_face_closed(self) -> None:
-        for k in range(1, len(self.simplices)):
-            lower = set(self.simplices[k - 1])
-            for s in self.simplices[k]:
-                for i in range(len(s)):
-                    if s[:i] + s[i + 1:] not in lower:
-                        raise AssertionError(f"face {s[:i] + s[i + 1:]} of {s} missing")
-
 
 def _simplices_by_size(hl: HyperLevel, maxdim: int) -> list[tuple[tuple[int, ...], ...]]:
     """The elements of each size 1..maxdim + 2: every simplex homology through ``maxdim`` reads.
@@ -148,15 +137,10 @@ def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
     )
 
 
-def chain_homology(cx: SimplicialComplex, maxdim: int = 1) -> ChainHomology:
-    """Homology data of a complex through degree ``maxdim`` (its simplices up to dimension maxdim + 1)."""
-    return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2])
-
-
 def betti(cx: SimplicialComplex, maxdim: int = 1) -> tuple[int, ...]:
     """Betti numbers b_0..b_maxdim over the two-element field, exact, for maxdim <= 2."""
     _check_maxdim(maxdim)
-    return chain_homology(cx, maxdim).betti(maxdim)
+    return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2]).betti(maxdim)
 
 
 def _check_maxdim(maxdim: int) -> None:
@@ -271,22 +255,6 @@ def bonding_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> lis
     return np.searchsorted(coarse.level.net, p.table[:m].min(axis=1)).tolist()
 
 
-def selection_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> list[int]:
-    """Element map of the fine poset into the coarse poset induced by a bonding map.
-
-    The full image p(C) can exceed the cardinality cap when nearest-point
-    ties stack up across the members of C, so the functor uses the minimal
-    selection sel(C) = {min p({a}) : a in C}, whose singleton part is
-    ``bonding_vertex_map``.  It is monotone and contained in p(C) pointwise
-    (so homotopic to the full map in the upper semifinite sense), and once
-    ``bonding_map`` has returned it lands inside the stored elements, since
-    |sel(C)| <= |C| and diam sel(C) <= diam p(C); one outside raises
-    ``KeyError``.  A test oracle: ``run`` and ``verify`` never form it.
-    """
-    vertex_map = bonding_vertex_map(p, fine, coarse)
-    return [coarse.element_id({vertex_map[v] for v in el}) for el in fine.elements]
-
-
 def induced_homology_map(vertex_map: list[int], fine_data: LevelHomology, coarse_data: LevelHomology,
                          degree: int) -> int:
     """Rank of the map induced on degree-k scale-complex homology by a simplicial vertex map.
@@ -364,7 +332,6 @@ class HomologyReport:
     pairs: list[PairRow]
     stabilized: tuple[int, ...]
     window: int
-    maxdim: int
 
 
 def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyReport:
@@ -413,7 +380,7 @@ def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyRepo
     n_deg = len(tail[0].ranks)
     stabilized = tuple(min(pr.ranks[d] for pr in tail) for d in range(n_deg))
 
-    return HomologyReport(levels=rows, pairs=pairs, stabilized=stabilized, window=window, maxdim=maxdim)
+    return HomologyReport(levels=rows, pairs=pairs, stabilized=stabilized, window=window)
 
 
 def export_complex_off(cx: SimplicialComplex, path: str) -> None:

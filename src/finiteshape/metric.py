@@ -589,10 +589,3 @@ def write_coords_csv(ground: MetricGround, path: str) -> None:
         out.writerow(["id"] + names[:dim])
         for i, row in enumerate(ground.coords):
             out.writerow([i] + [repr(float(v)) for v in row])
-
-
-def write_distmatrix_csv(ground: MetricGround, path: str) -> None:
-    with open(path, "w") as fh:
-        for rows in row_blocks(ground.n, ground.n):
-            for row in ground.block(rows, slice(None)):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -19,6 +19,11 @@ subdivision.  They give chain-level matrices of the selection map, and
 induced ranks pushed through the selection map on every vertex.
 ``EveryColumnHomology`` and ``every_column_pivots`` reduce every boundary
 column of a complex, with no column skipped by a cone.
+
+The oracles that the pipeline never reads live here too: the element index
+of a hyperlevel, the selection map of a bonding map, the Euler
+characteristic and face closure of a complex, and the distance-matrix CSV
+writer.
 """
 
 import itertools
@@ -26,8 +31,8 @@ import math
 
 import numpy as np
 
-from finiteshape.gf2 import ColumnReducer, rank_of
-from finiteshape.invariants import chain_homology, order_complex, scale_complex, selection_vertex_map
+from finiteshape.gf2 import ChainHomology, ColumnReducer, rank_of
+from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex
 from finiteshape.metric import _squared_sums, row_blocks
 
 
@@ -84,12 +89,45 @@ def reference_build_net(dist, epsilon):
     return tuple(sorted(net))
 
 
+def write_distmatrix_csv(ground, path):
+    """The ground's distance table as a headerless CSV, one row per point, read in row blocks."""
+    with open(path, "w") as fh:
+        for rows in row_blocks(ground.n, ground.n):
+            for row in ground.block(rows, slice(None)):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def element_id(hl, element):
+    """Id of an element of a hyperlevel, given as net positions in any order; ``KeyError`` if absent."""
+    el = tuple(sorted(element))
+    got = hl._index.get(el)
+    if got is None:
+        raise KeyError(f"{el} is not an element of this hyperspace level")
+    return got
+
+
+def selection_vertex_map(p, fine, coarse):
+    """Element map of the fine poset into the coarse poset induced by a bonding map.
+
+    The full image p(C) can exceed the cardinality cap when nearest-point
+    ties stack up across the members of C, so the functor uses the minimal
+    selection sel(C) = {min p({a}) : a in C}, whose singleton part is
+    ``bonding_vertex_map``.  It is monotone and contained in p(C) pointwise
+    (so homotopic to the full map in the upper semifinite sense), and once
+    ``bonding_map`` has returned it lands inside the stored elements, since
+    |sel(C)| <= |C| and diam sel(C) <= diam p(C); one outside raises
+    ``KeyError``.
+    """
+    vertex_map = bonding_vertex_map(p, fine, coarse)
+    return [element_id(coarse, {vertex_map[v] for v in el}) for el in fine.elements]
+
+
 def proper_subset_pairs(hl):
     """All comparable pairs (i, j) of a hyperlevel with element i a proper subset of j."""
     for j, el in enumerate(hl.elements):
         for r in range(1, len(el)):
             for sub in itertools.combinations(el, r):
-                yield hl.element_id(sub), j
+                yield element_id(hl, sub), j
 
 
 def monotone_on_all_pairs(images, hl):
@@ -207,6 +245,25 @@ def square_witness(seq, n, tie_tol=1e-9):
     step = singleton_bonding_chain(seq.ground, seq.levels[n - 1:n + 1], tie_tol)
     pushed = [tuple(sorted(set().union(*(step[a] for a in img)))) for img in q[n + 1]]
     return union_diameter(seq.ground.dist, q[n], pushed)
+
+
+def chain_homology(cx, maxdim=1):
+    """``ChainHomology`` of a complex through degree ``maxdim`` (its simplices up to dimension maxdim + 1)."""
+    return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2])
+
+
+def euler_characteristic(cx):
+    return sum((-1) ** k * len(s) for k, s in enumerate(cx.simplices))
+
+
+def check_face_closed(cx):
+    """Raise ``AssertionError`` naming the first face of a simplex that the complex lacks."""
+    for k in range(1, len(cx.simplices)):
+        lower = set(cx.simplices[k - 1])
+        for s in cx.simplices[k]:
+            for i in range(len(s)):
+                if s[:i] + s[i + 1:] not in lower:
+                    raise AssertionError(f"face {s[:i] + s[i + 1:]} of {s} missing")
 
 
 def chain_map_matrices(vertex_map, fine, coarse, maxdim=1):

@@ -34,11 +34,10 @@ from finiteshape.invariants import (
     induced_homology_map,
     order_complex,
     rips_complex,
-    selection_vertex_map,
     shape_report,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
-from reference_loops import chain_map_matrices, gf2_matrix_product
+from reference_loops import chain_map_matrices, gf2_matrix_product, selection_vertex_map
 
 SPACES = {
     "circle256": SpaceSpec("circle", n=256),

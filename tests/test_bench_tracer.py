@@ -10,10 +10,12 @@ shows only in a traced benchmark run, so each case here runs
 reads the record it writes.
 A built tower reads its nearest-point tables off the farthest-point pass,
 so only ``verify --sequence`` (a stored tower) still reaches the traced
-``nearest_sets``; that case keeps its counter honest.  Nothing under
-``bench/`` is written.
+``nearest_sets``; that case keeps its counter honest.  The last test reads
+the tracer's source, without importing it, to find the test oracles it
+still pins in the library.  Nothing under ``bench/`` is written.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -52,3 +54,19 @@ def test_traced_child_completes(tmp_path, command, counters):
     assert record["rc"] == 0
     counts = record["trace"]["counts"]
     assert all(counts[name] > 0 for name in counters), counts
+
+
+# Test oracles that stay in src/ only because the tracer pins them: when a
+# benchmark change drops a pin, the oracle belongs in tests/reference_loops.py.
+PINNED_ORACLES = {("construction", "build_net"), ("hyperspace", "is_continuous")}
+
+
+def test_oracles_left_in_src_are_still_pinned_by_the_tracer():
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    wrappers = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_wrappers")
+    table = wrappers.body[-1].value  # the (module, attribute) -> replacement dict it returns
+    pinned = {ast.literal_eval(key) for key in table.keys}
+    for module, name in sorted(PINNED_ORACLES - pinned):
+        pytest.fail(f"the tracer no longer pins {module}.{name}: move it into tests/reference_loops.py")
+    reads_images = any(isinstance(node, ast.Attribute) and node.attr == "images" for node in ast.walk(wrappers))
+    assert reads_images, "the tracer no longer reads MultiMap.images: move it into tests/reference_loops.py"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finiteshape import cli, construction, hyperspace, invariants
+from finiteshape import cli, construction, hyperspace
 from finiteshape.cli import RunConfig, main
 from finiteshape.metric import MetricGround
 
@@ -392,10 +392,9 @@ def test_export_complex_rips_takes_no_cap(tmp_path, capsys):
 
 def test_pipeline_never_forms_image_tuples(tmp_path, monkeypatch, capsys):
     # every check reads the padded tables; MultiMap.images is formed only on
-    # demand, for tests and the benchmark tracer.  The element index and the
-    # monotonicity and selection oracles are not read either: a bonding map
-    # that passes its diameter check is monotone and its selections are
-    # coarse elements
+    # demand, for tests and the benchmark tracer.  The monotonicity oracle and
+    # the covering pairs are not read either: a bonding map that passes its
+    # diameter check is monotone
     warsaw = ["--space", "warsaw", "--n", "500", "--depth", "4"]
 
     def outputs(tag):
@@ -421,8 +420,6 @@ def test_pipeline_never_forms_image_tuples(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(hyperspace.MultiMap, "images", property(no_tuples))
     monkeypatch.setattr(hyperspace, "is_continuous", never("is_continuous"))
-    monkeypatch.setattr(invariants, "selection_vertex_map", never("selection_vertex_map"))
-    monkeypatch.setattr(hyperspace.HyperLevel, "element_id", never("HyperLevel.element_id"))
     monkeypatch.setattr(hyperspace.HyperLevel, "covering_pairs", never("HyperLevel.covering_pairs"))
     assert outputs("patched") == plain
     assert all(plain[0])
@@ -439,28 +436,63 @@ def _edit_level_line(path, n, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("edit,reason", [
-    (lambda f: f.update(net=f["net"] + ",99999"), "net index 99999 lies outside [0, 64)"),
-    (lambda f: f.update(net=",".join(reversed(f["net"].split(",")))), "net is not sorted and duplicate-free"),
-    (lambda f: f.update(net=f["net"] + "," + f["net"].split(",")[-1]), "net is not sorted and duplicate-free"),
-    (lambda f: f.update(n="3"), "level n=3 where n=2 was expected"),
-    (lambda f: f.pop("epsilon"), "cannot parse"),
-    (lambda f: f.update(gamma="0.0"), "stores gamma=0.0, but its net covers the ground within gamma="),
-], ids=["index-out-of-range", "unsorted", "duplicate", "level-gap", "missing-field", "false-gamma"])
-def test_verify_malformed_stored_sequence_fails(tmp_path, capsys, edit, reason):
-    coords = tmp_path / "g.csv"
-    outdir = tmp_path / "out"
-    assert run_cli(["generate", "--space", "circle", "--n", "64", "--out", str(coords)]) == 0
-    assert run_cli(["run", "--input", str(coords), "--outdir", str(outdir), "--depth", "3",
-                    "--skip-homology"]) == 0
-    seq_file = outdir / "sequence.txt"
-    _edit_level_line(seq_file, 2, edit)
+@pytest.mark.parametrize("n,edit,reason", [
+    (2, lambda f: f.update(net=f["net"] + ",99999"), "net index 99999 lies outside [0, 64)"),
+    (2, lambda f: f.update(net=",".join(reversed(f["net"].split(",")))), "net is not sorted and duplicate-free"),
+    (2, lambda f: f.update(net=f["net"] + "," + f["net"].split(",")[-1]), "net is not sorted and duplicate-free"),
+    (2, lambda f: f.update(n="3"), "level n=3 where n=2 was expected"),
+    (2, lambda f: f.pop("epsilon"), "cannot parse"),
+    (2, lambda f: f.update(gamma="0.0"), "stores gamma=0.0, but its net covers the ground within gamma="),
+    # an infinite scale passed every verdict, and a NaN one passed the distance bounds against NaN bounds
+    (1, lambda f: f.update(epsilon="inf"), "sequence.txt:6: level 1 epsilon=inf is not finite and positive"),
+    (2, lambda f: f.update(epsilon="nan"), "sequence.txt:7: level 2 epsilon=nan is not finite and positive"),
+], ids=["index-out-of-range", "unsorted", "duplicate", "level-gap", "missing-field", "false-gamma",
+        "epsilon-inf-level-1", "epsilon-nan-level-2"])
+def test_verify_malformed_stored_sequence_fails(tmp_path, capsys, n, edit, reason):
+    coords, seq_file = _stored_circle64(tmp_path)
+    _edit_level_line(seq_file, n, edit)
     capsys.readouterr()
     code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL sequence-format: ")
     assert reason in out
+
+
+def _stored_circle64(tmp_path):
+    """A loaded 64-point circle and the sequence.txt of its depth-3 tower, which builds every level."""
+    coords = tmp_path / "g.csv"
+    outdir = tmp_path / "out"
+    assert run_cli(["generate", "--space", "circle", "--n", "64", "--out", str(coords)]) == 0
+    assert run_cli(["run", "--input", str(coords), "--outdir", str(outdir), "--depth", "3",
+                    "--skip-homology"]) == 0
+    return coords, outdir / "sequence.txt"
+
+
+def _edit_header_line(path, old, new):
+    text = path.read_text()
+    assert f"\n{old}\n" in text
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+
+
+def test_verify_stored_requested_depth_below_the_levels_fails(tmp_path, capsys):
+    coords, seq_file = _stored_circle64(tmp_path)
+    _edit_header_line(seq_file, "# requested_depth = 3", "# requested_depth = 1")
+    capsys.readouterr()
+    code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL sequence-format: ")
+    assert "sequence.txt:4: requested_depth = 1 is below the 3 stored levels" in out
+
+
+def test_verify_stored_stopped_early_without_a_reason_prints_no_stop(tmp_path, capsys):
+    # the stop follows from stop_reason alone: a bare "stopped_early = True" line printed "stopped: None"
+    coords, seq_file = _stored_circle64(tmp_path)
+    _edit_header_line(seq_file, "# stopped_early = False", "# stopped_early = True")
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "depth: requested 3, built 3"
 
 
 def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):

@@ -6,12 +6,12 @@ import pytest
 
 from finiteshape import construction
 from finiteshape.construction import (
+    GreedyPermutation,
     build_adjusted_sequence,
     build_net,
     check_sequence_inequalities,
     cut_net,
     gamma,
-    greedy_permutation,
     load_sequence_text,
     write_sequence_csv,
     write_sequence_text,
@@ -153,7 +153,7 @@ def test_sequence_invariants_across_spaces(spec, eps1):
 
 
 def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypatch):
-    calls = dict.fromkeys(("greedy_permutation", "build_net", "gamma"), 0)
+    calls = dict.fromkeys(("GreedyPermutation", "build_net", "gamma"), 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -166,7 +166,7 @@ def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypat
     g = generate(SpaceSpec("circle", n=256))
     seq = construction.build_adjusted_sequence(g, epsilon1=g.diameter() / 2.0, depth=4)
     assert seq.depth == 4
-    assert calls == {"greedy_permutation": 1, "build_net": 0, "gamma": 0}
+    assert calls == {"GreedyPermutation": 1, "build_net": 0, "gamma": 0}
 
 
 def _lazy_cut_grounds():
@@ -184,15 +184,15 @@ def _lazy_cut_grounds():
 @pytest.mark.parametrize("name", list(_lazy_cut_grounds()))
 def test_lazy_greedy_cut_matches_full_pass(name):
     g = _lazy_cut_grounds()[name]
-    full = greedy_permutation(g).extend(0.0)
+    full = GreedyPermutation(g).extend(0.0)
     assert len(full.order) == len(set(full.order.tolist())) and full.radii[-1] == 0.0
     positive = full.radii[full.radii > 0]
     rng = np.random.default_rng(0)
     # 20 thresholds between the radii and 20 equal to one
     thresholds = [*np.geomspace(1.1 * g.diameter(), 0.5 * positive.min(), 20), *rng.choice(positive, 20)]
-    shared = greedy_permutation(g)
+    shared = GreedyPermutation(g)
     for t in rng.permutation(thresholds):
-        lazy = greedy_permutation(g)
+        lazy = GreedyPermutation(g)
         net, covered = cut_net(lazy, float(t))
         assert (net, covered) == cut_net(full, float(t)) == cut_net(shared, float(t))
         assert covered == gamma(g, net)

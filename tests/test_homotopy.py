@@ -18,7 +18,7 @@ from finiteshape.hyperspace import (
     build_hyperlevel,
     is_continuous,
     map_diameter,
-    nearest_point_map,
+    nearest_sets,
     padded_table,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -33,7 +33,7 @@ def circle4():
 
 def test_witness_equal_maps():
     g = circle4()
-    q = nearest_point_map(g, (0, 2))
+    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
     d = map_diameter(g, q.table)
     w_pass = check_homotopic_in_U(q, q, d + 1e-9, g)
     w_fail = check_homotopic_in_U(q, q, d, g)
@@ -47,16 +47,16 @@ def test_witness_nearest_pair_beats_two_epsilon():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     for n in range(1, seq.depth):
-        f = nearest_point_map(g, seq.level(n).net)
-        h = nearest_point_map(g, seq.level(n + 1).net)
+        f = MultiMap(nearest_sets(g, seq.level(n).net, 1e-9))
+        h = MultiMap(nearest_sets(g, seq.level(n + 1).net, 1e-9))
         w = check_homotopic_in_U(f, h, 2.0 * seq.level(n).epsilon, g)
         assert w.verdict and w.slack > 0
 
 
 def test_witness_constructed_failure():
     g = generate(SpaceSpec("interval", n=3))  # points 0, 0.5, 1
-    f = MultiMap("ground", padded_table(((0,), (0,), (0,))))
-    h = MultiMap("ground", padded_table(((2,), (2,), (2,))))
+    f = MultiMap(padded_table(((0,), (0,), (0,))))
+    h = MultiMap(padded_table(((2,), (2,), (2,))))
     w = check_homotopic_in_U(f, h, 0.5, g)
     assert not w.verdict
     assert w.max_union_diameter == 1.0
@@ -64,8 +64,8 @@ def test_witness_constructed_failure():
 
 def test_witness_domain_mismatch():
     g = circle4()
-    f = MultiMap("ground", padded_table(((0,),) * 4))
-    h = MultiMap("ground", padded_table(((0,),) * 3))
+    f = MultiMap(padded_table(((0,),) * 4))
+    h = MultiMap(padded_table(((0,),) * 3))
     with pytest.raises(ValueError):
         check_homotopic_in_U(f, h, 1.0, g)
 
@@ -76,11 +76,11 @@ def test_union_of_monotone_maps_is_monotone():
     hl = build_hyperlevel(g, lv, cap=3)
     f_images = tuple((0,) for _ in hl.elements)             # constant
     g_images = tuple(el for el in hl.elements)              # identity
-    f = MultiMap("elements", padded_table(f_images))
-    gmap = MultiMap("elements", padded_table(g_images))
+    f = MultiMap(padded_table(f_images))
+    gmap = MultiMap(padded_table(g_images))
     assert is_continuous(f, hl)[0]
     assert is_continuous(gmap, hl)[0]
-    union = MultiMap("elements", padded_table([sorted(set(a) | set(b)) for a, b in zip(f_images, g_images)]))
+    union = MultiMap(padded_table([sorted(set(a) | set(b)) for a, b in zip(f_images, g_images)]))
     assert is_continuous(union, hl)[0]
 
 

@@ -18,12 +18,13 @@ from finiteshape.hyperspace import (
     export_poset_dot,
     is_continuous,
     map_diameter,
-    nearest_point_map,
+    nearest_sets,
     padded_table,
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
 from reference_loops import (
+    element_id,
     images_of,
     monotone_on_all_pairs,
     proper_subset_pairs,
@@ -86,20 +87,20 @@ def test_hyperlevel_down_closed_and_diameters(tmp_path):
 
 def test_nearest_point_map_net_point_maps_to_itself():
     g = circle4()
-    q = nearest_point_map(g, (0, 2))
+    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
     assert q.images[0] == (0,)
     assert q.images[2] == (2,)
 
 
 def test_nearest_point_map_exact_tie():
     g = generate(SpaceSpec("interval", n=3))  # 0, 0.5, 1
-    q = nearest_point_map(g, (0, 2))
+    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
     assert q.images[1] == (0, 2)
 
 
 def test_nearest_point_map_circle4_antipodal():
     g = circle4()
-    q = nearest_point_map(g, (0, 2))
+    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
     assert q.images[1] == (0, 2)
     assert q.images[3] == (0, 2)
     assert map_diameter(g, q.table) == pytest.approx(2.0)
@@ -110,7 +111,7 @@ def test_bonding_singleton_fixed_point():
     seq = build_adjusted_sequence(g, epsilon1=1.5, depth=2)
     hl2 = build_hyperlevel(g, seq.level(2))
     p = bonding_map(Tower(seq), hl2)
-    i0 = hl2.element_id((0,))
+    i0 = element_id(hl2, (0,))
     assert p.images[i0] == (0,)
 
 
@@ -121,7 +122,7 @@ def test_bonding_circle4_hand_values():
     assert seq.level(2).net == (0, 1, 2, 3)
     hl2 = build_hyperlevel(g, seq.level(2))
     p = bonding_map(Tower(seq), hl2)
-    i1 = hl2.element_id((1,))
+    i1 = element_id(hl2, (1,))
     assert p.images[i1] == (0, 2)
     # both image points sit at sqrt(2) from the source point p1
     assert g.dist[0, 1] == pytest.approx(math.sqrt(2.0))
@@ -208,7 +209,7 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
     tower = Tower(seq)
     for lv in seq.levels:
         expected = tuple(reference_nearest_sets(g.dist[:, list(lv.net)], lv.net, 1e-9))
-        assert images_of(tower.q[lv.index]) == nearest_point_map(g, lv.net).images == expected
+        assert images_of(tower.q[lv.index]) == MultiMap(nearest_sets(g, lv.net, 1e-9)).images == expected
     for n in range(1, seq.depth):
         fine_net = seq.level(n + 1).net
         step = tower.composite(n, n + 1)
@@ -286,7 +287,7 @@ def test_is_continuous_constant_map():
     g = triangle()
     lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
     hl = build_hyperlevel(g, lv, cap=3)
-    const = MultiMap("elements", padded_table([(0,)] * hl.n_elements))
+    const = MultiMap(padded_table([(0,)] * hl.n_elements))
     ok, _ = is_continuous(const, hl)
     assert ok
 
@@ -299,7 +300,7 @@ def test_is_continuous_reports_violation():
     images = []
     for el in hl.elements:
         images.append((2,) if el == (0, 1) else (0,))
-    mm = MultiMap("elements", padded_table(images))
+    mm = MultiMap(padded_table(images))
     ok, ce = is_continuous(mm, hl)
     assert not ok
     i, j = ce
@@ -327,7 +328,7 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
             el = hl.elements[j]
             if len(el) > 1 and rng.integers(2):
                 k = int(rng.integers(len(el)))
-                images[j] = images[hl.element_id(el[:k] + el[k + 1:])]
+                images[j] = images[element_id(hl, el[:k] + el[k + 1:])]
             else:
                 images[j] = (int(rng.integers(g.n)),)
             trials.append((padded_table(images), False))
@@ -351,7 +352,7 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
             trials.append((table, True))
         for table, mixed in trials:
             images = images_of(table)
-            ok, ce = is_continuous(MultiMap("elements", table), hl)
+            ok, ce = is_continuous(MultiMap(table), hl)
             assert ok == monotone_on_all_pairs(images, hl)
             first = next(((i, j) for i, j in hl.covering_pairs() if not set(images[i]) <= set(images[j])), None)
             assert ce == first

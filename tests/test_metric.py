@@ -20,9 +20,8 @@ from finiteshape.metric import (
     load_ground,
     row_blocks,
     write_coords_csv,
-    write_distmatrix_csv,
 )
-from reference_loops import reference_row_extremes, reference_warsaw_graph_table
+from reference_loops import reference_row_extremes, reference_warsaw_graph_table, write_distmatrix_csv
 
 
 class UnionFind:

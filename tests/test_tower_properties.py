@@ -19,7 +19,19 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finiteshape.construction import build_adjusted_sequence, build_net, cut_net, gamma, greedy_permutation
+from finiteshape import cli
+from finiteshape.construction import (
+    AdjustedSequence,
+    GreedyPermutation,
+    Level,
+    build_adjusted_sequence,
+    build_net,
+    check_sequence_inequalities,
+    cut_net,
+    gamma,
+    load_sequence_text,
+    write_sequence_text,
+)
 from finiteshape.homotopy import check_diagram_commutes, check_identity_convergence
 from finiteshape.hyperspace import (
     BondingDiameterError,
@@ -38,10 +50,9 @@ from finiteshape.invariants import (
     betti,
     bonding_vertex_map,
     order_complex,
-    selection_vertex_map,
     shape_report,
 )
-from finiteshape.metric import MetricGround
+from finiteshape.metric import MetricGround, SpaceSpec, generate
 import reference_loops as ref
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -130,8 +141,37 @@ def full_lattice_tower(tie_tol, depth):
     return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth, tie_tol=tie_tol), tie_tol), tie_tol
 
 
+def non_nested_circle_sequence():
+    """A hand-written three-level tower on the 64-point circle whose nets no farthest-point pass cuts.
+
+    The nets are 13 points five steps apart, the even points and the odd
+    points, so no finer net contains a coarser one; each ``gamma`` is the
+    net's exact coverage and the scales 0.95, 0.35, 0.11 keep the tower
+    inequalities.  The sequence carries no pass, so a ``Tower`` computes its
+    tables with ``nearest_sets``.
+    """
+    ground = generate(SpaceSpec("circle", n=64))
+    nets = [tuple(range(0, 64, 5)), tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]
+    scales = (0.95, 0.35, 0.11)
+    levels = tuple(Level(n, eps, net, gamma(ground, net), eps) for n, eps, net in zip((1, 2, 3), scales, nets))
+    return AdjustedSequence(ground, levels, safety=0.9, requested_depth=3)
+
+
 def with_lattice_examples(test):
+    """The lattice towers and the non-nested circle tower, as fixed examples of ``towers()``."""
+    test = example((Tower(non_nested_circle_sequence()), 1e-9))(test)
     return example(full_lattice_tower(1e-9, 3))(example(full_lattice_tower(0.5, 4))(test))
+
+
+def test_non_nested_circle_tower_holds_and_verifies(tmp_path):
+    seq = non_nested_circle_sequence()
+    nets = [set(lv.net) for lv in seq.levels]
+    assert not any(coarse <= fine for k, coarse in enumerate(nets) for fine in nets[k + 1:])
+    assert all(rec["ok"] for rec in check_sequence_inequalities(seq))
+    path = tmp_path / "sequence.txt"
+    write_sequence_text(seq, str(path))
+    assert load_sequence_text(seq.ground, str(path)).levels == seq.levels
+    assert cli.main(["verify", "--space", "circle", "--n", "64", "--sequence", str(path)]) == 0
 
 
 def test_ring_towers_have_edges_and_wide_bonding_images():
@@ -199,7 +239,7 @@ def test_square_witnesses_match_reference(drawn):
 @given(st.one_of(random_points, lattice_points, line_points, duplicate_points, single_point), st.floats(1e-3, 4.0))
 def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
     ground = MetricGround.from_coords(np.array(points, dtype=float))
-    perm = greedy_permutation(ground).extend(0.0)
+    perm = GreedyPermutation(ground).extend(0.0)
     order, radii = perm.order, perm.radii
     assert order[0] == 0 and len(set(order.tolist())) == len(order) == len(radii)
     assert radii[-1] == 0.0 and (np.diff(radii) <= 0).all()
@@ -233,7 +273,7 @@ def metric_grounds(draw):
 def test_pass_nearest_tables_match_nearest_sets(ground, tie_tol, drawn_thresholds):
     # the thresholds come in drawn order, then a finer cut is followed by a
     # coarser one, so a net is cut after the pass has run past it
-    perm = greedy_permutation(ground, tie_tol)
+    perm = GreedyPermutation(ground, tie_tol)
     thresholds = [*drawn_thresholds, min(drawn_thresholds) / 4, 2 * max(drawn_thresholds)]
     for t in thresholds:
         net, _ = cut_net(perm, t)
@@ -363,8 +403,8 @@ def assert_routes_agree(tower, maxdim):
             assert isinstance(got, MultiMap)
             assert map_diameter(tower.ground, got.table) == map_diameter(tower.ground, want.table)
             k = len(levels[m - 1].net)
-            assert (selection_vertex_map(got, edges[m - 1], edges[n - 1])[:k]
-                    == selection_vertex_map(want, full[m - 1], full[n - 1])[:k])
+            assert (ref.selection_vertex_map(got, edges[m - 1], edges[n - 1])[:k]
+                    == ref.selection_vertex_map(want, full[m - 1], full[n - 1])[:k])
 
     first_error = next((e for e in (outcome(bonding_map, tower, hl) for hl in full[1:]) if isinstance(e, str)), None)
     try:
@@ -432,4 +472,4 @@ def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(drawn):
                 assert is_continuous(p, fine) == (True, None)
                 vertex_map = bonding_vertex_map(p, fine, coarse)
                 assert vertex_map == [coarse.level.net.index(min(p.images[v])) for v in range(k)]
-                assert selection_vertex_map(p, fine, coarse)[:k] == vertex_map
+                assert ref.selection_vertex_map(p, fine, coarse)[:k] == vertex_map
