@@ -4,9 +4,9 @@ Subcommands: generate, run, verify, export-poset, export-complex.  A plain
 ``key = value`` config file (``--config``) becomes the defaults of the chosen
 subcommand, and the command line is then parsed once more over those
 defaults, so explicit flags win.  An unknown key, a line without ``=`` or a
-boolean other than 1/true/yes/0/false/no (any letter case) exits 2.  Exit
-codes: 0 when every check passed, 1 when a check printed a FAIL line, 2 for
-bad input or configuration.
+value not of the key's type exits 2.  ``run`` and ``verify`` run every check
+of the tower.  Exit codes: 0 when every check passed, 1 when a check printed
+a FAIL line, 2 for bad input or configuration.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class RunConfig:
     maxdim: int = 1
     window: int = 2
     outdir: str = "out"
-    skip_bounds: bool = False
-    skip_identity: bool = False
-    skip_diagram: bool = False
-    skip_homology: bool = False
 
     def validate(self) -> None:
         if self.space is None and self.input is None:
@@ -164,10 +160,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int)
     p.add_argument("--outdir")
     p.add_argument("--config", default=None, help="key = value file; explicit flags override it")
-    p.add_argument("--skip-bounds", action="store_true")
-    p.add_argument("--skip-identity", action="store_true")
-    p.add_argument("--skip-diagram", action="store_true")
-    p.add_argument("--skip-homology", action="store_true")
 
 
 def _add_export_options(p: argparse.ArgumentParser) -> None:
@@ -181,7 +173,6 @@ _CONFIG_KEYS = {  # each RunConfig field and its type; X for a field typed X | N
     name: next(t for t in (*get_args(hint), hint) if t is not type(None))
     for name, hint in get_type_hints(RunConfig).items()
 }
-_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _read_config_file(path: str) -> dict:
@@ -198,15 +189,10 @@ def _read_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             typ = _CONFIG_KEYS[key]
-            if typ is bool:
-                if value.lower() not in _CONFIG_BOOLS:
-                    raise ConfigError(f"{path}:{lineno}: {key} must be one of 1/true/yes/0/false/no, got {value!r}")
-                out[key] = _CONFIG_BOOLS[value.lower()]
-            else:
-                try:
-                    out[key] = typ(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: {key} = {value!r} is not a valid {typ.__name__}") from None
+            try:
+                out[key] = typ(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} = {value!r} is not a valid {typ.__name__}") from None
     return out
 
 
@@ -230,8 +216,8 @@ def _print_verdict(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _run_checks(cfg: RunConfig, tower: Tower):
-    """Print one verdict line per enabled check; return (all passed, square witnesses or None)."""
+def _run_checks(tower: Tower):
+    """Print one verdict line per check of the tower; return (all passed, square witnesses)."""
     seq = tower.seq
     all_ok = True
 
@@ -244,26 +230,22 @@ def _run_checks(cfg: RunConfig, tower: Tower):
         detail = "violated: " + "; ".join(bad)
     all_ok &= _print_verdict("sequence-inequalities", ok, detail)
 
-    if not cfg.skip_bounds:
-        rep = verify_adjusted_distance_bounds(tower)
-        detail = ", ".join(f"{c.name} slack {c.min_slack:.3g}" for c in rep.clauses) if seq.depth >= 2 else "no pairs"
-        if not rep.ok:
-            detail = "; ".join(f"{c.name}: {len(c.violations)} violations" for c in rep.clauses if c.violations)
-        all_ok &= _print_verdict("distance-bounds", rep.ok, detail)
+    rep = verify_adjusted_distance_bounds(tower)
+    detail = ", ".join(f"{c.name} slack {c.min_slack:.3g}" for c in rep.clauses) if seq.depth >= 2 else "no pairs"
+    if not rep.ok:
+        detail = "; ".join(f"{c.name}: {len(c.violations)} violations" for c in rep.clauses if c.violations)
+    all_ok &= _print_verdict("distance-bounds", rep.ok, detail)
 
-    if not cfg.skip_identity:
-        rep = check_identity_convergence(tower)
-        pairs = [f"2eps_{n}->n0={bc.n0_consecutive}/{bc.n0_inclusion}" for n, bc in zip(rep.levels, rep.per_bound)]
-        all_ok &= _print_verdict("identity-convergence", rep.ok, " ".join(pairs))
+    rep = check_identity_convergence(tower)
+    pairs = [f"2eps_{n}->n0={bc.n0_consecutive}/{bc.n0_inclusion}" for n, bc in zip(rep.levels, rep.per_bound)]
+    all_ok &= _print_verdict("identity-convergence", rep.ok, " ".join(pairs))
 
-    witnesses = None
-    if not cfg.skip_diagram:
-        witnesses = [check_diagram_commutes(tower, n) for n in range(1, seq.depth)]
-        ok = all(w.verdict for w in witnesses)
-        detail = "no pairs"
-        if witnesses:
-            detail = f"{seq.depth - 1} level squares, min slack {min(w.slack for w in witnesses):.3g}"
-        all_ok &= _print_verdict("square-commutes", ok, detail)
+    witnesses = [check_diagram_commutes(tower, n) for n in range(1, seq.depth)]
+    ok = all(w.verdict for w in witnesses)
+    detail = "no pairs"
+    if witnesses:
+        detail = f"{seq.depth - 1} level squares, min slack {min(w.slack for w in witnesses):.3g}"
+    all_ok &= _print_verdict("square-commutes", ok, detail)
 
     return all_ok, witnesses
 
@@ -303,21 +285,20 @@ def cmd_run(cfg: RunConfig, args) -> int:
     for lv in seq.levels:
         print(f"  level {lv.index}: epsilon {lv.epsilon:.6g} gamma {lv.gamma:.6g} |net| {len(lv.net)}")
 
-    all_ok, witnesses = _run_checks(cfg, tower)
+    all_ok, witnesses = _run_checks(tower)
 
-    if witnesses is not None:
-        with open(os.path.join(cfg.outdir, "witnesses.txt"), "w") as fh:
-            for w in witnesses:
-                fh.write(
-                    f"check={w.name} bound={w.bound!r} max_union_diameter={w.max_union_diameter!r} "
-                    f"slack={w.slack!r} worst_item={w.worst_item} verdict={'pass' if w.verdict else 'fail'}\n"
-                )
+    with open(os.path.join(cfg.outdir, "witnesses.txt"), "w") as fh:
+        for w in witnesses:
+            fh.write(
+                f"check={w.name} bound={w.bound!r} max_union_diameter={w.max_union_diameter!r} "
+                f"slack={w.slack!r} worst_item={w.worst_item} verdict={'pass' if w.verdict else 'fail'}\n"
+            )
 
     rep = None
-    homology_skipped = not cfg.skip_homology and seq.depth < 2
+    homology_skipped = seq.depth < 2
     if homology_skipped:
         print(f"homology: skipped ({seq.depth} level built, needs 2)")
-    elif not cfg.skip_homology:
+    else:
         try:
             rep = shape_report(tower, maxdim=cfg.maxdim, window=cfg.window)
         except (ElementCapError, BondingDiameterError, HomologyCheckError) as exc:
@@ -362,9 +343,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if note:
         print(f"ground: {note}")
     print(f"depth: {_depth(seq)}")
-    ok, _ = _run_checks(cfg, tower)
+    ok, _ = _run_checks(tower)
 
-    if seq.depth >= 2 and not cfg.skip_homology:
+    if seq.depth >= 2:
         # unions of singleton images are monotone: the diameter check is all that can fail
         try:
             hls = [build_hyperlevel(tower.ground, lv, cap=2) for lv in seq.levels]

@@ -50,7 +50,6 @@ class Level:
     epsilon: float
     net: tuple[int, ...]
     gamma: float
-    net_threshold: float
 
     def __post_init__(self):
         # gamma < epsilon is enforced by check_sequence_inequalities so that
@@ -64,7 +63,6 @@ class Level:
 class AdjustedSequence:
     ground: MetricGround
     levels: tuple[Level, ...]
-    safety: float
     requested_depth: int
     stop_reason: str | None = None  # why fewer than requested_depth levels were built
     greedy: GreedyPermutation | None = field(default=None, repr=False, compare=False)  # the pass the nets were cut from
@@ -310,7 +308,7 @@ def build_adjusted_sequence(
                              f"nearest-neighbour distance {max_nn!r} at density {ground.density!r} is at least "
                              f"1.96 * epsilon_{n}, so no net keeps its gaps below the level scale")
         net, g = cut_net(perm, t)
-        levels.append(Level(index=n, epsilon=eps, net=net, gamma=g, net_threshold=t))
+        levels.append(Level(index=n, epsilon=eps, net=net, gamma=g))
         if n == depth:
             break
         nxt = safety * (eps - g) / 2.0
@@ -325,7 +323,6 @@ def build_adjusted_sequence(
     seq = AdjustedSequence(
         ground=ground,
         levels=tuple(levels),
-        safety=safety,
         requested_depth=depth,
         stop_reason=reason,
         greedy=perm,
@@ -365,17 +362,13 @@ def write_sequence_text(seq: AdjustedSequence, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("# finiteshape adjusted sequence\n")
         fh.write(f"# density = {seq.ground.density!r}\n")
-        fh.write(f"# safety = {seq.safety!r}\n")
         fh.write(f"# requested_depth = {seq.requested_depth}\n")
         fh.write(f"# stopped_early = {seq.stopped_early}\n")
         if seq.stop_reason:
             fh.write(f"# stop_reason = {seq.stop_reason}\n")
         for lv in seq.levels:
             net = ",".join(str(i) for i in lv.net)
-            fh.write(
-                f"level n={lv.index} epsilon={lv.epsilon!r} gamma={lv.gamma!r} "
-                f"threshold={lv.net_threshold!r} net={net}\n"
-            )
+            fh.write(f"level n={lv.index} epsilon={lv.epsilon!r} gamma={lv.gamma!r} net={net}\n")
 
 
 def write_sequence_csv(seq: AdjustedSequence, path: str) -> None:
@@ -397,12 +390,14 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     finite and positive, a net that is not a sorted, duplicate-free list of
     ground indices in ``[0, ground.n)``, a stored ``gamma`` that is not the
     net's coverage radius on ``ground`` (the checks judge the stored values),
-    or a ``requested_depth`` below the number of levels.  The ``density`` and
-    ``stopped_early`` lines are not read; ``stop_reason`` alone marks a stop.
+    a ``requested_depth`` below the number of levels, or a ``stop_reason``
+    without a ``requested_depth`` above the number of levels.  The ``density``
+    and ``stopped_early`` lines are not read; ``stop_reason`` alone marks a
+    stop.  The ``safety`` line and ``threshold`` fields of older files are
+    ignored: no check reads them.
     """
-    safety = 0.9
     requested = requested_at = None
-    reason = None
+    reason = reason_at = None
     levels = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -413,12 +408,10 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
             try:
                 if line.startswith("#"):
                     body = line[1:].strip()
-                    if body.startswith("safety ="):
-                        safety = float(body.split("=", 1)[1])
-                    elif body.startswith("requested_depth ="):
+                    if body.startswith("requested_depth ="):
                         requested, requested_at = int(body.split("=", 1)[1]), where
                     elif body.startswith("stop_reason ="):
-                        reason = body.split("=", 1)[1].strip()
+                        reason, reason_at = body.split("=", 1)[1].strip(), where
                     continue
                 if not line.startswith("level "):
                     raise ValueError("unrecognized sequence line")
@@ -428,7 +421,6 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                     epsilon=float(fields["epsilon"]),
                     net=tuple(int(i) for i in fields["net"].split(",")),
                     gamma=float(fields["gamma"]),
-                    net_threshold=float(fields.get("threshold", fields["epsilon"])),
                 )
             except (ValueError, KeyError) as exc:
                 raise SequenceFormatError(f"{where}: cannot parse {line!r}: {exc!r}") from exc
@@ -457,10 +449,12 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
         raise SequenceFormatError(f"{path}: no level lines")
     if requested is not None and requested < len(levels):
         raise SequenceFormatError(f"{requested_at}: requested_depth = {requested} is below the {len(levels)} stored levels")
+    if reason is not None and requested in (None, len(levels)):
+        missing = "no requested_depth line" if requested is None else f"all {requested} requested levels are stored"
+        raise SequenceFormatError(f"{reason_at}: stop_reason describes no stop: {missing}")
     return AdjustedSequence(
         ground=ground,
         levels=tuple(levels),
-        safety=safety,
         requested_depth=len(levels) if requested is None else requested,
         stop_reason=reason,
     )

@@ -340,14 +340,17 @@ def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyRepo
     Builds each level's vertices and edges (cap 2), reduces its collapsed
     scale complex once (``LevelHomology``), computes induced ranks along
     every consecutive bonding map, and stabilizes them over the trailing
-    window.  Each bonding map is checked where it can fail, its diameter
-    (``BondingDiameterError``), and its vertex map is read once.  Every
-    induced rank is checked against the Betti numbers it maps between, and
-    every pushed representative to be a cycle (``HomologyCheckError``).
+    window (at least 2 levels, else ``ValueError``).  Each bonding map is
+    checked where it can fail, its diameter (``BondingDiameterError``), and
+    its vertex map is read once.  Every induced rank is checked against the
+    Betti numbers it maps between, and every pushed representative to be a
+    cycle (``HomologyCheckError``).
     """
     seq = tower.seq
     if seq.depth < 2:
         raise ValueError("shape report needs at least two levels")
+    if window < 2:
+        raise ValueError(f"stabilization window must be >= 2, got {window}")
     ground = seq.ground
 
     hls = [build_hyperlevel(ground, lv, cap=2) for lv in seq.levels]
@@ -375,8 +378,6 @@ def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyRepo
 
     first_level_in_window = seq.levels[max(0, seq.depth - window)].index
     tail = [pr for pr in pairs if pr.coarse_index >= first_level_in_window]
-    if not tail:
-        tail = pairs[-1:]
     n_deg = len(tail[0].ranks)
     stabilized = tuple(min(pr.ranks[d] for pr in tail) for d in range(n_deg))
 

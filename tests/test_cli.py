@@ -125,39 +125,22 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "o2" / "summary.txt").exists()  # flag wins
     assert not (tmp_path / "o1").exists()
-
-
-def test_config_file_skip_bounds_drops_distance_bounds_line(tmp_path, capsys):
-    cfgfile = tmp_path / "verify.cfg"
-    cfgfile.write_text("space = interval\nn = 50\ndepth = 3\nskip_bounds = true\n")
-    assert run_cli(["verify", "--config", str(cfgfile)]) == 0
     out = capsys.readouterr().out
-    assert "PASS sequence-inequalities" in out
-    assert "distance-bounds" not in out
-    assert "2eps_3->" in out and "2eps_4" not in out  # the file's depth, not the default 4
+    assert "depth: requested 3, " in out  # the file's depth, not the default 4
 
 
 @pytest.mark.parametrize("line, reason", [
     ("colour = blue", "unknown key 'colour'"),
     ("depth 3", "expected key = value"),
-    ("skip_bounds = ture", "skip_bounds must be one of 1/true/yes/0/false/no"),
+    ("skip_bounds = true", "unknown key 'skip_bounds'"),
     ("depth = 2.5", "depth = '2.5' is not a valid int"),
     ("tie_tol = abc", "tie_tol = 'abc' is not a valid float"),
-], ids=["unknown-key", "no-equals", "bad-boolean", "non-integer", "non-number"])
+], ids=["unknown-key", "no-equals", "stale-skip-key", "non-integer", "non-number"])
 def test_config_file_bad_line_exits_2(tmp_path, capsys, line, reason):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"space = circle\n{line}\n")
     assert run_cli(["verify", "--config", str(cfgfile)]) == 2
     assert f"error: {cfgfile}:2: {reason}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value, skipped", [("TRUE", True), ("Yes", True), ("1", True),
-                                             ("False", False), ("NO", False), ("0", False)])
-def test_config_file_booleans_in_any_case(tmp_path, capsys, value, skipped):
-    cfgfile = tmp_path / "verify.cfg"
-    cfgfile.write_text(f"space = interval\nn = 20\ndepth = 2\nskip_bounds = {value}\n")
-    assert run_cli(["verify", "--config", str(cfgfile)]) == 0
-    assert ("distance-bounds" not in capsys.readouterr().out) == skipped
 
 
 def test_generate_config_honours_n(tmp_path):
@@ -173,12 +156,7 @@ NON_DEFAULT_CONFIG = RunConfig(
     space="interval", n=17, radius=2.0, separation=3.0, length=4.0, cantor_depth=2,
     input="in.csv", format="distmatrix_csv", density=0.5, epsilon1=0.7, depth=3, safety=0.8,
     tie_tol=1e-6, maxdim=2, window=3, outdir="elsewhere",
-    skip_bounds=True, skip_identity=True, skip_diagram=True, skip_homology=True,
 )
-
-
-def _spelled(value) -> str:
-    return "true" if value is True else str(value)
 
 
 def test_every_config_field_is_a_flag_and_a_config_key_of_its_type():
@@ -189,7 +167,7 @@ def test_every_config_field_is_a_flag_and_a_config_key_of_its_type():
         value = getattr(NON_DEFAULT_CONFIG, name)
         assert value != getattr(RunConfig(), name)
         assert cli._CONFIG_KEYS[name] is type(value)
-        flag = ["--" + name.replace("_", "-")] + ([] if value is True else [_spelled(value)])
+        flag = ["--" + name.replace("_", "-"), str(value)]
         for command in ("run", "verify"):
             got = getattr(parser.parse_args([command, *flag]), name)
             assert (got, type(got)) == (value, type(value))
@@ -205,7 +183,7 @@ def test_config_file_sets_every_field_and_a_flag_overrides_it(tmp_path, monkeypa
     seen = []
     monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, args: seen.append(cfg) or 0)
     cfgfile = tmp_path / "all.cfg"
-    lines = (f"{name} = {_spelled(getattr(NON_DEFAULT_CONFIG, name))}\n" for name in cli._CONFIG_KEYS)
+    lines = (f"{name} = {getattr(NON_DEFAULT_CONFIG, name)}\n" for name in cli._CONFIG_KEYS)
     cfgfile.write_text("".join(lines))
     assert main([command, "--config", str(cfgfile)]) == 0
     assert main([command, "--config", str(cfgfile), "--depth", "5"]) == 0
@@ -373,6 +351,16 @@ def test_cap_is_no_option_of_run_or_verify(tmp_path, capsys, command):
     assert f"{cfgfile}:2: unknown key 'cap'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("flag", ["--skip-bounds", "--skip-identity", "--skip-diagram", "--skip-homology"])
+def test_every_check_runs_and_no_flag_skips_one(tmp_path, capsys, command, flag):
+    args = [command, "--space", "circle", "--n", "32", "--depth", "3", "--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_export_poset_cap_sets_the_largest_element(tmp_path):
     base = tmp_path / "poset"
     assert run_cli(["export-poset", "--space", "circle", "--n", "16", "--depth", "2",
@@ -444,8 +432,8 @@ def _edit_level_line(path, n, edit):
     (2, lambda f: f.pop("epsilon"), "cannot parse"),
     (2, lambda f: f.update(gamma="0.0"), "stores gamma=0.0, but its net covers the ground within gamma="),
     # an infinite scale passed every verdict, and a NaN one passed the distance bounds against NaN bounds
-    (1, lambda f: f.update(epsilon="inf"), "sequence.txt:6: level 1 epsilon=inf is not finite and positive"),
-    (2, lambda f: f.update(epsilon="nan"), "sequence.txt:7: level 2 epsilon=nan is not finite and positive"),
+    (1, lambda f: f.update(epsilon="inf"), "sequence.txt:5: level 1 epsilon=inf is not finite and positive"),
+    (2, lambda f: f.update(epsilon="nan"), "sequence.txt:6: level 2 epsilon=nan is not finite and positive"),
 ], ids=["index-out-of-range", "unsorted", "duplicate", "level-gap", "missing-field", "false-gamma",
         "epsilon-inf-level-1", "epsilon-nan-level-2"])
 def test_verify_malformed_stored_sequence_fails(tmp_path, capsys, n, edit, reason):
@@ -464,8 +452,7 @@ def _stored_circle64(tmp_path):
     coords = tmp_path / "g.csv"
     outdir = tmp_path / "out"
     assert run_cli(["generate", "--space", "circle", "--n", "64", "--out", str(coords)]) == 0
-    assert run_cli(["run", "--input", str(coords), "--outdir", str(outdir), "--depth", "3",
-                    "--skip-homology"]) == 0
+    assert run_cli(["run", "--input", str(coords), "--outdir", str(outdir), "--depth", "3"]) == 0
     return coords, outdir / "sequence.txt"
 
 
@@ -483,7 +470,7 @@ def test_verify_stored_requested_depth_below_the_levels_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL sequence-format: ")
-    assert "sequence.txt:4: requested_depth = 1 is below the 3 stored levels" in out
+    assert "sequence.txt:3: requested_depth = 1 is below the 3 stored levels" in out
 
 
 def test_verify_stored_stopped_early_without_a_reason_prints_no_stop(tmp_path, capsys):
@@ -493,6 +480,24 @@ def test_verify_stored_stopped_early_without_a_reason_prints_no_stop(tmp_path, c
     capsys.readouterr()
     assert run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "depth: requested 3, built 3"
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("# stopped_early = False", "# stopped_early = False\n# stop_reason = made up",
+     "sequence.txt:5: stop_reason describes no stop: all 3 requested levels are stored"),
+    ("# requested_depth = 3", "# stop_reason = made up",
+     "sequence.txt:3: stop_reason describes no stop: no requested_depth line"),
+], ids=["every-level-stored", "no-requested-depth"])
+def test_verify_stored_stop_reason_without_a_stop_fails(tmp_path, capsys, old, new, reason):
+    # a stop reason on a tower holding every requested level printed "stopped: made up" and passed
+    coords, seq_file = _stored_circle64(tmp_path)
+    _edit_header_line(seq_file, old, new)
+    capsys.readouterr()
+    code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL sequence-format: ")
+    assert reason in out
 
 
 def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):
@@ -571,7 +576,7 @@ def test_loaded_circle_at_stated_density_reports_the_circle(tmp_path, capsys):
 def test_ground_line_names_a_sampled_triangle_check(tmp_path, capsys, n, note):
     matrix = tmp_path / "circle.csv"
     write_jittered_circle_distmatrix(matrix, n)
-    load = ["--input", str(matrix), "--format", "distmatrix_csv", "--depth", "2", "--skip-homology"]
+    load = ["--input", str(matrix), "--format", "distmatrix_csv", "--depth", "2"]
     assert run_cli(["run", *load, "--outdir", str(tmp_path / "out")]) == 0
     ground_line = capsys.readouterr().out.splitlines()[0]
     assert ground_line == f"ground: {n} points, density 0.0 (assumed 0)" + (f", {note}" if note else "")

@@ -17,17 +17,17 @@ import pytest
 from finiteshape.cli import main
 
 CIRCLE = ["--space", "circle", "--n", "64", "--depth", "3"]
-CONFIG = "space = interval\nn = 40\ndepth = 3\nskip-diagram = yes\nwindow = 3\n"
+CONFIG = "space = interval\nn = 40\ndepth = 3\nwindow = 3\n"
 
 # name -> (setup invocations, digested invocation, digest)
 CASES = {
     "run-circle-64-d3": (
         [], ["run", *CIRCLE, "--outdir", "out"],
-        "73b93754d68ef567adcba451d10849821bfa76499223bda56aa3fd0baebdae77",
+        "7dbc7fd73af560731814e5c7ad52f10b60ae400b89d75bdbb613eb049109152e",
     ),
     "run-circle-64-d3-maxdim2": (
         [], ["run", *CIRCLE, "--maxdim", "2", "--outdir", "out"],
-        "2aee40fcc4a81f4cc72abbc8d6a591561cb419477a1d4aa2a704aec5263d8c9b",
+        "a9241ab48171560ac9eb566511c05f90190a8c584093acb37859c825960c53ff",
     ),
     "verify-sequence": (
         [["run", *CIRCLE, "--outdir", "out"]], ["verify", *CIRCLE, "--sequence", "out/sequence.txt"],
@@ -47,15 +47,23 @@ CASES = {
     ),
     "run-distmatrix-100": (
         [], ["run", "--input", "dist.csv", "--format", "distmatrix_csv", "--depth", "3", "--outdir", "out"],
-        "21c7abe205df14b071c996aef8ef231245664a03b265388051414eaf29dc1b67",
+        "da4eb7b1b74642149dfbcc37aab3b712b6d74b40cfade53d255521170afb8187",
     ),
     "run-config": (
         [], ["run", "--config", "run.cfg", "--n", "30", "--outdir", "out"],
-        "330a2c3f7325b67bb481d702bf87900076c8677f2fcdc7d92fd4d2b1e836fc2c",
+        "6736a4dd8befe962e037dd1c3b4bb7a2022b3e8038447cc5328766961bffd6c8",
     ),
     "generate-cantor": (
         [], ["generate", "--space", "cantor", "--out", "cantor.csv"],
         "3816a2325377a9887035eef89aed3afa995fe2242aec95a7ceb39e79177f3c47",
+    ),
+    "verify-circle-64-d3": (
+        [], ["verify", *CIRCLE],
+        "9c71129ea958fec13e60ebc5930893002b71ef26efd651fb51157b7cdd9e2d32",
+    ),
+    "run-circle-64-d1": (
+        [], ["run", "--space", "circle", "--n", "64", "--depth", "1", "--outdir", "out"],
+        "0d29dd378024f5869dff12c7e4eb6d767baae150ae381bbcb5013a433ab34e2b",
     ),
     "run-bad-safety": (
         [], ["run", *CIRCLE, "--safety", "1.2", "--outdir", "out"],

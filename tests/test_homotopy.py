@@ -72,7 +72,7 @@ def test_witness_domain_mismatch():
 
 def test_union_of_monotone_maps_is_monotone():
     g = MetricGround.from_coords(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]))
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     f_images = tuple((0,) for _ in hl.elements)             # constant
     g_images = tuple(el for el in hl.elements)              # identity
@@ -115,9 +115,9 @@ def test_identity_convergence_detects_own_level_violation():
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=2)
     lv1 = seq.level(1)
     assert lv1.gamma > 0
-    bad1 = Level(1, lv1.gamma / 4, lv1.net, lv1.gamma, lv1.net_threshold)
+    bad1 = Level(1, lv1.gamma / 4, lv1.net, lv1.gamma)
     bad = AdjustedSequence(
-        ground=g, levels=(bad1, seq.level(2)), safety=seq.safety,
+        ground=g, levels=(bad1, seq.level(2)),
         requested_depth=2,
     )
     rep = check_identity_convergence(Tower(bad))
@@ -131,8 +131,8 @@ def test_identity_convergence_unreachable_bound_reported():
     from finiteshape.construction import AdjustedSequence
 
     g = MetricGround.from_coords(np.array([[-1.0], [-0.1], [0.0]]))
-    levels = (Level(1, 0.48, (0, 1), 0.1, 0.48), Level(2, 0.6, (0,), 1.0, 0.6))
-    rep = check_identity_convergence(Tower(AdjustedSequence(g, levels, safety=2.0, requested_depth=2)))
+    levels = (Level(1, 0.48, (0, 1), 0.1), Level(2, 0.6, (0,), 1.0))
+    rep = check_identity_convergence(Tower(AdjustedSequence(g, levels, requested_depth=2)))
     assert rep.pair_diameters == (0.9,)
     assert rep.inclusion_diameters == (0.1, 1.0)
     first = rep.per_bound[0]

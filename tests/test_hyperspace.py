@@ -56,7 +56,7 @@ def brute_elements(dist, net, two_eps, cap):
 
 def test_hyperlevel_single_point():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
-    lv = Level(1, 1.0, (0,), 0.0, 1.0)
+    lv = Level(1, 1.0, (0,), 0.0)
     hl = build_hyperlevel(g, lv)
     assert hl.elements == ((0,),)
 
@@ -64,7 +64,7 @@ def test_hyperlevel_single_point():
 @pytest.mark.parametrize("eps,count", [(0.6, 7), (0.4, 3)])
 def test_hyperlevel_triangle_counts(eps, count):
     g = triangle()
-    lv = Level(1, eps, (0, 1, 2), 0.0, eps)
+    lv = Level(1, eps, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     assert hl.n_elements == count
     # exhaustive subset enumeration oracle
@@ -73,7 +73,7 @@ def test_hyperlevel_triangle_counts(eps, count):
 
 def test_hyperlevel_down_closed_and_diameters(tmp_path):
     g = generate(SpaceSpec("circle", n=16))
-    lv = Level(1, 0.5, tuple(range(16)), 0.3, 0.5)
+    lv = Level(1, 0.5, tuple(range(16)), 0.3)
     hl = build_hyperlevel(g, lv, cap=3)
     export_poset_csv(g, hl, str(tmp_path / "p.csv"))
     diameters = [float(row.split(",")[2]) for row in (tmp_path / "p.csv").read_text().splitlines()[1:]]
@@ -135,10 +135,10 @@ def test_bonding_circle4_hand_values():
 
 def test_bonding_monotone_on_triangle():
     g = triangle()
-    fine = Level(2, 0.6, (0, 1, 2), 0.0, 0.6)
-    coarse = Level(1, 1.4, (0, 1), 1.0, 1.4)
+    fine = Level(2, 0.6, (0, 1, 2), 0.0)
+    coarse = Level(1, 1.4, (0, 1), 1.0)
     hl = build_hyperlevel(g, fine, cap=3)
-    p = bonding_map(Tower(AdjustedSequence(g, (coarse, fine), 0.9, 2)), hl)
+    p = bonding_map(Tower(AdjustedSequence(g, (coarse, fine), 2)), hl)
     ok, ce = is_continuous(p, hl)
     assert ok and ce is None
     # exhaustive monotonicity recheck
@@ -152,10 +152,10 @@ def test_bonding_diameter_error_aborts():
     # the message names the element by ground indices, (3,), not position (2,).
     pts = np.array([[40.0, 0.0], [0.0, 0.0], [10.0, 0.0], [5.0, 0.0]])
     g = MetricGround.from_coords(pts)
-    fine = Level(2, 6.0, (1, 2, 3), 5.0, 6.0)
-    coarse = Level(1, 0.5, (1, 2), 0.4, 0.5)
+    fine = Level(2, 6.0, (1, 2, 3), 5.0)
+    coarse = Level(1, 0.5, (1, 2), 0.4)
     hl = build_hyperlevel(g, fine, cap=2)
-    tower = Tower(AdjustedSequence(g, (coarse, fine), 0.9, 2))
+    tower = Tower(AdjustedSequence(g, (coarse, fine), 2))
     with pytest.raises(BondingDiameterError, match=r"^bonding image of \(3,\) has diameter 10\.0 "):
         bonding_map(tower, hl)
 
@@ -164,7 +164,7 @@ def test_bonding_rejects_hyperlevel_of_another_level():
     g = circle4()
     seq = build_adjusted_sequence(g, epsilon1=1.5, depth=2)
     lv2 = seq.level(2)
-    other = Level(2, lv2.epsilon, (0, 1, 2), lv2.gamma, lv2.net_threshold)
+    other = Level(2, lv2.epsilon, (0, 1, 2), lv2.gamma)
     with pytest.raises(ValueError, match="not built on this tower's level"):
         bonding_map(Tower(seq), build_hyperlevel(g, other))
 
@@ -230,7 +230,7 @@ def test_tower_reads_tables_off_the_pass_only_at_its_tie_tolerance(tower_tie_tol
     monkeypatch.setattr(hyperspace, "nearest_sets", lambda *args: calls.append(args[1]) or original(*args))
     tower = Tower(seq, tower_tie_tol)
     assert calls == ([] if tower_tie_tol == seq.greedy.tie_tol else [lv.net for lv in seq.levels])
-    passless = Tower(AdjustedSequence(g, seq.levels, seq.safety, seq.requested_depth), tower_tie_tol)
+    passless = Tower(AdjustedSequence(g, seq.levels, seq.requested_depth), tower_tie_tol)
     for lv in seq.levels:
         expected = reference_nearest_sets(g.dist[:, list(lv.net)], lv.net, tower_tie_tol)
         assert images_of(tower.q[lv.index]) == tuple(expected)
@@ -285,7 +285,7 @@ def test_bonding_maps_match_per_element_diameter_reference():
 
 def test_is_continuous_constant_map():
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     const = MultiMap(padded_table([(0,)] * hl.n_elements))
     ok, _ = is_continuous(const, hl)
@@ -294,7 +294,7 @@ def test_is_continuous_constant_map():
 
 def test_is_continuous_reports_violation():
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     # send the pair {0,1} somewhere that does not contain the image of {0}
     images = []
@@ -396,7 +396,7 @@ def test_distance_bounds_circle64_exhaustive():
 def test_element_budget_overflow_reports_cardinality(monkeypatch):
     monkeypatch.setattr(hyperspace, "MAX_ELEMENTS", 40)
     g = generate(SpaceSpec("circle", n=32))
-    lv = Level(1, 1.0, tuple(range(32)), 0.5, 1.0)
+    lv = Level(1, 1.0, tuple(range(32)), 0.5)
     from finiteshape.hyperspace import ElementCapError
 
     with pytest.raises(ElementCapError) as err:
@@ -407,7 +407,7 @@ def test_element_budget_overflow_reports_cardinality(monkeypatch):
 
 def test_leq_and_covering_agree():
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     for i, j in hl.covering_pairs():
         assert set(hl.elements[i]) < set(hl.elements[j])
@@ -416,7 +416,7 @@ def test_leq_and_covering_agree():
 
 def test_poset_exports(tmp_path):
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     dot = tmp_path / "p.dot"
     csvp = tmp_path / "p.csv"

@@ -101,7 +101,7 @@ def circle4():
 
 def test_order_complex_three_incomparable_singletons():
     g = triangle()
-    lv = Level(1, 0.4, (0, 1, 2), 0.0, 0.4)
+    lv = Level(1, 0.4, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     cx = order_complex(hl)
     assert cx.n_vertices == 3
@@ -111,7 +111,7 @@ def test_order_complex_three_incomparable_singletons():
 
 def test_order_complex_singleton_poset():
     g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
-    lv = Level(1, 1.0, (0,), 0.0, 1.0)
+    lv = Level(1, 1.0, (0,), 0.0)
     hl = build_hyperlevel(g, lv)
     cx = order_complex(hl)
     assert cx.n_vertices == 1
@@ -120,7 +120,7 @@ def test_order_complex_singleton_poset():
 
 def test_order_complex_is_barycentric_subdivision_of_triangle():
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     cx = order_complex(hl, maxdim=1)
     assert cx.n_vertices == 7
@@ -135,7 +135,7 @@ def test_order_complex_is_barycentric_subdivision_of_triangle():
 
 def test_rips_circle4_cycle():
     g = circle4()
-    lv = Level(1, 0.85, (0, 1, 2, 3), 0.0, 0.85)  # sqrt2 < 1.7 < 2
+    lv = Level(1, 0.85, (0, 1, 2, 3), 0.0)  # sqrt2 < 1.7 < 2
     cx = rips_complex(g, lv)
     assert cx.count(1) == 4
     assert cx.count(2) == 0
@@ -145,7 +145,7 @@ def test_rips_circle4_cycle():
 
 def test_rips_full_simplex_is_cone():
     g = circle4()
-    lv = Level(1, 1.2, (0, 1, 2, 3), 0.0, 1.2)  # 2.4 > diameter 2
+    lv = Level(1, 1.2, (0, 1, 2, 3), 0.0)  # 2.4 > diameter 2
     cx = rips_complex(g, lv, maxdim=2)
     b = betti(cx, maxdim=2)
     assert b == (1, 0, 0)
@@ -153,7 +153,7 @@ def test_rips_full_simplex_is_cone():
 
 def test_rips_two_far_points():
     g = generate(SpaceSpec("two_points", separation=1.0))
-    lv = Level(1, 0.25, (0, 1), 0.0, 0.25)
+    lv = Level(1, 0.25, (0, 1), 0.0)
     cx = rips_complex(g, lv)
     assert cx.count(1) == 0
     assert betti(cx) == (2, 0)
@@ -164,7 +164,7 @@ def test_scale_complex_read_off_hyperlevel_matches_brute_force(maxdim):
     rng = np.random.default_rng(5)
     g = MetricGround.from_coords(rng.uniform(size=(40, 2)))
     net = tuple(sorted(int(i) for i in rng.choice(40, size=25, replace=False)))
-    lv = Level(1, 0.15, net, 0.1, 0.15)
+    lv = Level(1, 0.15, net, 0.1)
     local = g.dist[np.ix_(net, net)]
     expected = tuple(
         tuple(sub for sub in itertools.combinations(range(len(net)), r)
@@ -197,7 +197,7 @@ def test_betti_random_flag_complexes_match_oracle():
     for trial in range(8):
         pts = rng.uniform(size=(10, 2))
         g = MetricGround.from_coords(pts)
-        lv = Level(1, 0.2 + 0.05 * trial, tuple(range(10)), 0.1, 0.3)
+        lv = Level(1, 0.2 + 0.05 * trial, tuple(range(10)), 0.1)
         cx = rips_complex(g, lv)
         assert betti(cx) == betti_oracle(cx, 1)
 
@@ -205,7 +205,7 @@ def test_betti_random_flag_complexes_match_oracle():
 def test_euler_characteristic_consistency_when_cap_not_binding():
     # complexes whose top simplices fit under the cap: chi = alternating betti sum
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     cx = order_complex(hl, maxdim=2)
     b = betti(cx, maxdim=2)
@@ -225,7 +225,7 @@ def hexagon_level(with_centre):
     if with_centre:
         pts = np.vstack([pts, [[0.0, 0.0]]])
     g = MetricGround.from_coords(pts)
-    lv = Level(1, 0.6, tuple(range(len(pts))), 0.0, 0.6)
+    lv = Level(1, 0.6, tuple(range(len(pts))), 0.0)
     return build_hyperlevel(g, lv, cap=4)
 
 
@@ -270,11 +270,11 @@ def test_pushed_edge_outside_the_coarse_core_is_a_check_failure():
 
 def test_induced_identity_bonding_has_full_rank():
     g = circle4()
-    lv1 = Level(1, 0.85, (0, 1, 2, 3), 0.0, 0.85)
-    lv2 = Level(2, 0.8, (0, 1, 2, 3), 0.0, 0.8)
+    lv1 = Level(1, 0.85, (0, 1, 2, 3), 0.0)
+    lv2 = Level(2, 0.8, (0, 1, 2, 3), 0.0)
     hl1 = build_hyperlevel(g, lv1, cap=3)
     hl2 = build_hyperlevel(g, lv2, cap=3)
-    p = bonding_map(Tower(AdjustedSequence(g, (lv1, lv2), 0.9, 2)), hl2)
+    p = bonding_map(Tower(AdjustedSequence(g, (lv1, lv2), 2)), hl2)
     d1, d2 = LevelHomology(hl1), LevelHomology(hl2)
     assert d1.betti == d2.betti == (1, 1)
     vertex_map = bonding_vertex_map(p, hl2, hl1)
@@ -366,7 +366,7 @@ def fibonacci_sphere(n):
 def test_sphere_sample_degree_two_both_routes():
     # nonzero b2: both complex routes must see the sphere exactly
     g = MetricGround.from_coords(fibonacci_sphere(64))
-    lv = Level(1, 0.4, tuple(range(64)), 0.36, 0.4)
+    lv = Level(1, 0.4, tuple(range(64)), 0.36)
     cx_scale = rips_complex(g, lv, maxdim=2)
     assert betti(cx_scale, maxdim=2) == (1, 0, 1)
     hl = build_hyperlevel(g, lv, cap=4)
@@ -508,6 +508,15 @@ def test_shape_report_singleton():
     assert rep.stabilized == (1, 0)
 
 
+@pytest.mark.parametrize("window", [0, 1])
+def test_shape_report_window_below_two_is_refused(window):
+    # window 1 reported itself but took its ranks from window 2; window 0 raised IndexError
+    g = MetricGround.from_coords(np.array([[0.0, 0.0]]))
+    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
+    with pytest.raises(ValueError, match=f"stabilization window must be >= 2, got {window}"):
+        shape_report(Tower(seq), window=window)
+
+
 def test_shape_report_circle_stabilized():
     g = generate(SpaceSpec("circle", n=256))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=5)
@@ -583,7 +592,7 @@ def test_composite_induced_rank_equality_on_circle_tail():
 
 def test_exports(tmp_path):
     g = triangle()
-    lv = Level(1, 0.6, (0, 1, 2), 0.0, 0.6)
+    lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
     cx = order_complex(hl)
     export_complex_off(cx, str(tmp_path / "c.off"))

@@ -153,8 +153,8 @@ def non_nested_circle_sequence():
     ground = generate(SpaceSpec("circle", n=64))
     nets = [tuple(range(0, 64, 5)), tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]
     scales = (0.95, 0.35, 0.11)
-    levels = tuple(Level(n, eps, net, gamma(ground, net), eps) for n, eps, net in zip((1, 2, 3), scales, nets))
-    return AdjustedSequence(ground, levels, safety=0.9, requested_depth=3)
+    levels = tuple(Level(n, eps, net, gamma(ground, net)) for n, eps, net in zip((1, 2, 3), scales, nets))
+    return AdjustedSequence(ground, levels, requested_depth=3)
 
 
 def with_lattice_examples(test):
