@@ -74,7 +74,6 @@ class RunConfig:
     depth: int = 4
     safety: float = 0.9
     tie_tol: float = 1e-9
-    maxdim: int = 1
     window: int = 2
     outdir: str = "out"
 
@@ -89,8 +88,6 @@ class RunConfig:
             raise ConfigError(f"epsilon1 must be finite and positive, got {self.epsilon1}")
         if not 0.0 <= self.tie_tol < math.inf:
             raise ConfigError(f"tie tolerance must be finite and nonnegative, got {self.tie_tol}")
-        if self.maxdim not in (1, 2):
-            raise ConfigError(f"maxdim must be 1 or 2, got {self.maxdim}")
         if self.window < 2:
             raise ConfigError("stabilization window must be >= 2")
         if self.format not in ("coords_csv", "distmatrix_csv"):
@@ -156,7 +153,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int)
     p.add_argument("--safety", type=float)
     p.add_argument("--tie-tol", type=float)
-    p.add_argument("--maxdim", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--outdir")
     p.add_argument("--config", default=None, help="key = value file; explicit flags override it")
@@ -165,7 +161,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 def _add_export_options(p: argparse.ArgumentParser) -> None:
     _add_run_options(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="poset element cardinality cap (default maxdim + 2; not with --complex rips)")
+    p.add_argument("--cap", type=int, default=None, help="poset element cardinality cap (default 3; not with --complex rips)")
     p.add_argument("--out", required=True, help="output path base (suffixes added)")
 
 
@@ -300,7 +296,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
         print(f"homology: skipped ({seq.depth} level built, needs 2)")
     else:
         try:
-            rep = shape_report(tower, maxdim=cfg.maxdim, window=cfg.window)
+            rep = shape_report(tower, window=cfg.window)
         except (ElementCapError, BondingDiameterError, HomologyCheckError) as exc:
             all_ok &= _print_verdict("homology", False, str(exc))
     if rep is not None:
@@ -361,10 +357,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def _export_level(cfg: RunConfig, args):
-    """The ground, the level to export and its cardinality cap (default ``maxdim + 2``)."""
-    cap = cfg.maxdim + 2 if args.cap is None else args.cap
-    if cap < cfg.maxdim + 2:
-        raise ConfigError(f"cardinality cap {cap} too small for maxdim {cfg.maxdim}")
+    """The ground, the level to export and its cardinality cap (default 3, the triangles of the complexes)."""
+    cap = 3 if args.cap is None else args.cap
+    if cap < 3:
+        raise ConfigError(f"cardinality cap {cap} too small: the complexes need cap 3 (triangles)")
     seq = _build_sequence(cfg)
     if not (1 <= args.level <= seq.depth):
         raise ConfigError(f"level {args.level} outside built depth {seq.depth}")
@@ -385,9 +381,9 @@ def cmd_export_complex(cfg: RunConfig, args) -> int:
         raise ConfigError("--cap applies only to the order complex (--complex order)")
     ground, level, cap = _export_level(cfg, args)
     if args.complex == "order":
-        cx = order_complex(build_hyperlevel(ground, level, cap=cap), cfg.maxdim)
+        cx = order_complex(build_hyperlevel(ground, level, cap=cap))
     else:
-        cx = rips_complex(ground, level, cfg.maxdim)
+        cx = rips_complex(ground, level)
     export_complex_off(cx, args.out + ".off")
     export_complex_csv(cx, args.out + ".csv")
     counts = " ".join(str(cx.count(k)) for k in range(len(cx.simplices)))

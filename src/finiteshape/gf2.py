@@ -4,12 +4,12 @@ Columns are represented as Python-int bitmasks of row indices; XOR is ``^``
 and the pivot of a column is its highest set bit.  Reduction keeps one
 column per pivot row, so the number of stored columns is bounded by the rank.
 
-Boundary matrices skip, before any reduction, the columns a cone makes
-dependent (``_cone_free``).  For a simplex s and a vertex x not in it,
-``∂∂(x∗s) = 0`` gives ``∂s = Σ_τ ∂(x∗τ)`` over the facets τ of s.  When some
-x below the first vertex of s has every x∗τ in the complex, ∂s is a sum of
-boundaries of simplices whose first vertex is x, lower than s's; by
-induction on the first vertex the columns that are kept span every
+The triangle boundary matrix skips, before any reduction, the columns a
+cone makes dependent (``_cone_free``).  For a triangle s and a vertex x not
+in it, ``∂∂(x∗s) = 0`` gives ``∂s = Σ_τ ∂(x∗τ)`` over the edges τ of s.
+When some x below the first vertex of s has every x∗τ in the complex, ∂s
+is a sum of boundaries of triangles whose first vertex is x, lower than
+s's; by induction on the first vertex the columns that are kept span every
 boundary, so ranks are unchanged.  In lex order the cone faces x∗τ come
 before s, so a skipped column is one the full reduction would have reduced
 to zero, and on lex-ordered input the pivots are those of the full
@@ -19,8 +19,6 @@ computation with a twist*, 2011).
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 
 class ColumnReducer:
@@ -47,13 +45,6 @@ class ColumnReducer:
         return False
 
 
-def rank_of(columns) -> int:
-    red = ColumnReducer()
-    for col in columns:
-        red.add(col)
-    return red.rank
-
-
 class DisjointSets:
     """Union-find with path halving; tracks the number of classes."""
 
@@ -78,29 +69,27 @@ class DisjointSets:
 
 
 class ChainHomology:
-    """Homology data of a simplicial complex through degree 2.
+    """Homology data of a simplicial complex in degrees 0 and 1.
 
-    Edges are vertex pairs, triangles vertex triples, tetrahedra vertex
-    quadruples, each sorted (faces must be simplices of the complex).
-    Degree-1 work happens in fundamental-cycle coordinates: a spanning forest
-    is fixed, every cycle is determined by its non-tree edge support, and
-    triangle boundaries project to at most three coordinates.  Homology
-    representatives in degree 1 are fundamental cycles of the non-tree edges
-    whose coordinate never became a pivot.  Tetrahedra, when given, are
-    reduced as columns of triangle ids for the degree-2 Betti number.
+    Edges are vertex pairs and triangles vertex triples, each sorted (faces
+    must be simplices of the complex).  Degree-1 work happens in
+    fundamental-cycle coordinates: a spanning forest is fixed, every cycle
+    is determined by its non-tree edge support, and triangle boundaries
+    project to at most three coordinates.  Homology representatives in
+    degree 1 are fundamental cycles of the non-tree edges whose coordinate
+    never became a pivot.
 
     A triangle (a, b, c) is not reduced when some vertex x < a has (x, a, b),
-    (x, a, c) and (x, b, c) among the triangles, and a tetrahedron likewise
-    when x joined to each of its four triangles is a tetrahedron: its
-    boundary is the sum of theirs (see the module docstring).  x is the
-    lowest common lower neighbour of the vertices, found by one AND of
-    bitmasks; its cone faces are then looked up, so the rule is exact on any
-    complex, and on a flag complex they are always there.  On lex-ordered input
+    (x, a, c) and (x, b, c) among the triangles: its boundary is the sum of
+    theirs (see the module docstring).  x is the lowest common lower
+    neighbour of the vertices, found by one AND of bitmasks; its cone faces
+    are then looked up, so the rule is exact on any complex, and on a flag
+    complex they are always there.  On lex-ordered input
     ``boundary_reducer.pivots`` equals the pivots of reducing every column;
     in any order it has the same keys.
     """
 
-    def __init__(self, n_vertices: int, edges=(), triangles=(), tetrahedra=()):
+    def __init__(self, n_vertices: int, edges, triangles):
         self.n = n_vertices
         self.edges = [tuple(e) for e in edges]
         self.edge_id = {e: i for i, e in enumerate(self.edges)}
@@ -144,11 +133,6 @@ class ChainHomology:
             self.boundary_reducer.add(self.project(_triangle_edges(tri, self.edge_id)))
         self.rank_d2 = self.boundary_reducer.rank
         self.n_triangles = len(triangles)
-        self.rank_d3 = 0
-        if tetrahedra:
-            triangle_id = {tuple(t): i for i, t in enumerate(triangles)}
-            self.rank_d3 = rank_of({triangle_id[tet[:i] + tet[i + 1:]] for i in range(4)}
-                                   for tet in _cone_free(tetrahedra, lower))
 
     @property
     def b0(self) -> int:
@@ -157,14 +141,6 @@ class ChainHomology:
     @property
     def b1(self) -> int:
         return self.cycle_dim - self.rank_d2
-
-    @property
-    def b2(self) -> int:
-        return self.n_triangles - self.rank_d2 - self.rank_d3
-
-    def betti(self, maxdim: int) -> tuple[int, ...]:
-        """Betti numbers b_0..b_maxdim (maxdim <= 2; b_2 needs the tetrahedra)."""
-        return (self.b0, self.b1, self.b2)[:maxdim + 1]
 
     def project(self, edge_ids) -> set[int]:
         """Fundamental coordinates of a cycle given by its edge-id support."""
@@ -212,24 +188,22 @@ class ChainHomology:
         return red.rank
 
 
-def _cone_free(simplices, lower):
-    """The simplices, as tuples in input order, less those whose boundary a lower cone spans.
+def _cone_free(triangles, lower):
+    """The triangles, as tuples in input order, less those whose boundary a lower cone spans.
 
-    A simplex s is left out when x, the lowest common neighbour of its
-    vertices below s[0] (``lower[v]``: bitmask of the neighbours of v below
-    v), has x∗τ among ``simplices`` for every facet τ of s.
+    A triangle (a, b, c) is left out when x, the lowest common neighbour of
+    its vertices below a (``lower[v]``: bitmask of the neighbours of v below
+    v), has (x, a, b), (x, a, c) and (x, b, c) among ``triangles``.
     """
-    simplices = [tuple(s) for s in simplices]
-    present = set(simplices)
-    for s in simplices:
-        common = lower[s[0]]
-        for v in s[1:]:
-            common &= lower[v]
+    triangles = [tuple(t) for t in triangles]
+    present = set(triangles)
+    for a, b, c in triangles:
+        common = lower[a] & lower[b] & lower[c]
         if common:
             x = (common & -common).bit_length() - 1
-            if all(map(present.__contains__, map((x,).__add__, combinations(s, len(s) - 1)))):
+            if (x, a, b) in present and (x, a, c) in present and (x, b, c) in present:
                 continue
-        yield s
+        yield a, b, c
 
 
 def _triangle_edges(tri, edge_id):

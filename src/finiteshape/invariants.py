@@ -27,8 +27,9 @@ complexes (collapsed simplices are sent to zero).  The induced maps on
 homology are computed exactly: degree 0 through component tracking, degree
 1 by pushing explicit core cycle representatives through the vertex map and
 the coarse retraction, and counting independence modulo the coarse core's
-boundaries.  The stabilized induced ranks over a trailing window of levels
-are the reported shape invariants of the finite tower.
+boundaries.  The stabilized induced ranks in degrees 0 and 1 over a
+trailing window of levels are the reported shape invariants of the finite
+tower; no degree above 1 is computed.
 """
 
 from __future__ import annotations
@@ -70,56 +71,53 @@ class SimplicialComplex:
         return len(self.simplices[dim])
 
 
-def _simplices_by_size(hl: HyperLevel, maxdim: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The elements of each size 1..maxdim + 2: every simplex homology through ``maxdim`` reads.
+def _simplices_by_size(hl: HyperLevel, top: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The elements of each size 1..top.
 
     Elements are listed by size, so each size is one slice; the hyperlevel
-    must be enumerated with a cap of at least ``maxdim + 2``.
+    must be enumerated with a cap of at least ``top``.
     """
-    if hl.cap < maxdim + 2:
-        raise ValueError(f"cardinality cap {hl.cap} too small for maxdim {maxdim}")
-    bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(1, maxdim + 4)]
+    if hl.cap < top:
+        raise ValueError(f"cardinality cap {hl.cap} too small for simplices of {top} points")
+    bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(1, top + 2)]
     return [hl.elements[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def scale_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
+def scale_complex(hl: HyperLevel) -> SimplicialComplex:
     """Scale complex of a level, read off its hyperspace level.
 
-    The k-simplices are the elements of k + 1 net points, up to dimension
-    ``maxdim + 1`` (exactly what homology through degree ``maxdim``
-    consumes); vertices are net positions, as in the elements themselves.
+    The k-simplices are the elements of k + 1 net points, up to the
+    triangles (exactly what homology through degree 1 consumes); vertices
+    are net positions, as in the elements themselves.
     """
-    return SimplicialComplex(n_vertices=len(hl.level.net), simplices=tuple(_simplices_by_size(hl, maxdim)))
+    return SimplicialComplex(n_vertices=len(hl.level.net), simplices=tuple(_simplices_by_size(hl, 3)))
 
 
-def rips_complex(ground: MetricGround, level: Level, maxdim: int = 1) -> SimplicialComplex:
+def rips_complex(ground: MetricGround, level: Level) -> SimplicialComplex:
     """Scale complex of a level: simplices are small-diameter net subsets.
 
-    Simplices run up to dimension ``maxdim + 1``, exactly what homology
-    through degree ``maxdim`` consumes.  Vertices are net positions.
+    Simplices run up to the triangles, exactly what homology through degree
+    1 consumes.  Vertices are net positions.
     """
-    return scale_complex(build_hyperlevel(ground, level, cap=maxdim + 2), maxdim)
+    return scale_complex(build_hyperlevel(ground, level, cap=3))
 
 
-def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
-    """Chains of the inclusion order, up to dimension maxdim + 1.
+def order_complex(hl: HyperLevel) -> SimplicialComplex:
+    """Chains of the inclusion order, up to dimension 2.
 
     Vertices are element ids; a k-simplex is a strict chain of k+1 elements.
     Equals the barycentric subdivision of the scale complex within the
     cardinality cap.
     """
     index = hl._index
-    top_dim = maxdim + 1
-    max_len = top_dim + 1
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top_dim + 1)]
-    by_dim[0] = [(i,) for i in range(hl.n_elements)]
+    by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(hl.n_elements)], [], []]
 
     # descending towers below each top element; element ids grow with
     # cardinality, so the reversed tower is an increasing id tuple
     def extend(tower: list[int], bottom: tuple[int, ...]):
         if len(tower) >= 2:
             by_dim[len(tower) - 1].append(tuple(reversed(tower)))
-        if len(tower) == max_len or len(bottom) < 2:
+        if len(tower) == 3 or len(bottom) < 2:
             return
         for r in range(1, len(bottom)):
             for sub in itertools.combinations(bottom, r):
@@ -133,19 +131,15 @@ def order_complex(hl: HyperLevel, maxdim: int = 1) -> SimplicialComplex:
 
     return SimplicialComplex(
         n_vertices=hl.n_elements,
-        simplices=tuple(tuple(sorted(by_dim[k])) for k in range(top_dim + 1)),
+        simplices=tuple(tuple(sorted(simplices)) for simplices in by_dim),
     )
 
 
-def betti(cx: SimplicialComplex, maxdim: int = 1) -> tuple[int, ...]:
-    """Betti numbers b_0..b_maxdim over the two-element field, exact, for maxdim <= 2."""
-    _check_maxdim(maxdim)
-    return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2]).betti(maxdim)
-
-
-def _check_maxdim(maxdim: int) -> None:
-    if not 0 <= maxdim <= 2:
-        raise ValueError(f"Betti numbers are computed through degree 2, not {maxdim}")
+def betti(cx: SimplicialComplex) -> tuple[int, int]:
+    """Betti numbers (b_0, b_1) over the two-element field, exact."""
+    edges, triangles = (*cx.simplices[1:3], (), ())[:2]
+    hom = ChainHomology(cx.n_vertices, edges, triangles)
+    return hom.b0, hom.b1
 
 
 @dataclass(frozen=True)
@@ -225,23 +219,22 @@ class LevelHomology:
     every hyperlevel element and are also the element ids of the level's
     singletons (``build_hyperlevel`` lists them first).  The vertices and
     edges are read off the hyperlevel and strong-collapsed; the core's
-    edges, triangles and, at maxdim 2, tetrahedra are grown from the core
-    adjacency the collapse leaves (``grow_cliques``, lex order, within its
-    element budget).  ``hom`` reduces the core's full subcomplex plus the
-    edges u-w of the removals, which hang a forest off the core: its Betti
-    numbers are the level's, ``hom.comp_of[u]`` is the component of
+    edges and triangles are grown from the core adjacency the collapse
+    leaves (``grow_cliques``, lex order, within its element budget).
+    ``hom`` reduces the core's full subcomplex plus the edges u-w of the
+    removals, which hang a forest off the core: its Betti numbers (b_0, b_1)
+    are the level's, ``hom.comp_of[u]`` is the component of
     ``collapse.retraction[u]``, and its degree-1 representatives are core
     cycles.
     """
 
-    def __init__(self, hl: HyperLevel, maxdim: int = 1):
-        _check_maxdim(maxdim)
-        vertices, edges = _simplices_by_size(hl, 0)
+    def __init__(self, hl: HyperLevel):
+        vertices, edges = _simplices_by_size(hl, 2)
         self.collapse = strong_collapse(len(vertices), edges)
-        _, reduced_edges, *higher = grow_cliques(self.collapse.ahead, maxdim + 2)
+        _, reduced_edges, triangles = grow_cliques(self.collapse.ahead, 3)
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
-        self.hom = ChainHomology(len(vertices), reduced_edges, *higher)
-        self.betti = self.hom.betti(maxdim)
+        self.hom = ChainHomology(len(vertices), reduced_edges, triangles)
+        self.betti = (self.hom.b0, self.hom.b1)
 
 
 def bonding_vertex_map(p: MultiMap, fine: HyperLevel, coarse: HyperLevel) -> list[int]:
@@ -306,7 +299,7 @@ class LevelRow:
     epsilon: float
     net_size: int
     n_edges: int
-    betti: tuple[int, ...]
+    betti: tuple[int, int]
     core_size: int
 
 
@@ -314,7 +307,7 @@ class LevelRow:
 class PairRow:
     fine_index: int
     coarse_index: int
-    ranks: tuple[int, ...]
+    ranks: tuple[int, int]
 
 
 @dataclass
@@ -330,11 +323,11 @@ class HomologyReport:
 
     levels: list[LevelRow]
     pairs: list[PairRow]
-    stabilized: tuple[int, ...]
+    stabilized: tuple[int, int]
     window: int
 
 
-def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyReport:
+def shape_report(tower: Tower, window: int = 2) -> HomologyReport:
     """Full homology pipeline over a built tower (depth >= 2).
 
     Builds each level's vertices and edges (cap 2), reduces its collapsed
@@ -354,7 +347,7 @@ def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyRepo
     ground = seq.ground
 
     hls = [build_hyperlevel(ground, lv, cap=2) for lv in seq.levels]
-    datas = [LevelHomology(hl, maxdim) for hl in hls]
+    datas = [LevelHomology(hl) for hl in hls]
 
     rows = [
         LevelRow(index=lv.index, epsilon=lv.epsilon, net_size=len(lv.net), n_edges=hl.n_elements - len(lv.net),
@@ -366,9 +359,7 @@ def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyRepo
     for k in range(len(hls) - 1):
         fine, coarse = hls[k + 1], hls[k]
         vertex_map = bonding_vertex_map(bonding_map(tower, fine), fine, coarse)
-        ranks = tuple(
-            induced_homology_map(vertex_map, datas[k + 1], datas[k], deg) for deg in range(min(maxdim, 1) + 1)
-        )
+        ranks = tuple(induced_homology_map(vertex_map, datas[k + 1], datas[k], deg) for deg in (0, 1))
         for deg, r in enumerate(ranks):
             if r > min(datas[k + 1].betti[deg], datas[k].betti[deg]):
                 raise HomologyCheckError(
@@ -378,8 +369,7 @@ def shape_report(tower: Tower, maxdim: int = 1, window: int = 2) -> HomologyRepo
 
     first_level_in_window = seq.levels[max(0, seq.depth - window)].index
     tail = [pr for pr in pairs if pr.coarse_index >= first_level_in_window]
-    n_deg = len(tail[0].ranks)
-    stabilized = tuple(min(pr.ranks[d] for pr in tail) for d in range(n_deg))
+    stabilized = tuple(min(pr.ranks[d] for pr in tail) for d in (0, 1))
 
     return HomologyReport(levels=rows, pairs=pairs, stabilized=stabilized, window=window)
 
@@ -408,9 +398,7 @@ def write_homology_csv(report: HomologyReport, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("n,b0,b1,rank0_to_prev,rank1_to_prev\n")
         for row in report.levels:
-            b0 = row.betti[0]
-            b1 = row.betti[1] if len(row.betti) > 1 else 0
+            b0, b1 = row.betti
             pr = by_fine.get(row.index)
-            r0 = pr.ranks[0] if pr else ""
-            r1 = pr.ranks[1] if pr and len(pr.ranks) > 1 else ("" if pr is None else 0)
+            r0, r1 = pr.ranks if pr else ("", "")
             fh.write(f"{row.index},{b0},{b1},{r0},{r1}\n")

@@ -17,8 +17,8 @@ the full scale complex of each level, as the library reduced it before it
 collapsed dominated vertices, and the order complex, its barycentric
 subdivision.  They give chain-level matrices of the selection map, and
 induced ranks pushed through the selection map on every vertex.
-``EveryColumnHomology`` and ``every_column_pivots`` reduce every boundary
-column of a complex, with no column skipped by a cone.
+``EveryColumnHomology``, ``every_column_pivots`` and ``rank_of`` reduce
+every boundary column of a complex, with no column skipped by a cone.
 
 The oracles that the pipeline never reads live here too: the element index
 of a hyperlevel, the selection map of a bonding map, the Euler
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from finiteshape.gf2 import ChainHomology, ColumnReducer, rank_of
+from finiteshape.gf2 import ChainHomology, ColumnReducer
 from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex
 from finiteshape.metric import _squared_sums, row_blocks
 
@@ -247,9 +247,9 @@ def square_witness(seq, n, tie_tol=1e-9):
     return union_diameter(seq.ground.dist, q[n], pushed)
 
 
-def chain_homology(cx, maxdim=1):
-    """``ChainHomology`` of a complex through degree ``maxdim`` (its simplices up to dimension maxdim + 1)."""
-    return ChainHomology(cx.n_vertices, *cx.simplices[1:maxdim + 2])
+def chain_homology(cx):
+    """``ChainHomology`` of a complex given through its triangles."""
+    return ChainHomology(cx.n_vertices, *cx.simplices[1:3])
 
 
 def euler_characteristic(cx):
@@ -266,17 +266,17 @@ def check_face_closed(cx):
                     raise AssertionError(f"face {s[:i] + s[i + 1:]} of {s} missing")
 
 
-def chain_map_matrices(vertex_map, fine, coarse, maxdim=1):
+def chain_map_matrices(vertex_map, fine, coarse):
     """Chain-level matrices of a simplicial vertex map on order complexes, per dimension.
 
     Matrix k maps fine k-chains to coarse k-chains: column j holds the rows of
     the image of fine simplex j (empty when the chain collapses).  Vertex maps
     come from ``selection_vertex_map``; composites compose vertex maps.
     """
-    fine_cx = order_complex(fine, maxdim)
-    coarse_cx = order_complex(coarse, maxdim)
+    fine_cx = order_complex(fine)
+    coarse_cx = order_complex(coarse)
     matrices = []
-    for k in range(maxdim + 2):
+    for k in range(3):
         rows_index = {s: i for i, s in enumerate(coarse_cx.simplices[k])} if k < len(coarse_cx.simplices) else {}
         cols = {}
         if k < len(fine_cx.simplices):
@@ -334,39 +334,44 @@ def order_route_ranks(p, fine, coarse):
     return pushed_ranks(vertex_map, chain_homology(order_complex(fine)), chain_homology(order_complex(coarse)))
 
 
-def full_scale_homology(hl, maxdim=1):
-    """``ChainHomology`` of a level's whole scale complex through degree ``maxdim``."""
-    return chain_homology(scale_complex(hl, maxdim), maxdim)
+def full_scale_homology(hl):
+    """``ChainHomology`` of a level's whole scale complex."""
+    return chain_homology(scale_complex(hl))
 
 
-def full_scale_ranks(p, fine, coarse, maxdim=1):
+def full_scale_ranks(p, fine, coarse):
     """Induced ranks in degrees 0 and 1 of a bonding map, on whole scale complexes.
 
     The vertex map is the singleton part of the selection map; no vertex is
     collapsed away on either side.
     """
     vertex_map = selection_vertex_map(p, fine, coarse)[:len(fine.level.net)]
-    return pushed_ranks(vertex_map, full_scale_homology(fine, maxdim), full_scale_homology(coarse, maxdim))
+    return pushed_ranks(vertex_map, full_scale_homology(fine), full_scale_homology(coarse))
+
+
+def rank_of(columns) -> int:
+    """GF(2) rank of the columns, each an iterable of row indices."""
+    red = ColumnReducer()
+    for col in columns:
+        red.add(col)
+    return red.rank
 
 
 class EveryColumnHomology:
-    """Ranks and Betti numbers through degree 2 with every boundary column reduced.
+    """Ranks and Betti numbers in degrees 0 and 1 with every boundary column reduced.
 
-    Boundaries are columns of edge ids (of triangles) and of triangle ids
-    (of tetrahedra), with no spanning forest and no column left out; a
-    cycle's image rank is the rank it adds to the triangle boundaries.
+    Boundaries are columns of edge ids (of triangles), with no spanning
+    forest and no column left out; a cycle's image rank is the rank it adds
+    to the triangle boundaries.
     """
 
-    def __init__(self, n_vertices, edges, triangles=(), tetrahedra=()):
+    def __init__(self, n_vertices, edges, triangles):
         edge_id = {tuple(e): i for i, e in enumerate(edges)}
-        triangle_id = {tuple(t): i for i, t in enumerate(triangles)}
         self.boundaries = [{edge_id[f] for f in itertools.combinations(t, 2)} for t in triangles]
         rank_d1 = rank_of({u, v} for u, v in edges)
         self.rank_d2 = rank_of(self.boundaries)
-        self.rank_d3 = rank_of({triangle_id[f] for f in itertools.combinations(t, 3)} for t in tetrahedra)
         self.b0 = n_vertices - rank_d1
         self.b1 = len(edges) - rank_d1 - self.rank_d2
-        self.b2 = len(triangles) - self.rank_d2 - self.rank_d3
 
     def image_rank(self, cycles) -> int:
         return rank_of(self.boundaries + [set(c) for c in cycles]) - self.rank_d2

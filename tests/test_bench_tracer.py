@@ -12,10 +12,12 @@ A built tower reads its nearest-point tables off the farthest-point pass,
 so only ``verify --sequence`` (a stored tower) still reaches the traced
 ``nearest_sets``; that case keeps its counter honest.  The last test reads
 the tracer's source, without importing it, to find the test oracles it
-still pins in the library.  Nothing under ``bench/`` is written.
+still pins in the library and the ``ChainHomology`` signature its subclass
+assumes.  Nothing under ``bench/`` is written.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -23,6 +25,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from finiteshape.gf2 import ChainHomology
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +74,13 @@ def test_oracles_left_in_src_are_still_pinned_by_the_tracer():
         pytest.fail(f"the tracer no longer pins {module}.{name}: move it into tests/reference_loops.py")
     reads_images = any(isinstance(node, ast.Attribute) and node.attr == "images" for node in ast.walk(wrappers))
     assert reads_images, "the tracer no longer reads MultiMap.images: move it into tests/reference_loops.py"
+
+
+def test_traced_chain_homology_takes_the_library_signature():
+    # a constructor the traced subclass does not mirror fails only in a traced run, with a TypeError
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    traced = next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "TracedChainHomology")
+    init = next(node for node in traced.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    params = inspect.signature(ChainHomology).parameters.values()
+    assert [a.arg for a in init.args.args[1:]] == [p.name for p in params]  # after self
+    assert len(init.args.defaults) == sum(p.default is not p.empty for p in params)

@@ -133,9 +133,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     ("colour = blue", "unknown key 'colour'"),
     ("depth 3", "expected key = value"),
     ("skip_bounds = true", "unknown key 'skip_bounds'"),
+    ("maxdim = 2", "unknown key 'maxdim'"),
     ("depth = 2.5", "depth = '2.5' is not a valid int"),
     ("tie_tol = abc", "tie_tol = 'abc' is not a valid float"),
-], ids=["unknown-key", "no-equals", "stale-skip-key", "non-integer", "non-number"])
+], ids=["unknown-key", "no-equals", "stale-skip-key", "stale-maxdim-key", "non-integer", "non-number"])
 def test_config_file_bad_line_exits_2(tmp_path, capsys, line, reason):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"space = circle\n{line}\n")
@@ -155,7 +156,7 @@ def test_generate_config_honours_n(tmp_path):
 NON_DEFAULT_CONFIG = RunConfig(
     space="interval", n=17, radius=2.0, separation=3.0, length=4.0, cantor_depth=2,
     input="in.csv", format="distmatrix_csv", density=0.5, epsilon1=0.7, depth=3, safety=0.8,
-    tie_tol=1e-6, maxdim=2, window=3, outdir="elsewhere",
+    tie_tol=1e-6, window=3, outdir="elsewhere",
 )
 
 
@@ -351,14 +352,24 @@ def test_cap_is_no_option_of_run_or_verify(tmp_path, capsys, command):
     assert f"{cfgfile}:2: unknown key 'cap'" in capsys.readouterr().err
 
 
+# homology is computed through degree 1 only, so no flag asks for a higher degree (--maxdim)
 @pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("flag", ["--skip-bounds", "--skip-identity", "--skip-diagram", "--skip-homology"])
+@pytest.mark.parametrize("flag", ["--skip-bounds", "--skip-identity", "--skip-diagram", "--skip-homology", "--maxdim"])
 def test_every_check_runs_and_no_flag_skips_one(tmp_path, capsys, command, flag):
     args = [command, "--space", "circle", "--n", "32", "--depth", "3", "--outdir", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         run_cli([*args, flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["export-poset", "export-complex"])
+def test_export_cap_below_the_triangles_exits_2(tmp_path, capsys, command):
+    base = tmp_path / "level1"
+    assert run_cli([command, "--space", "circle", "--n", "16", "--depth", "2",
+                    "--level", "1", "--cap", "2", "--out", str(base)]) == 2
+    assert capsys.readouterr().err == "error: cardinality cap 2 too small: the complexes need cap 3 (triangles)\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_export_poset_cap_sets_the_largest_element(tmp_path):

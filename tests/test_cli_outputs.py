@@ -25,10 +25,6 @@ CASES = {
         [], ["run", *CIRCLE, "--outdir", "out"],
         "7dbc7fd73af560731814e5c7ad52f10b60ae400b89d75bdbb613eb049109152e",
     ),
-    "run-circle-64-d3-maxdim2": (
-        [], ["run", *CIRCLE, "--maxdim", "2", "--outdir", "out"],
-        "a9241ab48171560ac9eb566511c05f90190a8c584093acb37859c825960c53ff",
-    ),
     "verify-sequence": (
         [["run", *CIRCLE, "--outdir", "out"]], ["verify", *CIRCLE, "--sequence", "out/sequence.txt"],
         "77d9c5ab926e8f67295428edf719ce40274f3ac011c2aed498a55a2cd7bfd135",

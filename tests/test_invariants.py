@@ -66,8 +66,8 @@ def gf2_rank_dense(M):
     return rank
 
 
-def betti_oracle(cx: SimplicialComplex, maxdim):
-    """b_k = #S_k - rank d_k - rank d_{k+1} via dense elimination."""
+def betti_oracle(cx: SimplicialComplex):
+    """b_k = #S_k - rank d_k - rank d_{k+1} for k = 0, 1, via dense elimination."""
     def boundary(k):
         if k == 0 or cx.count(k) == 0:
             return np.zeros((max(cx.count(k - 1), 1), max(cx.count(k), 1)), dtype=np.uint8), 0
@@ -80,9 +80,9 @@ def betti_oracle(cx: SimplicialComplex, maxdim):
 
     out = []
     ranks = {0: 0}
-    for k in range(maxdim + 2):
+    for k in range(3):
         _, ranks[k] = boundary(k) if k > 0 else (None, 0)
-    for k in range(maxdim + 1):
+    for k in range(2):
         out.append(cx.count(k) - ranks.get(k, 0) - ranks.get(k + 1, 0))
     return tuple(out)
 
@@ -122,13 +122,13 @@ def test_order_complex_is_barycentric_subdivision_of_triangle():
     g = triangle()
     lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
-    cx = order_complex(hl, maxdim=1)
+    cx = order_complex(hl)
     assert cx.n_vertices == 7
     assert cx.count(1) == 12
     assert cx.count(2) == 6
     check_face_closed(cx)
     assert betti(cx) == (1, 0)
-    assert betti(cx) == betti_oracle(cx, 1)
+    assert betti(cx) == betti_oracle(cx)
 
 
 # --- scale (Rips) complexes ---------------------------------------------------
@@ -140,15 +140,15 @@ def test_rips_circle4_cycle():
     assert cx.count(1) == 4
     assert cx.count(2) == 0
     assert betti(cx) == (1, 1)
-    assert betti_oracle(cx, 1) == (1, 1)
+    assert betti_oracle(cx) == (1, 1)
 
 
 def test_rips_full_simplex_is_cone():
     g = circle4()
     lv = Level(1, 1.2, (0, 1, 2, 3), 0.0)  # 2.4 > diameter 2
-    cx = rips_complex(g, lv, maxdim=2)
-    b = betti(cx, maxdim=2)
-    assert b == (1, 0, 0)
+    cx = rips_complex(g, lv)
+    assert cx.count(2) == 4
+    assert betti(cx) == (1, 0)
 
 
 def test_rips_two_far_points():
@@ -159,8 +159,7 @@ def test_rips_two_far_points():
     assert betti(cx) == (2, 0)
 
 
-@pytest.mark.parametrize("maxdim", [1, 2])
-def test_scale_complex_read_off_hyperlevel_matches_brute_force(maxdim):
+def test_scale_complex_read_off_hyperlevel_matches_brute_force():
     rng = np.random.default_rng(5)
     g = MetricGround.from_coords(rng.uniform(size=(40, 2)))
     net = tuple(sorted(int(i) for i in rng.choice(40, size=25, replace=False)))
@@ -169,13 +168,13 @@ def test_scale_complex_read_off_hyperlevel_matches_brute_force(maxdim):
     expected = tuple(
         tuple(sub for sub in itertools.combinations(range(len(net)), r)
               if local[np.ix_(sub, sub)].max() < 2.0 * lv.epsilon)
-        for r in range(1, maxdim + 3)
+        for r in (1, 2, 3)
     )
-    assert rips_complex(g, lv, maxdim).simplices == expected
-    for cap in (maxdim + 2, maxdim + 3):
-        assert scale_complex(build_hyperlevel(g, lv, cap=cap), maxdim).simplices == expected
+    assert rips_complex(g, lv).simplices == expected
+    for cap in (3, 4):
+        assert scale_complex(build_hyperlevel(g, lv, cap=cap)).simplices == expected
     with pytest.raises(ValueError):
-        scale_complex(build_hyperlevel(g, lv, cap=maxdim + 1), maxdim)
+        scale_complex(build_hyperlevel(g, lv, cap=2))
 
 
 # --- betti core -----------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_betti_c4_hand_chain_computation():
     # 4-cycle: one component, one loop
     cx = SimplicialComplex(4, (((0,), (1,), (2,), (3,)), ((0, 1), (0, 3), (1, 2), (2, 3))))
     assert betti(cx) == (1, 1)
-    assert betti_oracle(cx, 1) == (1, 1)
+    assert betti_oracle(cx) == (1, 1)
 
 
 def test_betti_random_flag_complexes_match_oracle():
@@ -199,7 +198,7 @@ def test_betti_random_flag_complexes_match_oracle():
         g = MetricGround.from_coords(pts)
         lv = Level(1, 0.2 + 0.05 * trial, tuple(range(10)), 0.1)
         cx = rips_complex(g, lv)
-        assert betti(cx) == betti_oracle(cx, 1)
+        assert betti(cx) == betti_oracle(cx)
 
 
 def test_euler_characteristic_consistency_when_cap_not_binding():
@@ -207,12 +206,12 @@ def test_euler_characteristic_consistency_when_cap_not_binding():
     g = triangle()
     lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
-    cx = order_complex(hl, maxdim=2)
-    b = betti(cx, maxdim=2)
-    assert euler_characteristic(cx) == b[0] - b[1] + b[2]
+    cx = order_complex(hl)
+    b = betti(cx)
+    assert euler_characteristic(cx) == b[0] - b[1]  # a disk: no degree-2 homology
 
     cx4 = SimplicialComplex(4, (((0,), (1,), (2,), (3,)), ((0, 1), (0, 3), (1, 2), (2, 3))))
-    b4 = betti(cx4, maxdim=1)
+    b4 = betti(cx4)
     assert euler_characteristic(cx4) == b4[0] - b4[1]
 
 
@@ -240,10 +239,10 @@ def test_cone_collapses_to_one_vertex():
 
 def test_cycle_has_nothing_to_collapse():
     hl = hexagon_level(with_centre=False)
-    data = LevelHomology(hl, maxdim=2)
+    data = LevelHomology(hl)
     assert data.collapse.core == tuple(range(6)) and data.collapse.removals == ()
     assert data.collapse.retraction == tuple(range(6))
-    assert data.betti == (1, 1, 0) == betti(scale_complex(hl, 2), 2)
+    assert data.betti == (1, 1) == betti(scale_complex(hl))
 
 
 def test_collapse_removes_the_lowest_dominated_vertex_first():
@@ -363,31 +362,18 @@ def fibonacci_sphere(n):
     return np.stack([r * np.cos(phi), y, r * np.sin(phi)], axis=1)
 
 
-def test_sphere_sample_degree_two_both_routes():
-    # nonzero b2: both complex routes must see the sphere exactly
+def test_sphere_sample_both_routes():
+    # a sphere's loops all bound: both complex routes must see (1, 0) exactly
     g = MetricGround.from_coords(fibonacci_sphere(64))
     lv = Level(1, 0.4, tuple(range(64)), 0.36)
-    cx_scale = rips_complex(g, lv, maxdim=2)
-    assert betti(cx_scale, maxdim=2) == (1, 0, 1)
-    hl = build_hyperlevel(g, lv, cap=4)
-    cx_order = order_complex(hl, maxdim=2)
-    assert betti(cx_order, maxdim=2) == (1, 0, 1)
+    cx_scale = rips_complex(g, lv)
+    assert betti(cx_scale) == (1, 0)
+    hl = build_hyperlevel(g, lv, cap=3)
+    cx_order = order_complex(hl)
+    assert betti(cx_order) == (1, 0)
 
 
-def test_shape_report_maxdim_two():
-    g = generate(SpaceSpec("circle", n=64))
-    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
-    rep = shape_report(Tower(seq), maxdim=2)
-    for row, lv in zip(rep.levels, seq.levels):
-        hl = build_hyperlevel(g, lv, cap=4)
-        assert len(row.betti) == 3
-        assert row.n_edges == sum(len(el) == 2 for el in hl.elements)
-        assert row.betti == betti(order_complex(hl, maxdim=2), maxdim=2)
-    assert rep.stabilized[:2] == (1, 1)
-
-
-@pytest.mark.parametrize("maxdim", [1, 2])
-def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch, maxdim):
+def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch):
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     builds = []
@@ -397,22 +383,17 @@ def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch, maxdim
             builds.append(args)
             super().__init__(*args)
 
-    dependent_tetrahedra = 0
     for lv in seq.levels:
-        hl = build_hyperlevel(g, lv, cap=maxdim + 2)
-        fresh = betti(order_complex(hl, maxdim), maxdim)
+        hl = build_hyperlevel(g, lv, cap=3)
+        fresh = betti(order_complex(hl))
         builds.clear()
         with monkeypatch.context() as m:
             m.setattr(invariants, "ChainHomology", CountingChainHomology)
-            data = LevelHomology(hl, maxdim)
+            data = LevelHomology(hl)
         assert data.betti == fresh
         assert [args[0] for args in builds] == [len(lv.net)]  # one reduction, of the scale complex
         ref = EveryColumnHomology(*builds[0])
-        assert (data.hom.rank_d2, data.hom.rank_d3) == (ref.rank_d2, ref.rank_d3)
-        if maxdim == 2:
-            dependent_tetrahedra += len(builds[0][3]) - data.hom.rank_d3
-    if maxdim == 2:
-        assert dependent_tetrahedra > 0  # the rank_d3 comparison sees columns that reduce to zero
+        assert data.hom.rank_d2 == ref.rank_d2
 
 
 def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
@@ -475,8 +456,7 @@ def test_shape_report_computes_each_object_once(monkeypatch, capsys):
     assert {pr.ranks for pr in rep.pairs} == {(1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("maxdim", [1, 2])
-def test_triangles_are_grown_on_cores_only(monkeypatch, maxdim):
+def test_triangles_are_grown_on_cores_only(monkeypatch):
     g = generate(SpaceSpec("warsaw_circle", n=300))
     seq = build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=3)
     cores = [set(LevelHomology(build_hyperlevel(g, lv, cap=2)).collapse.core) for lv in seq.levels]
@@ -489,8 +469,8 @@ def test_triangles_are_grown_on_cores_only(monkeypatch, maxdim):
         return grow_cliques(ahead, cap)
 
     monkeypatch.setattr(invariants, "grow_cliques", counting_grow)
-    shape_report(Tower(seq), maxdim=maxdim)
-    assert [cap for cap, _ in grown] == [maxdim + 2] * len(cores)  # once per level
+    shape_report(Tower(seq))
+    assert [cap for cap, _ in grown] == [3] * len(cores)  # once per level
     for (_, touched), core in zip(grown, cores):
         assert touched <= core
 

@@ -109,29 +109,21 @@ def towers(draw):
     return Tower(seq, tie_tol), tie_tol
 
 
-# Largest ring drawn at maxdim 2 for the order-complex oracle.  From 80 points
-# on, a level-1 net of 32 points gives order complexes of 2.4 million
-# simplices, whose reduction took 21-29 s; up to 79 points the level-1 net
-# has at most 16, and the whole test body took at most 2.1 s per draw.
-ORDER_ROUTE_MAX_RING_AT_MAXDIM_2 = 72
-
-
 @st.composite
-def homology_towers(draw, max_ring_at_maxdim_2=128, tie_tolerances=st.just(1e-9)):
-    """(tower, maxdim) for a drawn cloud, depth 3 or 4, at a drawn tie tolerance (default 1e-9).
+def homology_towers(draw, tie_tolerances=st.just(1e-9)):
+    """A tower of a drawn cloud, depth 3 or 4, at a drawn tie tolerance (default 1e-9).
 
     Rings carry a loop over several levels, so degree-1 ranks are exercised
     as well as components.
     """
-    maxdim = draw(st.sampled_from([1, 2]))
     points = st.one_of(random_points, lattice_points, line_points)
-    rings = ring_grounds(128 if maxdim == 1 else max_ring_at_maxdim_2)
-    ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))), rings))
+    ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))),
+                            ring_grounds(128)))
     assume(ground.diameter() > 0.0)
     tie_tol = draw(tie_tolerances)
     seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(3, 4)), tie_tol=tie_tol)
     assume(seq.depth >= 2)  # a shape report needs two levels
-    return Tower(seq, tie_tol), maxdim
+    return Tower(seq, tie_tol)
 
 
 def full_lattice_tower(tie_tol, depth):
@@ -302,17 +294,22 @@ def test_hyperlevels_list_singletons_first_in_net_order(drawn):
 
 
 @PROPERTY_SETTINGS
-@given(homology_towers(max_ring_at_maxdim_2=ORDER_ROUTE_MAX_RING_AT_MAXDIM_2))
-@example((full_lattice_tower(1e-9, 3)[0], 1))
-@example((full_lattice_tower(1e-9, 4)[0], 2))
-def test_scale_route_homology_matches_order_route(drawn):
-    tower, maxdim = drawn
-    rep = shape_report(tower, maxdim=maxdim)
-    hls = [build_hyperlevel(tower.ground, lv, cap=maxdim + 2) for lv in tower.seq.levels]
+@given(homology_towers())
+@example(full_lattice_tower(1e-9, 3)[0])
+@example(full_lattice_tower(1e-9, 4)[0])
+def test_scale_route_homology_matches_order_route(tower):
+    rep = shape_report(tower)
+    hls = [build_hyperlevel(tower.ground, lv, cap=3) for lv in tower.seq.levels]
     for row, hl in zip(rep.levels, hls):
-        assert row.betti == betti(order_complex(hl, maxdim), maxdim)
+        assert row.betti == betti(order_complex(hl))
     for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
         assert pr.ranks == ref.order_route_ranks(bonding_map(tower, fine), fine, coarse)
+
+
+def full_scale_betti(hl):
+    """(b_0, b_1) of a level's whole scale complex, reduced with no collapse."""
+    hom = ref.full_scale_homology(hl)
+    return hom.b0, hom.b1
 
 
 def level_complex(hl):
@@ -332,20 +329,19 @@ def closed_neighbourhoods(n, simplices):
 
 @PROPERTY_SETTINGS
 @given(homology_towers())
-@example((full_lattice_tower(1e-9, 3)[0], 1))
-@example((full_lattice_tower(1e-9, 4)[0], 2))
-def test_collapsed_homology_matches_full_reduction(drawn):
-    tower, maxdim = drawn
-    rep = shape_report(tower, maxdim=maxdim)
-    hls = [build_hyperlevel(tower.ground, lv, cap=maxdim + 2) for lv in tower.seq.levels]
+@example(full_lattice_tower(1e-9, 3)[0])
+@example(full_lattice_tower(1e-9, 4)[0])
+def test_collapsed_homology_matches_full_reduction(tower):
+    rep = shape_report(tower)
+    hls = [build_hyperlevel(tower.ground, lv, cap=3) for lv in tower.seq.levels]
     for row, hl in zip(rep.levels, hls):
-        assert row.betti == ref.full_scale_homology(hl, maxdim).betti(maxdim)
+        assert row.betti == full_scale_betti(hl)
     for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
-        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse, maxdim)
+        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse)
 
     for row, hl in zip(rep.levels, hls):
         n, simplices = level_complex(hl)
-        data = LevelHomology(hl, maxdim)
+        data = LevelHomology(hl)
         core, r = set(data.collapse.core), data.collapse.retraction
         assert row.core_size == len(core) >= 1
 
@@ -383,8 +379,8 @@ def outcome(fn, *args):
         return str(exc)
 
 
-def assert_routes_agree(tower, maxdim):
-    """The edge route (levels at cap 2) against the full posets at cap maxdim + 2.
+def assert_routes_agree(tower):
+    """The edge route (levels at cap 2) against the full posets at cap 3.
 
     Every bonding composite has the same diameter and the same selection on
     net points, or raises the same first error; the shape report has the
@@ -393,7 +389,7 @@ def assert_routes_agree(tower, maxdim):
     """
     levels = tower.seq.levels
     edges = [build_hyperlevel(tower.ground, lv, cap=2) for lv in levels]
-    full = [build_hyperlevel(tower.ground, lv, cap=maxdim + 2) for lv in levels]
+    full = [build_hyperlevel(tower.ground, lv, cap=3) for lv in levels]
     for m in range(2, len(levels) + 1):
         for n in range(1, m):
             got, want = (outcome(composite_bonding, tower, hls[m - 1], n) for hls in (edges, full))
@@ -408,26 +404,25 @@ def assert_routes_agree(tower, maxdim):
 
     first_error = next((e for e in (outcome(bonding_map, tower, hl) for hl in full[1:]) if isinstance(e, str)), None)
     try:
-        rep = shape_report(tower, maxdim=maxdim)
+        rep = shape_report(tower)
     except BondingDiameterError as exc:
         assert str(exc) == first_error
         return
     assert first_error is None
     for row, hl in zip(rep.levels, full):
-        assert row.betti == ref.full_scale_homology(hl, maxdim).betti(maxdim)
-        assert row.core_size == len(LevelHomology(hl, maxdim).collapse.core)
+        assert row.betti == full_scale_betti(hl)
+        assert row.core_size == len(LevelHomology(hl).collapse.core)
         assert row.n_edges == sum(len(el) == 2 for el in hl.elements)
     for pr, fine, coarse in zip(rep.pairs, full[1:], full):
-        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse, maxdim)
+        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse)
 
 
 @PROPERTY_SETTINGS
 @given(homology_towers(tie_tolerances=st.sampled_from([1e-9, 0.5])))
-@example((full_lattice_tower(1e-9, 3)[0], 1))
-@example((full_lattice_tower(0.5, 4)[0], 2))
-def test_edge_route_matches_full_poset_route(drawn):
-    tower, maxdim = drawn
-    assert_routes_agree(tower, maxdim)
+@example(full_lattice_tower(1e-9, 3)[0])
+@example(full_lattice_tower(0.5, 4)[0])
+def test_edge_route_matches_full_poset_route(tower):
+    assert_routes_agree(tower)
 
     # plant a bonding-diameter failure at each pair n + 1 -> n: shrink
     # epsilon_n until the largest image of the bonding map reaches 2 epsilon_n
@@ -441,20 +436,19 @@ def test_edge_route_matches_full_poset_route(drawn):
         shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=map_diameter(tower.ground, p.table) / 2)
         planted = Tower(dataclasses.replace(seq, levels=tuple(shrunk)), tower.tie_tol)
         errors = [outcome(bonding_map, planted, build_hyperlevel(tower.ground, fine, cap=cap))
-                  for cap in (2, maxdim + 2)]
+                  for cap in (2, 3)]
         assert isinstance(errors[0], str) and errors[0] == errors[1]
-        assert_routes_agree(planted, maxdim)
+        assert_routes_agree(planted)
 
 
 @PROPERTY_SETTINGS
 @given(homology_towers())
-@example((full_lattice_tower(1e-9, 3)[0], 1))
-def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(drawn):
+@example(full_lattice_tower(1e-9, 3)[0])
+def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(tower):
     # what run and verify do not re-check: every step bonding map and every
     # composite that passes its diameter check is monotone, and its minimal
     # selection lands on coarse elements, with the vertex map a -> min p({a})
     # as its singleton part
-    tower, _ = drawn
     levels = tower.seq.levels
     for cap in (2, 3):
         hls = [build_hyperlevel(tower.ground, lv, cap=cap) for lv in levels]
