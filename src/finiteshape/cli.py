@@ -265,7 +265,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     if not os.access(cfg.outdir, os.W_OK):
         raise ConfigError(f"output directory {cfg.outdir} is not writable")
-    t0 = time.time()
+    t0 = time.perf_counter()
     tower = Tower(_build_sequence(cfg), cfg.tie_tol)
     ground, seq = tower.ground, tower.seq
     write_sequence_text(seq, os.path.join(cfg.outdir, "sequence.txt"))
@@ -322,9 +322,9 @@ def cmd_run(cfg: RunConfig, args) -> int:
         fh.write(f"depth = {depth}\n")
         if homology_skipped:
             fh.write("homology = skipped\n")
-        fh.write(f"elapsed_seconds = {time.time() - t0:.3f}\n")
+        fh.write(f"elapsed_seconds = {time.perf_counter() - t0:.3f}\n")
 
-    print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({time.time() - t0:.2f}s)")
+    print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({time.perf_counter() - t0:.2f}s)")
     return 0 if all_ok else 1
 
 

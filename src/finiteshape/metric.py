@@ -333,28 +333,93 @@ def triangle_midpoints(n: int) -> np.ndarray:
     return ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
 
 
+TRIANGLE_CELL_SIZE = 32  # points per cell, on average, of the triangle check's tiles
+
+
+def _triangle_cells(dist: np.ndarray) -> list[np.ndarray]:
+    """Voronoi cells of the first ``ceil(n / TRIANGLE_CELL_SIZE)`` points of a farthest-point order.
+
+    The order starts at point 0 and next takes the point farthest from those
+    taken (the first on ties), read off the table; each point joins the cell
+    of its first nearest center.  The order stops early once every point is
+    at distance 0 from a center, so each cell holds at least its center.
+    """
+    n = dist.shape[0]
+    nearest = dist[0].copy()
+    label = np.zeros(n, dtype=np.intp)
+    for c in range(1, -(-n // TRIANGLE_CELL_SIZE)):
+        p = int(np.argmax(nearest))
+        if nearest[p] == 0.0:
+            break
+        closer = dist[p] < nearest
+        nearest[closer] = dist[p, closer]
+        label[closer] = c
+    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+
+
 def _check_triangle(dist: np.ndarray) -> None:
-    # The table is symmetric (checked first), so a violation at (i, j) is one
-    # at (j, i): only columns j >= the block's first row are read.  Per row
-    # block the min-plus product over the midpoints is formed in place; adding
-    # tol rounds monotonically, so min_k (d(i,k) + d(k,j)) + tol is exactly
-    # min_k (d(i,k) + d(k,j) + tol).  The first witness is then found by the
-    # per-midpoint scan, which runs only when a violation exists.  Blocks a
-    # quarter of the usual size keep the three block arrays in cache.
+    # The table is split into cells (``_triangle_cells``) and checked in
+    # tiles I x J, I <= J: the table is symmetric (checked first), so a
+    # violation at (i, j) is one at (j, i).  A tile is skipped at midpoint k
+    # when max d(I x J) <= fl(fl(min_I d(., k) + min_J d(k, .)) + tol): since
+    # rounded addition is monotone, every pair in it then satisfies
+    # d(i, j) <= fl(fl(d(i, k) + d(k, j)) + tol), and nothing assumes the
+    # triangle inequality.  A live tile takes the min-plus product over its
+    # live midpoints (``_tile_holds``), the arithmetic of the full check, so
+    # pass or fail is exactly that of every midpoint at every pair; the first
+    # witness is then found by the per-midpoint scan, which runs only when a
+    # violation exists.  On the 1000-point circle tables of the distmatrix
+    # bench (seeds 1, 2, 7) about a fifth of the (tile, midpoint) work is
+    # live and the check takes 0.07-0.10 s instead of 0.22-0.27 s; on 1000
+    # uniform points of the cube in R^8, where three quarters stay live, it
+    # costs 0.95-1.10 times the untiled check's 0.23-0.25 s (medians of six
+    # interleaved sessions, 2-core Xeon VM).
     n = dist.shape[0]
     tol = 1e-12 * max(1.0, float(dist.max()))
     ks = triangle_midpoints(n)
-    to_mid = np.ascontiguousarray(dist[:, ks])
-    for rows in row_blocks(n, 4 * n):
-        tail = dist[rows, rows.start:]
-        via = np.empty_like(tail)
-        best = np.full_like(tail, np.inf)
-        for c, k in enumerate(ks):
-            np.add(to_mid[rows, c, None], dist[k, None, rows.start:], out=via)
-            np.minimum(best, via, out=best)
+    cells = _triangle_cells(dist)
+    order = np.concatenate(cells)
+    starts = np.cumsum([0] + [len(cell) for cell in cells[:-1]])
+    top = np.empty((len(cells), len(cells)))  # top[I, J] = max d(I x J)
+    for I, cell in enumerate(cells):
+        colmax = np.zeros(n)
+        for rows in row_blocks(len(cell), n):
+            np.maximum(colmax, dist[cell[rows]].max(axis=0), out=colmax)
+        top[I] = np.maximum.reduceat(colmax[order], starts)  # no cell is empty
+    mids = [dist[np.ix_(ks, cell)] for cell in cells]  # the midpoint rows of each cell
+    low = np.array([mid.min(axis=1) for mid in mids])  # low[I, c] = min_I d(ks[c], .)
+    for I in range(len(cells)):
+        bound = low[I] + low[I:]
+        bound += tol
+        live = top[I, I:, None] > bound  # live[J - I, c]: tile I x J is live at ks[c]
+        for J in (I + np.flatnonzero(live.any(axis=1))).tolist():
+            if not _tile_holds(dist, cells, mids, I, J, np.flatnonzero(live[J - I]), tol):
+                _report_triangle_violation(dist, ks, tol)
+
+
+def _tile_holds(dist: np.ndarray, cells: list[np.ndarray], mids: list[np.ndarray],
+                I: int, J: int, live: np.ndarray, tol: float) -> bool:
+    """Whether every pair (i, j) of the tile I x J passes the triangle check at the ``live`` midpoints.
+
+    The test is d(i, j) <= fl(min_k fl(d(i, k) + d(k, j)) + tol); adding tol
+    rounds monotonically, so that bound is exactly
+    min_k fl(fl(d(i, k) + d(k, j)) + tol).  On a diagonal tile only
+    the columns from each row block's first row on are read.  Row blocks and
+    midpoint chunks keep each temporary to a quarter of ``BLOCK_ELEMENTS``,
+    small enough to stay in cache.
+    """
+    if len(cells[I]) > len(cells[J]):
+        I, J = J, I  # the same pairs, by symmetry; the larger cell runs along the contiguous axis
+    a, b = mids[I][live], mids[J][live]
+    for rows in row_blocks(a.shape[1], 4 * b.shape[1]):
+        c0 = rows.start if I == J else 0
+        best = np.full((rows.stop - rows.start, b.shape[1] - c0), np.inf)
+        for ls in row_blocks(len(live), 4 * best.size):
+            np.minimum(best, (a[ls, rows, None] + b[ls, None, c0:]).min(axis=0), out=best)
         best += tol
-        if (tail > best).any():
-            _report_triangle_violation(dist, ks, tol)
+        if (dist[cells[I][rows, None], cells[J][c0:]] > best).any():
+            return False
+    return True
 
 
 def _report_triangle_violation(dist: np.ndarray, ks: np.ndarray, tol: float) -> None:

@@ -323,17 +323,6 @@ def pushed_ranks(vertex_map, fine_hom, coarse_hom):
     return len(set(comps.values())), coarse_hom.image_rank(cycles)
 
 
-def order_route_ranks(p, fine, coarse):
-    """Induced ranks in degrees 0 and 1 of a bonding map, on order complexes.
-
-    Each level's order complex is reduced on its own, and the full selection
-    map sends every poset element (every order-complex vertex) to its coarse
-    element.
-    """
-    vertex_map = selection_vertex_map(p, fine, coarse)
-    return pushed_ranks(vertex_map, chain_homology(order_complex(fine)), chain_homology(order_complex(coarse)))
-
-
 def full_scale_homology(hl):
     """``ChainHomology`` of a level's whole scale complex."""
     return chain_homology(scale_complex(hl))

@@ -60,6 +60,15 @@ def test_run_circle_stabilized(tmp_path, capsys):
     assert "all checks passed" in out
 
 
+def test_run_times_itself_with_the_monotonic_clock(tmp_path, capsys, monkeypatch):
+    # a wall clock may jump; the summary and closing line read perf_counter only
+    ticks = iter([10.0, 12.5, 13.25])
+    monkeypatch.setattr(cli, "time", type("Clock", (), {"perf_counter": staticmethod(lambda: next(ticks))}))
+    assert run_cli(["run", "--space", "circle", "--n", "16", "--depth", "2", "--outdir", str(tmp_path)]) == 0
+    assert "elapsed_seconds = 2.500\n" in (tmp_path / "summary.txt").read_text()
+    assert capsys.readouterr().out.endswith("all checks passed (3.25s)\n")
+
+
 def test_run_bad_safety_fails_before_work(tmp_path):
     outdir = tmp_path / "nope"
     code = run_cli([

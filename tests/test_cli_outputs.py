@@ -45,6 +45,10 @@ CASES = {
         [], ["run", "--input", "dist.csv", "--format", "distmatrix_csv", "--depth", "3", "--outdir", "out"],
         "da4eb7b1b74642149dfbcc37aab3b712b6d74b40cfade53d255521170afb8187",
     ),
+    "run-distmatrix-600": (
+        [], ["run", "--input", "dist600.csv", "--format", "distmatrix_csv", "--depth", "3", "--outdir", "out"],
+        "0caa8feb875dd1bf6477e3bb5dbdd6d7b9c43cc7f3051b40d807874a9e0d4ca2",
+    ),
     "run-config": (
         [], ["run", "--config", "run.cfg", "--n", "30", "--outdir", "out"],
         "6736a4dd8befe962e037dd1c3b4bb7a2022b3e8038447cc5328766961bffd6c8",
@@ -68,12 +72,14 @@ CASES = {
 }
 
 
-def _write_inputs(directory) -> None:
-    n = 100
-    rows = []
-    for i in range(n):
-        rows.append(",".join(repr(2.0 * abs(math.sin(math.pi * (i - j) / n))) for j in range(n)))
-    (directory / "dist.csv").write_text("\n".join(rows) + "\n")
+def _write_inputs(directory, argv) -> None:
+    # chord lengths of n equally spaced points on the unit circle, point i at
+    # angle index step * i mod n; the 600-point table takes the sampled triangle check
+    for name, n, step in (("dist.csv", 100, 1), ("dist600.csv", 600, 7)):
+        if name in argv:
+            at = [step * i % n for i in range(n)]
+            rows = (",".join(repr(2.0 * abs(math.sin(math.pi * (a - b) / n))) for b in at) for a in at)
+            (directory / name).write_text("\n".join(rows) + "\n")
     (directory / "run.cfg").write_text(CONFIG)
 
 
@@ -90,7 +96,7 @@ def _scrub(data: bytes) -> bytes:
 def test_cli_output_digest(name, tmp_path, monkeypatch, capsys):
     setup, argv, expected = CASES[name]
     monkeypatch.chdir(tmp_path)
-    _write_inputs(tmp_path)
+    _write_inputs(tmp_path, argv)
     for step in setup:
         assert main(list(step)) == 0
     before = _snapshot(tmp_path)

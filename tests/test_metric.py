@@ -494,6 +494,113 @@ def test_triangle_check_reports_the_reference_witness(n):
     assert str(got.value) == str(want.value)
 
 
+def _same_verdict(table):
+    """The message both the tiled check and the reference raise on ``table``, or None when both pass."""
+    try:
+        _reference_check_triangle(table)
+    except GroundValidationError as want:
+        with pytest.raises(GroundValidationError) as got:
+            metric._check_triangle(table)
+        assert str(got.value) == str(want)
+        return str(want)
+    metric._check_triangle(table)
+    return None
+
+
+def _scrambled_circle_table(n, seed=0):
+    """Chords of n jittered, evenly spaced points on the unit circle, in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.1, 0.1, n)) / n
+    return _broadcast_table(np.stack([np.cos(theta), np.sin(theta)], axis=1)[rng.permutation(n)])
+
+
+def _with(table, i, j, value):
+    out = table.copy()
+    out[i, j] = out[j, i] = value
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 600, 1000])
+def test_tiled_triangle_check_passes_and_fails_as_the_reference(n):
+    table = _scrambled_circle_table(n)
+    assert _same_verdict(table) is None
+    if n < 40:
+        return
+    cells = metric._triangle_cells(table)
+    assert len(cells) == -(-n // metric.TRIANGLE_CELL_SIZE)
+    assert np.array_equal(np.sort(np.concatenate(cells)), np.arange(n))
+    big = max(cells, key=len)
+    for i, j in ((big[0], big[1]), (cells[0][0], cells[-1][0])):  # inside one cell, across two
+        assert _same_verdict(_with(table, i, j, table[i, j] + 0.5)) is not None
+
+
+def test_a_violation_seen_at_one_sampled_midpoint_fails_as_the_reference():
+    # points at the integers 0..n-1 of a line, in a seeded order: d(i, j) = 2.5
+    # for the two neighbors of a sampled midpoint k breaks the triangle at k only
+    n = 600
+    ks = metric.triangle_midpoints(n)
+    x = np.random.default_rng(1).permutation(n).astype(float)
+    table = np.abs(x[:, None] - x[None, :])
+    k = int(ks[len(ks) // 2])
+    i, j = (int(np.flatnonzero(x == x[k] + step)[0]) for step in (-1, 1))
+    bad = _with(table, i, j, 2.5)
+    assert [int(m) for m in ks if bad[i, j] > bad[i, m] + bad[m, j] + 1e-12 * table.max()] == [k]
+    metric._check_triangle(table)
+    assert f",{k}," in _same_verdict(bad)
+
+
+@pytest.mark.parametrize("n", [40, 600], ids=["exhaustive", "sampled"])
+def test_a_violation_one_ulp_above_the_rounded_bound_fails_as_the_reference(n):
+    table = _scrambled_circle_table(n, seed=3)
+    tol = 1e-12 * max(1.0, float(table.max()))
+    ks = metric.triangle_midpoints(n)
+    cells = metric._triangle_cells(table)
+    i = int(cells[0][0])
+    other = np.concatenate(cells[1:])
+    for j in (int(cells[0][1]), int(other[np.argmin(table[i, other])])):  # inside one cell, across two
+        mids = ks[(ks != i) & (ks != j)]
+        at = np.min(table[i, mids] + table[mids, j]) + tol  # fl(fl(d(i,k) + d(k,j)) + tol) at the tightest k
+        assert at < table.max()  # tol stays that of the table
+        assert _same_verdict(_with(table, i, j, at)) is None
+        assert _same_verdict(_with(table, i, j, np.nextafter(at, np.inf))) is not None
+
+
+@pytest.mark.parametrize("n", [40, 600], ids=["exhaustive", "sampled"])
+def test_tables_with_repeated_points_pass_and_fail_as_the_reference(n):
+    rng = np.random.default_rng(n)
+    at = rng.integers(0, n // 8, n)  # about eight copies of each of n // 8 points
+    table = _broadcast_table(rng.random((n // 8, 2))[at])
+    ks = metric.triangle_midpoints(n)
+    k = next(int(k) for k in ks if np.count_nonzero(at == at[k]) >= 3)
+    copies = np.flatnonzero(at == at[k])
+    i, j = (int(c) for c in copies[copies != k][:2])  # two more copies of the point at midpoint k
+    assert table[i, j] == 0.0
+    cells = metric._triangle_cells(table)
+    assert all(len(cell) for cell in cells) and sum(map(len, cells)) == n
+    assert _same_verdict(table) is None
+    assert _same_verdict(_with(table, i, j, 0.1)) is not None
+
+
+def test_a_table_of_one_repeated_point_is_one_cell_and_checks_as_the_reference():
+    table = np.zeros((40, 40))
+    assert len(metric._triangle_cells(table)) == 1
+    assert _same_verdict(table) is None
+    assert _same_verdict(_with(table, 0, 39, 1.0)) is not None
+
+
+@pytest.mark.parametrize("n, untiled_peak", [(1000, 4.1e6), (2000, 8.2e6)])
+def test_tiled_triangle_check_holds_no_more_than_the_untiled_check(n, untiled_peak):
+    # the untiled check peaked at two copies of the n x 256 midpoint columns
+    table = generate(SpaceSpec("circle", n=n)).dist
+    tracemalloc.start()
+    try:
+        metric._check_triangle(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= untiled_peak
+
+
 @pytest.mark.parametrize("exhaustive_limit", [metric.TRIANGLE_EXHAUSTIVE_LIMIT, 0])
 def test_triangle_midpoints_match_the_unique_form(exhaustive_limit, monkeypatch):
     # with no exhaustive range, small tables sample fewer distinct midpoints

@@ -47,7 +47,6 @@ from finiteshape.hyperspace import (
 )
 from finiteshape.invariants import (
     LevelHomology,
-    betti,
     bonding_vertex_map,
     order_complex,
     shape_report,
@@ -300,10 +299,13 @@ def test_hyperlevels_list_singletons_first_in_net_order(drawn):
 def test_scale_route_homology_matches_order_route(tower):
     rep = shape_report(tower)
     hls = [build_hyperlevel(tower.ground, lv, cap=3) for lv in tower.seq.levels]
-    for row, hl in zip(rep.levels, hls):
-        assert row.betti == betti(order_complex(hl))
-    for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
-        assert pr.ranks == ref.order_route_ranks(bonding_map(tower, fine), fine, coarse)
+    homs = [ref.chain_homology(order_complex(hl)) for hl in hls]  # each order complex reduced once
+    for row, hom in zip(rep.levels, homs):
+        assert row.betti == (hom.b0, hom.b1)
+    # the full selection map sends every poset element (order-complex vertex) to its coarse element
+    for pr, fine, coarse, fine_hom, coarse_hom in zip(rep.pairs, hls[1:], hls, homs[1:], homs):
+        vertex_map = ref.selection_vertex_map(bonding_map(tower, fine), fine, coarse)
+        assert pr.ranks == ref.pushed_ranks(vertex_map, fine_hom, coarse_hom)
 
 
 def full_scale_betti(hl):
