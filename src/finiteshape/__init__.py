@@ -1,14 +1,7 @@
 """Finite approximation towers for compact metric samples."""
 
 from .construction import AdjustedSequence, Level, build_adjusted_sequence, gamma
-from .homotopy import (
-    ApproximativeMap,
-    HomotopyWitness,
-    check_diagram_commutes,
-    check_homotopic_in_U,
-    check_identity_convergence,
-    finite_type_convert,
-)
+from .homotopy import HomotopyWitness, check_diagram_commutes, check_homotopic_in_U, check_identity_convergence
 from .hyperspace import (
     HyperLevel,
     MultiMap,
@@ -33,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustedSequence",
-    "ApproximativeMap",
     "HomotopyWitness",
     "HyperLevel",
     "Level",
@@ -51,7 +43,6 @@ __all__ = [
     "check_homotopic_in_U",
     "check_identity_convergence",
     "composite_bonding",
-    "finite_type_convert",
     "gamma",
     "generate",
     "induced_homology_map",

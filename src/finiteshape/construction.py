@@ -89,7 +89,9 @@ def padded_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray
     """Table whose row r lists the ``values`` paired with r, in the given order.
 
     ``rows`` is nondecreasing and names every row at least once.  A short
-    row repeats its first entry, as in ``hyperspace.padded_table``.
+    row repeats its first entry.  Repeated entries change no union, minimum
+    or maximum over a row, so every image check is a reduction over gathers
+    of whole rows.  Every padded table of the package is built here.
     """
     counts = np.bincount(rows, minlength=n_rows)
     starts = np.cumsum(counts) - counts

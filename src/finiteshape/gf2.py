@@ -132,7 +132,6 @@ class ChainHomology:
         for tri in _cone_free(triangles, lower):
             self.boundary_reducer.add(self.project(_triangle_edges(tri, self.edge_id)))
         self.rank_d2 = self.boundary_reducer.rank
-        self.n_triangles = len(triangles)
 
     @property
     def b0(self) -> int:

@@ -8,17 +8,22 @@ number: the largest diameter of f(x) ∪ g(x) over the domain.  The homotopy
 exists inside the scale-bound neighborhood exactly when that number, which
 the check computes from the two maps' tables (a ``MultiMap`` records no
 diameter), is strictly below the bound.
+
+The module holds the checks that ``run`` and ``verify`` print: the
+convergence of the nearest-point maps to the identity and the level squares.
+The conversion of an approximative map into one of finite type, with its
+``2 beta + D`` diameter bound (Sanjurjo, Trans. AMS 1992), is a test oracle
+in ``tests/reference_loops.py``; no command reaches it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import gamma
-from .hyperspace import MultiMap, Tower, _union_rows, map_diameter, nearest_sets, padded_table, row_diameters
-from .metric import MetricGround, row_blocks
+from .hyperspace import MultiMap, Tower, row_diameters
+from .metric import MetricGround
 
 
 @dataclass(frozen=True)
@@ -57,102 +62,6 @@ def check_homotopic_in_U(
     worst = float(diameters[worst_item]) if len(diameters) else -1.0
     return HomotopyWitness(name=name, bound=float(bound), max_union_diameter=worst,
                            worst_item=worst_item, verdict=worst < bound)
-
-
-@dataclass(frozen=True)
-class ApproximativeMap:
-    """Finite prefix of a multivalued map sequence with shrinking images.
-
-    ``maps[k]`` sends each source ground point to a subset of the target
-    ground; ``diameters[k]``, derived here from its table, is its largest
-    image diameter, non-increasing over the stored prefix.  A library and
-    test object: no command of the CLI reaches it.
-    """
-
-    source: MetricGround
-    target: MetricGround
-    maps: tuple[MultiMap, ...]
-    diameters: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        for k, mm in enumerate(self.maps):
-            if len(mm.table) != self.source.n:
-                raise ValueError(f"map {k} does not cover the source ground")
-        object.__setattr__(self, "diameters", tuple(map_diameter(self.target, mm.table) for mm in self.maps))
-        for a, b in zip(self.diameters, self.diameters[1:]):
-            if b > a:
-                raise ValueError(f"diameters must be non-increasing, got {a!r} then {b!r}")
-
-    @staticmethod
-    def from_images(source: MetricGround, target: MetricGround, image_seq) -> "ApproximativeMap":
-        maps = tuple(MultiMap(padded_table([sorted(img) for img in images])) for images in image_seq)
-        return ApproximativeMap(source, target, maps)
-
-
-def ball_map_prefix(ground: MetricGround, radii) -> ApproximativeMap:
-    """Self-map prefix sending x to the closed metric ball of a given radius."""
-    images_per_index = [[] for _ in radii]
-    for rows in row_blocks(ground.n, ground.n):
-        block = ground.block(rows, slice(None))
-        for images, r in zip(images_per_index, radii):
-            images.extend(tuple(np.flatnonzero(row <= r).tolist()) for row in block)
-    return ApproximativeMap.from_images(ground, ground, images_per_index)
-
-
-@dataclass
-class FiniteTypeReport:
-    bounds: tuple[float, ...]  # 2*beta_n + D_n per index
-    slacks: tuple[float, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s > 0 for s in self.slacks)
-
-
-def finite_type_convert(
-    am: ApproximativeMap,
-    betas,
-    nets,
-    tie_tol: float = 1e-9,
-) -> tuple[ApproximativeMap, FiniteTypeReport]:
-    """Push every image through the nearest-point map of a target net.
-
-    ``nets[k]`` must cover the target ground within ``betas[k]`` (checked up
-    front), and the betas must decrease.  The converted map has images inside
-    the finite nets and diameter strictly below ``2 * beta_k + D_k``, which is
-    asserted per index and reported with its slack.  A library and test
-    route: no command of the CLI reaches it.
-    """
-    betas = tuple(float(b) for b in betas)
-    nets = [tuple(net) for net in nets]
-    if not (len(betas) == len(nets) == len(am.maps)):
-        raise ValueError("need one beta and one net per stored index")
-    if any(b <= 0 for b in betas):
-        raise ValueError("betas must be positive")
-    for a, b in zip(betas, betas[1:]):
-        if not b < a:
-            raise ValueError(f"betas must strictly decrease, got {a!r} then {b!r}")
-    for k, (beta, net) in enumerate(zip(betas, nets)):
-        cov = gamma(am.target, net)
-        if not cov < beta:
-            raise ValueError(
-                f"net {k} is not a beta-approximation: coverage {cov!r} >= beta {beta!r}"
-            )
-
-    maps = []
-    for mm, net in zip(am.maps, nets):
-        pushed = nearest_sets(am.target, net, tie_tol)[mm.table]
-        maps.append(MultiMap(_union_rows(pushed.reshape(len(pushed), -1))))
-    converted = ApproximativeMap(am.source, am.target, tuple(maps))
-    bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
-    slacks = tuple(bound - d for bound, d in zip(bounds, converted.diameters))
-    report = FiniteTypeReport(bounds=bounds, slacks=slacks)
-    if not report.ok:
-        k = min(range(len(slacks)), key=lambda i: slacks[i])
-        raise AssertionError(
-            f"converted map diameter {converted.diameters[k]!r} not < 2*beta+D = {bounds[k]!r} at index {k}"
-        )
-    return converted, report
 
 
 @dataclass

@@ -32,7 +32,7 @@ tuples are formed on demand, for tests and the benchmark tracer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -131,8 +131,10 @@ class HyperLevel:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The elements as a padded table of net positions (``padded_table``), formed on first read."""
-        return padded_table(self.elements)
+        """The elements as a padded table of net positions (``padded_rows``), formed on first read."""
+        sizes = np.fromiter(map(len, self.elements), dtype=np.intp, count=len(self.elements))
+        members = np.fromiter(itertools.chain.from_iterable(self.elements), dtype=np.intp, count=int(sizes.sum()))
+        return padded_rows(len(sizes), np.repeat(np.arange(len(sizes)), sizes), members)
 
     def covering_pairs(self):
         """Pairs (i, j) where j covers i: |j| = |i| + 1 and i subset of j (exports, ``is_continuous``)."""
@@ -153,10 +155,11 @@ def build_hyperlevel(ground: MetricGround, level: Level, cap: int = 3) -> HyperL
 class MultiMap:
     """Tabulated multivalued map into a net: it is its padded table.
 
-    Row i of ``table`` (see ``padded_table``) is the image, in ground
-    indices, of domain item i (a ground point or a hyperspace element), and
-    every check reads it.  It stays a type only for the benchmark tracer,
-    which reads ``images``: the tuples, formed on first read.
+    Row i of ``table`` (see ``construction.padded_rows``) is the image, in
+    ground indices, of domain item i (a ground point or a hyperspace
+    element), and every check reads it.  It stays a type only for the
+    benchmark tracer, which reads ``images``: the tuples, formed on first
+    read.
     """
 
     table: np.ndarray = field(repr=False)
@@ -164,20 +167,6 @@ class MultiMap:
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, map(dict.fromkeys, self.table.tolist())))
-
-
-def padded_table(images) -> np.ndarray:
-    """Images as an integer array, one row each; a short row repeats its first entry.
-
-    Repeated entries change no union, minimum or maximum over a row, so
-    every image check is a reduction over gathers of whole rows.  An empty
-    image raises ``ValueError``.
-    """
-    rows = [tuple(img) for img in images]
-    if () in rows:
-        raise ValueError(f"multivalued map image {rows.index(())} is empty")
-    width = max(map(len, rows), default=1)
-    return np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.intp).reshape(len(rows), width)
 
 
 def _union_rows(table: np.ndarray) -> np.ndarray:
@@ -202,15 +191,11 @@ def row_diameters(ground: MetricGround, table: np.ndarray) -> np.ndarray:
     return _cross_max(ground, table, table)
 
 
-def map_diameter(ground: MetricGround, table: np.ndarray) -> float:
-    return float(row_diameters(ground, table).max(initial=0.0))
-
-
 def nearest_sets(ground: MetricGround, net, tie_tol: float) -> np.ndarray:
     """Nearest-set table in ``net`` of every ground point.
 
     ``net`` lists ground indices; row x of the result holds the net points
-    nearest to ground point x, in net order, padded as in ``padded_table``.
+    nearest to ground point x, in net order, padded as in ``padded_rows``.
     A net point ties when its distance is within ``tie_tol`` (relative) of
     the row minimum (``construction.ties``); exact symmetric ties are always
     captured.  The (ground x net) distances are read in row blocks.  A tower
@@ -231,8 +216,8 @@ class Tower:
     """The nearest-point and bonding maps of a built tower, each computed once.
 
     Every table is a padded integer array of ground indices (see
-    ``padded_table``).  ``q[n]`` holds the nearest-set image in ``A_n`` of
-    every ground point, one row per ground point.  A sequence from
+    ``construction.padded_rows``).  ``q[n]`` holds the nearest-set image in
+    ``A_n`` of every ground point, one row per ground point.  A sequence from
     ``build_adjusted_sequence`` at this tie tolerance supplies these tables
     from its farthest-point pass, which already read every ground-to-net
     distance; any other sequence, a loaded one among them, gets one
@@ -244,11 +229,12 @@ class Tower:
     memoized and extended one step from ``composite(n, m - 1)``.  Composite
     rows follow the order of the net ``A_m``.  Bonding maps act on subsets
     by unions of singleton images, so these tables determine every bonding
-    map.
+    map.  Once the tables are assembled the tower keeps the sequence without
+    its farthest-point pass, so the pass's records are freed with the
+    caller's sequence.
     """
 
     def __init__(self, seq: AdjustedSequence, tie_tol: float = 1e-9):
-        self.seq = seq
         self.ground = seq.ground
         self.tie_tol = tie_tol
         greedy = seq.greedy
@@ -256,6 +242,7 @@ class Tower:
             self.q = {lv.index: greedy.nearest_sets(lv.net) for lv in seq.levels}
         else:
             self.q = {lv.index: nearest_sets(seq.ground, lv.net, tie_tol) for lv in seq.levels}
+        self.seq = replace(seq, greedy=None)
         self._composites: dict[tuple[int, int], np.ndarray] = {}
 
     def composite(self, n: int, m: int) -> np.ndarray:

@@ -103,15 +103,6 @@ class MetricGround:
         out = _squared_sums(self.coords, i, j)
         return np.sqrt(out, out=out)
 
-    @property
-    def dist(self) -> np.ndarray:
-        """The whole ``n x n`` table: the stored one, or computed afresh from coordinates.
-
-        The pipeline reads ``block`` and ``pairs`` instead; this is for small
-        grounds and for comparing with a reference.
-        """
-        return self.block(slice(None), slice(None))
-
     @cached_property
     def _row_extremes(self) -> tuple[float, float]:
         """(diameter, largest nearest-neighbor distance), exact.

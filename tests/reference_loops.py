@@ -20,20 +20,36 @@ induced ranks pushed through the selection map on every vertex.
 ``EveryColumnHomology``, ``every_column_pivots`` and ``rank_of`` reduce
 every boundary column of a complex, with no column skipped by a cone.
 
-The oracles that the pipeline never reads live here too: the element index
+The oracles that the pipeline never reads live here too: the whole distance
+table of a ground, the largest image diameter of a map, the element index
 of a hyperlevel, the selection map of a bonding map, the Euler
 characteristic and face closure of a complex, and the distance-matrix CSV
-writer.
+writer.  So do the approximative maps, finite prefixes of multivalued map
+sequences, with their conversion into maps of finite type (Sanjurjo,
+*Trans. AMS* 1992): criterion 6 checks its ``2 beta + D`` diameter bound.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from finiteshape.construction import gamma
 from finiteshape.gf2 import ChainHomology, ColumnReducer
+from finiteshape.hyperspace import MultiMap, _union_rows, nearest_sets, row_diameters
 from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex
 from finiteshape.metric import _squared_sums, row_blocks
+
+
+def dense(ground):
+    """The whole ``n x n`` distance table: the stored one, or computed afresh from coordinates."""
+    return ground.block(slice(None), slice(None))
+
+
+def map_diameter(ground, table):
+    """Largest image diameter of a map given by its padded table (0 for singleton images)."""
+    return float(row_diameters(ground, table).max(initial=0.0))
 
 
 def reference_row_extremes(ground):
@@ -166,7 +182,7 @@ def set_diameter(dist, members):
 
 def nearest_tables(seq, tie_tol):
     """``q[n]`` for every level, as a list of tuples over the ground."""
-    dist = seq.ground.dist
+    dist = dense(seq.ground)
     return {lv.index: reference_nearest_sets(dist[:, list(lv.net)], lv.net, tie_tol) for lv in seq.levels}
 
 
@@ -179,7 +195,7 @@ def singleton_bonding_chain(ground, levels, tie_tol=1e-9):
     comp = {a: (a,) for a in levels[-1].net}
     for k in range(len(levels) - 1, 0, -1):
         fine_net, coarse_net = list(levels[k].net), list(levels[k - 1].net)
-        q = dict(zip(fine_net, reference_nearest_sets(ground.dist[np.ix_(fine_net, coarse_net)], coarse_net, tie_tol)))
+        q = dict(zip(fine_net, reference_nearest_sets(dense(ground)[np.ix_(fine_net, coarse_net)], coarse_net, tie_tol)))
         comp = {a: tuple(sorted(set().union(*(q[y] for y in img)))) for a, img in comp.items()}
     return comp
 
@@ -190,7 +206,7 @@ def distance_bounds(seq, tie_tol=1e-9):
     Returns one dict per clause with the instance count, the minimal slack,
     the distance, bound and witness that first reached it, and the violations.
     """
-    dist = seq.ground.dist
+    dist = dense(seq.ground)
     q = nearest_tables(seq, tie_tol)
     clauses = [dict(instances=0, min_slack=float("inf"), worst_distance=-1.0, worst_bound=float("nan"),
                     worst_witness=(), violations=[]) for _ in range(3)]
@@ -230,7 +246,7 @@ def union_diameter(dist, f_images, g_images):
 
 def identity_diameters(seq, tie_tol=1e-9):
     """Worst union diameters of q_m ∪ q_{m+1} and of q_n ∪ {x}, per level."""
-    dist = seq.ground.dist
+    dist = dense(seq.ground)
     q = nearest_tables(seq, tie_tol)
     levels = [lv.index for lv in seq.levels]
     pairs = [union_diameter(dist, q[m], q[m + 1])[0] for m in levels[:-1]]
@@ -244,7 +260,7 @@ def square_witness(seq, n, tie_tol=1e-9):
     q = nearest_tables(seq, tie_tol)
     step = singleton_bonding_chain(seq.ground, seq.levels[n - 1:n + 1], tie_tol)
     pushed = [tuple(sorted(set().union(*(step[a] for a in img)))) for img in q[n + 1]]
-    return union_diameter(seq.ground.dist, q[n], pushed)
+    return union_diameter(dense(seq.ground), q[n], pushed)
 
 
 def chain_homology(cx):
@@ -372,3 +388,98 @@ def every_column_pivots(hom, triangles):
     for tri in triangles:
         red.add(hom.project({hom.edge_id[f] for f in itertools.combinations(tri, 2)}))
     return red.pivots
+
+
+@dataclass(frozen=True)
+class ApproximativeMap:
+    """Finite prefix of a multivalued map sequence with shrinking images.
+
+    ``maps[k]`` sends each source ground point to a subset of the target
+    ground; ``diameters[k]``, derived here from its table, is its largest
+    image diameter, non-increasing over the stored prefix.
+    """
+
+    source: object
+    target: object
+    maps: tuple
+    diameters: tuple = field(init=False)
+
+    def __post_init__(self):
+        for k, mm in enumerate(self.maps):
+            if len(mm.table) != self.source.n:
+                raise ValueError(f"map {k} does not cover the source ground")
+        object.__setattr__(self, "diameters", tuple(map_diameter(self.target, mm.table) for mm in self.maps))
+        for a, b in zip(self.diameters, self.diameters[1:]):
+            if b > a:
+                raise ValueError(f"diameters must be non-increasing, got {a!r} then {b!r}")
+
+    @staticmethod
+    def from_images(source, target, image_seq):
+        """One map per sequence of images; an empty image raises ``ValueError``."""
+        maps = []
+        for images in image_seq:
+            rows = [sorted(img) for img in images]
+            if [] in rows:
+                raise ValueError(f"multivalued map image {rows.index([])} is empty")
+            maps.append(MultiMap(padded(rows)))
+        return ApproximativeMap(source, target, tuple(maps))
+
+
+def ball_map_prefix(ground, radii):
+    """Self-map prefix sending x to the closed metric ball of a given radius."""
+    images_per_index = [[] for _ in radii]
+    for rows in row_blocks(ground.n, ground.n):
+        block = ground.block(rows, slice(None))
+        for images, r in zip(images_per_index, radii):
+            images.extend(tuple(np.flatnonzero(row <= r).tolist()) for row in block)
+    return ApproximativeMap.from_images(ground, ground, images_per_index)
+
+
+@dataclass
+class FiniteTypeReport:
+    bounds: tuple  # 2*beta_n + D_n per index
+    slacks: tuple
+
+    @property
+    def ok(self):
+        return all(s > 0 for s in self.slacks)
+
+
+def finite_type_convert(am, betas, nets, tie_tol=1e-9):
+    """Push every image through the nearest-point map of a target net.
+
+    ``nets[k]`` must cover the target ground within ``betas[k]`` (checked up
+    front), and the betas must decrease.  The converted map has images inside
+    the finite nets and diameter strictly below ``2 * beta_k + D_k``, which is
+    asserted per index and reported with its slack.
+    """
+    betas = tuple(float(b) for b in betas)
+    nets = [tuple(net) for net in nets]
+    if not (len(betas) == len(nets) == len(am.maps)):
+        raise ValueError("need one beta and one net per stored index")
+    if any(b <= 0 for b in betas):
+        raise ValueError("betas must be positive")
+    for a, b in zip(betas, betas[1:]):
+        if not b < a:
+            raise ValueError(f"betas must strictly decrease, got {a!r} then {b!r}")
+    for k, (beta, net) in enumerate(zip(betas, nets)):
+        cov = gamma(am.target, net)
+        if not cov < beta:
+            raise ValueError(
+                f"net {k} is not a beta-approximation: coverage {cov!r} >= beta {beta!r}"
+            )
+
+    maps = []
+    for mm, net in zip(am.maps, nets):
+        pushed = nearest_sets(am.target, net, tie_tol)[mm.table]
+        maps.append(MultiMap(_union_rows(pushed.reshape(len(pushed), -1))))
+    converted = ApproximativeMap(am.source, am.target, tuple(maps))
+    bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))
+    slacks = tuple(bound - d for bound, d in zip(bounds, converted.diameters))
+    report = FiniteTypeReport(bounds=bounds, slacks=slacks)
+    if not report.ok:
+        k = min(range(len(slacks)), key=lambda i: slacks[i])
+        raise AssertionError(
+            f"converted map diameter {converted.diameters[k]!r} not < 2*beta+D = {bounds[k]!r} at index {k}"
+        )
+    return converted, report

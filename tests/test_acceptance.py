@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from finiteshape.construction import build_adjusted_sequence, build_net, check_sequence_inequalities
-from finiteshape.homotopy import (
-    ball_map_prefix,
-    check_diagram_commutes,
-    check_homotopic_in_U,
-    check_identity_convergence,
-    finite_type_convert,
-)
+from finiteshape.homotopy import check_diagram_commutes, check_homotopic_in_U, check_identity_convergence
 from finiteshape.hyperspace import (
     Tower,
     bonding_map,
@@ -37,7 +31,13 @@ from finiteshape.invariants import (
     shape_report,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
-from reference_loops import chain_map_matrices, gf2_matrix_product, selection_vertex_map
+from reference_loops import (
+    ball_map_prefix,
+    chain_map_matrices,
+    finite_type_convert,
+    gf2_matrix_product,
+    selection_vertex_map,
+)
 
 SPACES = {
     "circle256": SpaceSpec("circle", n=256),

@@ -8,6 +8,7 @@ import pytest
 from finiteshape import cli, construction, hyperspace
 from finiteshape.cli import RunConfig, main
 from finiteshape.metric import MetricGround
+from reference_loops import dense
 
 
 def run_cli(args):
@@ -572,7 +573,7 @@ def write_jittered_circle_distmatrix(path, n, seed=0):
     theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.1, 0.1, n)) / n
     theta = theta[rng.permutation(n)]
     ground = MetricGround.from_coords(np.stack([np.cos(theta), np.sin(theta)], axis=1))
-    np.savetxt(path, ground.dist, delimiter=",", fmt="%.17g")
+    np.savetxt(path, dense(ground), delimiter=",", fmt="%.17g")
 
 
 def test_loaded_circle_at_stated_density_reports_the_circle(tmp_path, capsys):

@@ -17,6 +17,7 @@ from finiteshape.construction import (
     write_sequence_text,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
+from reference_loops import dense
 
 
 def circle4():
@@ -39,7 +40,7 @@ def test_build_net_circle4_eps_one():
     assert build_net(g, 1.0) == (0, 1, 2, 3)
     # brute force: no 3-subset is a 1.0-approximation
     for sub in itertools.combinations(range(4), 3):
-        assert not is_approximation(g.dist, sub, 1.0)
+        assert not is_approximation(dense(g), sub, 1.0)
 
 
 def test_build_net_circle4_eps_one_and_a_half():
@@ -47,7 +48,7 @@ def test_build_net_circle4_eps_one_and_a_half():
     net = build_net(g, 1.5)
     assert net == (0, 2)
     # exhaustive subset oracle: some 2-subset suffices, greedy found one
-    ok2 = [s for s in itertools.combinations(range(4), 2) if is_approximation(g.dist, s, 1.5)]
+    ok2 = [s for s in itertools.combinations(range(4), 2) if is_approximation(dense(g), s, 1.5)]
     assert net in ok2
 
 
@@ -95,7 +96,7 @@ def test_sequence_circle4_hand_recursion():
     seq = build_adjusted_sequence(g, epsilon1=1.5, depth=4, safety=0.9)
     l1, l2 = seq.level(1), seq.level(2)
     assert l1.net == (0, 2)
-    assert l1.gamma == g.dist[0, 1]  # = sqrt(2) as computed, exact
+    assert l1.gamma == dense(g)[0, 1]  # = sqrt(2) as computed, exact
     assert l2.epsilon == 0.9 * (1.5 - l1.gamma) / 2.0
     assert l2.epsilon == pytest.approx(0.0386, abs=5e-4)
     assert l2.net == (0, 1, 2, 3)
@@ -112,7 +113,7 @@ def test_sequence_warsaw_properties():
     for lv in seq.levels:
         assert lv.gamma < lv.epsilon
         # net is an epsilon-approximation of the ground
-        assert is_approximation(g.dist, lv.net, lv.epsilon)
+        assert is_approximation(dense(g), lv.net, lv.epsilon)
     for rec in check_sequence_inequalities(seq):
         assert rec["ok"] and rec["slack"] > 0
 
@@ -171,7 +172,7 @@ def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypat
 
 def _lazy_cut_grounds():
     rng = np.random.default_rng(11)
-    table = MetricGround.from_coords(rng.random((120, 3))).dist
+    table = dense(MetricGround.from_coords(rng.random((120, 3))))
     return {
         "circle300": generate(SpaceSpec("circle", n=300)),
         "warsaw400": generate(SpaceSpec("warsaw_circle", n=400)),

@@ -17,16 +17,17 @@ from finiteshape.hyperspace import (
     export_poset_csv,
     export_poset_dot,
     is_continuous,
-    map_diameter,
     nearest_sets,
-    padded_table,
     verify_adjusted_distance_bounds,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
 from reference_loops import (
+    dense,
     element_id,
     images_of,
+    map_diameter,
     monotone_on_all_pairs,
+    padded,
     proper_subset_pairs,
     reference_nearest_sets,
     set_diameter,
@@ -68,7 +69,7 @@ def test_hyperlevel_triangle_counts(eps, count):
     hl = build_hyperlevel(g, lv, cap=3)
     assert hl.n_elements == count
     # exhaustive subset enumeration oracle
-    assert list(hl.elements) == brute_elements(g.dist, (0, 1, 2), 2 * eps, 3)
+    assert list(hl.elements) == brute_elements(dense(g), (0, 1, 2), 2 * eps, 3)
 
 
 def test_hyperlevel_down_closed_and_diameters(tmp_path):
@@ -79,7 +80,7 @@ def test_hyperlevel_down_closed_and_diameters(tmp_path):
     diameters = [float(row.split(",")[2]) for row in (tmp_path / "p.csv").read_text().splitlines()[1:]]
     assert len(diameters) == hl.n_elements
     for el, d in zip(hl.elements, diameters):
-        assert d == set_diameter(g.dist, el) < 1.0
+        assert d == set_diameter(dense(g), el) < 1.0
         for r in range(1, len(el)):
             for sub in itertools.combinations(el, r):
                 assert sub in hl.elements
@@ -125,10 +126,10 @@ def test_bonding_circle4_hand_values():
     i1 = element_id(hl2, (1,))
     assert p.images[i1] == (0, 2)
     # both image points sit at sqrt(2) from the source point p1
-    assert g.dist[0, 1] == pytest.approx(math.sqrt(2.0))
-    assert g.dist[2, 1] == pytest.approx(math.sqrt(2.0))
+    assert dense(g)[0, 1] == pytest.approx(math.sqrt(2.0))
+    assert dense(g)[2, 1] == pytest.approx(math.sqrt(2.0))
     # the image is the antipodal pair, diameter 2 < 2 * epsilon_1 = 3
-    d = set_diameter(g.dist, p.images[i1])
+    d = set_diameter(dense(g), p.images[i1])
     assert d == pytest.approx(2.0)
     assert d < 2 * seq.level(1).epsilon == 3.0
 
@@ -197,7 +198,7 @@ def test_composite_diameters_below_coarse_epsilon_on_circle():
     comp = composite_bonding(Tower(seq), hls[-1], 1)
     for el, img in zip(hls[-1].elements, comp.images):
         if len(el) == 1:
-            assert set_diameter(g.dist, img) < seq.level(1).epsilon
+            assert set_diameter(dense(g), img) < seq.level(1).epsilon
 
 
 @pytest.mark.parametrize("spec", [SpaceSpec("warsaw_circle", n=1000), SpaceSpec("circle", n=64)],
@@ -208,7 +209,7 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
     assert seq.depth == 3
     tower = Tower(seq)
     for lv in seq.levels:
-        expected = tuple(reference_nearest_sets(g.dist[:, list(lv.net)], lv.net, 1e-9))
+        expected = tuple(reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, 1e-9))
         assert images_of(tower.q[lv.index]) == MultiMap(nearest_sets(g, lv.net, 1e-9)).images == expected
     for n in range(1, seq.depth):
         fine_net = seq.level(n + 1).net
@@ -232,7 +233,7 @@ def test_tower_reads_tables_off_the_pass_only_at_its_tie_tolerance(tower_tie_tol
     assert calls == ([] if tower_tie_tol == seq.greedy.tie_tol else [lv.net for lv in seq.levels])
     passless = Tower(AdjustedSequence(g, seq.levels, seq.requested_depth), tower_tie_tol)
     for lv in seq.levels:
-        expected = reference_nearest_sets(g.dist[:, list(lv.net)], lv.net, tower_tie_tol)
+        expected = reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, tower_tie_tol)
         assert images_of(tower.q[lv.index]) == tuple(expected)
         assert tower.q[lv.index].tobytes() == passless.q[lv.index].tobytes()
 
@@ -272,22 +273,22 @@ def test_bonding_maps_match_per_element_diameter_reference():
     shared = 0
     for k in range(len(hls) - 1):
         fine_net, coarse_net = list(seq.levels[k + 1].net), list(seq.levels[k].net)
-        q = dict(zip(fine_net, reference_nearest_sets(g.dist[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
+        q = dict(zip(fine_net, reference_nearest_sets(dense(g)[np.ix_(fine_net, coarse_net)], coarse_net, 1e-9)))
         p = bonding_map(tower, hls[k + 1])
-        assert (p.images, map_diameter(g, p.table)) == per_element_union_map(g.dist, ground_members(hls[k + 1]), q)
+        assert (p.images, map_diameter(g, p.table)) == per_element_union_map(dense(g), ground_members(hls[k + 1]), q)
         shared += len(p.images) - len(set(p.images))
     assert shared > 0  # some elements share an image, so the measured-once path runs
     for k in range(len(hls) - 2):
         comp = composite_bonding(tower, hls[-1], k + 1)
         chain = singleton_bonding_chain(g, seq.levels[k:])
-        assert (comp.images, map_diameter(g, comp.table)) == per_element_union_map(g.dist, ground_members(hls[-1]), chain)
+        assert (comp.images, map_diameter(g, comp.table)) == per_element_union_map(dense(g), ground_members(hls[-1]), chain)
 
 
 def test_is_continuous_constant_map():
     g = triangle()
     lv = Level(1, 0.6, (0, 1, 2), 0.0)
     hl = build_hyperlevel(g, lv, cap=3)
-    const = MultiMap(padded_table([(0,)] * hl.n_elements))
+    const = MultiMap(padded([(0,)] * hl.n_elements))
     ok, _ = is_continuous(const, hl)
     assert ok
 
@@ -300,7 +301,7 @@ def test_is_continuous_reports_violation():
     images = []
     for el in hl.elements:
         images.append((2,) if el == (0, 1) else (0,))
-    mm = MultiMap(padded_table(images))
+    mm = MultiMap(padded(images))
     ok, ce = is_continuous(mm, hl)
     assert not ok
     i, j = ce
@@ -331,7 +332,7 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
                 images[j] = images[element_id(hl, el[:k] + el[k + 1:])]
             else:
                 images[j] = (int(rng.integers(g.n)),)
-            trials.append((padded_table(images), False))
+            trials.append((padded(images), False))
         for t in range(6):
             # rows of mixed widths: 1-2 extra points, in no particular order,
             # join the image of a vertex and of every element above it, which
@@ -347,7 +348,7 @@ def test_covering_pair_verdict_matches_all_pairs_reference(spec):
             if t % 2:
                 j = int(rng.integers(len(images)))
                 images[j] = images[j][-1:]
-            table = padded_table(images)
+            table = padded(images)
             assert table.shape[1] >= 2 and min(map(len, images)) == 1
             trials.append((table, True))
         for table, mixed in trials:
@@ -448,7 +449,7 @@ def test_poset_exports_write_members_as_ground_indices(tmp_path):
         eid, card, diam, text = row.split(",")
         assert (int(eid), int(card)) == (i, len(el))
         assert tuple(map(int, text.split())) == el
-        assert float(diam) == set_diameter(g.dist, el)
+        assert float(diam) == set_diameter(dense(g), el)
 
     labels = re.findall(r'^  e(\d+) \[label="\{([\d,]+)\}"\];$', (tmp_path / "p.dot").read_text(), re.M)
     assert [(int(i), tuple(map(int, text.split(",")))) for i, text in labels] == list(enumerate(members))

@@ -34,6 +34,7 @@ from finiteshape.invariants import (
 from finiteshape.metric import MetricGround, SpaceSpec, generate
 from reference_loops import (
     EveryColumnHomology,
+    dense,
     chain_map_matrices,
     check_face_closed,
     euler_characteristic,
@@ -164,7 +165,7 @@ def test_scale_complex_read_off_hyperlevel_matches_brute_force():
     g = MetricGround.from_coords(rng.uniform(size=(40, 2)))
     net = tuple(sorted(int(i) for i in rng.choice(40, size=25, replace=False)))
     lv = Level(1, 0.15, net, 0.1)
-    local = g.dist[np.ix_(net, net)]
+    local = dense(g)[np.ix_(net, net)]
     expected = tuple(
         tuple(sub for sub in itertools.combinations(range(len(net)), r)
               if local[np.ix_(sub, sub)].max() < 2.0 * lv.epsilon)
@@ -234,7 +235,7 @@ def test_cone_collapses_to_one_vertex():
     assert data.collapse.core == (6,)  # the centre
     assert data.collapse.retraction == (6,) * 7
     assert data.betti == (1, 0) == betti(scale_complex(hl))
-    assert data.hom.n_triangles == 0  # nothing left to reduce
+    assert grow_cliques(data.collapse.ahead, 3)[2] == []  # no triangle left to reduce
 
 
 def test_cycle_has_nothing_to_collapse():
@@ -329,6 +330,7 @@ def test_induced_rank_zero_matches_component_tracking_oracle():
     hls = [build_hyperlevel(g, lv) for lv in seq.levels]
     datas = [LevelHomology(hl) for hl in hls]
     tower = Tower(seq)
+    dist = dense(g)
     for k in range(len(hls) - 1):
         fine_lv, coarse_lv = seq.levels[k + 1], seq.levels[k]
 
@@ -337,7 +339,7 @@ def test_induced_rank_zero_matches_component_tracking_oracle():
             uf = _UnionFind(len(net))
             for i in range(len(net)):
                 for j in range(i + 1, len(net)):
-                    if g.dist[net[i], net[j]] < 2 * lv.epsilon:
+                    if dist[net[i], net[j]] < 2 * lv.epsilon:
                         uf.union(i, j)
             return net, uf
 
@@ -345,7 +347,7 @@ def test_induced_rank_zero_matches_component_tracking_oracle():
         cnet, cuf = comps(coarse_lv)
         hit = {}
         for i, a in enumerate(fnet):
-            nearest = min(range(len(cnet)), key=lambda c: (g.dist[a, cnet[c]], c))
+            nearest = min(range(len(cnet)), key=lambda c: (dist[a, cnet[c]], c))
             hit[fuf.find(i)] = cuf.find(nearest)
         oracle_rank = len(set(hit.values()))
 
@@ -413,7 +415,7 @@ def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(gf2.ColumnReducer, "add", counting_add)
             data = LevelHomology(hl)
-        counts[lv.index] = (len(added), data.hom.n_triangles, len(data.collapse.core), len(lv.net))
+        counts[lv.index] = (len(added), len(grow_cliques(data.collapse.ahead, 3)[2]), len(data.collapse.core), len(lv.net))
         bettis.append(data.betti)
     assert bettis == [(1, 0), (1, 1), (1, 1), (1, 1)]
     # full cores on levels 2 and 3: most triangle columns are cones from a lower vertex and are not reduced

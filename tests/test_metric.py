@@ -21,7 +21,7 @@ from finiteshape.metric import (
     row_blocks,
     write_coords_csv,
 )
-from reference_loops import reference_row_extremes, reference_warsaw_graph_table, write_distmatrix_csv
+from reference_loops import dense, reference_row_extremes, reference_warsaw_graph_table, write_distmatrix_csv
 
 
 class UnionFind:
@@ -57,7 +57,7 @@ def components_at_scale(dist, scale):
 def test_two_points_forced_by_definition():
     g = generate(SpaceSpec("two_points", separation=1.0))
     assert g.n == 2
-    assert g.dist[0, 1] == 1.0
+    assert dense(g)[0, 1] == 1.0
     assert g.density == 0.0
 
 
@@ -68,9 +68,9 @@ def test_circle_four_points_chord_lengths():
         for j in range(4):
             k = min(abs(i - j), 4 - abs(i - j))
             expected = 2.0 * math.sin(math.pi * k / 4)
-            assert g.dist[i, j] == pytest.approx(expected, abs=1e-12)
-    assert g.dist[0, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert g.dist[0, 2] == pytest.approx(2.0, abs=1e-12)
+            assert dense(g)[i, j] == pytest.approx(expected, abs=1e-12)
+    assert dense(g)[0, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert dense(g)[0, 2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_warsaw_count_and_connectivity():
@@ -78,7 +78,7 @@ def test_warsaw_count_and_connectivity():
     assert g.n == 2000
     assert g.density > 0
     # union-find oracle: connected at scale 2 * density
-    assert components_at_scale(g.dist, 2.0 * g.density) == 1
+    assert components_at_scale(dense(g), 2.0 * g.density) == 1
 
 
 def test_warsaw_covers_expected_extent():
@@ -160,7 +160,7 @@ def _assert_leaf_tile_walk(reads, coords):
 )
 def test_max_nearest_neighbor_matches_dense_formula(coords, monkeypatch):
     g = MetricGround.from_coords(np.array(coords, dtype=float))
-    table = g.dist
+    table = dense(g)
     expected = 0.0 if g.n == 1 else float((table + np.diag(np.full(g.n, np.inf))).min(axis=1).max())
     tiles_read = _record_extreme_reads(monkeypatch)
     assert g.diameter() == float(table.max())
@@ -180,8 +180,8 @@ def test_row_extremes_read_half_the_pairs_with_the_dense_values(dim, monkeypatch
     coords = np.random.default_rng(7).normal(size=(700, 2 if dim == "table" else dim))
     g = MetricGround.from_coords(coords)
     if dim == "table":
-        g = MetricGround.from_matrix(g.dist)
-    expected = _dense_extremes(g.dist)
+        g = MetricGround.from_matrix(dense(g))
+    expected = _dense_extremes(dense(g))
     assert expected[1] > 0.0 and len(row_blocks(g.n, g.n)) > 1
     reads = _record_extreme_reads(monkeypatch)
     assert (g.diameter(), g.max_nearest_neighbor()) == expected
@@ -286,7 +286,7 @@ def test_warsaw_generation_holds_no_more_than_its_table():
 def test_generate_deterministic():
     a = generate(SpaceSpec("warsaw_circle", n=300))
     b = generate(SpaceSpec("warsaw_circle", n=300))
-    assert np.array_equal(a.dist, b.dist)
+    assert np.array_equal(dense(a), dense(b))
     assert np.array_equal(a.coords, b.coords)
 
 
@@ -311,17 +311,17 @@ def test_load_coords_single_point(tmp_path):
     p.write_text("id,x,y\n0,0.5,0.25\n")
     g = load_ground(str(p), "coords_csv")
     assert g.n == 1
-    assert g.dist.shape == (1, 1)
-    assert g.dist[0, 0] == 0.0
+    assert dense(g).shape == (1, 1)
+    assert dense(g)[0, 0] == 0.0
 
 
 def test_load_coords_pythagoras(tmp_path):
     p = tmp_path / "tri.csv"
     p.write_text("id,x,y\n0,0,0\n1,1,0\n2,0,1\n")
     g = load_ground(str(p), "coords_csv")
-    assert g.dist[0, 1] == pytest.approx(1.0)
-    assert g.dist[0, 2] == pytest.approx(1.0)
-    assert g.dist[1, 2] == pytest.approx(math.sqrt(2.0))
+    assert dense(g)[0, 1] == pytest.approx(1.0)
+    assert dense(g)[0, 2] == pytest.approx(1.0)
+    assert dense(g)[1, 2] == pytest.approx(math.sqrt(2.0))
 
 
 def test_load_distmatrix_triangle_violation(tmp_path):
@@ -371,7 +371,7 @@ def test_coords_roundtrip(tmp_path):
     write_coords_csv(g, str(p))
     back = load_ground(str(p), "coords_csv")
     assert np.array_equal(back.coords, g.coords)
-    assert np.array_equal(back.dist, g.dist)
+    assert np.array_equal(dense(back), dense(g))
 
 
 def test_distmatrix_roundtrip(tmp_path):
@@ -379,7 +379,7 @@ def test_distmatrix_roundtrip(tmp_path):
     p = tmp_path / "d.csv"
     write_distmatrix_csv(g, str(p))
     back = load_ground(str(p), "distmatrix_csv")
-    assert np.array_equal(back.dist, g.dist)
+    assert np.array_equal(dense(back), dense(g))
 
 
 def test_metric_axioms_on_random_point_clouds():
@@ -387,10 +387,10 @@ def test_metric_axioms_on_random_point_clouds():
     for _ in range(5):
         pts = rng.normal(size=(20, 3))
         g = MetricGround.from_coords(pts)
-        assert np.array_equal(g.dist, g.dist.T)
-        assert (np.diag(g.dist) == 0).all()
+        assert np.array_equal(dense(g), dense(g).T)
+        assert (np.diag(dense(g)) == 0).all()
         # exhaustive triangle check via the loader path
-        MetricGround.from_matrix(g.dist)
+        MetricGround.from_matrix(dense(g))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -402,7 +402,7 @@ def test_from_coords_row_blocks_match_broadcast_formula(dim):
     broadcast = np.sqrt((diff * diff).sum(axis=2))
     broadcast = 0.5 * (broadcast + broadcast.T)
     np.fill_diagonal(broadcast, 0.0)
-    assert MetricGround.from_coords(coords).dist.tobytes() == broadcast.tobytes()
+    assert dense(MetricGround.from_coords(coords)).tobytes() == broadcast.tobytes()
 
 
 def _broadcast_table(coords):
@@ -446,14 +446,14 @@ def test_coordinate_oracle_matches_stored_table_formula(dim):
     assert whole.tobytes() == reference.tobytes()
     assert block.tobytes() == reference[np.ix_(rows, cols)].tobytes()
     assert pairs.shape == (11, 3, 4) and pairs.tobytes() == reference[i, j].tobytes()
-    assert g.dist.tobytes() == reference.tobytes()
+    assert dense(g).tobytes() == reference.tobytes()
 
 
 def test_distance_matrix_oracle_slices_its_table():
     table = _broadcast_table(np.random.default_rng(3).normal(size=(60, 2)))
     g = MetricGround.from_matrix(table)
     whole, (rows, cols, block), (i, j, pairs) = _oracle_reads(g, np.random.default_rng(4))
-    assert np.array_equal(whole, table) and np.shares_memory(g.dist, g.table)
+    assert np.array_equal(whole, table) and np.shares_memory(dense(g), g.table)
     assert np.array_equal(block, table[np.ix_(rows, cols)])
     assert np.array_equal(pairs, table[i, j])
 
@@ -591,7 +591,7 @@ def test_a_table_of_one_repeated_point_is_one_cell_and_checks_as_the_reference()
 @pytest.mark.parametrize("n, untiled_peak", [(1000, 4.1e6), (2000, 8.2e6)])
 def test_tiled_triangle_check_holds_no_more_than_the_untiled_check(n, untiled_peak):
     # the untiled check peaked at two copies of the n x 256 midpoint columns
-    table = generate(SpaceSpec("circle", n=n)).dist
+    table = dense(generate(SpaceSpec("circle", n=n)))
     tracemalloc.start()
     try:
         metric._check_triangle(table)
@@ -621,7 +621,7 @@ def test_sampled_triangle_check_imports_no_masked_arrays():
     code = (
         "import sys; import numpy as np; from finiteshape.metric import MetricGround\n"
         "g = MetricGround.from_coords(np.random.default_rng(0).random((600, 2)))\n"
-        "MetricGround.from_matrix(g.dist)\n"
+        "MetricGround.from_matrix(g.block(slice(None), slice(None)))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}

@@ -41,7 +41,6 @@ from finiteshape.hyperspace import (
     build_hyperlevel,
     composite_bonding,
     is_continuous,
-    map_diameter,
     nearest_sets,
     verify_adjusted_distance_bounds,
 )
@@ -184,6 +183,10 @@ def test_padded_tables_match_reference(drawn):
     q = ref.nearest_tables(seq, tie_tol)
     for lv in seq.levels:
         np.testing.assert_array_equal(tower.q[lv.index], ref.padded(q[lv.index]))
+        for cap in (2, 3):
+            hl = build_hyperlevel(seq.ground, lv, cap=cap)
+            assert hl.table.dtype == np.intp
+            np.testing.assert_array_equal(hl.table, ref.padded(hl.elements))
     for n in range(1, seq.depth):
         for m in range(n + 1, seq.depth + 1):
             chain = ref.singleton_bonding_chain(seq.ground, seq.levels[n - 1:m], tie_tol)
@@ -241,7 +244,7 @@ def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
         thresholds.append(recorded[0] / 2)
     for t in thresholds:
         net, covered = cut_net(perm, float(t))
-        assert net == ref.reference_build_net(ground.dist, t) == build_net(ground, t)
+        assert net == ref.reference_build_net(ref.dense(ground), t) == build_net(ground, t)
         assert covered == gamma(ground, net)
         assert covered < t
 
@@ -256,7 +259,7 @@ def metric_grounds(draw):
         return MetricGround.from_coords(points)
     if kind == "l1 table" and (points == np.round(points)).all():
         return MetricGround.from_matrix(np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2))
-    return MetricGround.from_matrix(MetricGround.from_coords(points).dist)
+    return MetricGround.from_matrix(ref.dense(MetricGround.from_coords(points)))
 
 
 @PROPERTY_SETTINGS
@@ -270,7 +273,7 @@ def test_pass_nearest_tables_match_nearest_sets(ground, tie_tol, drawn_threshold
         net, _ = cut_net(perm, t)
         got = perm.nearest_sets(net)
         want = nearest_sets(ground, net, tie_tol)
-        loops = ref.padded(ref.reference_nearest_sets(ground.dist[:, list(net)], net, tie_tol))
+        loops = ref.padded(ref.reference_nearest_sets(ref.dense(ground)[:, list(net)], net, tie_tol))
         assert got.dtype == want.dtype == loops.dtype and got.shape == want.shape == loops.shape
         assert got.tobytes() == want.tobytes() == loops.tobytes()
 
@@ -399,7 +402,7 @@ def assert_routes_agree(tower):
                 assert got == want
                 continue
             assert isinstance(got, MultiMap)
-            assert map_diameter(tower.ground, got.table) == map_diameter(tower.ground, want.table)
+            assert ref.map_diameter(tower.ground, got.table) == ref.map_diameter(tower.ground, want.table)
             k = len(levels[m - 1].net)
             assert (ref.selection_vertex_map(got, edges[m - 1], edges[n - 1])[:k]
                     == ref.selection_vertex_map(want, full[m - 1], full[n - 1])[:k])
@@ -435,7 +438,7 @@ def test_edge_route_matches_full_poset_route(tower):
         if not isinstance(p, MultiMap):
             continue
         shrunk = list(seq.levels)
-        shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=map_diameter(tower.ground, p.table) / 2)
+        shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=ref.map_diameter(tower.ground, p.table) / 2)
         planted = Tower(dataclasses.replace(seq, levels=tuple(shrunk)), tower.tie_tol)
         errors = [outcome(bonding_map, planted, build_hyperlevel(tower.ground, fine, cap=cap))
                   for cap in (2, 3)]
