@@ -50,7 +50,7 @@ from .invariants import (
     shape_report,
     write_homology_csv,
 )
-from .metric import MetricGround, SpaceSpec, generate, load_ground, triangle_midpoints, write_coords_csv
+from .metric import VALID_KINDS, MetricGround, SpaceSpec, generate, load_ground, triangle_midpoints, write_coords_csv
 
 
 class ConfigError(ValueError):
@@ -73,7 +73,6 @@ class RunConfig:
     epsilon1: float | None = None  # None: half the space diameter
     depth: int = 4
     safety: float = 0.9
-    tie_tol: float = 1e-9
     window: int = 2
     outdir: str = "out"
 
@@ -86,8 +85,6 @@ class RunConfig:
             raise ConfigError(f"safety must lie strictly in (0, 1), got {self.safety}")
         if self.epsilon1 is not None and not 0.0 < self.epsilon1 < math.inf:
             raise ConfigError(f"epsilon1 must be finite and positive, got {self.epsilon1}")
-        if not 0.0 <= self.tie_tol < math.inf:
-            raise ConfigError(f"tie tolerance must be finite and nonnegative, got {self.tie_tol}")
         if self.window < 2:
             raise ConfigError("stabilization window must be >= 2")
         if self.format not in ("coords_csv", "distmatrix_csv"):
@@ -105,10 +102,12 @@ class RunConfig:
         return "assumed 0" if self.density is None else "stated"
 
 
+_SPACE_ALIASES = {"warsaw": "warsaw_circle"}
+
+
 def _spec_from_config(cfg: RunConfig) -> SpaceSpec:
-    kind = {"warsaw": "warsaw_circle"}.get(cfg.space, cfg.space)
     return SpaceSpec(
-        kind=kind,
+        kind=_SPACE_ALIASES.get(cfg.space, cfg.space),
         n=cfg.n,
         radius=cfg.radius,
         separation=cfg.separation,
@@ -131,11 +130,11 @@ def _build_sequence(cfg: RunConfig, sequence: str | None = None) -> AdjustedSequ
     if sequence:
         return load_sequence_text(ground, sequence)
     eps1 = cfg.epsilon1 if cfg.epsilon1 is not None else ground.diameter() / 2.0
-    return build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety, cfg.tie_tol)
+    return build_adjusted_sequence(ground, eps1, cfg.depth, cfg.safety)
 
 
 def _add_space_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", choices=["two_points", "circle", "interval", "cantor", "warsaw", "warsaw_circle"])
+    p.add_argument("--space", choices=[*VALID_KINDS, *_SPACE_ALIASES])
     p.add_argument("--n", type=int, help="sample count")
     p.add_argument("--radius", type=float)
     p.add_argument("--separation", type=float)
@@ -152,7 +151,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon1", type=float, help="first scale (default: half the space diameter)")
     p.add_argument("--depth", type=int)
     p.add_argument("--safety", type=float)
-    p.add_argument("--tie-tol", type=float)
     p.add_argument("--window", type=int)
     p.add_argument("--outdir")
     p.add_argument("--config", default=None, help="key = value file; explicit flags override it")
@@ -266,7 +264,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
     if not os.access(cfg.outdir, os.W_OK):
         raise ConfigError(f"output directory {cfg.outdir} is not writable")
     t0 = time.perf_counter()
-    tower = Tower(_build_sequence(cfg), cfg.tie_tol)
+    tower = Tower(_build_sequence(cfg))
     ground, seq = tower.ground, tower.seq
     write_sequence_text(seq, os.path.join(cfg.outdir, "sequence.txt"))
     write_sequence_csv(seq, os.path.join(cfg.outdir, "sequence.csv"))
@@ -330,7 +328,7 @@ def cmd_run(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     try:
-        tower = Tower(_build_sequence(cfg, args.sequence), cfg.tie_tol)
+        tower = Tower(_build_sequence(cfg, args.sequence))
     except SequenceFormatError as exc:
         _print_verdict("sequence-format", False, str(exc))
         return 1

@@ -15,9 +15,9 @@ where the insertion radius drops below its threshold, and ``gamma_n`` is the
 next insertion radius (Gonzalez 1985).  The order is extended lazily, one
 distance row per inserted point, and stops once its radius falls below the
 finest threshold asked for.  The same rows give every level's nearest-point
-table: each insertion records the ground points it comes within the tie
-tolerance of, and the table of any prefix is assembled from those records,
-so no ground-to-net distance is read twice.  Exactly represented grounds
+table: each insertion records the ground points whose coverage it ties, and
+the table of any prefix is assembled from those records, so no ground-to-net
+distance is read twice.  Exactly represented grounds
 (``density == 0``) build each net at the plain threshold ``epsilon_n``, the
 textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
 would stall after one or two levels that way, because the greedy stopping
@@ -80,9 +80,12 @@ class AdjustedSequence:
         return self.levels[n - 1]
 
 
-def ties(d, nearest, tie_tol: float):
-    """The tie rule: distance ``d`` ties the nearest distance when ``d <= nearest * (1 + tie_tol)``."""
-    return d <= nearest * (1.0 + tie_tol)
+TIE_TOL = 1e-9  # relative: exactly symmetric ties that rounding splits still tie
+
+
+def ties(d, nearest):
+    """The tie rule: distance ``d`` ties the nearest distance when ``d <= nearest * (1 + TIE_TOL)``."""
+    return d <= nearest * (1.0 + TIE_TOL)
 
 
 def padded_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -112,14 +115,13 @@ class GreedyPermutation:
     computed prefix does not depend on where the pass stops.
 
     Each insertion also records every ground point whose distance to the new
-    point ties (``ties`` at ``tie_tol``) its coverage so far, with that
-    distance; ``nearest_sets`` assembles the nearest-set table of any net cut
-    from the pass out of these records.
+    point ties its coverage so far (``ties``), with that distance;
+    ``nearest_sets`` assembles the nearest-set table of any net cut from the
+    pass out of these records.
     """
 
-    def __init__(self, ground: MetricGround, tie_tol: float = 1e-9):
+    def __init__(self, ground: MetricGround):
         self.ground = ground
-        self.tie_tol = tie_tol
         self._cover = np.full(ground.n, np.inf)
         self._order: list[int] = []
         self._radii: list[float] = []
@@ -138,7 +140,7 @@ class GreedyPermutation:
         self._order.append(i)
         row = self.ground.block(slice(i, i + 1), slice(None))[0]
         np.minimum(self._cover, row, out=self._cover)
-        near = np.flatnonzero(ties(row, self._cover, self.tie_tol))
+        near = np.flatnonzero(ties(row, self._cover))
         self._unfolded.append((near, row[near]))
         self._recorded.append(self._recorded[-1] + len(near))
         self._next = int(np.argmax(self._cover))
@@ -165,7 +167,7 @@ class GreedyPermutation:
         return np.array(self._radii)
 
     def nearest_sets(self, net) -> np.ndarray:
-        """Nearest-set table of a net cut from this pass, equal to ``hyperspace.nearest_sets`` at ``tie_tol``.
+        """Nearest-set table of a net cut from this pass, equal to ``hyperspace.nearest_sets``.
 
         ``net`` must be a computed prefix of the order, sorted.  Row x lists
         the net points whose distance to x ties x's coverage by the net, the
@@ -185,7 +187,7 @@ class GreedyPermutation:
         members = np.repeat(np.array(self._order[:size], dtype=np.intp), np.diff(self._recorded[:size + 1]))
         cover = np.full(self.ground.n, np.inf)
         np.minimum.at(cover, points, dists)
-        keep = ties(dists, cover[points], self.tie_tol)
+        keep = ties(dists, cover[points])
         points, members = points[keep], members[keep]
         by_point = np.lexsort((members, points))
         return padded_rows(self.ground.n, points[by_point], members[by_point])
@@ -271,22 +273,16 @@ def net_threshold(
     return _clamp_threshold(t, epsilon, density, max_nn)
 
 
-def build_adjusted_sequence(
-    ground: MetricGround,
-    epsilon1: float,
-    depth: int,
-    safety: float = 0.9,
-    tie_tol: float = 1e-9,
-) -> AdjustedSequence:
+def build_adjusted_sequence(ground: MetricGround, epsilon1: float, depth: int, safety: float = 0.9) -> AdjustedSequence:
     """Build levels 1..depth, stopping early at the sampling resolution.
 
     Preconditions: ``epsilon1 > 2 * ground.density`` (finite sampling noise
     must not be able to fake the inequalities), ``depth >= 1``,
     ``0 < safety < 1``.  Construction stops with an explicit status as soon as
     the next scale would fall to ``2 * ground.density`` or below.  The nets
-    are cut from one farthest-point pass recording nearest-point ties at
-    ``tie_tol``; the sequence keeps it, so a ``Tower`` at that tolerance
-    reads its nearest-point tables from the pass.
+    are cut from one farthest-point pass recording nearest-point ties; the
+    sequence keeps it, so a ``Tower`` reads its nearest-point tables from
+    the pass.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -298,7 +294,7 @@ def build_adjusted_sequence(
         )
     ladder = plan_ladder(epsilon1, depth, ground.density, safety)
     max_nn = ground.max_nearest_neighbor() if ground.density > 0 else 0.0
-    perm = GreedyPermutation(ground, tie_tol)
+    perm = GreedyPermutation(ground)
 
     levels: list[Level] = []
     reason = None
@@ -392,8 +388,9 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     finite and positive, a net that is not a sorted, duplicate-free list of
     ground indices in ``[0, ground.n)``, a stored ``gamma`` that is not the
     net's coverage radius on ``ground`` (the checks judge the stored values),
-    a ``requested_depth`` below the number of levels, or a ``stop_reason``
-    without a ``requested_depth`` above the number of levels.  The ``density``
+    a ``requested_depth`` below the number of levels, or above it without a
+    ``stop_reason`` (a truncated file), or a ``stop_reason`` without a
+    ``requested_depth`` above the number of levels.  The ``density``
     and ``stopped_early`` lines are not read; ``stop_reason`` alone marks a
     stop.  The ``safety`` line and ``threshold`` fields of older files are
     ignored: no check reads them.
@@ -451,6 +448,9 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
         raise SequenceFormatError(f"{path}: no level lines")
     if requested is not None and requested < len(levels):
         raise SequenceFormatError(f"{requested_at}: requested_depth = {requested} is below the {len(levels)} stored levels")
+    if requested is not None and requested > len(levels) and reason is None:
+        raise SequenceFormatError(f"{requested_at}: requested_depth = {requested} is above the {len(levels)} stored levels, "
+                                  f"and no stop_reason says why")
     if reason is not None and requested in (None, len(levels)):
         missing = "no requested_depth line" if requested is None else f"all {requested} requested levels are stored"
         raise SequenceFormatError(f"{reason_at}: stop_reason describes no stop: {missing}")

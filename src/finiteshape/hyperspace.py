@@ -191,22 +191,22 @@ def row_diameters(ground: MetricGround, table: np.ndarray) -> np.ndarray:
     return _cross_max(ground, table, table)
 
 
-def nearest_sets(ground: MetricGround, net, tie_tol: float) -> np.ndarray:
+def nearest_sets(ground: MetricGround, net) -> np.ndarray:
     """Nearest-set table in ``net`` of every ground point.
 
     ``net`` lists ground indices; row x of the result holds the net points
     nearest to ground point x, in net order, padded as in ``padded_rows``.
-    A net point ties when its distance is within ``tie_tol`` (relative) of
-    the row minimum (``construction.ties``); exact symmetric ties are always
-    captured.  The (ground x net) distances are read in row blocks.  A tower
-    built by ``build_adjusted_sequence`` gets the same tables from its
-    farthest-point pass; this is the route for any other net.
+    A net point is listed when its distance ties the row minimum
+    (``construction.ties``), so exact symmetric ties are always captured.
+    The (ground x net) distances are read in row blocks.  A tower built by
+    ``build_adjusted_sequence`` gets the same tables from its farthest-point
+    pass; this is the route for any other net.
     """
     net = np.asarray(net, dtype=np.intp)
     rows, members = [], []
     for s in row_blocks(ground.n, len(net)):
         block = ground.block(s, net)
-        r, c = np.nonzero(ties(block, block.min(axis=1)[:, None], tie_tol))
+        r, c = np.nonzero(ties(block, block.min(axis=1)[:, None]))
         rows.append(r + s.start)
         members.append(net[c])
     return padded_rows(ground.n, np.concatenate(rows), np.concatenate(members))
@@ -217,10 +217,10 @@ class Tower:
 
     Every table is a padded integer array of ground indices (see
     ``construction.padded_rows``).  ``q[n]`` holds the nearest-set image in
-    ``A_n`` of every ground point, one row per ground point.  A sequence from
-    ``build_adjusted_sequence`` at this tie tolerance supplies these tables
-    from its farthest-point pass, which already read every ground-to-net
-    distance; any other sequence, a loaded one among them, gets one
+    ``A_n`` of every ground point, one row per ground point.  A sequence
+    carrying the farthest-point pass over its own ground, as built ones do,
+    supplies these tables from the pass, which already read every
+    ground-to-net distance; any other, a loaded one among them, gets one
     ``nearest_sets`` evaluation per level.  ``composite(n, n + 1)``, a step,
     sends each point of ``A_{n+1}`` to its image in ``A_n``: the rows of
     ``q[n]`` at those points (the same distance row and tie threshold a
@@ -229,19 +229,17 @@ class Tower:
     memoized and extended one step from ``composite(n, m - 1)``.  Composite
     rows follow the order of the net ``A_m``.  Bonding maps act on subsets
     by unions of singleton images, so these tables determine every bonding
-    map.  Once the tables are assembled the tower keeps the sequence without
-    its farthest-point pass, so the pass's records are freed with the
-    caller's sequence.
+    map.  The tower keeps the sequence without its pass, so the pass's
+    records are freed with the caller's sequence.
     """
 
-    def __init__(self, seq: AdjustedSequence, tie_tol: float = 1e-9):
+    def __init__(self, seq: AdjustedSequence):
         self.ground = seq.ground
-        self.tie_tol = tie_tol
         greedy = seq.greedy
-        if greedy is not None and greedy.ground is seq.ground and greedy.tie_tol == tie_tol:
+        if greedy is not None and greedy.ground is seq.ground:
             self.q = {lv.index: greedy.nearest_sets(lv.net) for lv in seq.levels}
         else:
-            self.q = {lv.index: nearest_sets(seq.ground, lv.net, tie_tol) for lv in seq.levels}
+            self.q = {lv.index: nearest_sets(seq.ground, lv.net) for lv in seq.levels}
         self.seq = replace(seq, greedy=None)
         self._composites: dict[tuple[int, int], np.ndarray] = {}
 

@@ -445,7 +445,7 @@ class FiniteTypeReport:
         return all(s > 0 for s in self.slacks)
 
 
-def finite_type_convert(am, betas, nets, tie_tol=1e-9):
+def finite_type_convert(am, betas, nets):
     """Push every image through the nearest-point map of a target net.
 
     ``nets[k]`` must cover the target ground within ``betas[k]`` (checked up
@@ -471,7 +471,7 @@ def finite_type_convert(am, betas, nets, tie_tol=1e-9):
 
     maps = []
     for mm, net in zip(am.maps, nets):
-        pushed = nearest_sets(am.target, net, tie_tol)[mm.table]
+        pushed = nearest_sets(am.target, net)[mm.table]
         maps.append(MultiMap(_union_rows(pushed.reshape(len(pushed), -1))))
     converted = ApproximativeMap(am.source, am.target, tuple(maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))

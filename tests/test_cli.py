@@ -144,9 +144,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     ("depth 3", "expected key = value"),
     ("skip_bounds = true", "unknown key 'skip_bounds'"),
     ("maxdim = 2", "unknown key 'maxdim'"),
+    ("tie_tol = 1e-9", "unknown key 'tie_tol'"),
     ("depth = 2.5", "depth = '2.5' is not a valid int"),
-    ("tie_tol = abc", "tie_tol = 'abc' is not a valid float"),
-], ids=["unknown-key", "no-equals", "stale-skip-key", "stale-maxdim-key", "non-integer", "non-number"])
+    ("safety = abc", "safety = 'abc' is not a valid float"),
+], ids=["unknown-key", "no-equals", "stale-skip-key", "stale-maxdim-key", "stale-tie-tol-key", "non-integer",
+        "non-number"])
 def test_config_file_bad_line_exits_2(tmp_path, capsys, line, reason):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"space = circle\n{line}\n")
@@ -166,7 +168,7 @@ def test_generate_config_honours_n(tmp_path):
 NON_DEFAULT_CONFIG = RunConfig(
     space="interval", n=17, radius=2.0, separation=3.0, length=4.0, cantor_depth=2,
     input="in.csv", format="distmatrix_csv", density=0.5, epsilon1=0.7, depth=3, safety=0.8,
-    tie_tol=1e-6, window=3, outdir="elsewhere",
+    window=3, outdir="elsewhere",
 )
 
 
@@ -373,6 +375,16 @@ def test_every_check_runs_and_no_flag_skips_one(tmp_path, capsys, command, flag)
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+# the tie tolerance is the constant construction.TIE_TOL, not a setting
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_tie_tolerance_is_no_option(tmp_path, capsys, command):
+    args = [command, "--space", "circle", "--n", "32", "--outdir", str(tmp_path / "out"), "--tie-tol", "1e-6"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tie-tol 1e-6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["export-poset", "export-complex"])
 def test_export_cap_below_the_triangles_exits_2(tmp_path, capsys, command):
     base = tmp_path / "level1"
@@ -521,6 +533,18 @@ def test_verify_stored_stop_reason_without_a_stop_fails(tmp_path, capsys, old, n
     assert reason in out
 
 
+def test_verify_stored_tower_missing_levels_without_a_stop_reason_fails(tmp_path, capsys):
+    # a file cut short after level 2 printed "depth: requested 3, built 2" and passed every check
+    coords, seq_file = _stored_circle64(tmp_path)
+    seq_file.write_text("".join(seq_file.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL sequence-format: ")
+    assert "sequence.txt:3: requested_depth = 3 is above the 2 stored levels, and no stop_reason says why" in out
+
+
 def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):
     coords = tmp_path / "g.csv"
     coords.write_text("id,x,y\n0,0.0,0.0\n1,nan,1.0\n2,1.0,0.0\n")
@@ -641,9 +665,7 @@ def test_bad_density_exits_2(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
-@pytest.mark.parametrize("flag, value", [
-    ("--tie-tol", "nan"), ("--tie-tol", "inf"), ("--epsilon1", "nan"), ("--epsilon1", "inf"),
-], ids=["tie-tol-nan", "tie-tol-inf", "epsilon1-nan", "epsilon1-inf"])
+@pytest.mark.parametrize("flag, value", [("--epsilon1", "nan"), ("--epsilon1", "inf")], ids=["epsilon1-nan", "epsilon1-inf"])
 def test_non_finite_tie_tol_or_epsilon1_exits_2(tmp_path, capsys, command, flag, value):
     args = [command, "--space", "circle", "--n", "64", flag, value, "--outdir", str(tmp_path / "out")]
     assert run_cli(args) == 2

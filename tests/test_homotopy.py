@@ -27,7 +27,7 @@ def circle4():
 
 def test_witness_equal_maps():
     g = circle4()
-    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
+    q = MultiMap(nearest_sets(g, (0, 2)))
     d = map_diameter(g, q.table)
     w_pass = check_homotopic_in_U(q, q, d + 1e-9, g)
     w_fail = check_homotopic_in_U(q, q, d, g)
@@ -41,8 +41,8 @@ def test_witness_nearest_pair_beats_two_epsilon():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     for n in range(1, seq.depth):
-        f = MultiMap(nearest_sets(g, seq.level(n).net, 1e-9))
-        h = MultiMap(nearest_sets(g, seq.level(n + 1).net, 1e-9))
+        f = MultiMap(nearest_sets(g, seq.level(n).net))
+        h = MultiMap(nearest_sets(g, seq.level(n + 1).net))
         w = check_homotopic_in_U(f, h, 2.0 * seq.level(n).epsilon, g)
         assert w.verdict and w.slack > 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from finiteshape import hyperspace
-from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
+from finiteshape.construction import TIE_TOL, AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     BondingDiameterError,
     MultiMap,
@@ -88,20 +89,20 @@ def test_hyperlevel_down_closed_and_diameters(tmp_path):
 
 def test_nearest_point_map_net_point_maps_to_itself():
     g = circle4()
-    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
+    q = MultiMap(nearest_sets(g, (0, 2)))
     assert q.images[0] == (0,)
     assert q.images[2] == (2,)
 
 
 def test_nearest_point_map_exact_tie():
     g = generate(SpaceSpec("interval", n=3))  # 0, 0.5, 1
-    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
+    q = MultiMap(nearest_sets(g, (0, 2)))
     assert q.images[1] == (0, 2)
 
 
 def test_nearest_point_map_circle4_antipodal():
     g = circle4()
-    q = MultiMap(nearest_sets(g, (0, 2), 1e-9))
+    q = MultiMap(nearest_sets(g, (0, 2)))
     assert q.images[1] == (0, 2)
     assert q.images[3] == (0, 2)
     assert map_diameter(g, q.table) == pytest.approx(2.0)
@@ -210,7 +211,7 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
     tower = Tower(seq)
     for lv in seq.levels:
         expected = tuple(reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, 1e-9))
-        assert images_of(tower.q[lv.index]) == MultiMap(nearest_sets(g, lv.net, 1e-9)).images == expected
+        assert images_of(tower.q[lv.index]) == MultiMap(nearest_sets(g, lv.net)).images == expected
     for n in range(1, seq.depth):
         fine_net = seq.level(n + 1).net
         step = tower.composite(n, n + 1)
@@ -220,22 +221,26 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
             assert comp == singleton_bonding_chain(g, seq.levels[n - 1:m])
 
 
-@pytest.mark.parametrize("tower_tie_tol", [1e-9, 0.05])
-def test_tower_reads_tables_off_the_pass_only_at_its_tie_tolerance(tower_tie_tol, monkeypatch):
-    # a sequence built at 1e-9 serves a 1e-9 tower from its farthest-point
-    # pass; a tower at another tolerance, or on a sequence without a pass,
-    # computes each level with nearest_sets; the tables agree either way
+def test_the_sequence_picks_the_route_of_the_tower_tables(monkeypatch):
+    # a built sequence serves the tower from its farthest-point pass; a
+    # sequence without a pass, or with a pass over another ground, gets one
+    # nearest_sets call per level; the tables agree byte for byte
     g = generate(SpaceSpec("warsaw_circle", n=500))
     seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
     original, calls = hyperspace.nearest_sets, []
     monkeypatch.setattr(hyperspace, "nearest_sets", lambda *args: calls.append(args[1]) or original(*args))
-    tower = Tower(seq, tower_tie_tol)
-    assert calls == ([] if tower_tie_tol == seq.greedy.tie_tol else [lv.net for lv in seq.levels])
-    passless = Tower(AdjustedSequence(g, seq.levels, seq.requested_depth), tower_tie_tol)
+    tower = Tower(seq)
+    assert calls == []
+    for other in (AdjustedSequence(g, seq.levels, seq.requested_depth),
+                  dataclasses.replace(seq, ground=MetricGround.from_coords(g.coords, density=g.density))):
+        calls.clear()
+        computed = Tower(other)
+        assert calls == [lv.net for lv in seq.levels]
+        for lv in seq.levels:
+            assert tower.q[lv.index].tobytes() == computed.q[lv.index].tobytes()
     for lv in seq.levels:
-        expected = reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, tower_tie_tol)
+        expected = reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, TIE_TOL)
         assert images_of(tower.q[lv.index]) == tuple(expected)
-        assert tower.q[lv.index].tobytes() == passless.q[lv.index].tobytes()
 
 
 def test_pass_tables_refuse_a_net_not_cut_from_the_pass():

@@ -8,18 +8,19 @@ the monotonicity and selections that a bonding map's diameter check implies.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
-tolerances widen the tie rows and can break the distance bounds, so the
-violation lists are exercised too.  The greedy nets and their tables also
+tolerances, patched into ``construction.TIE_TOL``, widen the tie rows and can
+break the distance bounds, so the violation lists are exercised too.  The greedy nets and their tables also
 see duplicate points, a single point and distance-matrix grounds.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finiteshape import cli
+from finiteshape import cli, construction
 from finiteshape.construction import (
     AdjustedSequence,
     GreedyPermutation,
@@ -69,6 +70,17 @@ single_point = st.just([(0.0, 0.0)])
 TIE_TOLERANCES = st.sampled_from([0.0, 1e-9, 0.05, 0.5])
 
 
+def at_tie_tolerance(tie_tol):
+    """Context in which the tie rule reads ``tie_tol`` for ``construction.TIE_TOL``.
+
+    The farthest-point pass applies the rule twice, when it records ties and
+    when it assembles a table, and records at a smaller tolerance than it
+    assembles at would miss points; so a sequence and its ``Tower`` are built
+    under one patch.
+    """
+    return mock.patch.object(construction, "TIE_TOL", tie_tol)
+
+
 def ring(jitter) -> MetricGround:
     """Points on the unit circle at angles 2 pi (k + jitter[k]) / n; density is their covering radius on the circle."""
     n = len(jitter)
@@ -91,25 +103,24 @@ def towers(draw):
 
     The clouds have at most 20 points, so past level 1 their levels are
     mostly whole samples without edges; rings give levels past the first
-    with edges and bonding images of several points.  The sequence is built
-    at the tower's tie tolerance, so the tower reads its tables off the
-    farthest-point pass, or at the default one, so it computes them with
-    ``nearest_sets``.
+    with edges and bonding images of several points.  The sequence keeps
+    its farthest-point pass, so the tower reads its tables off the pass, or
+    drops it, so the tower computes them with ``nearest_sets``.
     """
     clouds = st.one_of(random_points, lattice_points, line_points).map(
         lambda p: MetricGround.from_coords(np.array(p, dtype=float)))
     ground = draw(st.one_of(clouds, ring_grounds(96)))
     if ground.diameter() == 0.0:  # distinct floats can still be 0 apart after rounding
         ground = MetricGround.from_coords(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    tie_tol = draw(TIE_TOLERANCES)
-    built_at = draw(st.sampled_from([tie_tol, 1e-9]))
-    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(2, 4)), tie_tol=built_at)
-    return Tower(seq, tie_tol), tie_tol
+    tie_tol, with_pass, depth = draw(TIE_TOLERANCES), draw(st.booleans()), draw(st.integers(2, 4))
+    with at_tie_tolerance(tie_tol):
+        seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth)
+        return Tower(seq if with_pass else dataclasses.replace(seq, greedy=None)), tie_tol
 
 
 @st.composite
 def homology_towers(draw, tie_tolerances=st.just(1e-9)):
-    """A tower of a drawn cloud, depth 3 or 4, at a drawn tie tolerance (default 1e-9).
+    """(tower, tie tolerance) for a drawn cloud, depth 3 or 4, at a drawn tie tolerance (default 1e-9).
 
     Rings carry a loop over several levels, so degree-1 ranks are exercised
     as well as components.
@@ -118,17 +129,19 @@ def homology_towers(draw, tie_tolerances=st.just(1e-9)):
     ground = draw(st.one_of(points.map(lambda p: MetricGround.from_coords(np.array(p, dtype=float))),
                             ring_grounds(128)))
     assume(ground.diameter() > 0.0)
-    tie_tol = draw(tie_tolerances)
-    seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth=draw(st.integers(3, 4)), tie_tol=tie_tol)
-    assume(seq.depth >= 2)  # a shape report needs two levels
-    return Tower(seq, tie_tol)
+    tie_tol, depth = draw(tie_tolerances), draw(st.integers(3, 4))
+    with at_tie_tolerance(tie_tol):
+        seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth)
+        assume(seq.depth >= 2)  # a shape report needs two levels
+        return Tower(seq), tie_tol
 
 
 def full_lattice_tower(tie_tol, depth):
     """The 5 x 4 integer grid: three-way ties at level 1; at tie tolerance 0.5 every clause is violated."""
     points = np.array([(i, j) for i in range(5) for j in range(4)], dtype=float)
     ground = MetricGround.from_coords(points)
-    return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth, tie_tol=tie_tol), tie_tol), tie_tol
+    with at_tie_tolerance(tie_tol):
+        return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth)), tie_tol
 
 
 def non_nested_circle_sequence():
@@ -267,15 +280,16 @@ def metric_grounds(draw):
 def test_pass_nearest_tables_match_nearest_sets(ground, tie_tol, drawn_thresholds):
     # the thresholds come in drawn order, then a finer cut is followed by a
     # coarser one, so a net is cut after the pass has run past it
-    perm = GreedyPermutation(ground, tie_tol)
     thresholds = [*drawn_thresholds, min(drawn_thresholds) / 4, 2 * max(drawn_thresholds)]
-    for t in thresholds:
-        net, _ = cut_net(perm, t)
-        got = perm.nearest_sets(net)
-        want = nearest_sets(ground, net, tie_tol)
-        loops = ref.padded(ref.reference_nearest_sets(ref.dense(ground)[:, list(net)], net, tie_tol))
-        assert got.dtype == want.dtype == loops.dtype and got.shape == want.shape == loops.shape
-        assert got.tobytes() == want.tobytes() == loops.tobytes()
+    with at_tie_tolerance(tie_tol):
+        perm = GreedyPermutation(ground)
+        for t in thresholds:
+            net, _ = cut_net(perm, t)
+            got = perm.nearest_sets(net)
+            want = nearest_sets(ground, net)
+            loops = ref.padded(ref.reference_nearest_sets(ref.dense(ground)[:, list(net)], net, tie_tol))
+            assert got.dtype == want.dtype == loops.dtype and got.shape == want.shape == loops.shape
+            assert got.tobytes() == want.tobytes() == loops.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -297,9 +311,10 @@ def test_hyperlevels_list_singletons_first_in_net_order(drawn):
 
 @PROPERTY_SETTINGS
 @given(homology_towers())
-@example(full_lattice_tower(1e-9, 3)[0])
-@example(full_lattice_tower(1e-9, 4)[0])
-def test_scale_route_homology_matches_order_route(tower):
+@example(full_lattice_tower(1e-9, 3))
+@example(full_lattice_tower(1e-9, 4))
+def test_scale_route_homology_matches_order_route(drawn):
+    tower, _ = drawn
     rep = shape_report(tower)
     hls = [build_hyperlevel(tower.ground, lv, cap=3) for lv in tower.seq.levels]
     homs = [ref.chain_homology(order_complex(hl)) for hl in hls]  # each order complex reduced once
@@ -334,9 +349,10 @@ def closed_neighbourhoods(n, simplices):
 
 @PROPERTY_SETTINGS
 @given(homology_towers())
-@example(full_lattice_tower(1e-9, 3)[0])
-@example(full_lattice_tower(1e-9, 4)[0])
-def test_collapsed_homology_matches_full_reduction(tower):
+@example(full_lattice_tower(1e-9, 3))
+@example(full_lattice_tower(1e-9, 4))
+def test_collapsed_homology_matches_full_reduction(drawn):
+    tower, _ = drawn
     rep = shape_report(tower)
     hls = [build_hyperlevel(tower.ground, lv, cap=3) for lv in tower.seq.levels]
     for row, hl in zip(rep.levels, hls):
@@ -424,9 +440,10 @@ def assert_routes_agree(tower):
 
 @PROPERTY_SETTINGS
 @given(homology_towers(tie_tolerances=st.sampled_from([1e-9, 0.5])))
-@example(full_lattice_tower(1e-9, 3)[0])
-@example(full_lattice_tower(0.5, 4)[0])
-def test_edge_route_matches_full_poset_route(tower):
+@example(full_lattice_tower(1e-9, 3))
+@example(full_lattice_tower(0.5, 4))
+def test_edge_route_matches_full_poset_route(drawn):
+    tower, tie_tol = drawn
     assert_routes_agree(tower)
 
     # plant a bonding-diameter failure at each pair n + 1 -> n: shrink
@@ -439,7 +456,8 @@ def test_edge_route_matches_full_poset_route(tower):
             continue
         shrunk = list(seq.levels)
         shrunk[n - 1] = dataclasses.replace(shrunk[n - 1], epsilon=ref.map_diameter(tower.ground, p.table) / 2)
-        planted = Tower(dataclasses.replace(seq, levels=tuple(shrunk)), tower.tie_tol)
+        with at_tie_tolerance(tie_tol):
+            planted = Tower(dataclasses.replace(seq, levels=tuple(shrunk)))
         errors = [outcome(bonding_map, planted, build_hyperlevel(tower.ground, fine, cap=cap))
                   for cap in (2, 3)]
         assert isinstance(errors[0], str) and errors[0] == errors[1]
@@ -448,12 +466,13 @@ def test_edge_route_matches_full_poset_route(tower):
 
 @PROPERTY_SETTINGS
 @given(homology_towers())
-@example(full_lattice_tower(1e-9, 3)[0])
-def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(tower):
+@example(full_lattice_tower(1e-9, 3))
+def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(drawn):
     # what run and verify do not re-check: every step bonding map and every
     # composite that passes its diameter check is monotone, and its minimal
     # selection lands on coarse elements, with the vertex map a -> min p({a})
     # as its singleton part
+    tower, _ = drawn
     levels = tower.seq.levels
     for cap in (2, 3):
         hls = [build_hyperlevel(tower.ground, lv, cap=cap) for lv in levels]
