@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from finiteshape import hyperspace
-from finiteshape.construction import TIE_TOL, AdjustedSequence, Level, build_adjusted_sequence
+from finiteshape import construction, hyperspace
+from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     BondingDiameterError,
     MultiMap,
@@ -221,10 +221,13 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
             assert comp == singleton_bonding_chain(g, seq.levels[n - 1:m])
 
 
-def test_the_sequence_picks_the_route_of_the_tower_tables(monkeypatch):
-    # a built sequence serves the tower from its farthest-point pass; a
-    # sequence without a pass, or with a pass over another ground, gets one
-    # nearest_sets call per level; the tables agree byte for byte
+@pytest.mark.parametrize("tie_tol", [1e-9, 0.05])
+def test_tower_reads_tables_off_the_pass_only_at_its_tie_tolerance(tie_tol, monkeypatch):
+    # with construction.TIE_TOL at tie_tol, a built sequence serves the tower
+    # from its farthest-point pass; a sequence without a pass, or with a pass
+    # over another ground, gets one nearest_sets call per level; the tables
+    # agree byte for byte and with the reference loop at tie_tol
+    monkeypatch.setattr(construction, "TIE_TOL", tie_tol)
     g = generate(SpaceSpec("warsaw_circle", n=500))
     seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
     original, calls = hyperspace.nearest_sets, []
@@ -239,7 +242,7 @@ def test_the_sequence_picks_the_route_of_the_tower_tables(monkeypatch):
         for lv in seq.levels:
             assert tower.q[lv.index].tobytes() == computed.q[lv.index].tobytes()
     for lv in seq.levels:
-        expected = reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, TIE_TOL)
+        expected = reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, tie_tol)
         assert images_of(tower.q[lv.index]) == tuple(expected)
 
 
