@@ -12,11 +12,16 @@ which keeps both comparisons strict under floating point.
 
 Nets are prefixes of one greedy farthest-point order of the ground, each cut
 where the insertion radius drops below its threshold, and ``gamma_n`` is the
-next insertion radius (Gonzalez 1985).  The order is extended lazily, one
-distance row per inserted point, and stops once its radius falls below the
-finest threshold asked for.  The same rows give every level's nearest-point
-table: each insertion records the ground points whose coverage it ties, and
-the table of any prefix is assembled from those records, so no ground-to-net
+next insertion radius (Gonzalez 1985).  The order is extended lazily and
+stops once its radius falls below the finest threshold asked for.  Each
+inserted point reads its distances only to the points within its insertion
+radius (widened by the tie tolerance), the only ones whose coverage it can
+change or tie: on a coordinate ground that is one contiguous window of the
+points sorted along the axis of widest spread (``MetricGround.within``, with
+the rounding argument in ``metric.axis_reach``); a distance-matrix ground
+gives its whole row.  The same reads give every level's nearest-point table:
+each insertion records the ground points whose coverage it ties, and the
+table of any prefix is assembled from those records, so no ground-to-net
 distance is read twice.  Exactly represented grounds
 (``density == 0``) build each net at the plain threshold ``epsilon_n``, the
 textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
@@ -111,8 +116,9 @@ class GreedyPermutation:
     ``order[:k + 1]``, which is the insertion radius of the next point; the
     radii never increase, and the whole pass ends at 0.  ``extend(t)``
     inserts points until the last radius falls below ``t`` (``extend(0)``
-    runs the whole pass).  Each insertion reads one distance row, and the
-    computed prefix does not depend on where the pass stops.
+    runs the whole pass).  Each insertion reads the distances within its
+    insertion radius (``_insert``), and the computed prefix does not depend
+    on where the pass stops.
 
     Each insertion also records every ground point whose distance to the new
     point ties its coverage so far (``ties``), with that distance;
@@ -134,16 +140,25 @@ class GreedyPermutation:
         self._near_dists = np.empty(0)
         self._recorded = [0]
         self._unfolded: list[tuple[np.ndarray, np.ndarray]] = []
-        self._insert(0)
+        self._insert(0, np.inf)
 
-    def _insert(self, i: int) -> None:
+    def _insert(self, i: int, radius: float) -> None:
+        """Insert point ``i``, whose coverage so far is the pass's radius ``radius``.
+
+        Only points within ``radius * (1 + TIE_TOL)`` of ``i`` are read
+        (``MetricGround.within``).  A point x farther away keeps its coverage,
+        which is at most ``radius``, and does not tie it: rounding is
+        monotone, so its distance exceeds the tie bound of any coverage up to
+        ``radius``.  The argmax still runs over every point.
+        """
         self._order.append(i)
-        row = self.ground.block(slice(i, i + 1), slice(None))[0]
-        np.minimum(self._cover, row, out=self._cover)
-        near = np.flatnonzero(ties(row, self._cover))
-        self._unfolded.append((near, row[near]))
-        self._recorded.append(self._recorded[-1] + len(near))
-        self._next = int(np.argmax(self._cover))
+        points, row = self.ground.within(i, radius * (1.0 + TIE_TOL))
+        cover = np.minimum(self._cover[points], row)
+        self._cover[points] = cover
+        near = ties(row, cover)
+        self._unfolded.append((points[near], row[near]))
+        self._recorded.append(self._recorded[-1] + int(np.count_nonzero(near)))
+        self._next = int(self._cover.argmax())
         self._radii.append(float(self._cover[self._next]))
 
     def _fold(self) -> None:
@@ -155,7 +170,7 @@ class GreedyPermutation:
 
     def extend(self, threshold: float) -> "GreedyPermutation":
         while self._radii[-1] >= threshold and self._radii[-1] > 0.0:
-            self._insert(self._next)
+            self._insert(self._next, self._radii[-1])
         return self
 
     @property
@@ -389,8 +404,10 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     ground indices in ``[0, ground.n)``, a stored ``gamma`` that is not the
     net's coverage radius on ``ground`` (the checks judge the stored values),
     a ``requested_depth`` below the number of levels, or above it without a
-    ``stop_reason`` (a truncated file), or a ``stop_reason`` without a
-    ``requested_depth`` above the number of levels.  The ``density``
+    ``stop_reason`` (a truncated file), a ``stop_reason`` without a
+    ``requested_depth`` above the number of levels, or a ``stop_reason`` on
+    a ground of density 0, where ``build_adjusted_sequence`` never stops
+    early.  The ``density``
     and ``stopped_early`` lines are not read; ``stop_reason`` alone marks a
     stop.  The ``safety`` line and ``threshold`` fields of older files are
     ignored: no check reads them.
@@ -454,6 +471,9 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     if reason is not None and requested in (None, len(levels)):
         missing = "no requested_depth line" if requested is None else f"all {requested} requested levels are stored"
         raise SequenceFormatError(f"{reason_at}: stop_reason describes no stop: {missing}")
+    if reason is not None and ground.density == 0.0:
+        raise SequenceFormatError(f"{reason_at}: stop_reason on a ground of density 0, where construction never "
+                                  f"stops early; give the sample's density with --density")
     return AdjustedSequence(
         ground=ground,
         levels=tuple(levels),

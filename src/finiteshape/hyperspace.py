@@ -55,21 +55,36 @@ class BondingDiameterError(RuntimeError):
 def enumerate_small_subsets(ground: MetricGround, net, two_eps: float, cap: int) -> list[tuple[int, ...]]:
     """All subsets of the net positions {0..m-1} with diameter < two_eps and size <= cap.
 
-    ``net`` lists the ground indices of the ``m`` net points; net x net
-    distances are read from ``ground`` in row blocks, so no ``m x m`` block
-    is formed.  Returns the elements: sorted tuples of positions, listed by
-    size and within a size in lex order, so element ``i < m`` is the
-    singleton ``(i,)``.  The subsets are the cliques of the graph of pairs
-    closer than two_eps (``grow_cliques``).
+    ``net`` lists the ground indices of the ``m`` net points.  The pairs
+    closer than two_eps come from ``MetricGround.close_pairs``, which on a
+    coordinate ground reads only the pairs close along its sort axis, and
+    are scattered into one bitmask per position, in row blocks.  Returns the
+    elements: sorted tuples of positions, listed by size and within a size
+    in lex order, so element ``i < m`` is the singleton ``(i,)``.  The
+    subsets are the cliques of the graph of those pairs (``grow_cliques``).
+    """
+    return list(itertools.chain.from_iterable(grow_cliques(_ahead_masks(ground, net, two_eps), cap)))
+
+
+def _ahead_masks(ground: MetricGround, net, two_eps: float) -> list[int]:
+    """ahead[i]: bitmask of the net positions j > i closer than two_eps to position i.
+
+    The pairs are scattered into packed bytes in row blocks, and are freed
+    before the cliques are grown.
     """
     net = np.asarray(net, dtype=np.intp)
-    m = len(net)
-    ahead = []  # ahead[i]: bitmask of the positions j > i closer than two_eps to i
-    for rows in row_blocks(m, m):
-        close = ground.block(net[rows], net[rows.start:]) < two_eps  # columns from the block's first row on
-        for i, packed in zip(range(rows.start, rows.stop), np.packbits(close, axis=1, bitorder="little")):
-            ahead.append(int.from_bytes(packed.tobytes(), "little") >> (i - rows.start + 1) << (i + 1))
-    return list(itertools.chain.from_iterable(grow_cliques(ahead, cap)))
+    i, j = ground.close_pairs(net, two_eps)
+    by_row = np.argsort(i, kind="stable")
+    i, j = i[by_row], j[by_row]
+    width = (len(net) + 7) // 8
+    ahead = []
+    # bincount sums the bits of each packed byte, distinct powers of two, so
+    # the sum is their union; its float64 sums take eight bytes a packed byte
+    for rows in row_blocks(len(net), 8 * width):
+        e = slice(*i.searchsorted((rows.start, rows.stop)))
+        packed = np.bincount((i[e] - rows.start) * width + (j[e] >> 3), 1 << (j[e] & 7), (rows.stop - rows.start) * width)
+        ahead += [int.from_bytes(row.tobytes(), "little") for row in packed.astype(np.uint8).reshape(-1, width)]
+    return ahead
 
 
 def grow_cliques(ahead: list[int], cap: int) -> list[list[tuple[int, ...]]]:

@@ -2,7 +2,12 @@
 
 A :class:`MetricGround` is a finite point set read through a distance oracle:
 ``block(rows, cols)`` for dense sub-blocks and ``pairs(i, j)`` for
-elementwise distances.  A ground is either coordinates or a table: a
+elementwise distances, and two reads of nearby distances only:
+``within(i, r)``, the distances from one point to a set holding every point
+within ``r`` of it, and ``close_pairs(points, r)``, the pairs of a subset
+closer than ``r``.  On coordinates both read only the points whose
+coordinates along the axis of widest spread lie within ``r``, widened by a
+rounding slack (``axis_reach``).  A ground is either coordinates or a table: a
 distance-matrix ground keeps its validated table and slices it; a coordinate
 ground keeps no table and computes each distance from its coordinates when it
 is read.  A ground stands in for a compact metric space: ``density`` is the
@@ -104,6 +109,74 @@ class MetricGround:
         return np.sqrt(out, out=out)
 
     @cached_property
+    def _sorted_axis(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(axis, order, rank, sorted points) of a coordinate ground, formed on first read.
+
+        ``axis`` is the coordinate of widest spread (the first such), and
+        ``order`` lists the points by it, stably; ``rank`` inverts ``order``.
+        The sorted points are ``coords[order]`` with each coordinate
+        contiguous, so a window of the order is a slice of every coordinate.
+        """
+        axis = int(np.argmax(np.ptp(self.coords, axis=0)))
+        order = np.argsort(self.coords[:, axis], kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(self.n)
+        return axis, order, rank, np.asfortranarray(self.coords[order])
+
+    def within(self, i: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """(points, their distances from point ``i``), holding every point at distance at most ``r`` from ``i``.
+
+        A distance-matrix ground gives its whole row.  A coordinate ground
+        gives the contiguous window of its points sorted along the axis of
+        widest spread (``_sorted_axis``) whose coordinates on that axis lie
+        within reach ``r`` of the coordinate of ``i`` (``axis_reach``).  The
+        distances have the bits of ``block``: each squared term is that of
+        the swapped difference, which rounds to the negated value.
+        """
+        if self.table is not None:
+            return np.arange(self.n), self.table[i]
+        axis, order, rank, points = self._sorted_axis
+        keys = points[:, axis]
+        lo, hi = axis_reach(keys[rank[i]], r)
+        window = slice(keys.searchsorted(lo, side="left"), keys.searchsorted(hi, side="right"))
+        out = _squared_sums(points, window, rank[i])
+        return order[window], np.sqrt(out, out=out)
+
+    def close_pairs(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Position pairs (u, v), u < v, of the index array ``points`` whose distance is below ``r``.
+
+        A distance-matrix ground reads its ``points x points`` block in row
+        blocks, each from its first row on.  A coordinate ground sorts
+        ``points`` along its axis of widest spread and reads only the pairs
+        whose coordinates on it lie within reach ``r`` of each other
+        (``axis_reach``), in chunks of at most
+        ``BLOCK_ELEMENTS`` pairs, so no ``m x m`` array is formed.  Either
+        way the distances have the bits of ``block``.
+        """
+        first, second = [], []
+        if self.table is not None:
+            for rows in row_blocks(len(points), len(points)):
+                u, v = np.nonzero(self.block(points[rows], points[rows.start:]) < r)
+                upper = v > u  # columns from the block's first row on
+                first.append(u[upper] + rows.start)
+                second.append(v[upper] + rows.start)
+            return np.concatenate(first), np.concatenate(second)
+        keys = self.coords[points, self._sorted_axis[0]]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        counts = keys.searchsorted(axis_reach(keys, r)[1], side="right") - np.arange(1, len(keys) + 1)
+        for slots in _pair_chunks(counts):
+            c = counts[slots]
+            a = np.repeat(np.arange(slots.start, slots.stop), c)  # a slot and each later slot within its reach
+            b = np.arange(1, len(a) + 1) - np.repeat(np.cumsum(c) - c, c) + a
+            u, v = order[a], order[b]
+            close = self.pairs(points[u], points[v]) < r
+            u, v = u[close], v[close]
+            first.append(np.minimum(u, v))
+            second.append(np.maximum(u, v))
+        return np.concatenate(first), np.concatenate(second)
+
+    @cached_property
     def _row_extremes(self) -> tuple[float, float]:
         """(diameter, largest nearest-neighbor distance), exact.
 
@@ -163,6 +236,38 @@ class MetricGround:
         dist = np.asarray(dist, dtype=float)
         _validate_distance_table(dist)
         return MetricGround(density=float(density), table=dist)
+
+
+def axis_reach(key, r: float):
+    """Bounds (lo, hi) on the sort key of every point at computed distance at most ``r`` from a point with ``key``.
+
+    Let a be the sort axis, t = fl(p_a - x_a), and d the computed distance
+    fl(sqrt(S)) between p and x, where S sums the rounded squares in order.
+    The squares are nonnegative and rounded addition is monotone, so
+    S >= fl(t * t), and so d >= fl(sqrt(fl(t * t))) since the rounded root is
+    monotone too.  If fl(t * t) is normal, that root is at least
+    |t| (1 - 2u) with u = 2^-53; if not, |t| < 2^-511.  A subtraction rounds
+    by at most a factor 1 - u (it is exact when its result is subnormal).
+    So d <= r gives |p_a - x_a| <= r (1 + 2^-51) + 2^-510, and the rounded
+    half-width w = r (1 + 2^-48) + 2^-508 is at least that.  Every key is a
+    float, so rounding, being monotone, keeps x_a >= key - w as
+    x_a >= fl(key - w), and likewise above: the bounds need no further
+    margin, at any offset or scale, and an overflow only widens them.
+    """
+    w = r * (1.0 + 2.0 ** -48) + 2.0 ** -508
+    return key - w, key + w
+
+
+def _pair_chunks(counts: np.ndarray) -> list[slice]:
+    """Consecutive slices whose ``counts`` sum to at most ``BLOCK_ELEMENTS`` (a larger count alone)."""
+    ends = np.cumsum(counts)
+    chunks, start = [], 0
+    while start < len(counts):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(ends.searchsorted(done + BLOCK_ELEMENTS, side="right")))
+        chunks.append(slice(start, stop))
+        start = stop
+    return chunks
 
 
 def _squared_sums(coords: np.ndarray, i, j) -> np.ndarray:
@@ -640,8 +745,6 @@ def write_coords_csv(ground: MetricGround, path: str) -> None:
         raise ValueError("ground has no coordinates to export")
     dim = ground.coords.shape[1]
     names = ["x", "y", "z"] + [f"x{k}" for k in range(3, dim)]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["id"] + names[:dim])
-        for i, row in enumerate(ground.coords):
-            out.writerow([i] + [repr(float(v)) for v in row])
+    with open(path, "w", newline="") as fh:  # the csv module's default dialect: "\r\n" line ends
+        fh.write(",".join(["id"] + names[:dim]) + "\r\n")
+        fh.writelines(f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(ground.coords.tolist()))

@@ -4,7 +4,9 @@
 nearest-neighbour distance off one pass over half the pairs, in row blocks;
 ``reference_warsaw_graph_table`` forms the Warsaw arc-length table over the
 whole grid at once.  The library computes the same floats from leaf-pair
-tiles and in chunks.
+tiles and in chunks.  ``reference_enumerate_small_subsets`` compares every
+net pair with the hyperlevel's scale, where the library reads only the pairs
+close along the ground's sort axis.
 
 Each tower function here computes, one ground point or one net point at a
 time, what the library computes as array reductions over a ``Tower``, as a
@@ -37,7 +39,7 @@ import numpy as np
 
 from finiteshape.construction import gamma
 from finiteshape.gf2 import ChainHomology, ColumnReducer
-from finiteshape.hyperspace import MultiMap, _union_rows, nearest_sets, row_diameters
+from finiteshape.hyperspace import MultiMap, _union_rows, grow_cliques, nearest_sets, row_diameters
 from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex
 from finiteshape.metric import _squared_sums, row_blocks
 
@@ -103,6 +105,22 @@ def reference_build_net(dist, epsilon):
         net.append(far)
         np.minimum(cover, dist[far], out=cover)
     return tuple(sorted(net))
+
+
+def reference_enumerate_small_subsets(ground, net, two_eps, cap):
+    """The hyperlevel elements of ``hyperspace.enumerate_small_subsets``, every net pair compared.
+
+    The net x net distances are read in row blocks, each from its first row
+    on, so every pair is read once whatever its distance along the sort axis.
+    """
+    net = np.asarray(net, dtype=np.intp)
+    m = len(net)
+    ahead = []  # ahead[i]: bitmask of the positions j > i closer than two_eps to i
+    for rows in row_blocks(m, m):
+        close = ground.block(net[rows], net[rows.start:]) < two_eps  # columns from the block's first row on
+        for i, packed in zip(range(rows.start, rows.stop), np.packbits(close, axis=1, bitorder="little")):
+            ahead.append(int.from_bytes(packed.tobytes(), "little") >> (i - rows.start + 1) << (i + 1))
+    return list(itertools.chain.from_iterable(grow_cliques(ahead, cap)))
 
 
 def write_distmatrix_csv(ground, path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,42 @@ def test_run_circle_stabilized(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stabilized ranks" in out
     assert "all checks passed" in out
+
+
+def _built_depth_and_ranks(capsys, args):
+    """(exit code, built depth, stabilized ranks, stated density) of one ``run``."""
+    capsys.readouterr()
+    code = run_cli(["run", *args])
+    out = capsys.readouterr().out
+    built = re.search(r"^depth: requested \d+, built (\d+)$", out, re.M).group(1)
+    ranks = re.search(r"stabilized ranks \(window \d+\): (\(.*\))$", out, re.M).group(1)
+    return code, int(built), ranks, float(re.search(r"density (\S+) ", out).group(1))
+
+
+@pytest.mark.parametrize("kind, n, depth", [("circle", 256, 4), ("warsaw_circle", 2000, 4), ("circle", 2000, 6)])
+def test_run_is_invariant_under_input_transforms(tmp_path, capsys, kind, n, depth):
+    # the farthest-point pass reads windows along the axis of widest spread,
+    # so reordering, swapping axes, scaling and large offsets must change no result
+    generated = tmp_path / "g.csv"
+    assert run_cli(["generate", "--space", kind, "--n", str(n), "--out", str(generated)]) == 0
+    code, built, ranks, density = _built_depth_and_ranks(
+        capsys, ["--space", kind, "--n", str(n), "--depth", str(depth), "--outdir", str(tmp_path / "out")])
+    assert (code, built, ranks) == (0, depth, "(1, 1)")
+    points = np.loadtxt(generated, delimiter=",", skiprows=1)[:, 1:]
+    transforms = {
+        "as written": (points, density),
+        "permuted": (points[np.random.default_rng(0).permutation(n)], density),
+        "reversed": (points[::-1], density),
+        "axes swapped": (points[:, ::-1], density),
+        "scaled by 3": (3.0 * points, 3.0 * density),
+        "shifted": (points + [1e6, -1e6], density),
+    }
+    for name, (moved, stated) in transforms.items():
+        path = tmp_path / "moved.csv"
+        path.write_text("id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(moved.tolist())))
+        got = _built_depth_and_ranks(capsys, ["--input", str(path), "--density", repr(stated), "--depth", str(depth),
+                                               "--outdir", str(tmp_path / "out")])
+        assert got[:3] == (0, built, ranks), name
 
 
 def test_run_times_itself_with_the_monotonic_clock(tmp_path, capsys, monkeypatch):
@@ -543,6 +580,21 @@ def test_verify_stored_tower_missing_levels_without_a_stop_reason_fails(tmp_path
     assert code == 1
     assert out.startswith("FAIL sequence-format: ")
     assert "sequence.txt:3: requested_depth = 3 is above the 2 stored levels, and no stop_reason says why" in out
+
+
+def test_verify_stored_stop_reason_on_a_density_0_ground_fails(tmp_path, capsys):
+    # construction never stops early at density 0: a tower cut after level 2
+    # with a made-up stop reason printed "stopped: made up" and passed
+    coords, seq_file = _stored_circle64(tmp_path)
+    seq_file.write_text("".join(seq_file.read_text().splitlines(keepends=True)[:-1]))
+    _edit_header_line(seq_file, "# stopped_early = False", "# stopped_early = False\n# stop_reason = made up")
+    capsys.readouterr()
+    code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL sequence-format: ")
+    assert "sequence.txt:5: stop_reason on a ground of density 0, where construction never stops early" in out
+    assert "--density" in out
 
 
 def test_run_non_finite_coordinate_is_input_error(tmp_path, capsys):
