@@ -15,16 +15,12 @@ where the insertion radius drops below its threshold, and ``gamma_n`` is the
 next insertion radius (Gonzalez 1985).  The order is extended lazily and
 stops once its radius falls below the finest threshold asked for.  Each
 inserted point reads its distances only to the points within its insertion
-radius (widened by the tie tolerance), the only ones whose coverage it can
-change or tie: on a coordinate ground that is one contiguous window of the
-points sorted along the axis of widest spread (``MetricGround.within``, with
-the rounding argument in ``metric.axis_reach``); a distance-matrix ground
-gives its whole row.  The same reads give every level's nearest-point table:
-each insertion records the ground points whose coverage it ties, and the
-table of any prefix is assembled from those records, so no ground-to-net
-distance is read twice.  Exactly represented grounds
-(``density == 0``) build each net at the plain threshold ``epsilon_n``, the
-textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
+radius, the only ones whose coverage it can change: on a coordinate ground
+that is one contiguous window of the points sorted along the axis of widest
+spread (``MetricGround.within``, with the rounding argument in
+``metric.axis_reach``); a distance-matrix ground gives its whole row.
+Exactly represented grounds (``density == 0``) build each net at the plain
+threshold ``epsilon_n``, the textbook recursion.  Grounds that stand in for a continuum (``density > 0``)
 would stall after one or two levels that way, because the greedy stopping
 coverage sits barely below its threshold and the recursion collapses.  For
 those, a geometric scale ladder is planned from ``epsilon_1`` down to just
@@ -40,7 +36,7 @@ scale ``2 * epsilon_n`` even though every ground point is covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +66,6 @@ class AdjustedSequence:
     levels: tuple[Level, ...]
     requested_depth: int
     stop_reason: str | None = None  # why fewer than requested_depth levels were built
-    greedy: GreedyPermutation | None = field(default=None, repr=False, compare=False)  # the pass the nets were cut from
 
     @property
     def stopped_early(self) -> bool:
@@ -83,14 +78,6 @@ class AdjustedSequence:
     def level(self, n: int) -> Level:
         """1-based level access."""
         return self.levels[n - 1]
-
-
-TIE_TOL = 1e-9  # relative: exactly symmetric ties that rounding splits still tie
-
-
-def ties(d, nearest):
-    """The tie rule: distance ``d`` ties the nearest distance when ``d <= nearest * (1 + TIE_TOL)``."""
-    return d <= nearest * (1.0 + TIE_TOL)
 
 
 def padded_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -119,11 +106,6 @@ class GreedyPermutation:
     runs the whole pass).  Each insertion reads the distances within its
     insertion radius (``_insert``), and the computed prefix does not depend
     on where the pass stops.
-
-    Each insertion also records every ground point whose distance to the new
-    point ties its coverage so far (``ties``), with that distance;
-    ``nearest_sets`` assembles the nearest-set table of any net cut from the
-    pass out of these records.
     """
 
     def __init__(self, ground: MetricGround):
@@ -131,42 +113,20 @@ class GreedyPermutation:
         self._cover = np.full(ground.n, np.inf)
         self._order: list[int] = []
         self._radii: list[float] = []
-        # Records, insertion after insertion: the ground points each insertion
-        # came within tie of, and their distances to it.  Insertion k holds
-        # entries [_recorded[k], _recorded[k + 1]) of the two record arrays.
-        # New records wait in _unfolded until a table is read, and are then
-        # folded in, so the pass leaves no per-insertion arrays behind.
-        self._near_points = np.empty(0, dtype=np.intp)
-        self._near_dists = np.empty(0)
-        self._recorded = [0]
-        self._unfolded: list[tuple[np.ndarray, np.ndarray]] = []
         self._insert(0, np.inf)
 
     def _insert(self, i: int, radius: float) -> None:
         """Insert point ``i``, whose coverage so far is the pass's radius ``radius``.
 
-        Only points within ``radius * (1 + TIE_TOL)`` of ``i`` are read
-        (``MetricGround.within``).  A point x farther away keeps its coverage,
-        which is at most ``radius``, and does not tie it: rounding is
-        monotone, so its distance exceeds the tie bound of any coverage up to
-        ``radius``.  The argmax still runs over every point.
+        Only points within ``radius`` of ``i`` are read
+        (``MetricGround.within``): a point farther away keeps its coverage,
+        which is at most ``radius``.  The argmax still runs over every point.
         """
         self._order.append(i)
-        points, row = self.ground.within(i, radius * (1.0 + TIE_TOL))
-        cover = np.minimum(self._cover[points], row)
-        self._cover[points] = cover
-        near = ties(row, cover)
-        self._unfolded.append((points[near], row[near]))
-        self._recorded.append(self._recorded[-1] + int(np.count_nonzero(near)))
+        points, row = self.ground.within(i, radius)
+        self._cover[points] = np.minimum(self._cover[points], row)
         self._next = int(self._cover.argmax())
         self._radii.append(float(self._cover[self._next]))
-
-    def _fold(self) -> None:
-        if self._unfolded:
-            points, dists = zip(*self._unfolded)
-            self._near_points = np.concatenate([self._near_points, *points])
-            self._near_dists = np.concatenate([self._near_dists, *dists])
-            self._unfolded = []
 
     def extend(self, threshold: float) -> "GreedyPermutation":
         while self._radii[-1] >= threshold and self._radii[-1] > 0.0:
@@ -180,32 +140,6 @@ class GreedyPermutation:
     @property
     def radii(self) -> np.ndarray:
         return np.array(self._radii)
-
-    def nearest_sets(self, net) -> np.ndarray:
-        """Nearest-set table of a net cut from this pass, equal to ``hyperspace.nearest_sets``.
-
-        ``net`` must be a computed prefix of the order, sorted.  Row x lists
-        the net points whose distance to x ties x's coverage by the net, the
-        smallest recorded distance.  Nothing is missed: coverage only
-        decreases and ``ties`` rounds monotonically, so each such point, and
-        the nearest one, tied x's coverage when it was inserted.  The
-        recorded distances are those ``ground.block`` gives with rows and
-        columns swapped, which a ground's symmetric distances make equal
-        bit for bit.
-        """
-        size = len(net)
-        if not np.array_equal(np.sort(self._order[:size]), np.asarray(net)):
-            raise ValueError("net is not a prefix of this farthest-point pass")
-        self._fold()
-        points = self._near_points[:self._recorded[size]]
-        dists = self._near_dists[:self._recorded[size]]
-        members = np.repeat(np.array(self._order[:size], dtype=np.intp), np.diff(self._recorded[:size + 1]))
-        cover = np.full(self.ground.n, np.inf)
-        np.minimum.at(cover, points, dists)
-        keep = ties(dists, cover[points])
-        points, members = points[keep], members[keep]
-        by_point = np.lexsort((members, points))
-        return padded_rows(self.ground.n, points[by_point], members[by_point])
 
 
 def cut_net(perm: GreedyPermutation, threshold: float) -> tuple[tuple[int, ...], float]:
@@ -295,9 +229,7 @@ def build_adjusted_sequence(ground: MetricGround, epsilon1: float, depth: int, s
     must not be able to fake the inequalities), ``depth >= 1``,
     ``0 < safety < 1``.  Construction stops with an explicit status as soon as
     the next scale would fall to ``2 * ground.density`` or below.  The nets
-    are cut from one farthest-point pass recording nearest-point ties; the
-    sequence keeps it, so a ``Tower`` reads its nearest-point tables from
-    the pass.
+    are cut from one farthest-point pass.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -338,7 +270,6 @@ def build_adjusted_sequence(ground: MetricGround, epsilon1: float, depth: int, s
         levels=tuple(levels),
         requested_depth=depth,
         stop_reason=reason,
-        greedy=perm,
     )
     for rec in check_sequence_inequalities(seq):
         if not rec["ok"]:

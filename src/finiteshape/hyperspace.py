@@ -32,16 +32,17 @@ tuples are formed on demand, for tests and the benchmark tracer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .construction import AdjustedSequence, Level, padded_rows, ties
+from .construction import AdjustedSequence, Level, padded_rows
 from .metric import MetricGround, row_blocks
 
 
 MAX_ELEMENTS = 2_000_000  # element budget of one enumeration (``grow_cliques``)
+TIE_TOL = 1e-9  # relative: exactly symmetric ties that rounding splits still tie
 
 
 class ElementCapError(RuntimeError):
@@ -206,56 +207,63 @@ def row_diameters(ground: MetricGround, table: np.ndarray) -> np.ndarray:
     return _cross_max(ground, table, table)
 
 
-def nearest_sets(ground: MetricGround, net) -> np.ndarray:
-    """Nearest-set table in ``net`` of every ground point.
+def ties(d, nearest):
+    """The tie rule: distance ``d`` ties the nearest distance when ``d <= nearest * (1 + TIE_TOL)``."""
+    return d <= nearest * (1.0 + TIE_TOL)
+
+
+def nearest_sets(ground: MetricGround, net, coverage: float) -> np.ndarray:
+    """Nearest-set table in ``net`` of every ground point, for a net covering the ground within ``coverage``.
 
     ``net`` lists ground indices; row x of the result holds the net points
     nearest to ground point x, in net order, padded as in ``padded_rows``.
     A net point is listed when its distance ties the row minimum
-    (``construction.ties``), so exact symmetric ties are always captured.
-    The (ground x net) distances are read in row blocks.  A tower built by
-    ``build_adjusted_sequence`` gets the same tables from its farthest-point
-    pass; this is the route for any other net.
+    (``ties``), so exact symmetric ties are always captured.  Only the
+    pairs within ``fl(coverage * (1 + TIE_TOL))`` are read
+    (``MetricGround.net_pairs``), which hold every tie since rounding is
+    monotone; a larger ``coverage`` gives the same table.  A ground point
+    farther than ``coverage`` from the net raises ``ValueError``.
     """
     net = np.asarray(net, dtype=np.intp)
+    nearest = np.full(ground.n, np.inf)
     rows, members = [], []
-    for s in row_blocks(ground.n, len(net)):
-        block = ground.block(s, net)
-        r, c = np.nonzero(ties(block, block.min(axis=1)[:, None]))
-        rows.append(r + s.start)
-        members.append(net[c])
-    return padded_rows(ground.n, np.concatenate(rows), np.concatenate(members))
+    for x, j, d in ground.net_pairs(net, coverage * (1.0 + TIE_TOL)):
+        first = np.flatnonzero(np.diff(x, prepend=-1))  # where each point's pairs begin
+        nearest[x[first]] = np.minimum.reduceat(d, first)
+        keep = ties(d, nearest[x])
+        rows.append(x[keep])
+        members.append(j[keep])
+    far = np.flatnonzero(~(nearest <= coverage))
+    if far.size:
+        x = int(far[0])
+        raise ValueError(f"ground point {x} lies {float(ground.pairs(x, net).min())!r} from the net, "
+                         f"beyond its stated coverage {coverage!r}")
+    rows, members = np.concatenate(rows), np.concatenate(members)
+    by_row = np.lexsort((members, rows))
+    return padded_rows(ground.n, rows[by_row], net[members[by_row]])
 
 
 class Tower:
-    """The nearest-point and bonding maps of a built tower, each computed once.
+    """The nearest-point and bonding maps of a tower, each computed once.
 
     Every table is a padded integer array of ground indices (see
     ``construction.padded_rows``).  ``q[n]`` holds the nearest-set image in
-    ``A_n`` of every ground point, one row per ground point.  A sequence
-    carrying the farthest-point pass over its own ground, as built ones do,
-    supplies these tables from the pass, which already read every
-    ground-to-net distance; any other, a loaded one among them, gets one
-    ``nearest_sets`` evaluation per level.  ``composite(n, n + 1)``, a step,
-    sends each point of ``A_{n+1}`` to its image in ``A_n``: the rows of
-    ``q[n]`` at those points (the same distance row and tie threshold a
-    per-pair block would use), cut to the widest of them.  ``composite(n, m)``
-    sends each point of ``A_m`` into ``A_n`` through the steps; it is
-    memoized and extended one step from ``composite(n, m - 1)``.  Composite
-    rows follow the order of the net ``A_m``.  Bonding maps act on subsets
-    by unions of singleton images, so these tables determine every bonding
-    map.  The tower keeps the sequence without its pass, so the pass's
-    records are freed with the caller's sequence.
+    ``A_n`` of every ground point, one row per ground point, from one
+    ``nearest_sets`` evaluation at the level's coverage ``gamma_n``.
+    ``composite(n, n + 1)``, a step, sends each point of ``A_{n+1}`` to its
+    image in ``A_n``: the rows of ``q[n]`` at those points (the same
+    distance row and tie threshold a per-pair block would use), cut to the
+    widest of them.  ``composite(n, m)`` sends each point of ``A_m`` into
+    ``A_n`` through the steps; it is memoized and extended one step from
+    ``composite(n, m - 1)``.  Composite rows follow the order of the net
+    ``A_m``.  Bonding maps act on subsets by unions of singleton images, so
+    these tables determine every bonding map.
     """
 
     def __init__(self, seq: AdjustedSequence):
         self.ground = seq.ground
-        greedy = seq.greedy
-        if greedy is not None and greedy.ground is seq.ground:
-            self.q = {lv.index: greedy.nearest_sets(lv.net) for lv in seq.levels}
-        else:
-            self.q = {lv.index: nearest_sets(seq.ground, lv.net) for lv in seq.levels}
-        self.seq = replace(seq, greedy=None)
+        self.q = {lv.index: nearest_sets(seq.ground, lv.net, lv.gamma) for lv in seq.levels}
+        self.seq = seq
         self._composites: dict[tuple[int, int], np.ndarray] = {}
 
     def composite(self, n: int, m: int) -> np.ndarray:

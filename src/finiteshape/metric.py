@@ -2,15 +2,16 @@
 
 A :class:`MetricGround` is a finite point set read through a distance oracle:
 ``block(rows, cols)`` for dense sub-blocks and ``pairs(i, j)`` for
-elementwise distances, and two reads of nearby distances only:
+elementwise distances, and three reads of nearby distances only:
 ``within(i, r)``, the distances from one point to a set holding every point
-within ``r`` of it, and ``close_pairs(points, r)``, the pairs of a subset
-closer than ``r``.  On coordinates both read only the points whose
-coordinates along the axis of widest spread lie within ``r``, widened by a
-rounding slack (``axis_reach``).  A ground is either coordinates or a table: a
-distance-matrix ground keeps its validated table and slices it; a coordinate
-ground keeps no table and computes each distance from its coordinates when it
-is read.  A ground stands in for a compact metric space: ``density`` is the
+within ``r`` of it, ``net_pairs(net, r)``, the pairs of a ground point and
+a net point within ``r`` of each other, and ``close_pairs(points, r)``, the
+pairs of a subset closer than ``r``.  On coordinates they read only the
+points whose coordinates along the axis of widest spread lie within ``r``,
+widened by a rounding slack (``axis_reach``).  A ground is either
+coordinates or a table: a distance-matrix ground keeps its validated table
+and slices it; a coordinate ground keeps no table and computes each distance
+from its coordinates when it is read.  A ground stands in for a compact metric space: ``density`` is the
 claimed covering radius, i.e. every point of the idealized space lies within
 ``density`` of some ground point.  Exactly represented finite spaces carry
 ``density = 0``.
@@ -123,24 +124,53 @@ class MetricGround:
         rank[order] = np.arange(self.n)
         return axis, order, rank, np.asfortranarray(self.coords[order])
 
-    def within(self, i: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """(points, their distances from point ``i``), holding every point at distance at most ``r`` from ``i``.
+    def within(self, i: int, r: float) -> tuple[np.ndarray | slice, np.ndarray]:
+        """(selection, its distances from point ``i``), selecting every point at distance at most ``r`` from ``i``.
 
-        A distance-matrix ground gives its whole row.  A coordinate ground
-        gives the contiguous window of its points sorted along the axis of
-        widest spread (``_sorted_axis``) whose coordinates on that axis lie
-        within reach ``r`` of the coordinate of ``i`` (``axis_reach``).  The
-        distances have the bits of ``block``: each squared term is that of
-        the swapped difference, which rounds to the negated value.
+        A distance-matrix ground selects its whole row, by ``slice(None)``.
+        A coordinate ground selects the index array of the contiguous window
+        of its points sorted along the axis of widest spread
+        (``_sorted_axis``) whose coordinates on that axis lie within reach
+        ``r`` of the coordinate of ``i`` (``axis_reach``).  The distances
+        have the bits of ``block``: each squared term is that of the swapped
+        difference, which rounds to the negated value.
         """
         if self.table is not None:
-            return np.arange(self.n), self.table[i]
+            return slice(None), self.table[i]
         axis, order, rank, points = self._sorted_axis
         keys = points[:, axis]
         lo, hi = axis_reach(keys[rank[i]], r)
         window = slice(keys.searchsorted(lo, side="left"), keys.searchsorted(hi, side="right"))
         out = _squared_sums(points, window, rank[i])
         return order[window], np.sqrt(out, out=out)
+
+    def net_pairs(self, net: np.ndarray, r: float):
+        """Chunks (x, j, d) of the pairs of a ground point x and a position j of the index array ``net`` with d = d(x, net[j]) <= r.
+
+        A point's pairs are consecutive, in one chunk.  A distance-matrix
+        ground reads ``block(rows, net)`` in row blocks.  A coordinate ground
+        sorts ``net`` along its axis of widest spread and reads the bands
+        (``_bands``) of net points whose coordinates on it lie within reach
+        ``r`` of each point's (``axis_reach``).  Either way the distances
+        have the bits of ``block``.
+        """
+        if self.table is not None:
+            for rows in row_blocks(self.n, len(net)):
+                block = self.block(rows, net)
+                x, j = np.divmod(np.flatnonzero(block <= r), len(net))
+                yield x + rows.start, j, block[x, j]
+            return
+        axis, order, _, points = self._sorted_axis
+        by_key = np.argsort(self.coords[net, axis], kind="stable")
+        both = np.asfortranarray(np.concatenate([points, self.coords[net[by_key]]]))  # ground, then net, by key
+        keys = both[self.n:, axis]
+        lo, hi = axis_reach(points[:, axis], r)
+        starts = keys.searchsorted(lo, side="left")
+        for a, b in _bands(starts, keys.searchsorted(hi, side="right") - starts):
+            out = _squared_sums(both, a, b + self.n)
+            d = np.sqrt(out, out=out)
+            close = d <= r
+            yield order[a[close]], by_key[b[close]], d[close]
 
     def close_pairs(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Position pairs (u, v), u < v, of the index array ``points`` whose distance is below ``r``.
@@ -149,9 +179,8 @@ class MetricGround:
         blocks, each from its first row on.  A coordinate ground sorts
         ``points`` along its axis of widest spread and reads only the pairs
         whose coordinates on it lie within reach ``r`` of each other
-        (``axis_reach``), in chunks of at most
-        ``BLOCK_ELEMENTS`` pairs, so no ``m x m`` array is formed.  Either
-        way the distances have the bits of ``block``.
+        (``axis_reach``), in chunks (``_bands``), so no ``m x m`` array is
+        formed.  Either way the distances have the bits of ``block``.
         """
         first, second = [], []
         if self.table is not None:
@@ -164,11 +193,8 @@ class MetricGround:
         keys = self.coords[points, self._sorted_axis[0]]
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        counts = keys.searchsorted(axis_reach(keys, r)[1], side="right") - np.arange(1, len(keys) + 1)
-        for slots in _pair_chunks(counts):
-            c = counts[slots]
-            a = np.repeat(np.arange(slots.start, slots.stop), c)  # a slot and each later slot within its reach
-            b = np.arange(1, len(a) + 1) - np.repeat(np.cumsum(c) - c, c) + a
+        later = np.arange(1, len(keys) + 1)  # a slot pairs with each later slot within its reach
+        for a, b in _bands(later, keys.searchsorted(axis_reach(keys, r)[1], side="right") - later):
             u, v = order[a], order[b]
             close = self.pairs(points[u], points[v]) < r
             u, v = u[close], v[close]
@@ -258,16 +284,21 @@ def axis_reach(key, r: float):
     return key - w, key + w
 
 
-def _pair_chunks(counts: np.ndarray) -> list[slice]:
-    """Consecutive slices whose ``counts`` sum to at most ``BLOCK_ELEMENTS`` (a larger count alone)."""
+def _bands(starts: np.ndarray, counts: np.ndarray):
+    """Slot pairs (a, b) in which each slot a meets b = starts[a], ..., starts[a] + counts[a] - 1.
+
+    Yields index arrays a and b chunk by chunk; a chunk holds the whole
+    bands of consecutive slots, at most ``BLOCK_ELEMENTS`` pairs (a larger
+    band alone), a slot's pairs consecutive.
+    """
     ends = np.cumsum(counts)
-    chunks, start = [], 0
+    shift = starts + counts - ends  # b minus the pair's place k in the concatenated bands
+    start = done = 0
     while start < len(counts):
-        done = ends[start - 1] if start else 0
         stop = max(start + 1, int(ends.searchsorted(done + BLOCK_ELEMENTS, side="right")))
-        chunks.append(slice(start, stop))
-        start = stop
-    return chunks
+        a = np.repeat(np.arange(start, stop), counts[start:stop])
+        yield a, np.arange(done, ends[stop - 1]) + shift[a]
+        start, done = stop, int(ends[stop - 1])
 
 
 def _squared_sums(coords: np.ndarray, i, j) -> np.ndarray:

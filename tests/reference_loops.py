@@ -489,7 +489,7 @@ def finite_type_convert(am, betas, nets):
 
     maps = []
     for mm, net in zip(am.maps, nets):
-        pushed = nearest_sets(am.target, net)[mm.table]
+        pushed = nearest_sets(am.target, net, gamma(am.target, net))[mm.table]
         maps.append(MultiMap(_union_rows(pushed.reshape(len(pushed), -1))))
     converted = ApproximativeMap(am.source, am.target, tuple(maps))
     bounds = tuple(2.0 * b + d for b, d in zip(betas, am.diameters))

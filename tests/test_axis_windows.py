@@ -1,21 +1,22 @@
 """Windowed reads along the sort axis give the bits of the full reads.
 
-``MetricGround.within`` and ``MetricGround.close_pairs`` read only the points
-whose sort keys lie within reach of a distance bound.  The farthest-point
-pass and the hyperlevel enumeration built on them must give exactly what
-full distance rows and full net blocks give: the same order, radii,
-coverage, nearest-set tables and elements, on grounds chosen to strain the
-rounding argument of ``metric.axis_reach`` (duplicates, shared sort keys,
-large offsets, tiny and huge scales, 1-D and 3-D clouds) and on every
-generated kind.
+``MetricGround.within``, ``MetricGround.net_pairs`` and
+``MetricGround.close_pairs`` read only the points whose sort keys lie within
+reach of a distance bound.  The farthest-point pass, the nearest-set tables
+and the hyperlevel enumeration built on them must give exactly what full
+distance rows and full net blocks give: the same order, radii, coverage,
+nearest-set tables and elements, on grounds chosen to strain the rounding
+argument of ``metric.axis_reach`` (duplicates, shared sort keys, large
+offsets, tiny and huge scales, 1-D and 3-D clouds) and on every generated
+kind.
 """
 
 import numpy as np
 import pytest
 
-from finiteshape import construction, hyperspace
-from finiteshape.construction import TIE_TOL, GreedyPermutation, build_adjusted_sequence, cut_net
-from finiteshape.hyperspace import ElementCapError, enumerate_small_subsets, nearest_sets
+from finiteshape import hyperspace, metric
+from finiteshape.construction import GreedyPermutation, build_adjusted_sequence, cut_net
+from finiteshape.hyperspace import TIE_TOL, ElementCapError, Tower, enumerate_small_subsets, nearest_sets
 from finiteshape.metric import VALID_KINDS, MetricGround, SpaceSpec, generate
 from reference_loops import dense, padded, reference_build_net, reference_enumerate_small_subsets, reference_nearest_sets
 
@@ -53,10 +54,31 @@ def test_window_holds_every_point_within_reach_with_block_bits(name):
         bounds = [0.0, float(row.max()), np.inf, *rng.choice(row, 6).tolist()]
         bounds += [float(np.nextafter(r, -np.inf)) for r in bounds[3:] if r > 0]
         for r in bounds:
-            points, d = g.within(i, r)
+            selection, d = g.within(i, r)
+            points = np.arange(g.n)[selection]
             assert len(np.unique(points)) == len(points)
             assert d.tobytes() == row[points].tobytes()
             assert np.isin(np.flatnonzero(row <= r), points).all()
+
+
+@pytest.mark.parametrize("name", list(GROUNDS))
+def test_net_pairs_are_the_pairs_within_reach_with_block_bits(name):
+    g = GROUNDS[name]
+    dist = dense(g)
+    rng = np.random.default_rng(2)
+    for size in sorted({1, min(7, g.n), max(1, g.n // 3)}):
+        net = rng.choice(g.n, size, replace=False)  # unsorted, so positions differ from sort order
+        block = dist[:, net]
+        bounds = [0.0, np.inf, *rng.choice(block.ravel(), 4).tolist()]
+        bounds += [float(np.nextafter(r, -np.inf)) for r in bounds[2:] if r > 0]
+        for r in bounds:
+            chunks = list(g.net_pairs(net, r))
+            x, j, d = (np.concatenate(parts) for parts in zip(*chunks))
+            assert sorted(zip(x.tolist(), j.tolist())) == sorted(zip(*(k.tolist() for k in np.nonzero(block <= r))))
+            assert d.tobytes() == block[x, j].tobytes()
+            # each point's pairs are consecutive, in one chunk
+            firsts = np.concatenate([c[0][np.flatnonzero(np.diff(c[0], prepend=-1))] for c in chunks])
+            assert len(np.unique(firsts)) == len(firsts)
 
 
 def _dense_pass_agrees(perm, dist):
@@ -82,12 +104,12 @@ def test_windowed_pass_matches_the_dense_pass(name):
     thresholds = [*positive[::max(1, len(positive) // 6)], *(positive[:-1] + positive[1:])[::7] / 2]
     perm = GreedyPermutation(g)
     for t in sorted(thresholds, reverse=True):
-        net, _ = cut_net(perm, float(t))
+        net, covered = cut_net(perm, float(t))
         assert net == reference_build_net(dist, t)
         _dense_pass_agrees(perm, dist)
-        table = perm.nearest_sets(net)
+        table = nearest_sets(g, net, covered)
         loops = padded(reference_nearest_sets(dist[:, list(net)], net, TIE_TOL))
-        assert table.tobytes() == loops.tobytes() == nearest_sets(g, net).tobytes()
+        assert table.tobytes() == loops.tobytes()
     perm.extend(0.0)
     _dense_pass_agrees(perm, dist)
 
@@ -131,7 +153,7 @@ def test_pass_reads_few_distances_on_the_4000_point_circle(monkeypatch):
     g = generate(SpaceSpec("circle", n=4000))
     seq = build_adjusted_sequence(g, g.diameter() / 2.0, 6)
     assert seq.depth == 6
-    assert len(reads) == len(seq.greedy.order)
+    assert len(reads) == len(seq.levels[-1].net)  # the pass stops at the first point it leaves out
     assert sum(reads) < 0.05 * g.n * len(reads)
 
 
@@ -152,16 +174,33 @@ def test_enumeration_reads_few_net_pairs_on_the_4000_point_circle(monkeypatch):
     assert sum(reads) < 0.05 * m * (m - 1) / 2
 
 
+def test_tables_read_few_ground_net_pairs_on_the_4000_point_circle(monkeypatch):
+    # tables that fell back to whole blocks would read n x |net| distances a level
+    reads = []
+    squared_sums = metric._squared_sums
+
+    def counting(coords, i, j):
+        out = squared_sums(coords, i, j)
+        reads.append(out.size)
+        return out
+
+    g = generate(SpaceSpec("circle", n=4000))
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, 6)
+    monkeypatch.setattr(metric, "_squared_sums", counting)
+    Tower(seq)
+    assert sum(reads) < 0.05 * g.n * sum(len(lv.net) for lv in seq.levels)
+
+
 @pytest.mark.parametrize("tie_tol", [0.05, 0.5])
 @pytest.mark.parametrize("name", ["warsaw_circle", "3-d", "duplicates"])
 def test_window_tie_bound_is_the_tie_rule(monkeypatch, name, tie_tol):
-    # the pass reads within radius * (1 + TIE_TOL): a patched tolerance widens the window with the rule
-    monkeypatch.setattr(construction, "TIE_TOL", tie_tol)
+    # the tables read within coverage * (1 + TIE_TOL): a patched tolerance widens the band with the rule
+    monkeypatch.setattr(hyperspace, "TIE_TOL", tie_tol)
     g = GROUNDS[name]
     dist = dense(g)
     perm = GreedyPermutation(g).extend(0.0)
     _dense_pass_agrees(perm, dist)
     for t in np.unique(perm.radii[perm.radii > 0]):
-        net, _ = cut_net(perm, float(t))
+        net, covered = cut_net(perm, float(t))
         loops = padded(reference_nearest_sets(dist[:, list(net)], net, tie_tol))
-        assert perm.nearest_sets(net).tobytes() == loops.tobytes()
+        assert nearest_sets(g, net, covered).tobytes() == loops.tobytes()

@@ -8,9 +8,8 @@ demand from the map's padded table.  A refactor that breaks any of these
 shows only in a traced benchmark run, so each case here runs
 ``bench/child.py`` with the tracer installed, as the benchmark does, and
 reads the record it writes.
-A built tower reads its nearest-point tables off the farthest-point pass,
-so only ``verify --sequence`` (a stored tower) still reaches the traced
-``nearest_sets``; that case keeps its counter honest.  The last test reads
+Built and stored towers alike compute each level's nearest-point table with
+the traced ``nearest_sets``, so every case checks its counter.  The last test reads
 the tracer's source, without importing it, to find the test oracles it
 still pins in the library and the ``ChainHomology`` signature its subclass
 assumes.  Nothing under ``bench/`` is written.
@@ -32,8 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("command, counters", [
-    ("run", ("gf2.chain_homology_builds", "homotopy.union_items", "hyperspace.poset_elements")),
-    ("verify", ("homotopy.union_items", "hyperspace.poset_elements")),
+    ("run", ("gf2.chain_homology_builds", "hyperspace.nearest_sets_calls", "homotopy.union_items",
+             "hyperspace.poset_elements")),
+    ("verify", ("hyperspace.nearest_sets_calls", "homotopy.union_items", "hyperspace.poset_elements")),
     ("verify --sequence", ("hyperspace.nearest_sets_calls", "homotopy.union_items")),
 ])
 def test_traced_child_completes(tmp_path, command, counters):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finiteshape import cli, construction, hyperspace
+from finiteshape import cli, hyperspace
 from finiteshape.cli import RunConfig, main
 from finiteshape.metric import MetricGround
 from reference_loops import dense
@@ -277,8 +277,8 @@ def test_run_one_level_tower_passes(tmp_path, capsys):
 
 
 def test_run_reads_nearest_tables_off_the_pass_and_stored_sequences_compute_them(tmp_path, monkeypatch, capsys):
-    # a built tower takes its nearest-point tables from the farthest-point
-    # pass; a stored sequence has no pass, so each level is computed once
+    # built and stored towers alike compute each level's nearest-point
+    # table once, with the same verdicts
     original, calls = hyperspace.nearest_sets, []
 
     def counting_nearest_sets(*args):
@@ -289,17 +289,19 @@ def test_run_reads_nearest_tables_off_the_pass_and_stored_sequences_compute_them
     space = ["--space", "warsaw", "--n", "300", "--depth", "3"]
     outdir = tmp_path / "out"
     assert run_cli(["run", *space, "--outdir", str(outdir)]) == 0
-    assert calls == []
     depth = len((outdir / "sequence.csv").read_text().splitlines()) - 1
     assert depth >= 2
+    assert len(calls) == depth
 
     def verdicts():
         return [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS ", "FAIL "))]
 
     capsys.readouterr()
+    calls.clear()
     assert run_cli(["verify", *space]) == 0
     built = verdicts()
-    assert calls == []
+    assert len(calls) == depth
+    calls.clear()
     assert run_cli(["verify", *space, "--sequence", str(outdir / "sequence.txt")]) == 0
     stored = verdicts()
     assert len(calls) == depth
@@ -340,13 +342,10 @@ def test_exports_compute_no_nearest_sets(tmp_path, monkeypatch, command):
     original, calls = hyperspace.nearest_sets, []
 
     def counting_nearest_sets(*args):
-        calls.append(args[0].shape)
+        calls.append(args[0].n)
         return original(*args)
 
     monkeypatch.setattr(hyperspace, "nearest_sets", counting_nearest_sets)
-    assembled = construction.GreedyPermutation.nearest_sets
-    monkeypatch.setattr(construction.GreedyPermutation, "nearest_sets",
-                        lambda self, net: calls.append(len(net)) or assembled(self, net))
     code = run_cli([command, "--space", "circle", "--n", "64", "--depth", "3",
                     "--level", "2", "--out", str(tmp_path / "level2")])
     assert code == 0
@@ -412,7 +411,7 @@ def test_every_check_runs_and_no_flag_skips_one(tmp_path, capsys, command, flag)
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-# the tie tolerance is the constant construction.TIE_TOL, not a setting
+# the tie tolerance is the constant hyperspace.TIE_TOL, not a setting
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_tie_tolerance_is_no_option(tmp_path, capsys, command):
     args = [command, "--space", "circle", "--n", "32", "--outdir", str(tmp_path / "out"), "--tie-tol", "1e-6"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finiteshape.construction import build_adjusted_sequence, build_net
+from finiteshape.construction import build_adjusted_sequence, build_net, gamma
 from finiteshape.homotopy import check_diagram_commutes, check_homotopic_in_U, check_identity_convergence
 from finiteshape.hyperspace import MultiMap, Tower, build_hyperlevel, is_continuous, nearest_sets
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -27,7 +27,7 @@ def circle4():
 
 def test_witness_equal_maps():
     g = circle4()
-    q = MultiMap(nearest_sets(g, (0, 2)))
+    q = MultiMap(nearest_sets(g, (0, 2), gamma(g, (0, 2))))
     d = map_diameter(g, q.table)
     w_pass = check_homotopic_in_U(q, q, d + 1e-9, g)
     w_fail = check_homotopic_in_U(q, q, d, g)
@@ -41,8 +41,8 @@ def test_witness_nearest_pair_beats_two_epsilon():
     g = generate(SpaceSpec("circle", n=64))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=3)
     for n in range(1, seq.depth):
-        f = MultiMap(nearest_sets(g, seq.level(n).net))
-        h = MultiMap(nearest_sets(g, seq.level(n + 1).net))
+        f = MultiMap(nearest_sets(g, seq.level(n).net, seq.level(n).gamma))
+        h = MultiMap(nearest_sets(g, seq.level(n + 1).net, seq.level(n + 1).gamma))
         w = check_homotopic_in_U(f, h, 2.0 * seq.level(n).epsilon, g)
         assert w.verdict and w.slack > 0
 

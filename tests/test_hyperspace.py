@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from finiteshape import construction, hyperspace
-from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
+from finiteshape import hyperspace
+from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence, gamma
 from finiteshape.hyperspace import (
     BondingDiameterError,
     MultiMap,
@@ -89,20 +89,20 @@ def test_hyperlevel_down_closed_and_diameters(tmp_path):
 
 def test_nearest_point_map_net_point_maps_to_itself():
     g = circle4()
-    q = MultiMap(nearest_sets(g, (0, 2)))
+    q = MultiMap(nearest_sets(g, (0, 2), gamma(g, (0, 2))))
     assert q.images[0] == (0,)
     assert q.images[2] == (2,)
 
 
 def test_nearest_point_map_exact_tie():
     g = generate(SpaceSpec("interval", n=3))  # 0, 0.5, 1
-    q = MultiMap(nearest_sets(g, (0, 2)))
+    q = MultiMap(nearest_sets(g, (0, 2), gamma(g, (0, 2))))
     assert q.images[1] == (0, 2)
 
 
 def test_nearest_point_map_circle4_antipodal():
     g = circle4()
-    q = MultiMap(nearest_sets(g, (0, 2)))
+    q = MultiMap(nearest_sets(g, (0, 2), gamma(g, (0, 2))))
     assert q.images[1] == (0, 2)
     assert q.images[3] == (0, 2)
     assert map_diameter(g, q.table) == pytest.approx(2.0)
@@ -152,10 +152,11 @@ def test_bonding_diameter_error_aborts():
     # two clusters; coarse "net" has gamma violating the scale so images blow up.
     # Ground point 0 lies in no net, so net positions and ground indices differ:
     # the message names the element by ground indices, (3,), not position (2,).
+    # Both nets cover point 0 within 30, the gamma each level states.
     pts = np.array([[40.0, 0.0], [0.0, 0.0], [10.0, 0.0], [5.0, 0.0]])
     g = MetricGround.from_coords(pts)
-    fine = Level(2, 6.0, (1, 2, 3), 5.0)
-    coarse = Level(1, 0.5, (1, 2), 0.4)
+    fine = Level(2, 6.0, (1, 2, 3), 30.0)
+    coarse = Level(1, 0.5, (1, 2), 30.0)
     hl = build_hyperlevel(g, fine, cap=2)
     tower = Tower(AdjustedSequence(g, (coarse, fine), 2))
     with pytest.raises(BondingDiameterError, match=r"^bonding image of \(3,\) has diameter 10\.0 "):
@@ -211,7 +212,7 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
     tower = Tower(seq)
     for lv in seq.levels:
         expected = tuple(reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, 1e-9))
-        assert images_of(tower.q[lv.index]) == MultiMap(nearest_sets(g, lv.net)).images == expected
+        assert images_of(tower.q[lv.index]) == MultiMap(nearest_sets(g, lv.net, lv.gamma)).images == expected
     for n in range(1, seq.depth):
         fine_net = seq.level(n + 1).net
         step = tower.composite(n, n + 1)
@@ -223,37 +224,49 @@ def test_tower_steps_and_composites_match_from_scratch_chain(spec):
 
 @pytest.mark.parametrize("tie_tol", [1e-9, 0.05])
 def test_tower_reads_tables_off_the_pass_only_at_its_tie_tolerance(tie_tol, monkeypatch):
-    # with construction.TIE_TOL at tie_tol, a built sequence serves the tower
-    # from its farthest-point pass; a sequence without a pass, or with a pass
-    # over another ground, gets one nearest_sets call per level; the tables
-    # agree byte for byte and with the reference loop at tie_tol
-    monkeypatch.setattr(construction, "TIE_TOL", tie_tol)
+    # with hyperspace.TIE_TOL at tie_tol, a tower over a built sequence, the
+    # same levels as a stored sequence, or them over a copy of the ground or
+    # its distance table makes one nearest_sets call per level; the tables
+    # agree byte for byte with the reference loop at tie_tol
+    monkeypatch.setattr(hyperspace, "TIE_TOL", tie_tol)
     g = generate(SpaceSpec("warsaw_circle", n=500))
     seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
     original, calls = hyperspace.nearest_sets, []
     monkeypatch.setattr(hyperspace, "nearest_sets", lambda *args: calls.append(args[1]) or original(*args))
-    tower = Tower(seq)
-    assert calls == []
-    for other in (AdjustedSequence(g, seq.levels, seq.requested_depth),
-                  dataclasses.replace(seq, ground=MetricGround.from_coords(g.coords, density=g.density))):
+    for other in (seq, AdjustedSequence(g, seq.levels, seq.requested_depth),
+                  dataclasses.replace(seq, ground=MetricGround.from_coords(g.coords, density=g.density)),
+                  dataclasses.replace(seq, ground=MetricGround.from_matrix(dense(g), density=g.density))):
         calls.clear()
-        computed = Tower(other)
+        tower = Tower(other)
         assert calls == [lv.net for lv in seq.levels]
         for lv in seq.levels:
-            assert tower.q[lv.index].tobytes() == computed.q[lv.index].tobytes()
-    for lv in seq.levels:
-        expected = reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, tie_tol)
-        assert images_of(tower.q[lv.index]) == tuple(expected)
+            expected = padded(reference_nearest_sets(dense(g)[:, list(lv.net)], lv.net, tie_tol))
+            assert tower.q[lv.index].tobytes() == expected.tobytes()
 
 
-def test_pass_tables_refuse_a_net_not_cut_from_the_pass():
-    g = generate(SpaceSpec("circle", n=64))
-    seq = build_adjusted_sequence(g, epsilon1=1.0, depth=2)
-    net = seq.level(2).net
-    assert seq.greedy.nearest_sets(net).shape[0] == g.n
-    for wrong in (net[:-1], net[1:] + (net[0],), tuple(range(len(net))), net + (max(net) + 1,)):
-        with pytest.raises(ValueError, match="not a prefix"):
-            seq.greedy.nearest_sets(wrong)
+@pytest.mark.parametrize("kind", ["coords", "table"])
+def test_tower_refuses_a_level_that_understates_its_coverage(kind):
+    # the tables read only the pairs within the stated gamma; a point
+    # farther than it from the net raises rather than return a table that
+    # could miss its ties, and an overstated gamma gives the same tables
+    g = generate(SpaceSpec("warsaw_circle", n=300))
+    if kind == "table":
+        g = MetricGround.from_matrix(dense(g))
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, depth=3)
+    tower = Tower(seq)
+    for k, lv in enumerate(seq.levels):
+        # (stated gamma, the distance the error names: gamma itself when only the farthest points lie beyond)
+        for stated, named in ((float(np.nextafter(lv.gamma, 0.0)), re.escape(repr(lv.gamma))), (lv.gamma / 2, r"\S+"),
+                              (2.0 * lv.gamma, None), (np.inf, None)):
+            levels = list(seq.levels)
+            levels[k] = dataclasses.replace(lv, gamma=stated)
+            other = dataclasses.replace(seq, levels=tuple(levels))
+            if named:
+                message = rf"^ground point \d+ lies {named} from the net, beyond its stated coverage {re.escape(repr(stated))}$"
+                with pytest.raises(ValueError, match=message):
+                    Tower(other)
+            else:
+                assert Tower(other).q[lv.index].tobytes() == tower.q[lv.index].tobytes()
 
 
 def ground_members(hl):

@@ -1,14 +1,14 @@
 """Property tests: the array-backed tower against per-point reference loops,
 greedy nets cut from one permutation against the per-threshold loop, the
-nearest-point tables the permutation records against ``nearest_sets`` and a
-per-point loop, collapsed scale-complex homology against full
+nearest-point tables of those nets, read within their coverage, against a
+whole read and a per-point loop, collapsed scale-complex homology against full
 reductions of the scale and order complexes, the checks and homology
 decided on levels of vertices and edges against the same on full posets, and
 the monotonicity and selections that a bonding map's diameter check implies.
 
 Clouds are small: random points in the plane or on the line, and lattice
 points, whose many equal distances force exact nearest-point ties.  Large tie
-tolerances, patched into ``construction.TIE_TOL``, widen the tie rows and can
+tolerances, patched into ``hyperspace.TIE_TOL``, widen the tie rows and can
 break the distance bounds, so the violation lists are exercised too.  The greedy nets and their tables also
 see duplicate points, a single point and distance-matrix grounds.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finiteshape import cli, construction
+from finiteshape import cli, hyperspace
 from finiteshape.construction import (
     AdjustedSequence,
     GreedyPermutation,
@@ -71,14 +71,12 @@ TIE_TOLERANCES = st.sampled_from([0.0, 1e-9, 0.05, 0.5])
 
 
 def at_tie_tolerance(tie_tol):
-    """Context in which the tie rule reads ``tie_tol`` for ``construction.TIE_TOL``.
+    """Context in which the tie rule reads ``tie_tol`` for ``hyperspace.TIE_TOL``.
 
-    The farthest-point pass applies the rule twice, when it records ties and
-    when it assembles a table, and records at a smaller tolerance than it
-    assembles at would miss points; so a sequence and its ``Tower`` are built
-    under one patch.
+    A ``Tower`` computes its nearest-point tables when it is built, so it is
+    built under the patch.
     """
-    return mock.patch.object(construction, "TIE_TOL", tie_tol)
+    return mock.patch.object(hyperspace, "TIE_TOL", tie_tol)
 
 
 def ring(jitter) -> MetricGround:
@@ -103,19 +101,16 @@ def towers(draw):
 
     The clouds have at most 20 points, so past level 1 their levels are
     mostly whole samples without edges; rings give levels past the first
-    with edges and bonding images of several points.  The sequence keeps
-    its farthest-point pass, so the tower reads its tables off the pass, or
-    drops it, so the tower computes them with ``nearest_sets``.
+    with edges and bonding images of several points.
     """
     clouds = st.one_of(random_points, lattice_points, line_points).map(
         lambda p: MetricGround.from_coords(np.array(p, dtype=float)))
     ground = draw(st.one_of(clouds, ring_grounds(96)))
     if ground.diameter() == 0.0:  # distinct floats can still be 0 apart after rounding
         ground = MetricGround.from_coords(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    tie_tol, with_pass, depth = draw(TIE_TOLERANCES), draw(st.booleans()), draw(st.integers(2, 4))
+    tie_tol, depth = draw(TIE_TOLERANCES), draw(st.integers(2, 4))
     with at_tie_tolerance(tie_tol):
-        seq = build_adjusted_sequence(ground, ground.diameter() / 2.0, depth)
-        return Tower(seq if with_pass else dataclasses.replace(seq, greedy=None)), tie_tol
+        return Tower(build_adjusted_sequence(ground, ground.diameter() / 2.0, depth)), tie_tol
 
 
 @st.composite
@@ -150,8 +145,7 @@ def non_nested_circle_sequence():
     The nets are 13 points five steps apart, the even points and the odd
     points, so no finer net contains a coarser one; each ``gamma`` is the
     net's exact coverage and the scales 0.95, 0.35, 0.11 keep the tower
-    inequalities.  The sequence carries no pass, so a ``Tower`` computes its
-    tables with ``nearest_sets``.
+    inequalities.
     """
     ground = generate(SpaceSpec("circle", n=64))
     nets = [tuple(range(0, 64, 5)), tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]
@@ -279,14 +273,16 @@ def metric_grounds(draw):
 @given(metric_grounds(), TIE_TOLERANCES, st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=4))
 def test_pass_nearest_tables_match_nearest_sets(ground, tie_tol, drawn_thresholds):
     # the thresholds come in drawn order, then a finer cut is followed by a
-    # coarser one, so a net is cut after the pass has run past it
+    # coarser one, so a net is cut after the pass has run past it; each
+    # table read within the net's coverage equals the whole read (infinite
+    # coverage) and the per-point loop
     thresholds = [*drawn_thresholds, min(drawn_thresholds) / 4, 2 * max(drawn_thresholds)]
     with at_tie_tolerance(tie_tol):
         perm = GreedyPermutation(ground)
         for t in thresholds:
-            net, _ = cut_net(perm, t)
-            got = perm.nearest_sets(net)
-            want = nearest_sets(ground, net)
+            net, covered = cut_net(perm, t)
+            got = nearest_sets(ground, net, covered)
+            want = nearest_sets(ground, net, np.inf)
             loops = ref.padded(ref.reference_nearest_sets(ref.dense(ground)[:, list(net)], net, tie_tol))
             assert got.dtype == want.dtype == loops.dtype and got.shape == want.shape == loops.shape
             assert got.tobytes() == want.tobytes() == loops.tobytes()
