@@ -338,13 +338,15 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     ``stop_reason`` (a truncated file), a ``stop_reason`` without a
     ``requested_depth`` above the number of levels, or a ``stop_reason`` on
     a ground of density 0, where ``build_adjusted_sequence`` never stops
-    early.  The ``density``
-    and ``stopped_early`` lines are not read; ``stop_reason`` alone marks a
-    stop.  The ``safety`` line and ``threshold`` fields of older files are
-    ignored: no check reads them.
+    early, or a stored ``density`` that is not the ground's (the tower was
+    built for another sample claim).  A file without a ``density`` line
+    still loads.  The ``stopped_early`` line is not read; ``stop_reason``
+    alone marks a stop.  The ``safety`` line and ``threshold`` fields of
+    older files are ignored: no check reads them.
     """
     requested = requested_at = None
     reason = reason_at = None
+    density = density_at = None
     levels = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -359,6 +361,8 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                         requested, requested_at = int(body.split("=", 1)[1]), where
                     elif body.startswith("stop_reason ="):
                         reason, reason_at = body.split("=", 1)[1].strip(), where
+                    elif body.startswith("density ="):
+                        density, density_at = float(body.split("=", 1)[1]), where
                     continue
                 if not line.startswith("level "):
                     raise ValueError("unrecognized sequence line")
@@ -392,6 +396,9 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                     f"but its net covers the ground within gamma={covered!r}"
                 )
             levels.append(lv)
+    if density is not None and density != ground.density:
+        raise SequenceFormatError(f"{density_at}: stored density = {density!r} is not the ground's density "
+                                  f"{ground.density!r}")
     if not levels:
         raise SequenceFormatError(f"{path}: no level lines")
     if requested is not None and requested < len(levels):

@@ -190,8 +190,8 @@ def _union_rows(table: np.ndarray) -> np.ndarray:
     t = np.sort(table, axis=1)
     keep = np.ones(t.shape, dtype=bool)
     keep[:, 1:] = t[:, 1:] != t[:, :-1]
-    r, c = np.nonzero(keep)
-    return padded_rows(len(t), r, t[r, c])
+    flat = np.flatnonzero(keep)
+    return padded_rows(len(t), flat // t.shape[1], t.ravel()[flat])
 
 
 def _cross_max(ground: MetricGround, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -203,8 +203,19 @@ def _cross_max(ground: MetricGround, rows: np.ndarray, cols: np.ndarray) -> np.n
 
 
 def row_diameters(ground: MetricGround, table: np.ndarray) -> np.ndarray:
-    """Diameter of each row's point set (0 for a single point)."""
-    return _cross_max(ground, table, table)
+    """Diameter of each row's point set (0 for a single point), in row blocks.
+
+    Only the w(w - 1)/2 column pairs a < b of a width-w table are read, one
+    pair at a time: every distance is exactly symmetric and 0 from a point
+    to itself, so the other pairs add nothing to the maximum.
+    """
+    out = np.zeros(len(table))
+    columns = list(itertools.combinations(range(table.shape[1]), 2))
+    for s in row_blocks(len(table), 1):
+        rows = table[s]
+        for a, b in columns:
+            np.maximum(out[s], ground.pairs(rows[:, a], rows[:, b]), out=out[s])
+    return out
 
 
 def ties(d, nearest):

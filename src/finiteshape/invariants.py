@@ -15,21 +15,35 @@ homotopy type (Barmak & Minian, *Strong homotopy types, nerves and
 collapses*, 2012; Boissonnat & Pritam, *Edge collapse and persistence of
 flag complexes*, 2020).  Removing dominated vertices until none is left
 gives the core, and composing the elementary retractions gives a simplicial
-retraction r onto it whose inclusion is a homotopy inverse.  The chain
-complex that is reduced is the core's full subcomplex plus the edges u-w of
-the removals, a forest hanging off the core: same homology, and every vertex
-lies in the component of r(u).  Triangles are grown on the core only, and
-a cone reduces to a point.
+retraction r onto it whose inclusion is a homotopy inverse.  The core's
+full subcomplex plus the edges u-w of the removals, a forest hanging off
+the core, has the same homology, and every vertex lies in the component of
+r(u).  A cone reduces to a point.
+
+The core's edges are collapsed next.  An edge uv is dominated by a vertex
+w outside it when N[u] ∩ N[v] ⊆ N[w], closed neighbourhoods; then the link
+of uv in the flag complex is a cone with apex w, so removing uv and every
+simplex through it keeps the homotopy type (Boissonnat & Pritam 2020;
+Glisse & Pritam, *Swap, shift and trim to edge collapse a filtration*,
+2022).  Removing dominated edges until none is left gives the graph whose
+triangles are grown; its flag complex plus the forest is the chain complex
+that is reduced.  On a circle's levels that graph is one cycle with trees
+hanging off it, and no triangle.  On chains a removed uv retracts to
+uw + wv, which were edges when uv was removed, because the triangle uvw
+was then in the complex; replaying the removals in order carries a cycle
+of the core's flag complex to a homologous cycle of what is left.
 
 The vertex map a -> min p({a}) of a bonding map p sends a fine simplex C
 into p(C), whose diameter p has checked, so it is simplicial on scale
 complexes (collapsed simplices are sent to zero).  The induced maps on
 homology are computed exactly: degree 0 through component tracking, degree
-1 by pushing explicit core cycle representatives through the vertex map and
-the coarse retraction, and counting independence modulo the coarse core's
-boundaries.  The stabilized induced ranks in degrees 0 and 1 over a
-trailing window of levels are the reported shape invariants of the finite
-tower; no degree above 1 is computed.
+1 by pushing explicit cycle representatives through the vertex map, the
+coarse vertex retraction and the coarse edge retraction, and counting
+independence modulo the boundaries of what is left of the coarse core.
+Fine representatives are cycles of a subcomplex of the fine scale complex,
+so pushing them is valid.  The stabilized induced ranks in degrees 0 and 1
+over a trailing window of levels are the reported shape invariants of the
+finite tower; no degree above 1 is computed.
 """
 
 from __future__ import annotations
@@ -192,7 +206,7 @@ def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
         queued[u] = False
         mask = closed[u]
         for w in adjacent[u]:
-            if alive[w] and not mask & ~closed[w]:
+            if alive[w] and closed[w] & mask == mask:
                 break
         else:
             continue
@@ -212,26 +226,92 @@ def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
     return StrongCollapse(core=core, removals=tuple(removals), retraction=tuple(retraction), ahead=ahead)
 
 
+def edge_collapse(ahead) -> tuple[list[int], list[int]]:
+    """Remove dominated edges of the flag complex of a graph until none is left.
+
+    The graph's edges are i < j with bit j set in ``ahead[i]``, as
+    ``grow_cliques`` reads them.  An edge uv is dominated by a vertex
+    w not in {u, v} when N[u] ∩ N[v] ⊆ N[w], closed neighbourhoods in the
+    graph still present, kept as Python-int bitmasks; then uvw is a
+    triangle.  Edges are examined from a worklist that starts with every
+    edge in lex order.  Removing uv shrinks the common neighbourhood of an
+    edge only at u or at v, and only of the edges ux and vx to a common
+    neighbour x of u and v, so only those are re-queued, unless they are
+    still on the worklist (``queued``).  The witness is
+    the lowest-index dominator, so the result is determined by the edges
+    alone.  Returns the ``ahead`` bitmasks of the edges left and the
+    removals as a flat list u0, v0, w0, u1, v1, w1, ... in removal order,
+    with u < v.
+    """
+    closed = [1 << v | mask for v, mask in enumerate(ahead)]
+    worklist = deque()
+    for u, mask in enumerate(ahead):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = low.bit_length() - 1
+            closed[v] |= 1 << u
+            worklist.append((u, v))
+    queued = [mask ^ 1 << v for v, mask in enumerate(closed)]  # queued[u]: bitmask of the x with ux on the worklist
+    removals: list[int] = []
+    while worklist:
+        u, v = worklist.popleft()
+        bu, bv = 1 << u, 1 << v
+        queued[u] ^= bv
+        queued[v] ^= bu
+        common = closed[u] & closed[v]
+        others = common ^ bu ^ bv
+        rest = others
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            if closed[w] & common == common:
+                break
+            rest ^= low
+        else:
+            continue
+        closed[u] ^= bv
+        closed[v] ^= bu
+        removals += (u, v, w)
+        at_u, at_v = others & ~queued[u], others & ~queued[v]
+        queued[u] |= at_u
+        queued[v] |= at_v
+        rest = at_u | at_v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            if at_u & low:
+                queued[x] |= bu
+                worklist.append((u, x) if u < x else (x, u))
+            if at_v & low:
+                queued[x] |= bv
+                worklist.append((v, x) if v < x else (x, v))
+    return [mask >> (v + 1) << (v + 1) for v, mask in enumerate(closed)], removals
+
+
 class LevelHomology:
     """Scale-complex homology of one hyperspace level, reduced on its strong-collapse core.
 
     Vertices of the complex are net positions, which number the points of
     every hyperlevel element and are also the element ids of the level's
     singletons (``build_hyperlevel`` lists them first).  The vertices and
-    edges are read off the hyperlevel and strong-collapsed; the core's
-    edges and triangles are grown from the core adjacency the collapse
-    leaves (``grow_cliques``, lex order, within its element budget).
-    ``hom`` reduces the core's full subcomplex plus the edges u-w of the
-    removals, which hang a forest off the core: its Betti numbers (b_0, b_1)
-    are the level's, ``hom.comp_of[u]`` is the component of
-    ``collapse.retraction[u]``, and its degree-1 representatives are core
-    cycles.
+    edges are read off the hyperlevel and strong-collapsed, and the core's
+    dominated edges are removed (``edge_collapse``); ``edge_removals`` keeps
+    those removals, flat, for the induced maps.  The edges and triangles of
+    what is left are grown from its adjacency (``grow_cliques``, lex order,
+    within its element budget).  ``hom`` reduces that flag complex plus the
+    edges u-w of the vertex removals, which hang a forest off the core: its
+    Betti numbers (b_0, b_1) are the level's, ``hom.comp_of[u]`` is the
+    component of ``collapse.retraction[u]``, and its degree-1
+    representatives are cycles on the edges left of the core.
     """
 
     def __init__(self, hl: HyperLevel):
         vertices, edges = _simplices_by_size(hl, 2)
         self.collapse = strong_collapse(len(vertices), edges)
-        _, reduced_edges, triangles = grow_cliques(self.collapse.ahead, 3)
+        ahead, self.edge_removals = edge_collapse(self.collapse.ahead)
+        _, reduced_edges, triangles = grow_cliques(ahead, 3)
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
         self.hom = ChainHomology(len(vertices), reduced_edges, triangles)
         self.betti = (self.hom.b0, self.hom.b1)
@@ -253,10 +333,16 @@ def induced_homology_map(vertex_map: list[int], fine_data: LevelHomology, coarse
     """Rank of the map induced on degree-k scale-complex homology by a simplicial vertex map.
 
     ``vertex_map`` sends each fine net position to a coarse one (as
-    ``bonding_vertex_map`` does).  Each fine core cycle is pushed through it
-    and then the coarse retraction, and reduced against the coarse core's
-    boundaries; a pushed edge that is not a coarse core edge, or a pushed
-    chain that is not a cycle, raises ``HomologyCheckError``.
+    ``bonding_vertex_map`` does).  Each fine representative cycle is pushed
+    through it and then the coarse vertex retraction, which gives a chain
+    of the coarse core's flag complex.  The coarse edge removals are then
+    replayed on the chains of every representative at once, in removal
+    order: a removed uv becomes uw + wv.  Each removal adds only edges
+    removed later, or never, so one pass leaves chains on the edges left,
+    homologous to the pushed ones, and they are reduced against the
+    boundaries of the complex left.  A pushed edge that is neither a coarse
+    core edge left nor a removed one, or a pushed chain that is not a
+    cycle, raises ``HomologyCheckError``.
     """
     if degree not in (0, 1):
         raise ValueError("induced ranks are computed in degrees 0 and 1")
@@ -272,25 +358,39 @@ def induced_homology_map(vertex_map: list[int], fine_data: LevelHomology, coarse
     coarse_edges = coarse_data.hom.edges
     fine_edges = fine_data.hom.edges
     to_core = [coarse_data.collapse.retraction[pv] for pv in vertex_map]
-    cycles = []
-    for rep in fine_data.hom.h1_representatives():
-        pushed: set[int] = set()
+    reps = fine_data.hom.h1_representatives()
+    chains: dict[tuple[int, int], int] = {}  # coarse core edge -> bitmask of the representatives through it
+    for r, rep in enumerate(reps):
         for eid in rep:
             u, v = fine_edges[eid]
             pu, pv = to_core[u], to_core[v]
-            if pu == pv:
-                continue
-            key = (pu, pv) if pu < pv else (pv, pu)
-            if key not in coarse_edge_id:
-                raise HomologyCheckError(f"pushed edge {key} is not an edge of the coarse core; chain map broken")
-            pushed ^= {coarse_edge_id[key]}
+            if pu != pv:
+                key = (pu, pv) if pu < pv else (pv, pu)
+                chains[key] = chains.get(key, 0) ^ 1 << r
+    # the edge retraction, on every representative at once: in removal order
+    # a removed uv becomes uw + wv, edges that were present then, so no
+    # removed edge is left afterwards
+    removals = iter(coarse_data.edge_removals)
+    for a, b, w in zip(removals, removals, removals):
+        through = chains.pop((a, b), 0)
+        if through:
+            for half in ((a, w) if a < w else (w, a), (w, b) if w < b else (b, w)):
+                chains[half] = chains.get(half, 0) ^ through
+    supports: list[list[int]] = [[] for _ in reps]
+    for key, through in chains.items():  # in the order the keys were first pushed
+        if key not in coarse_edge_id:
+            raise HomologyCheckError(f"pushed edge {key} is not an edge of the coarse core; chain map broken")
+        while through:
+            low = through & -through
+            through ^= low
+            supports[low.bit_length() - 1].append(coarse_edge_id[key])
+    for support in supports:
         boundary: set[int] = set()
-        for eid in pushed:
+        for eid in support:
             boundary ^= set(coarse_edges[eid])
         if boundary:
             raise HomologyCheckError("pushed representative is not a cycle; chain map broken")
-        cycles.append(pushed)
-    return coarse_data.hom.image_rank(cycles)
+    return coarse_data.hom.image_rank(supports)
 
 
 @dataclass

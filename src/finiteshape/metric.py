@@ -185,7 +185,8 @@ class MetricGround:
         first, second = [], []
         if self.table is not None:
             for rows in row_blocks(len(points), len(points)):
-                u, v = np.nonzero(self.block(points[rows], points[rows.start:]) < r)
+                close = self.block(points[rows], points[rows.start:]) < r
+                u, v = np.divmod(np.flatnonzero(close), close.shape[1])
                 upper = v > u  # columns from the block's first row on
                 first.append(u[upper] + rows.start)
                 second.append(v[upper] + rows.start)

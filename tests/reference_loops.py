@@ -19,6 +19,10 @@ the full scale complex of each level, as the library reduced it before it
 collapsed dominated vertices, and the order complex, its barycentric
 subdivision.  They give chain-level matrices of the selection map, and
 induced ranks pushed through the selection map on every vertex.
+``FullCoreHomology`` reduces a level's whole strong-collapse core, every
+core triangle grown, as the library reduced it before it collapsed
+dominated edges; ``full_core_ranks`` pushes cycles through the vertex map
+and the core retraction alone.
 ``EveryColumnHomology``, ``every_column_pivots`` and ``rank_of`` reduce
 every boundary column of a complex, with no column skipped by a cone.
 
@@ -40,7 +44,7 @@ import numpy as np
 from finiteshape.construction import gamma
 from finiteshape.gf2 import ChainHomology, ColumnReducer
 from finiteshape.hyperspace import MultiMap, _union_rows, grow_cliques, nearest_sets, row_diameters
-from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex
+from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex, strong_collapse
 from finiteshape.metric import _squared_sums, row_blocks
 
 
@@ -370,6 +374,33 @@ def full_scale_ranks(p, fine, coarse):
     """
     vertex_map = selection_vertex_map(p, fine, coarse)[:len(fine.level.net)]
     return pushed_ranks(vertex_map, full_scale_homology(fine), full_scale_homology(coarse))
+
+
+class FullCoreHomology:
+    """A level's scale-complex homology reduced on its whole strong-collapse core.
+
+    The chain complex is the core's full subcomplex, every edge and
+    triangle grown from the collapse's core adjacency, plus the edges u-w of
+    the vertex removals; no edge is collapsed.
+    """
+
+    def __init__(self, hl):
+        m = len(hl.level.net)
+        self.collapse = strong_collapse(m, [el for el in hl.elements[m:] if len(el) == 2])
+        _, core_edges, triangles = grow_cliques(self.collapse.ahead, 3)
+        forest = [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
+        self.hom = ChainHomology(m, core_edges + forest, triangles)
+        self.betti = (self.hom.b0, self.hom.b1)
+
+
+def full_core_ranks(vertex_map, fine, coarse):
+    """Induced ranks in degrees 0 and 1 between two ``FullCoreHomology`` levels.
+
+    Fine cycles are pushed through the vertex map and the coarse core
+    retraction, and reduced against the boundaries of the whole coarse core.
+    """
+    to_core = [coarse.collapse.retraction[v] for v in vertex_map]
+    return pushed_ranks(to_core, fine.hom, coarse.hom)
 
 
 def rank_of(columns) -> int:

@@ -531,6 +531,23 @@ def _edit_header_line(path, old, new):
     path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
 
 
+def test_verify_stored_density_other_than_the_grounds_fails(tmp_path, capsys):
+    # a tower stored for another density claim was verified against this one
+    coords, seq_file = _stored_circle64(tmp_path)
+    _edit_header_line(seq_file, "# density = 0.0", "# density = 0.05")
+    capsys.readouterr()
+    code = run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL sequence-format: ")
+    assert "sequence.txt:2: stored density = 0.05 is not the ground's density 0.0" in out
+    # with the same claim it verifies, and a file without the line still loads
+    assert run_cli(["verify", "--input", str(coords), "--density", "0.05", "--sequence", str(seq_file)]) == 0
+    _edit_header_line(seq_file, "# density = 0.05", "")
+    assert "# density" not in seq_file.read_text()
+    assert run_cli(["verify", "--input", str(coords), "--sequence", str(seq_file)]) == 0
+
+
 def test_verify_stored_requested_depth_below_the_levels_fails(tmp_path, capsys):
     coords, seq_file = _stored_circle64(tmp_path)
     _edit_header_line(seq_file, "# requested_depth = 3", "# requested_depth = 1")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finiteshape import cli, gf2, hyperspace, invariants
 from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
@@ -21,6 +23,7 @@ from finiteshape.invariants import (
     SimplicialComplex,
     betti,
     bonding_vertex_map,
+    edge_collapse,
     export_complex_csv,
     export_complex_off,
     induced_homology_map,
@@ -34,10 +37,13 @@ from finiteshape.invariants import (
 from finiteshape.metric import MetricGround, SpaceSpec, generate
 from reference_loops import (
     EveryColumnHomology,
+    FullCoreHomology,
     dense,
     chain_map_matrices,
     check_face_closed,
     euler_characteristic,
+    full_core_ranks,
+    full_scale_ranks,
     gf2_matrix_product,
     selection_vertex_map,
 )
@@ -266,6 +272,119 @@ def test_pushed_edge_outside_the_coarse_core_is_a_check_failure():
         induced_homology_map(doubling, data, data, 1)
 
 
+# --- edge collapse ----------------------------------------------------------------
+
+def graph_ahead(n, edges):
+    ahead = [0] * n
+    for u, v in edges:
+        ahead[u] |= 1 << v
+    return ahead
+
+
+def flag_complex(n, edges):
+    """The flag complex of a graph up to its triangles."""
+    edges = sorted(edges)
+    present = set(edges)
+    triangles = tuple((a, b, c) for a, b in edges for c in range(b + 1, n) if (a, c) in present and (b, c) in present)
+    return SimplicialComplex(n, (tuple((v,) for v in range(n)), tuple(edges), triangles))
+
+
+def test_edge_collapse_of_a_triangle_leaves_a_path():
+    # the edge 0-1 is dominated by 2; then no edge has a common neighbour left
+    ahead, removals = edge_collapse(graph_ahead(3, [(0, 1), (0, 2), (1, 2)]))
+    assert removals == [0, 1, 2]
+    assert ahead == [1 << 2, 1 << 2, 0]
+    assert edge_collapse(graph_ahead(6, [(v, v + 1) for v in range(5)] + [(0, 5)]))[1] == []  # a 6-cycle has no triangle
+
+
+graphs = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs)
+def test_edge_collapse_keeps_homology_and_leaves_no_dominated_edge(graph):
+    n, chosen = graph
+    edges = [e for e, keep in zip(itertools.combinations(range(n), 2), chosen) if keep]
+    ahead, removals = edge_collapse(graph_ahead(n, edges))
+
+    present = set(edges)
+    closed = {v: {v} for v in range(n)}
+    for u, v in edges:
+        closed[u].add(v)
+        closed[v].add(u)
+
+    def dominators(u, v):
+        common = closed[u] & closed[v]
+        return [w for w in sorted(common - {u, v}) if common <= closed[w]]
+
+    # each removal: its edge was present, w was its lowest dominator, and the
+    # triangle uvw was in the complex when uv was removed
+    for u, v, w in zip(*[iter(removals)] * 3):
+        assert u < v and (u, v) in present
+        assert dominators(u, v)[:1] == [w]
+        assert {tuple(sorted(e)) for e in ((u, w), (v, w))} <= present
+        present.remove((u, v))
+        closed[u].remove(v)
+        closed[v].remove(u)
+    assert ahead == graph_ahead(n, present)
+    assert not any(dominators(u, v) for u, v in present)
+    assert betti_oracle(flag_complex(n, present)) == betti_oracle(flag_complex(n, edges))
+
+
+def octagon_levels():
+    """The octagon at 2 eps = 1.6, each point joined to two on either side, and its even points, a 4-cycle."""
+    g = octagon()
+    coarse = build_hyperlevel(g, Level(1, 0.8, tuple(range(8)), 0.0), cap=2)
+    fine = build_hyperlevel(g, Level(2, 0.8, (0, 2, 4, 6), 0.0), cap=2)
+    return fine, coarse
+
+
+def test_pushed_cycle_through_removed_edges_is_retracted():
+    # the square 0-2-4-6 is a cycle of the coarse core whose edges the edge
+    # collapse removed: it is pushed through the witness triangles onto what is left
+    fine, coarse = octagon_levels()
+    fine_data, coarse_data = LevelHomology(fine), LevelHomology(coarse)
+    assert coarse_data.collapse.core == tuple(range(8)) and fine_data.betti == coarse_data.betti == (1, 1)
+    removed = set(zip(coarse_data.edge_removals[::3], coarse_data.edge_removals[1::3]))
+    assert {(0, 2), (2, 4), (4, 6), (0, 6)} & removed
+    vertex_map = [0, 2, 4, 6]
+    got = tuple(induced_homology_map(vertex_map, fine_data, coarse_data, deg) for deg in (0, 1))
+    assert got == full_core_ranks(vertex_map, FullCoreHomology(fine), FullCoreHomology(coarse)) == (1, 1)
+
+
+def solenoid_curve(p, n, stages=3, r1=0.5):
+    """n points of the stage-k curve of the p-adic solenoid, in a solid torus of core radius 2 in R^3.
+
+    The cross-section offset is z(theta) = sum over j <= k of r_j exp(i theta / p^j),
+    with r_{j+1} = r_j / 4, for theta in [0, 2 pi p^k): the curve closes after p^k turns.
+    """
+    theta = 2.0 * np.pi * p ** stages * np.arange(n) / n
+    z = sum(r1 / 4 ** (j - 1) * np.exp(1j * theta / p ** j) for j in range(1, stages + 1))
+    rho = 2.0 + z.real
+    return np.stack([rho * np.cos(theta), rho * np.sin(theta), z.imag], axis=1)
+
+
+@pytest.mark.parametrize("p, n, density, ranks", [
+    (2, 3000, 0.033, [(1, 0), (1, 0)]),  # a degree-2 circle map is 0 in degree 1 over GF(2)
+    (3, 6000, 0.048, [(1, 0), (1, 1)]),  # a degree-3 one is not
+], ids=["dyadic", "triadic"])
+def test_solenoid_ranks_agree_with_full_core_and_full_scale_routes(p, n, density, ranks):
+    # densities: half the largest step of the sample plus the leftover tube radius r_3 / 3
+    g = MetricGround.from_coords(solenoid_curve(p, n), density=density)
+    tower = Tower(build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=6))
+    rep = shape_report(tower)
+    hls = [build_hyperlevel(g, lv, cap=3) for lv in tower.seq.levels]
+    full = [FullCoreHomology(hl) for hl in hls]
+    assert [row.betti for row in rep.levels] == [f.betti for f in full]
+    assert sum(len(LevelHomology(hl).edge_removals) for hl in hls) > 0
+    for pr, fine, coarse, f, c in zip(rep.pairs, hls[1:], hls, full[1:], full):
+        p_map = bonding_map(tower, fine)
+        assert pr.ranks == full_core_ranks(bonding_vertex_map(p_map, fine, coarse), f, c)
+        assert pr.ranks == full_scale_ranks(p_map, fine, coarse)
+    assert [pr.ranks for pr in rep.pairs] == ranks
+
+
 # --- induced maps ----------------------------------------------------------------
 
 def test_induced_identity_bonding_has_full_rank():
@@ -408,19 +527,31 @@ def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
         added.append(col)
         return add(self, col)
 
-    counts, bettis = {}, []
-    for lv in seq.levels:
-        hl = build_hyperlevel(g, lv, cap=2)
+    def reduced(build, hl):
         added.clear()
         with monkeypatch.context() as m:
             m.setattr(gf2.ColumnReducer, "add", counting_add)
-            data = LevelHomology(hl)
-        counts[lv.index] = (len(added), len(grow_cliques(data.collapse.ahead, 3)[2]), len(data.collapse.core), len(lv.net))
+            data = build(hl)
+        return data, len(added)
+
+    counts, full_counts, bettis = {}, {}, []
+    for lv in seq.levels:
+        hl = build_hyperlevel(g, lv, cap=2)
+        full, full_added = reduced(FullCoreHomology, hl)
+        data, data_added = reduced(LevelHomology, hl)
+        full_counts[lv.index] = (full_added, len(grow_cliques(full.collapse.ahead, 3)[2]), len(full.collapse.core), len(lv.net))
+        left = grow_cliques(edge_collapse(data.collapse.ahead)[0], 3)
+        counts[lv.index] = (data_added, len(left[2]), len(left[1]), len(data.edge_removals) // 3, len(data.collapse.core))
+        assert data.betti == full.betti
         bettis.append(data.betti)
     assert bettis == [(1, 0), (1, 1), (1, 1), (1, 1)]
-    # full cores on levels 2 and 3: most triangle columns are cones from a lower vertex and are not reduced
-    assert counts[2] == (540, 2304, 64, 64)
-    assert counts[3] == (650, 1920, 128, 128)
+    # the whole cores of levels 2 and 3 (the oracle): most triangle columns are cones from a lower vertex and are not reduced
+    assert full_counts[2] == (540, 2304, 64, 64)
+    assert full_counts[3] == (650, 1920, 128, 128)
+    # edge-collapsed: (columns reduced, triangles grown, edges left, edges removed, core size);
+    # each core keeps as many edges as vertices, one cycle with trees hanging off it
+    assert counts[2] == (0, 0, 64, 512, 64)
+    assert counts[3] == (0, 0, 128, 640, 128)
 
 
 def test_shape_report_computes_each_object_once(monkeypatch, capsys):

@@ -2,7 +2,8 @@
 greedy nets cut from one permutation against the per-threshold loop, the
 nearest-point tables of those nets, read within their coverage, against a
 whole read and a per-point loop, collapsed scale-complex homology against full
-reductions of the scale and order complexes, the checks and homology
+reductions of the scale and order complexes and of the whole strong-collapse
+cores, the checks and homology
 decided on levels of vertices and edges against the same on full posets, and
 the monotonicity and selections that a bonding map's diameter check implies.
 
@@ -347,14 +348,19 @@ def closed_neighbourhoods(n, simplices):
 @given(homology_towers())
 @example(full_lattice_tower(1e-9, 3))
 @example(full_lattice_tower(1e-9, 4))
+@example((Tower(build_adjusted_sequence(generate(SpaceSpec("circle", n=128)), 1.0, 4)), 1e-9))  # edges collapse
 def test_collapsed_homology_matches_full_reduction(drawn):
+    # the edge-collapsed cores against the whole scale complexes and the whole strong-collapse cores
     tower, _ = drawn
     rep = shape_report(tower)
     hls = [build_hyperlevel(tower.ground, lv, cap=3) for lv in tower.seq.levels]
-    for row, hl in zip(rep.levels, hls):
-        assert row.betti == full_scale_betti(hl)
-    for pr, fine, coarse in zip(rep.pairs, hls[1:], hls):
-        assert pr.ranks == ref.full_scale_ranks(bonding_map(tower, fine), fine, coarse)
+    full_cores = [ref.FullCoreHomology(hl) for hl in hls]
+    for row, hl, full_core in zip(rep.levels, hls, full_cores):
+        assert row.betti == full_scale_betti(hl) == full_core.betti
+    for pr, fine, coarse, fine_core, coarse_core in zip(rep.pairs, hls[1:], hls, full_cores[1:], full_cores):
+        p = bonding_map(tower, fine)
+        assert pr.ranks == ref.full_scale_ranks(p, fine, coarse)
+        assert pr.ranks == ref.full_core_ranks(bonding_vertex_map(p, fine, coarse), fine_core, coarse_core)
 
     for row, hl in zip(rep.levels, hls):
         n, simplices = level_complex(hl)
