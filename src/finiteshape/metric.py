@@ -669,6 +669,9 @@ def _warsaw_graph_table(x_min: float, grid: int):
     return u, s
 
 
+WARSAW_STEPS = 60  # cap on the Newton steps that solve for the cutoff
+
+
 def _warsaw_ground(n: int) -> MetricGround:
     """Sample the Warsaw circle uniformly in arc length.
 
@@ -677,6 +680,22 @@ def _warsaw_ground(n: int) -> MetricGround:
     sin(1/x) from x = w down to a cutoff x_min.  The cutoff is chosen at half
     the arc-length spacing so the unsampled tail stays within the claimed
     density of the segment samples.
+
+    So x_min solves x = F(x), F(x) = L(x) / (2 (n - 1)), with L(x) the total
+    length when the graph stops at x, its graph part read off a 20,000-point
+    table.  Plain iteration x <- F(x) cannot converge: F'(x) =
+    -f(1/x) / (2 (n - 1) x^2), with f the arc-length integrand, is about -1.4
+    at the root for n = 2000, so the fixed point repels and the iterates
+    settle into a 2-cycle, and about -0.7 for n = 300 or 20,000, too slow for
+    the step test.  Newton's method on g(x) = F(x) - x needs only
+    g'(x) = F'(x) - 1, one integrand value at the table's last point.  It
+    starts from the root of the same equation with f replaced by its mean
+    2/pi, and for n up to 10^5 it usually takes 4 to 7 steps, never more
+    than 12.  g is strictly decreasing, so each table narrows a bracket of
+    the root, and a step that leaves the bracket (one crossing 0 among them)
+    is replaced by the bracket's midpoint.  The solve stops at a step below
+    1e-14; it raises ``ValueError`` at a non-finite length or after
+    ``WARSAW_STEPS`` steps.
     """
     if n < 8:
         raise ValueError("warsaw_circle needs at least 8 samples")
@@ -684,18 +703,30 @@ def _warsaw_ground(n: int) -> MetricGround:
     seg_len = 2.0
     arc_len = 0.5 + w + 2.5
 
-    x_min = 0.01
-    delta = 0.03
-    for _ in range(60):
-        _, s = _warsaw_graph_table(x_min, 20000)
-        total = seg_len + arc_len + float(s[-1])
-        new_delta = total / (n - 1)
-        new_x_min = new_delta / 2.0
-        if abs(new_x_min - x_min) < 1e-14:
-            delta = new_delta
-            x_min = new_x_min
+    m = 2.0 * (n - 1)
+    fixed = seg_len + arc_len
+    x_min = (fixed + math.sqrt(fixed * fixed + 8.0 * m / math.pi)) / (2.0 * m)
+    lo, hi = 0.0, math.inf
+    step = math.nan
+    for _ in range(WARSAW_STEPS):
+        u, s = _warsaw_graph_table(x_min, 20000)
+        g = (fixed + float(s[-1])) / m - x_min
+        if not math.isfinite(g):
+            raise ValueError(f"warsaw_circle n={n}: non-finite arc length at cutoff {x_min!r} (last step {step!r})")
+        if g > 0.0:
+            lo = x_min
+        else:
+            hi = x_min
+        u_end = float(u[-1])
+        step = g / (math.sqrt(math.cos(u_end) ** 2 + u_end ** -4.0) * u_end * u_end / m + 1.0)
+        x_min += step
+        if abs(step) < 1e-14:
             break
-        delta, x_min = new_delta, new_x_min
+        if not lo < x_min < hi:
+            x_min = 0.5 * (lo + hi)
+    else:
+        raise ValueError(f"warsaw_circle n={n}: cutoff not found in {WARSAW_STEPS} steps (last step {step!r})")
+    delta = 2.0 * x_min
 
     u_tab, s_tab = _warsaw_graph_table(x_min, max(100_000, 50 * n))
     graph_len = float(s_tab[-1])
@@ -706,29 +737,21 @@ def _warsaw_ground(n: int) -> MetricGround:
     if k_graph < 1:
         raise ValueError("warsaw_circle sample count too small for its arc budget")
 
-    pts = []
+    arc, graph = slice(k_seg, k_seg + k_arc), slice(k_seg + k_arc, n)
+    x, y = np.empty((2, n))
     # limit segment, top to bottom, start inclusive / end exclusive
-    for j in range(k_seg):
-        pts.append((0.0, 1.0 - (j * seg_len / k_seg)))
+    x[:k_seg] = 0.0
+    y[:k_seg] = 1.0 - np.arange(k_seg) * seg_len / k_seg
     # closing arc: down, across, up
-    for j in range(k_arc):
-        s = j * arc_len / k_arc
-        if s <= 0.5:
-            pts.append((0.0, -1.0 - s))
-        elif s <= 0.5 + w:
-            pts.append((s - 0.5, -1.5))
-        else:
-            pts.append((w, -1.5 + (s - 0.5 - w)))
-    # sin(1/x) graph from (w, 1) toward the cutoff
-    s_targets = np.arange(k_graph) * (graph_len / k_graph)
-    u_vals = np.interp(s_targets, s_tab, u_tab)
-    for u in u_vals:
-        pts.append((1.0 / u, math.sin(u)))
-    u_end = u_tab[-1]
-    pts.append((1.0 / u_end, math.sin(u_end)))
-
-    coords = np.array(pts)
-    assert coords.shape[0] == n
+    s = np.arange(k_arc) * arc_len / k_arc
+    down, up = s <= 0.5, s > 0.5 + w
+    x[arc] = np.where(down, 0.0, np.where(up, w, s - 0.5))
+    y[arc] = np.where(down, -1.0 - s, np.where(up, -1.5 + (s - 0.5 - w), -1.5))
+    # sin(1/x) graph from (w, 1) toward the cutoff, then the cutoff's own point
+    u = np.append(np.interp(np.arange(k_graph) * (graph_len / k_graph), s_tab, u_tab), u_tab[-1])
+    np.divide(1.0, u, out=x[graph])
+    np.sin(u, out=y[graph])
+    coords = np.stack([x, y], axis=1)
 
     spacing = max(seg_len / k_seg, arc_len / k_arc, graph_len / k_graph)
     tail = math.sqrt(x_min ** 2 + (seg_len / k_seg / 2.0) ** 2)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finiteshape import cli, hyperspace
+from finiteshape import cli, hyperspace, metric
 from finiteshape.cli import RunConfig, main
 from finiteshape.metric import MetricGround
 from reference_loops import dense
@@ -238,6 +238,22 @@ def test_config_file_sets_every_field_and_a_flag_overrides_it(tmp_path, monkeypa
     assert main([command, "--config", str(cfgfile)]) == 0
     assert main([command, "--config", str(cfgfile), "--depth", "5"]) == 0
     assert seen == [NON_DEFAULT_CONFIG, dataclasses.replace(NON_DEFAULT_CONFIG, depth=5)]
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "verify"])
+def test_a_non_finite_warsaw_length_is_an_error_line(command, tmp_path, capsys, monkeypatch):
+    table = metric._warsaw_graph_table
+
+    def nan_length(x_min, grid):
+        u, s = table(x_min, grid)
+        s[-1] = math.nan
+        return u, s
+
+    monkeypatch.setattr(metric, "_warsaw_graph_table", nan_length)
+    target = {"generate": ["--out", str(tmp_path / "w.csv")], "run": ["--outdir", str(tmp_path / "out")], "verify": []}
+    assert run_cli([command, "--space", "warsaw", "--n", "300", *target[command]]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: warsaw_circle n=300: non-finite arc length at cutoff \S+ \(last step nan\)\n", err)
 
 
 def test_verify_one_level_tower_passes(capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -271,6 +272,56 @@ def test_warsaw_coordinates_are_those_of_the_one_shot_table(n, monkeypatch):
     one_shot = generate(SpaceSpec("warsaw_circle", n=n))
     assert chunked.coords.tobytes() == one_shot.coords.tobytes()
     assert chunked.density == one_shot.density
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 300, 2000, 20000, 50000])
+def test_warsaw_cutoff_solves_its_equation_in_a_few_tables(n, monkeypatch):
+    cutoffs, table = [], metric._warsaw_graph_table
+    monkeypatch.setattr(metric, "_warsaw_graph_table", lambda x_min, grid: cutoffs.append(x_min) or table(x_min, grid))
+    # at n = 9 the rounded segment and arc counts (3 + 5) leave no graph point
+    with pytest.raises(ValueError, match="arc budget") if n == 9 else contextlib.nullcontext():
+        generate(SpaceSpec("warsaw_circle", n=n))
+    assert len(cutoffs) <= 16
+    x_min = cutoffs[-1]
+    _, s = reference_warsaw_graph_table(x_min, 20000)
+    total = 2.0 + (0.5 + 2.0 / math.pi + 2.5) + float(s[-1])
+    assert abs(total / (2 * (n - 1)) - x_min) <= 1e-14
+
+
+def test_warsaw_cutoff_solve_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(metric, "WARSAW_STEPS", 2)
+    with pytest.raises(ValueError, match=r"warsaw_circle n=2000: cutoff not found in 2 steps \(last step [-0-9.e]+\)"):
+        generate(SpaceSpec("warsaw_circle", n=2000))
+
+
+def _hausdorff_to(sample, points):
+    """Largest distance from a row of ``points`` to its nearest row of ``sample``, in row blocks."""
+    far = 0.0
+    for rows in row_blocks(len(points), len(sample) * sample.shape[1]):
+        diff = points[rows, None, :] - sample[None, :, :]
+        far = max(far, float(np.sqrt((diff * diff).sum(axis=2)).min(axis=1).max()))
+    return far
+
+
+@pytest.mark.parametrize(
+    "spec, denser",
+    [
+        (SpaceSpec("two_points"), SpaceSpec("two_points")),
+        (SpaceSpec("circle", n=64), SpaceSpec("circle", n=1024)),
+        (SpaceSpec("interval", n=101), SpaceSpec("interval", n=1601)),
+        (SpaceSpec("cantor", cantor_depth=4), SpaceSpec("cantor", cantor_depth=8)),
+        (SpaceSpec("warsaw_circle", n=300), SpaceSpec("warsaw_circle", n=4800)),
+        (SpaceSpec("warsaw_circle", n=2000), SpaceSpec("warsaw_circle", n=32000)),
+    ],
+    ids=["two_points", "circle64", "interval101", "cantor4", "warsaw300", "warsaw2000"],
+)
+def test_a_sixteen_times_denser_sample_lies_within_the_stated_density(spec, denser):
+    # the denser sample stands in for the space: every one of its points is
+    # within the sample's stated covering radius, up to a few ulps of the
+    # coordinates, which their rounded differences carry
+    g = generate(spec)
+    slack = 4 * math.ulp(float(np.abs(g.coords).max()))
+    assert _hausdorff_to(g.coords, generate(denser).coords) <= g.density + slack
 
 
 def test_warsaw_generation_holds_no_more_than_its_table():
