@@ -342,12 +342,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if seq.depth >= 2:
         # unions of singleton images are monotone: the diameter check is all that can fail
         try:
-            hls = [build_hyperlevel(tower.ground, lv, cap=2) for lv in seq.levels]
-            for hl in hls[1:]:
+            hls = [build_hyperlevel(tower.ground, lv, cap=2) for lv in seq.levels[1:]]  # level 1 maps nowhere
+            for hl in hls:
                 bonding_map(tower, hl)
             for n in range(1, seq.depth - 1):
                 composite_bonding(tower, hls[-1], n)
-            ok &= _print_verdict("monotone-bondings", True, f"{len(hls) - 1} steps plus composites")
+            ok &= _print_verdict("monotone-bondings", True, f"{len(hls)} steps plus composites")
         except (BondingDiameterError, ElementCapError) as exc:
             ok &= _print_verdict("monotone-bondings", False, str(exc))
 

@@ -152,5 +152,5 @@ def check_diagram_commutes(tower: Tower, n: int) -> HomotopyWitness:
     if not (1 <= n < tower.seq.depth):
         raise ValueError(f"need levels {n} and {n + 1} in a depth-{tower.seq.depth} tower")
     f = MultiMap(tower.q[n])
-    g = MultiMap(tower.union_image(n, n + 1, tower.positions(n + 1, tower.q[n + 1])))
+    g = MultiMap(tower.pushed[n])
     return check_homotopic_in_U(f, g, 2.0 * tower.seq.level(n).epsilon, tower.ground, name=f"diagram_level_{n}")

@@ -7,17 +7,18 @@ finite topological space whose open sets are the down-sets of the inclusion
 order, so a map between two such posets is continuous exactly when it is
 monotone.
 
-Subsets are enumerated up to a cardinality cap; every non-empty subset of a
-stored element is stored.  They are the simplices of a flag complex, so the
-vertices and edges (cap 2) decide the one check a bonding map needs: an
-image's diameter is the largest over the images of the element's vertices
-and edges.  Images are unions of singleton images, so a bonding map is
-monotone (continuous) by construction.  Checks and homology build levels at
-cap 2; larger caps serve the exports, and ``export_poset_csv`` alone
-computes an element's own diameter.  An element is a sorted tuple of net
-positions, so the hyperspace level and the scale complex number the net's
-points alike; ground indices are formed only where a distance is read or
-written out.
+A level stores its graph, the net pairs closer than ``2 * epsilon``, as one
+bitmask per net position (``HyperLevel.ahead``); the subsets are its
+cliques, the simplices of a flag complex, formed up to a cardinality cap on
+first read.  The vertices and edges (cap 2) decide the one check a bonding
+map needs: an image's diameter is the largest over the images of the
+element's vertices and edges.  Images are unions of singleton images, so a
+bonding map is monotone (continuous) by construction.  Checks and homology
+build levels at cap 2 and form no element tuple; larger caps serve the
+exports, and ``export_poset_csv`` alone computes an element's own diameter.
+An element is a sorted tuple of net positions, so the hyperspace level and
+the scale complex number the net's points alike; ground indices are formed
+only where a distance is read or written out.
 
 Multivalued maps are tabulated images in ground indices: the nearest-point
 map sends a ground point to its set of nearest net points (ties within a
@@ -88,6 +89,23 @@ def _ahead_masks(ground: MetricGround, net, two_eps: float) -> list[int]:
     return ahead
 
 
+def graph_edges(ahead) -> tuple[np.ndarray, np.ndarray]:
+    """The edges i < j (bit j of ``ahead[i]``) of a graph as two arrays, in lex order.
+
+    Only the nonzero 64-bit words of the masks are unpacked, in row blocks.
+    """
+    width = (len(ahead) + 63) // 64
+    edges = [np.empty((2, 0), dtype=np.intp)]
+    for rows in row_blocks(len(ahead), 8 * width):
+        words = np.frombuffer(b"".join(mask.to_bytes(8 * width, "little") for mask in ahead[rows]), dtype="<u8")
+        nonzero = np.flatnonzero(words != 0)
+        bits = np.flatnonzero(np.unpackbits(words[nonzero].view(np.uint8), bitorder="little").view(bool))
+        row, word = np.divmod(nonzero[bits >> 6], width)
+        edges.append(np.stack([rows.start + row, 64 * word + (bits & 63)]))
+    i, j = np.concatenate(edges, axis=1)
+    return i, j
+
+
 def grow_cliques(ahead: list[int], cap: int) -> list[list[tuple[int, ...]]]:
     """Cliques of size <= cap of the graph on {0..m-1} whose edges are i < j with bit j set in ``ahead[i]``.
 
@@ -123,19 +141,26 @@ def grow_cliques(ahead: list[int], cap: int) -> list[list[tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class HyperLevel:
-    """Poset of small-diameter net subsets at one tower level.
+    """Poset of small-diameter net subsets at one tower level, stored as its graph.
 
-    Elements are sorted tuples of net positions (``level.net[v]`` is the
-    ground index of position ``v``), listed by size and within a size in lex
-    order, so element ``i < len(level.net)`` is the singleton ``(i,)``.  The
-    order relation is set inclusion, given by its covering pairs.  ``table``
-    holds the elements once as a padded array, for every map out of the level.
-    ``_index``, for the exports and the order complex, is formed on first read.
+    ``ahead[i]`` is the bitmask of the net positions j > i closer than
+    ``2 * epsilon`` to position i (``level.net[v]`` is the ground index of
+    position ``v``).  The elements are the graph's cliques of at most ``cap``
+    points, sorted tuples listed by size and within a size in lex order, so
+    element ``i < len(level.net)`` is the singleton ``(i,)``.  The order
+    relation is set inclusion, given by its covering pairs.  ``table`` holds
+    the elements once as a padded array, for every map out of the level.
+    All three are formed on first read; at cap 2, table and count alike
+    come off the graph, with no element tuple.
     """
 
     level: Level
-    elements: tuple[tuple[int, ...], ...]
+    ahead: tuple[int, ...]
     cap: int
+
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.chain.from_iterable(grow_cliques(self.ahead, self.cap)))
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -143,28 +168,35 @@ class HyperLevel:
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.ahead) + sum(map(int.bit_count, self.ahead)) if self.cap == 2 else len(self.elements)
 
     @cached_property
     def table(self) -> np.ndarray:
         """The elements as a padded table of net positions (``padded_rows``), formed on first read."""
-        sizes = np.fromiter(map(len, self.elements), dtype=np.intp, count=len(self.elements))
-        members = np.fromiter(itertools.chain.from_iterable(self.elements), dtype=np.intp, count=int(sizes.sum()))
+        if self.cap == 2:
+            i, j = graph_edges(self.ahead)
+            sizes = np.repeat([1, 2], (len(self.ahead), len(i)))
+            members = np.concatenate([np.arange(len(self.ahead)), np.stack([i, j], axis=1).ravel()])
+        else:
+            sizes = np.fromiter(map(len, self.elements), dtype=np.intp, count=len(self.elements))
+            members = np.fromiter(itertools.chain.from_iterable(self.elements), dtype=np.intp, count=int(sizes.sum()))
         return padded_rows(len(sizes), np.repeat(np.arange(len(sizes)), sizes), members)
 
     def covering_pairs(self):
         """Pairs (i, j) where j covers i: |j| = |i| + 1 and i subset of j (exports, ``is_continuous``)."""
-        for j, el in enumerate(self.elements):
-            if len(el) < 2:
-                continue
+        m = len(self.ahead)  # the singletons come first and cover nothing
+        for j, el in enumerate(self.elements[m:], m):
             for sub in itertools.combinations(el, len(el) - 1):
                 yield self._index[sub], j
 
 
 def build_hyperlevel(ground: MetricGround, level: Level, cap: int = 3) -> HyperLevel:
-    """Enumerate the subsets of the level net with diameter < 2 * epsilon, as net positions."""
-    elements = enumerate_small_subsets(ground, level.net, 2.0 * level.epsilon, cap)
-    return HyperLevel(level=level, elements=tuple(elements), cap=cap)
+    """The graph of the level's net positions closer than 2 * epsilon; its elements must fit ``MAX_ELEMENTS``."""
+    hl = HyperLevel(level=level, ahead=tuple(_ahead_masks(ground, level.net, 2.0 * level.epsilon)), cap=cap)
+    if hl.n_elements > MAX_ELEMENTS:  # above cap 2, grow_cliques has raised ElementCapError already
+        size = 1 if len(hl.ahead) > MAX_ELEMENTS else 2
+        raise ElementCapError(f"element budget {MAX_ELEMENTS} exceeded at cardinality {size}")
+    return hl
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +300,9 @@ class Tower:
     ``A_n`` through the steps; it is memoized and extended one step from
     ``composite(n, m - 1)``.  Composite rows follow the order of the net
     ``A_m``.  Bonding maps act on subsets by unions of singleton images, so
-    these tables determine every bonding map.
+    these tables determine every bonding map.  ``pushed[n]``, the image in
+    ``A_n`` of each ground point's ``q[n + 1]`` row, is read by the level
+    squares and the distance bounds alike.
     """
 
     def __init__(self, seq: AdjustedSequence):
@@ -276,6 +310,8 @@ class Tower:
         self.q = {lv.index: nearest_sets(seq.ground, lv.net, lv.gamma) for lv in seq.levels}
         self.seq = seq
         self._composites: dict[tuple[int, int], np.ndarray] = {}
+        self.pushed = {n: self.union_image(n, n + 1, self.positions(n + 1, self.q[n + 1]))
+                       for n in range(1, seq.depth)}
 
     def composite(self, n: int, m: int) -> np.ndarray:
         if not 1 <= n < m <= self.seq.depth:
@@ -435,7 +471,7 @@ def verify_adjusted_distance_bounds(tower: Tower) -> DistanceBoundsReport:
             net_m = np.asarray(tower.seq.level(m).net, dtype=np.intp)
             record(c1, _cross_max(ground, tower.q[n], tower.q[m]), eps_n, xs, n, m)
             record(c2, _cross_max(ground, tower.composite(n, m), net_m[:, None]), eps_n, net_m, n, m)
-            image = tower.union_image(n, m, tower.positions(m, tower.q[m]))
+            image = tower.pushed[n] if m == n + 1 else tower.union_image(n, m, tower.positions(m, tower.q[m]))
             record(c3, _cross_max(ground, image, xs[:, None]), eps_n, xs, n, m)
 
     return DistanceBoundsReport(clauses=[c1, c2, c3])

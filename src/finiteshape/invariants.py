@@ -7,7 +7,8 @@ kept for exports and as the tests' reference route.
 
 The scale complex is a flag (Vietoris-Rips) complex: a set of net points is
 a simplex exactly when each pair of them is an edge.  So a level is read as
-its vertices and edges (cap 2) and strong-collapsed on them.  A vertex u is
+its graph, the bitmasks its hyperlevel stores, which both collapses take
+(``_neighbourhoods``), and strong-collapsed on it.  A vertex u is
 dominated by a neighbour w when the closed neighbourhood of u lies inside
 that of w; then every simplex through u spans a simplex with w, so u ↦ w is
 a simplicial retraction contiguous to the identity, and removing u keeps the
@@ -63,6 +64,7 @@ from .hyperspace import (
     Tower,
     bonding_map,
     build_hyperlevel,
+    graph_edges,
     grow_cliques,
 )
 from .metric import MetricGround
@@ -85,26 +87,19 @@ class SimplicialComplex:
         return len(self.simplices[dim])
 
 
-def _simplices_by_size(hl: HyperLevel, top: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The elements of each size 1..top.
-
-    Elements are listed by size, so each size is one slice; the hyperlevel
-    must be enumerated with a cap of at least ``top``.
-    """
-    if hl.cap < top:
-        raise ValueError(f"cardinality cap {hl.cap} too small for simplices of {top} points")
-    bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(1, top + 2)]
-    return [hl.elements[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def scale_complex(hl: HyperLevel) -> SimplicialComplex:
     """Scale complex of a level, read off its hyperspace level.
 
     The k-simplices are the elements of k + 1 net points, up to the
     triangles (exactly what homology through degree 1 consumes); vertices
-    are net positions, as in the elements themselves.
+    are net positions, as in the elements themselves.  Elements are listed
+    by size, so each size is one slice; the cap must be at least 3.
     """
-    return SimplicialComplex(n_vertices=len(hl.level.net), simplices=tuple(_simplices_by_size(hl, 3)))
+    if hl.cap < 3:
+        raise ValueError(f"cardinality cap {hl.cap} too small for simplices of 3 points")
+    bounds = [bisect.bisect_left(hl.elements, size, key=len) for size in range(1, 5)]
+    simplices = tuple(hl.elements[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    return SimplicialComplex(n_vertices=len(hl.level.net), simplices=simplices)
 
 
 def rips_complex(ground: MetricGround, level: Level) -> SimplicialComplex:
@@ -176,27 +171,37 @@ class StrongCollapse:
     ahead: tuple[int, ...]
 
 
-def strong_collapse(n_vertices: int, edges) -> StrongCollapse:
-    """Remove dominated vertices of the flag complex on ``edges`` until none is left.
+def _neighbourhoods(ahead) -> tuple[list[int], list[int], list[int]]:
+    """Closed neighbourhoods N[v] of the graph of ``ahead``, as bitmasks, and its edges u < v.
 
-    Closed neighbourhoods are Python-int bitmasks.  Vertices are examined
-    from a worklist that starts with every vertex in index order; a removal
-    re-queues only the removed vertex's neighbours, the only vertices whose
-    domination it can create.  A removal clears its bit from the
-    neighbourhoods of the vertices still present, so what is left of them
-    at the end is the core's adjacency.  The dominator of a vertex is its
-    lowest-index neighbour that dominates it, so the result is determined by
-    the edges alone.
+    The edges come as two lists, in lex order (``graph_edges``).
     """
-    closed = [1 << v for v in range(n_vertices)]
-    adjacent: list[list[int]] = [[] for _ in range(n_vertices)]
-    for u, v in edges:
-        closed[u] |= 1 << v
+    closed = [1 << v | mask for v, mask in enumerate(ahead)]
+    i, j = (a.tolist() for a in graph_edges(ahead))
+    for u, v in zip(i, j):
         closed[v] |= 1 << u
+    return closed, i, j
+
+
+def strong_collapse(ahead) -> StrongCollapse:
+    """Remove dominated vertices of the flag complex of a graph until none is left.
+
+    The graph's edges are i < j with bit j set in ``ahead[i]``; closed
+    neighbourhoods are Python-int bitmasks (``_neighbourhoods``).  Vertices
+    are examined from a worklist that starts with every vertex in index
+    order; a removal re-queues only the removed vertex's neighbours, the
+    only vertices whose domination it can create.  A removal clears its bit
+    from the neighbourhoods of the vertices still present, so what is left
+    of them at the end is the core's adjacency.  The dominator of a vertex
+    is its lowest-index neighbour that dominates it, so the result is
+    determined by the edges alone.
+    """
+    n_vertices = len(ahead)
+    closed, i, j = _neighbourhoods(ahead)
+    adjacent: list[list[int]] = [[] for _ in ahead]
+    for u, v in zip(i, j):  # in lex order, so every list comes out ascending
         adjacent[u].append(v)
         adjacent[v].append(u)
-    for nbrs in adjacent:
-        nbrs.sort()
     alive = [True] * n_vertices
     queued = [True] * n_vertices
     worklist = deque(range(n_vertices))
@@ -243,15 +248,8 @@ def edge_collapse(ahead) -> tuple[list[int], list[int]]:
     removals as a flat list u0, v0, w0, u1, v1, w1, ... in removal order,
     with u < v.
     """
-    closed = [1 << v | mask for v, mask in enumerate(ahead)]
-    worklist = deque()
-    for u, mask in enumerate(ahead):
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            v = low.bit_length() - 1
-            closed[v] |= 1 << u
-            worklist.append((u, v))
+    closed, i, j = _neighbourhoods(ahead)
+    worklist = deque(zip(i, j))
     queued = [mask ^ 1 << v for v, mask in enumerate(closed)]  # queued[u]: bitmask of the x with ux on the worklist
     removals: list[int] = []
     while worklist:
@@ -295,8 +293,8 @@ class LevelHomology:
 
     Vertices of the complex are net positions, which number the points of
     every hyperlevel element and are also the element ids of the level's
-    singletons (``build_hyperlevel`` lists them first).  The vertices and
-    edges are read off the hyperlevel and strong-collapsed, and the core's
+    singletons (``build_hyperlevel`` lists them first).  The level's graph
+    (``hl.ahead``) is strong-collapsed, and the core's
     dominated edges are removed (``edge_collapse``); ``edge_removals`` keeps
     those removals, flat, for the induced maps.  The edges and triangles of
     what is left are grown from its adjacency (``grow_cliques``, lex order,
@@ -308,12 +306,11 @@ class LevelHomology:
     """
 
     def __init__(self, hl: HyperLevel):
-        vertices, edges = _simplices_by_size(hl, 2)
-        self.collapse = strong_collapse(len(vertices), edges)
+        self.collapse = strong_collapse(hl.ahead)
         ahead, self.edge_removals = edge_collapse(self.collapse.ahead)
         _, reduced_edges, triangles = grow_cliques(ahead, 3)
         reduced_edges += [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
-        self.hom = ChainHomology(len(vertices), reduced_edges, triangles)
+        self.hom = ChainHomology(len(hl.ahead), reduced_edges, triangles)
         self.betti = (self.hom.b0, self.hom.b1)
 
 
@@ -430,7 +427,7 @@ class HomologyReport:
 def shape_report(tower: Tower, window: int = 2) -> HomologyReport:
     """Full homology pipeline over a built tower (depth >= 2).
 
-    Builds each level's vertices and edges (cap 2), reduces its collapsed
+    Builds each level's graph (cap 2), reduces its collapsed
     scale complex once (``LevelHomology``), computes induced ranks along
     every consecutive bonding map, and stabilizes them over the trailing
     window (at least 2 levels, else ``ValueError``).  Each bonding map is

@@ -679,7 +679,8 @@ def _warsaw_ground(n: int) -> MetricGround:
     (0,-1) -> (0,-1.5) -> (w,-1.5) -> (w,1) with w = 2/pi, and the graph of
     sin(1/x) from x = w down to a cutoff x_min.  The cutoff is chosen at half
     the arc-length spacing so the unsampled tail stays within the claimed
-    density of the segment samples.
+    density of the segment samples.  The segment and the arc take the nearest
+    whole numbers of spacings, both rounded down where that leaves the graph none.
 
     So x_min solves x = F(x), F(x) = L(x) / (2 (n - 1)), with L(x) the total
     length when the graph stops at x, its graph part read off a 20,000-point
@@ -733,9 +734,9 @@ def _warsaw_ground(n: int) -> MetricGround:
 
     k_seg = max(1, round(seg_len / delta))
     k_arc = max(1, round(arc_len / delta))
+    if k_seg + k_arc > n - 2:  # seg_len + arc_len < (n - 1) delta, so rounded down they leave the graph a spacing
+        k_seg, k_arc = math.floor(seg_len / delta), math.floor(arc_len / delta)
     k_graph = n - 1 - k_seg - k_arc
-    if k_graph < 1:
-        raise ValueError("warsaw_circle sample count too small for its arc budget")
 
     arc, graph = slice(k_seg, k_seg + k_arc), slice(k_seg + k_arc, n)
     x, y = np.empty((2, n))

@@ -22,7 +22,9 @@ induced ranks pushed through the selection map on every vertex.
 ``FullCoreHomology`` reduces a level's whole strong-collapse core, every
 core triangle grown, as the library reduced it before it collapsed
 dominated edges; ``full_core_ranks`` pushes cycles through the vertex map
-and the core retraction alone.
+and the core retraction alone.  Its core comes from
+``reference_strong_collapse``, which reads the level's edges as tuples, as
+the library did before it collapsed straight from the graph's bitmasks.
 ``EveryColumnHomology``, ``every_column_pivots`` and ``rank_of`` reduce
 every boundary column of a complex, with no column skipped by a cone.
 
@@ -37,6 +39,7 @@ sequences, with their conversion into maps of finite type (Sanjurjo,
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +47,7 @@ import numpy as np
 from finiteshape.construction import gamma
 from finiteshape.gf2 import ChainHomology, ColumnReducer
 from finiteshape.hyperspace import MultiMap, _union_rows, grow_cliques, nearest_sets, row_diameters
-from finiteshape.invariants import bonding_vertex_map, order_complex, scale_complex, strong_collapse
+from finiteshape.invariants import StrongCollapse, bonding_vertex_map, order_complex, scale_complex
 from finiteshape.metric import _squared_sums, row_blocks
 
 
@@ -376,6 +379,50 @@ def full_scale_ranks(p, fine, coarse):
     return pushed_ranks(vertex_map, full_scale_homology(fine), full_scale_homology(coarse))
 
 
+def reference_strong_collapse(n_vertices, edges):
+    """``invariants.strong_collapse`` from an edge list: the same worklist and dominator rule.
+
+    Closed neighbourhoods and sorted adjacency lists are built edge by edge
+    from the tuples, where the library reads them off the graph's bitmasks.
+    """
+    closed = [1 << v for v in range(n_vertices)]
+    adjacent = [[] for _ in range(n_vertices)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    for nbrs in adjacent:
+        nbrs.sort()
+    alive = [True] * n_vertices
+    queued = [True] * n_vertices
+    worklist = deque(range(n_vertices))
+    removals = []
+    while worklist:
+        u = worklist.popleft()
+        queued[u] = False
+        mask = closed[u]
+        for w in adjacent[u]:
+            if alive[w] and closed[w] & mask == mask:
+                break
+        else:
+            continue
+        alive[u] = False
+        removals.append((u, w))
+        for x in adjacent[u]:
+            if alive[x]:
+                closed[x] &= ~(1 << u)
+                if not queued[x]:
+                    queued[x] = True
+                    worklist.append(x)
+    retraction = list(range(n_vertices))
+    for u, w in reversed(removals):
+        retraction[u] = retraction[w]
+    core = tuple(v for v in range(n_vertices) if alive[v])
+    ahead = tuple(closed[v] >> (v + 1) << (v + 1) if alive[v] else 0 for v in range(n_vertices))
+    return StrongCollapse(core=core, removals=tuple(removals), retraction=tuple(retraction), ahead=ahead)
+
+
 class FullCoreHomology:
     """A level's scale-complex homology reduced on its whole strong-collapse core.
 
@@ -386,7 +433,7 @@ class FullCoreHomology:
 
     def __init__(self, hl):
         m = len(hl.level.net)
-        self.collapse = strong_collapse(m, [el for el in hl.elements[m:] if len(el) == 2])
+        self.collapse = reference_strong_collapse(m, [el for el in hl.elements[m:] if len(el) == 2])
         _, core_edges, triangles = grow_cliques(self.collapse.ahead, 3)
         forest = [(u, w) if u < w else (w, u) for u, w in self.collapse.removals]
         self.hom = ChainHomology(m, core_edges + forest, triangles)

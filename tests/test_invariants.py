@@ -13,7 +13,6 @@ from finiteshape.hyperspace import (
     bonding_map,
     build_hyperlevel,
     composite_bonding,
-    enumerate_small_subsets,
     grow_cliques,
     is_continuous,
 )
@@ -45,6 +44,7 @@ from reference_loops import (
     full_core_ranks,
     full_scale_ranks,
     gf2_matrix_product,
+    reference_strong_collapse,
     selection_vertex_map,
 )
 
@@ -256,12 +256,12 @@ def test_collapse_removes_the_lowest_dominated_vertex_first():
     # path 0 - 1 - 2: 0 goes to 1, then 1 goes to 2; the composite sends 0 to
     # 2, which is not adjacent to 0, so only each elementary retraction is
     # contiguous to the identity, not their composite
-    col = strong_collapse(3, [(0, 1), (1, 2)])
+    col = strong_collapse(graph_ahead(3, [(0, 1), (1, 2)]))
     assert col.removals == ((0, 1), (1, 2))
     assert col.core == (2,) and col.retraction == (2, 2, 2)
     # twins: each dominates the other, and the lower index goes
-    assert strong_collapse(2, [(0, 1)]).removals == ((0, 1),)
-    assert strong_collapse(4, []).core == (0, 1, 2, 3)
+    assert strong_collapse(graph_ahead(2, [(0, 1)])).removals == ((0, 1),)
+    assert strong_collapse(graph_ahead(4, [])).core == (0, 1, 2, 3)
 
 
 def test_pushed_edge_outside_the_coarse_core_is_a_check_failure():
@@ -299,6 +299,14 @@ def test_edge_collapse_of_a_triangle_leaves_a_path():
 
 graphs = st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs)
+def test_strong_collapse_of_the_bitmasks_matches_the_edge_list_oracle(graph):
+    n, chosen = graph
+    edges = [e for e, keep in zip(itertools.combinations(range(n), 2), chosen) if keep]
+    assert strong_collapse(graph_ahead(n, edges)) == reference_strong_collapse(n, edges)
 
 
 @settings(max_examples=80, deadline=None)
@@ -542,7 +550,7 @@ def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
         full_counts[lv.index] = (full_added, len(grow_cliques(full.collapse.ahead, 3)[2]), len(full.collapse.core), len(lv.net))
         left = grow_cliques(edge_collapse(data.collapse.ahead)[0], 3)
         counts[lv.index] = (data_added, len(left[2]), len(left[1]), len(data.edge_removals) // 3, len(data.collapse.core))
-        assert data.betti == full.betti
+        assert data.betti == full.betti and data.collapse == full.collapse
         bettis.append(data.betti)
     assert bettis == [(1, 0), (1, 1), (1, 1), (1, 1)]
     # the whole cores of levels 2 and 3 (the oracle): most triangle columns are cones from a lower vertex and are not reduced
@@ -557,25 +565,33 @@ def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
 def test_shape_report_computes_each_object_once(monkeypatch, capsys):
     g = generate(SpaceSpec("circle", n=128))
     seq = build_adjusted_sequence(g, epsilon1=1.0, depth=4)
-    checked, enumerated = [], []
+    checked, graphs_built, grown = [], [], []
+    ahead_masks = hyperspace._ahead_masks
 
     def counting_is_continuous(p, domain):
         checked.append(domain.level.index)
         return is_continuous(p, domain)
 
-    def counting_enumerate(ground, net, two_eps, cap):
-        enumerated.append((len(net), cap))
-        return enumerate_small_subsets(ground, net, two_eps, cap)
+    def counting_ahead_masks(ground, net, two_eps):
+        graphs_built.append((len(net), two_eps))
+        return ahead_masks(ground, net, two_eps)
+
+    def counting_grow(ahead, cap):
+        grown.append(cap)
+        return grow_cliques(ahead, cap)
 
     with monkeypatch.context() as m:
         m.setattr(hyperspace, "is_continuous", counting_is_continuous)
-        m.setattr(hyperspace, "enumerate_small_subsets", counting_enumerate)
+        m.setattr(hyperspace, "_ahead_masks", counting_ahead_masks)
+        m.setattr(hyperspace, "grow_cliques", counting_grow)
         rep = shape_report(Tower(seq))
-        # each level is enumerated once, as vertices and edges only
-        assert enumerated == [(len(lv.net), 2) for lv in seq.levels]
-        enumerated.clear()
+        # each level's graph is built once, and no element tuple is formed from it
+        assert graphs_built == [(len(lv.net), 2.0 * lv.epsilon) for lv in seq.levels]
+        graphs_built.clear()
         assert cli.main(["verify", "--space", "circle", "--n", "128", "--depth", "4"]) == 0
-        assert enumerated == [(len(lv.net), 2) for lv in seq.levels]
+        # the bonding checks read levels 2 and on, each graph built once
+        assert graphs_built == [(len(lv.net), 2.0 * lv.epsilon) for lv in seq.levels[1:]]
+        assert grown == []
     assert "PASS monotone-bondings" in capsys.readouterr().out
     assert checked == []  # a bonding map is monotone by construction; neither command re-checks it
 

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import subprocess
@@ -80,6 +79,14 @@ def test_warsaw_count_and_connectivity():
     assert g.density > 0
     # union-find oracle: connected at scale 2 * density
     assert components_at_scale(dense(g), 2.0 * g.density) == 1
+
+
+def test_warsaw_generates_every_small_sample_count():
+    # at n = 9 the segment and the arc rounded up to all eight spacings, and the graph had none
+    for n in range(8, 200):
+        g = generate(SpaceSpec("warsaw_circle", n=n))
+        assert g.n == len(np.unique(g.coords, axis=0)) == n
+        assert components_at_scale(dense(g), 2.0 * g.density) == 1
 
 
 def test_warsaw_covers_expected_extent():
@@ -278,9 +285,7 @@ def test_warsaw_coordinates_are_those_of_the_one_shot_table(n, monkeypatch):
 def test_warsaw_cutoff_solves_its_equation_in_a_few_tables(n, monkeypatch):
     cutoffs, table = [], metric._warsaw_graph_table
     monkeypatch.setattr(metric, "_warsaw_graph_table", lambda x_min, grid: cutoffs.append(x_min) or table(x_min, grid))
-    # at n = 9 the rounded segment and arc counts (3 + 5) leave no graph point
-    with pytest.raises(ValueError, match="arc budget") if n == 9 else contextlib.nullcontext():
-        generate(SpaceSpec("warsaw_circle", n=n))
+    generate(SpaceSpec("warsaw_circle", n=n))
     assert len(cutoffs) <= 16
     x_min = cutoffs[-1]
     _, s = reference_warsaw_graph_table(x_min, 20000)
