@@ -248,10 +248,11 @@ def build_adjusted_sequence(ground: MetricGround, epsilon1: float, depth: int, s
     eps = float(epsilon1)
     for n in range(1, depth + 1):
         t = net_threshold(eps, ground.density, max_nn, n, ladder, safety)
-        if t <= 0:  # the gap clamp 0.98 epsilon - max_nn / 2 left nothing
-            raise ValueError(f"level {n} has no positive net threshold: epsilon_{n} = {eps!r}, and the largest "
-                             f"nearest-neighbour distance {max_nn!r} at density {ground.density!r} is at least "
-                             f"1.96 * epsilon_{n}, so no net keeps its gaps below the level scale")
+        if t <= 0:  # the gap clamp 0.98 epsilon - max_nn / 2 left nothing, or epsilon itself underflowed
+            cause = (f"the largest nearest-neighbour distance {max_nn!r} at density {ground.density!r} is at least "
+                     f"1.96 * epsilon_{n}, so no net keeps its gaps below the level scale" if ground.density > 0
+                     else f"at density 0 the threshold is epsilon_{n} itself, which has underflowed to zero")
+            raise ValueError(f"level {n} has no positive net threshold: epsilon_{n} = {eps!r}, and {cause}")
         net, g = cut_net(perm, t)
         levels.append(Level(index=n, epsilon=eps, net=net, gamma=g))
         if n == depth:

@@ -2,20 +2,14 @@
 
 Columns are represented as Python-int bitmasks of row indices; XOR is ``^``
 and the pivot of a column is its highest set bit.  Reduction keeps one
-column per pivot row, so the number of stored columns is bounded by the rank.
+column per pivot row, so the number of stored columns is bounded by the
+rank, and a stored column is never rewritten.
 
-The triangle boundary matrix skips, before any reduction, the columns a
-cone makes dependent (``_cone_free``).  For a triangle s and a vertex x not
-in it, ``∂∂(x∗s) = 0`` gives ``∂s = Σ_τ ∂(x∗τ)`` over the edges τ of s.
-When some x below the first vertex of s has every x∗τ in the complex, ∂s
-is a sum of boundaries of triangles whose first vertex is x, lower than
-s's; by induction on the first vertex the columns that are kept span every
-boundary, so ranks are unchanged.  In lex order the cone faces x∗τ come
-before s, so a skipped column is one the full reduction would have reduced
-to zero, and on lex-ordered input the pivots are those of the full
-reduction as well.  Ripser skips columns the same way through apparent
-pairs and clearing (Bauer, JACT 2021; Chen & Kerber, *Persistent homology
-computation with a twist*, 2011).
+Triangle boundaries are reduced in fundamental-cycle coordinates, one row
+per non-tree edge, so their rank is at most the cycle dimension.  Once the
+rank reaches it, every pivot row is taken and every later column reduces
+to zero: the reduction stops there, and its pivots, rank and
+representatives are those of reducing every column.
 """
 
 from __future__ import annotations
@@ -45,48 +39,18 @@ class ColumnReducer:
         return False
 
 
-class DisjointSets:
-    """Union-find with path halving; tracks the number of classes."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.count -= 1
-        return True
-
-
 class ChainHomology:
     """Homology data of a simplicial complex in degrees 0 and 1.
 
     Edges are vertex pairs and triangles vertex triples, each sorted (faces
-    must be simplices of the complex).  Degree-1 work happens in
-    fundamental-cycle coordinates: a spanning forest is fixed, every cycle
-    is determined by its non-tree edge support, and triangle boundaries
-    project to at most three coordinates.  Homology representatives in
-    degree 1 are fundamental cycles of the non-tree edges whose coordinate
-    never became a pivot.
-
-    A triangle (a, b, c) is not reduced when some vertex x < a has (x, a, b),
-    (x, a, c) and (x, b, c) among the triangles: its boundary is the sum of
-    theirs (see the module docstring).  x is the lowest common lower
-    neighbour of the vertices, found by one AND of bitmasks; its cone faces
-    are then looked up, so the rule is exact on any complex, and on a flag
-    complex they are always there.  On lex-ordered input
-    ``boundary_reducer.pivots`` equals the pivots of reducing every column;
-    in any order it has the same keys.
+    must be simplices of the complex).  One pass with a stack over every
+    vertex's edges fixes a spanning forest: ``comp_of[v]`` is the root of
+    v's tree, and the non-tree edges, in edge order, are the
+    fundamental-cycle coordinates.  A cycle is determined by its non-tree
+    support, so a triangle boundary projects to at most three coordinates.
+    Triangles are reduced in the order given until the rank reaches
+    ``cycle_dim`` (see the module docstring).  Degree-1 representatives are
+    the fundamental cycles of the coordinates that never became a pivot.
     """
 
     def __init__(self, n_vertices: int, edges, triangles):
@@ -94,43 +58,40 @@ class ChainHomology:
         self.edges = [tuple(e) for e in edges]
         self.edge_id = {e: i for i, e in enumerate(self.edges)}
 
-        dsu = DisjointSets(n_vertices)
-        self.tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-        self.nontree: dict[int, int] = {}  # edge id -> fundamental coordinate
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
         for i, (u, v) in enumerate(self.edges):
-            if dsu.union(u, v):
-                self.tree_adj[u].append((v, i))
-                self.tree_adj[v].append((u, i))
-            else:
-                self.nontree[i] = len(self.nontree)
-        self.components = dsu.count
-        self.comp_of = [dsu.find(v) for v in range(n_vertices)]
-        self.cycle_dim = len(self.edges) - (n_vertices - self.components)
-
+            adj[u].append((v, i))
+            adj[v].append((u, i))
         self._parent: list[tuple[int, int] | None] = [None] * n_vertices
         self._depth = [0] * n_vertices
-        seen = [False] * n_vertices
+        self.comp_of = [-1] * n_vertices
+        in_tree = [False] * len(self.edges)
+        self.components = 0
         for root in range(n_vertices):
-            if seen[root]:
+            if self.comp_of[root] >= 0:
                 continue
-            seen[root] = True
+            self.components += 1
+            self.comp_of[root] = root
             stack = [root]
             while stack:
                 v = stack.pop()
-                for w, eid in self.tree_adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        self._parent[w] = (v, eid)
+                for w, i in adj[v]:
+                    if self.comp_of[w] < 0:
+                        self.comp_of[w] = root
+                        self._parent[w] = (v, i)
                         self._depth[w] = self._depth[v] + 1
+                        in_tree[i] = True
                         stack.append(w)
+        self._nontree_by_coord = [i for i, t in enumerate(in_tree) if not t]
+        self.nontree = {e: c for c, e in enumerate(self._nontree_by_coord)}  # edge id -> fundamental coordinate
+        self.cycle_dim = len(self._nontree_by_coord)
 
-        self._nontree_by_coord = {c: e for e, c in self.nontree.items()}
-        lower = [0] * n_vertices  # lower[v]: the neighbours of v below it, as a bitmask
-        for u, v in self.edges:
-            lower[v] |= 1 << u
         self.boundary_reducer = ColumnReducer()
-        for tri in _cone_free(triangles, lower):
-            self.boundary_reducer.add(self.project(_triangle_edges(tri, self.edge_id)))
+        edge_id = self.edge_id
+        for a, b, c in triangles:
+            if self.boundary_reducer.rank == self.cycle_dim:
+                break
+            self.boundary_reducer.add(self.project((edge_id[a, b], edge_id[a, c], edge_id[b, c])))
         self.rank_d2 = self.boundary_reducer.rank
 
     @property
@@ -186,25 +147,3 @@ class ChainHomology:
             red.add(self.project(cycle))
         return red.rank
 
-
-def _cone_free(triangles, lower):
-    """The triangles, as tuples in input order, less those whose boundary a lower cone spans.
-
-    A triangle (a, b, c) is left out when x, the lowest common neighbour of
-    its vertices below a (``lower[v]``: bitmask of the neighbours of v below
-    v), has (x, a, b), (x, a, c) and (x, b, c) among ``triangles``.
-    """
-    triangles = [tuple(t) for t in triangles]
-    present = set(triangles)
-    for a, b, c in triangles:
-        common = lower[a] & lower[b] & lower[c]
-        if common:
-            x = (common & -common).bit_length() - 1
-            if (x, a, b) in present and (x, a, c) in present and (x, b, c) in present:
-                continue
-        yield a, b, c
-
-
-def _triangle_edges(tri, edge_id):
-    a, b, c = tri
-    return (edge_id[(a, b)], edge_id[(a, c)], edge_id[(b, c)])

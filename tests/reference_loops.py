@@ -26,7 +26,7 @@ and the core retraction alone.  Its core comes from
 ``reference_strong_collapse``, which reads the level's edges as tuples, as
 the library did before it collapsed straight from the graph's bitmasks.
 ``EveryColumnHomology``, ``every_column_pivots`` and ``rank_of`` reduce
-every boundary column of a complex, with no column skipped by a cone.
+every boundary column of a complex, with no stop at full rank.
 
 The oracles that the pipeline never reads live here too: the whole distance
 table of a ground, the largest image diameter of a map, the element index

@@ -674,6 +674,17 @@ def test_gap_clamp_without_room_names_the_net_threshold(tmp_path, capsys):
     assert "nearest-neighbour distance 1.0 at density 0.1" in err
 
 
+def test_underflowed_scale_at_density_0_names_the_underflow(tmp_path, capsys):
+    # at density 0 no gap clamp applies: the threshold is epsilon_n, which halves each level until it is 0.0
+    matrix = tmp_path / "two.csv"
+    matrix.write_text("0,1\n1,0\n")
+    assert run_cli(["run", "--input", str(matrix), "--format", "distmatrix_csv", "--depth", "2000",
+                    "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: level 934 has no positive net threshold: epsilon_934 = 0.0, and at density 0 "
+                   "the threshold is epsilon_934 itself, which has underflowed to zero\n")
+
+
 def write_jittered_circle_distmatrix(path, n, seed=0):
     """Distance-matrix CSV of n unit-circle points: equally spaced angles, each
     moved by up to a tenth of the spacing, listed in a seeded random order."""

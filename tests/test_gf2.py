@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finiteshape import invariants
+from finiteshape.construction import build_adjusted_sequence
 from finiteshape.gf2 import ChainHomology, ColumnReducer
+from finiteshape.hyperspace import build_hyperlevel
+from finiteshape.metric import SpaceSpec, generate
 from reference_loops import EveryColumnHomology, every_column_pivots, rank_of
 
 
@@ -108,7 +112,7 @@ def test_bitmask_reducer_matches_set_reduction():
             assert {r for r in range(mask.bit_length()) if mask >> r & 1} == ref.pivots[p]
 
 
-# --- cone rule against reducing every column -------------------------------------
+# --- the full-rank stop against reducing every column ---------------------------
 
 
 def check_against_every_column(n, edges, triangles, seed=0, picks=((0, 1), (1,), (2, 3))):
@@ -161,15 +165,14 @@ OCTAHEDRON_EDGES = [e for e in simplex_faces(6, 2) if e not in {(0, 1), (2, 3), 
 
 
 @pytest.mark.parametrize("n, edges, triangles, ranks", [
-    # hollow tetrahedron: each triangle is a cone from the fourth vertex, which lies below only (1, 2, 3)
     (4, simplex_faces(4, 2), simplex_faces(4, 3), (3, 1, 0)),
-    # K4 with one triangle: vertex 0 lies below (1, 2, 3) and is adjacent to it, but its cone faces are missing
+    # K4 with one triangle: the rank stays below the cycle dimension, so nothing is left unreduced
     (4, simplex_faces(4, 2), [(1, 2, 3)], (1, 1, 2)),
     (6, OCTAHEDRON_EDGES, cliques(6, OCTAHEDRON_EDGES, 3), (7, 1, 0)),
-    # 2-skeleton of the 4-simplex: every triangle off vertex 0 is a cone from it and is skipped
+    # 2-skeleton of the 4-simplex: the six triangles through vertex 0 reach the cycle dimension
     (5, simplex_faces(5, 2), simplex_faces(5, 3), (6, 1, 0)),
 ], ids=["hollow-tetrahedron", "k4-one-triangle", "octahedron", "4-simplex-2-skeleton"])
-def test_cone_rule_on_named_complexes(n, edges, triangles, ranks):
+def test_named_complexes_match_every_column_reduction(n, edges, triangles, ranks):
     check_against_every_column(n, edges, triangles)
     hom = ChainHomology(n, edges, triangles)
     assert (hom.rank_d2, hom.b0, hom.b1) == ranks
@@ -189,10 +192,52 @@ def complexes(draw):
     triangles = cliques(n, edges, 3)
     if not flag:
         triangles = subset(triangles)
-    return n, draw(st.permutations(edges)), triangles  # the spanning forest follows the edge order
+    return n, draw(st.permutations(edges)), triangles  # the edge order sets the order the forest pass meets edges in
 
 
 @settings(max_examples=200, deadline=None)
 @given(complexes(), st.integers(0, 2**32 - 1), st.lists(st.sets(st.integers(0, 12), max_size=4), min_size=1, max_size=4))
-def test_cone_rule_matches_every_column_reduction(cx, seed, picks):
+def test_full_rank_stop_matches_every_column_reduction(cx, seed, picks):
     check_against_every_column(*cx, seed, picks)
+
+
+def circle_128_level_1():
+    """The complex ``LevelHomology`` reduces on level 1 of circle-128 d4: a cross-polytope's flag complex."""
+    g = generate(SpaceSpec("circle", n=128))
+    lv = build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=4).levels[0]
+    built = []
+
+    class CapturingChainHomology(ChainHomology):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(invariants, "ChainHomology", CapturingChainHomology)
+        invariants.LevelHomology(build_hyperlevel(g, lv, cap=2))
+    return built[0]
+
+
+@pytest.mark.parametrize("complex_of, sizes, calls", [
+    (lambda: (4, simplex_faces(4, 2), simplex_faces(4, 3)), (4, 4, 3), 3),
+    (lambda: (6, OCTAHEDRON_EDGES, cliques(6, OCTAHEDRON_EDGES, 3)), (6, 8, 7), 7),
+    (circle_128_level_1, (32, 4480, 449), 1073),
+], ids=["hollow-tetrahedron", "octahedron", "circle-128-d4-level-1"])
+def test_full_rank_stop_reduces_up_to_the_column_that_fills_the_rank(monkeypatch, complex_of, sizes, calls):
+    n, edges, triangles = complex_of()
+    ranks = []
+    add = ColumnReducer.add
+
+    def counting_add(self, col):
+        raised = add(self, col)
+        ranks.append((raised, self.rank))
+        return raised
+
+    with monkeypatch.context() as m:
+        m.setattr(ColumnReducer, "add", counting_add)
+        hom = ChainHomology(n, edges, triangles)
+    assert (n, len(triangles), hom.cycle_dim) == sizes
+    assert len(ranks) == calls < len(triangles)
+    assert ranks[-1] == (True, hom.cycle_dim) and ranks[-2][1] == hom.cycle_dim - 1
+    assert hom.b1 == 0
+    assert hom.boundary_reducer.pivots == every_column_pivots(hom, triangles)

@@ -491,6 +491,30 @@ def fibonacci_sphere(n):
     return np.stack([r * np.cos(phi), y, r * np.sin(phi)], axis=1)
 
 
+def test_sphere_tower_reduces_triangles_to_the_full_core_answer(monkeypatch):
+    # on the sphere triangle columns reach the reduction and kill every cycle, unlike on a circle's levels
+    g = MetricGround.from_coords(fibonacci_sphere(400), density=0.13)
+    tower = Tower(build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=2))
+    reduced = []
+
+    class CountingChainHomology(invariants.ChainHomology):
+        def __init__(self, n_vertices, edges, triangles):
+            super().__init__(n_vertices, edges, triangles)
+            reduced.append((n_vertices, len(triangles), self.rank_d2))
+
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "ChainHomology", CountingChainHomology)
+        rep = shape_report(tower)
+    assert reduced == [(62, 0, 0), (125, 156, 155)]
+    assert [row.betti for row in rep.levels] == [(1, 0), (1, 0)]
+    assert rep.stabilized == (1, 0)
+    hls = [build_hyperlevel(g, lv, cap=3) for lv in tower.seq.levels]
+    full = [FullCoreHomology(hl) for hl in hls]
+    assert [row.betti for row in rep.levels] == [f.betti for f in full]
+    for pr, fine, coarse, f, c in zip(rep.pairs, hls[1:], hls, full[1:], full):
+        assert pr.ranks == full_core_ranks(bonding_vertex_map(bonding_map(tower, fine), fine, coarse), f, c)
+
+
 def test_sphere_sample_both_routes():
     # a sphere's loops all bound: both complex routes must see (1, 0) exactly
     g = MetricGround.from_coords(fibonacci_sphere(64))
@@ -525,7 +549,7 @@ def test_level_homology_reduces_once_and_matches_fresh_betti(monkeypatch):
         assert data.hom.rank_d2 == ref.rank_d2
 
 
-def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
+def test_edge_collapsed_cores_reduce_no_triangle(monkeypatch):
     g = generate(SpaceSpec("circle", n=256))
     seq = build_adjusted_sequence(g, epsilon1=g.diameter() / 2, depth=5)
     added = []
@@ -553,9 +577,10 @@ def test_level_homology_reduces_only_cone_free_triangles(monkeypatch):
         assert data.betti == full.betti and data.collapse == full.collapse
         bettis.append(data.betti)
     assert bettis == [(1, 0), (1, 1), (1, 1), (1, 1)]
-    # the whole cores of levels 2 and 3 (the oracle): most triangle columns are cones from a lower vertex and are not reduced
-    assert full_counts[2] == (540, 2304, 64, 64)
-    assert full_counts[3] == (650, 1920, 128, 128)
+    # the whole cores of levels 2 and 3 (the oracle): b1 = 1 keeps the rank below the cycle dimension,
+    # so every triangle column is reduced
+    assert full_counts[2] == (2304, 2304, 64, 64)
+    assert full_counts[3] == (1920, 1920, 128, 128)
     # edge-collapsed: (columns reduced, triangles grown, edges left, edges removed, core size);
     # each core keeps as many edges as vertices, one cycle with trees hanging off it
     assert counts[2] == (0, 0, 64, 512, 64)
