@@ -1,6 +1,6 @@
 """Finite approximation towers for compact metric samples."""
 
-from .construction import AdjustedSequence, Level, build_adjusted_sequence, gamma
+from .construction import AdjustedSequence, Level, build_adjusted_sequence
 from .homotopy import HomotopyWitness, check_diagram_commutes, check_homotopic_in_U, check_identity_convergence
 from .hyperspace import (
     HyperLevel,
@@ -43,7 +43,6 @@ __all__ = [
     "check_homotopic_in_U",
     "check_identity_convergence",
     "composite_bonding",
-    "gamma",
     "generate",
     "induced_homology_map",
     "load_ground",

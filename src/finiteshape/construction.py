@@ -159,14 +159,6 @@ def build_net(ground: MetricGround, epsilon: float) -> tuple[int, ...]:
     return cut_net(GreedyPermutation(ground), epsilon)[0]
 
 
-def gamma(ground: MetricGround, net) -> float:
-    """Realized coverage radius of a given net: max over ground of distance to the net."""
-    net = np.asarray(tuple(net), dtype=np.intp)
-    if not net.size:
-        raise ValueError("net must be non-empty")
-    return max(float(ground.block(rows, net).min(axis=1).max()) for rows in row_blocks(ground.n, len(net)))
-
-
 _LADDER_MARGIN = 1.15  # planned last-level scale sits 15% above the stopping floor
 
 
@@ -327,6 +319,19 @@ class SequenceFormatError(ValueError):
     """A stored sequence file is malformed or does not fit its ground sample."""
 
 
+def _coverage(ground: MetricGround, net, radius: float) -> float:
+    """Largest distance from a ground point to ``net``: the pairs within ``radius``, then whole rows beyond it."""
+    net = np.asarray(net, dtype=np.intp)
+    nearest = np.full(ground.n, np.inf)
+    for x, _, d in ground.net_pairs(net, radius) if radius >= 0 else ():  # bits of ``block``
+        first = np.flatnonzero(np.diff(x, prepend=-1))  # where each point's pairs begin
+        nearest[x[first]] = np.minimum.reduceat(d, first)
+    far = np.flatnonzero(~(nearest <= radius))  # no net point within ``radius``, or ``radius`` not >= 0
+    for rows in row_blocks(len(far), len(net)):
+        nearest[far[rows]] = ground.block(far[rows], net).min(axis=1)
+    return float(nearest.max())
+
+
 def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     """Re-load an exported sequence (for verification of stored towers).
 
@@ -334,8 +339,9 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
     level numbers that do not run 1, 2, 3, ..., an ``epsilon`` that is not
     finite and positive, a net that is not a sorted, duplicate-free list of
     ground indices in ``[0, ground.n)``, a stored ``gamma`` that is not the
-    net's coverage radius on ``ground`` (the checks judge the stored values),
-    a ``requested_depth`` below the number of levels, or above it without a
+    net's coverage radius on ``ground`` (the checks judge the stored values;
+    ``_coverage`` reads the ground x net pairs within the stored value), a
+    ``requested_depth`` below the number of levels, or above it without a
     ``stop_reason`` (a truncated file), a ``stop_reason`` without a
     ``requested_depth`` above the number of levels, or a ``stop_reason`` on
     a ground of density 0, where ``build_adjusted_sequence`` never stops
@@ -390,7 +396,7 @@ def load_sequence_text(ground: MetricGround, path: str) -> AdjustedSequence:
                 )
             if any(a >= b for a, b in zip(lv.net, lv.net[1:])):
                 raise SequenceFormatError(f"{where}: level {lv.index} net is not sorted and duplicate-free")
-            covered = gamma(ground, lv.net)
+            covered = _coverage(ground, lv.net, lv.gamma)
             if covered != lv.gamma:
                 raise SequenceFormatError(
                     f"{where}: level {lv.index} stores gamma={lv.gamma!r}, "

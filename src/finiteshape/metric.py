@@ -375,14 +375,12 @@ def _leaf_pair_extremes(coords: np.ndarray) -> tuple[float, float]:
 
     The points are put in k-d order (``_kd_leaves``) and read in leaf-pair
     tiles of ``_squared_sums``.  Every self tile is read first (diagonal
-    masked), then, for each leaf, the tile with the partner whose upper
-    bound is largest, to seed the farthest value.  Then each leaf takes the later
-    leaves by ascending lower bound and skips a tile whose upper bound is at
-    most the running farthest value and whose lower bound is at least the
-    largest nearest-so-far of both its leaves: no value in it can change
-    either statistic.  No tile is read twice, and the results are exact.
-    The transients are one tile plus O(n) vectors; on low-dimensional
-    samples most tiles are skipped.
+    masked).  Then each leaf takes the later leaves by ascending lower bound
+    and skips a tile whose upper bound is at most the running farthest value
+    and whose lower bound is at least the largest nearest-so-far of both its
+    leaves: no value in it can change either statistic.  No tile is read
+    twice, and the results are exact.  The transients are one tile plus O(n)
+    vectors; on low-dimensional samples most tiles are skipped.
     """
     perm, leaves = _kd_leaves(coords)
     pts = coords[perm]
@@ -392,11 +390,9 @@ def _leaf_pair_extremes(coords: np.ndarray) -> tuple[float, float]:
     nearest = np.full(len(pts), np.inf)
     leaf_nearest = np.full(len(leaves), np.inf)  # largest nearest-so-far in each leaf
     farthest = 0.0
-    done = set()
 
     def read(a: int, b: int) -> None:
         nonlocal farthest
-        done.add((a, b))
         rows, cols = leaves[a], leaves[b]
         tile = _squared_sums(pts, (rows, None), (None, cols))
         farthest = max(farthest, float(tile.max()))
@@ -410,18 +406,12 @@ def _leaf_pair_extremes(coords: np.ndarray) -> tuple[float, float]:
 
     for a in range(len(leaves)):
         read(a, a)
-    for a in range(len(leaves)):
-        high = _box_bounds(lo, hi, a, slice(None))[1]
-        high[a] = -np.inf
-        pair = tuple(sorted((a, int(np.argmax(high)))))
-        if pair not in done:
-            read(*pair)
     for a in range(len(leaves) - 1):
         low, high = _box_bounds(lo, hi, a, slice(a + 1, None))
         wanted = np.flatnonzero((high > farthest) | (low < np.maximum(leaf_nearest[a + 1:], leaf_nearest[a])))
         for c in wanted[np.argsort(low[wanted], kind="stable")].tolist():
             b = a + 1 + c
-            if (a, b) in done or (high[c] <= farthest and low[c] >= max(leaf_nearest[a], leaf_nearest[b])):
+            if high[c] <= farthest and low[c] >= max(leaf_nearest[a], leaf_nearest[b]):
                 continue
             read(a, b)
     return farthest, float(nearest.max()) if len(pts) > 1 else 0.0
@@ -437,10 +427,11 @@ def _validate_distance_table(dist: np.ndarray) -> None:
         raise GroundValidationError(f"non-finite distance in row {i}: d({i},{j})={float(dist[i, j])!r}")
     if not np.array_equal(dist, dist.T):
         i, j = map(int, np.argwhere(dist != dist.T)[0])
-        raise GroundValidationError(f"asymmetric matrix: d({i},{j})={dist[i, j]!r} != d({j},{i})={dist[j, i]!r}")
+        raise GroundValidationError(
+            f"asymmetric matrix: d({i},{j})={float(dist[i, j])!r} != d({j},{i})={float(dist[j, i])!r}")
     if (dist < 0).any():
         i, j = map(int, np.argwhere(dist < 0)[0])
-        raise GroundValidationError(f"negative entry: d({i},{j})={dist[i, j]!r}")
+        raise GroundValidationError(f"negative entry: d({i},{j})={float(dist[i, j])!r}")
     bad = np.flatnonzero(np.diag(dist) != 0.0)
     if bad.size:
         raise GroundValidationError(f"nonzero diagonal at index {int(bad[0])}")
@@ -496,12 +487,7 @@ def _check_triangle(dist: np.ndarray) -> None:
     # live midpoints (``_tile_holds``), the arithmetic of the full check, so
     # pass or fail is exactly that of every midpoint at every pair; the first
     # witness is then found by the per-midpoint scan, which runs only when a
-    # violation exists.  On the 1000-point circle tables of the distmatrix
-    # bench (seeds 1, 2, 7) about a fifth of the (tile, midpoint) work is
-    # live and the check takes 0.07-0.10 s instead of 0.22-0.27 s; on 1000
-    # uniform points of the cube in R^8, where three quarters stay live, it
-    # costs 0.95-1.10 times the untiled check's 0.23-0.25 s (medians of six
-    # interleaved sessions, 2-core Xeon VM).
+    # violation exists.
     n = dist.shape[0]
     tol = 1e-12 * max(1.0, float(dist.max()))
     ks = triangle_midpoints(n)
@@ -551,19 +537,19 @@ def _tile_holds(dist: np.ndarray, cells: list[np.ndarray], mids: list[np.ndarray
 
 
 def _report_triangle_violation(dist: np.ndarray, ks: np.ndarray, tol: float) -> None:
-    """Raise for the first midpoint k, then the first (i, j) in row order, that violates."""
-    via = np.empty_like(dist)
-    viol = np.empty(dist.shape, dtype=bool)
+    """Raise for the first midpoint k, then the first (i, j) in row order, that violates, in row blocks."""
     for k in map(int, ks):
-        np.add(dist[:, k, None], dist[None, k, :], out=via)
-        via += tol
-        np.greater(dist, via, out=viol)
-        if viol.any():
-            i, j = map(int, np.argwhere(viol)[0])
-            raise GroundValidationError(
-                f"triangle inequality violated for ({i},{k},{j}): "
-                f"d({i},{j})={dist[i, j]!r} > d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]!r}"
-            )
+        for rows in row_blocks(len(dist), len(dist)):
+            via = dist[rows, k, None] + dist[None, k, :]
+            via += tol
+            viol = dist[rows] > via
+            if viol.any():
+                i, j = map(int, np.argwhere(viol)[0])
+                i += rows.start
+                raise GroundValidationError(
+                    f"triangle inequality violated for ({i},{k},{j}): "
+                    f"d({i},{j})={float(dist[i, j])!r} > d({i},{k})+d({k},{j})={float(dist[i, k] + dist[k, j])!r}"
+                )
 
 
 @dataclass(frozen=True)

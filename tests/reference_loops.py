@@ -29,7 +29,9 @@ the library did before it collapsed straight from the graph's bitmasks.
 every boundary column of a complex, with no stop at full rank.
 
 The oracles that the pipeline never reads live here too: the whole distance
-table of a ground, the largest image diameter of a map, the element index
+table of a ground, a net's coverage radius off the whole ground x net
+block (the library reads a stored tower's coverage off the pairs within its
+stored radius), the largest image diameter of a map, the element index
 of a hyperlevel, the selection map of a bonding map, the Euler
 characteristic and face closure of a complex, and the distance-matrix CSV
 writer.  So do the approximative maps, finite prefixes of multivalued map
@@ -44,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from finiteshape.construction import gamma
 from finiteshape.gf2 import ChainHomology, ColumnReducer
 from finiteshape.hyperspace import MultiMap, _union_rows, grow_cliques, nearest_sets, row_diameters
 from finiteshape.invariants import StrongCollapse, bonding_vertex_map, order_complex, scale_complex
@@ -54,6 +55,14 @@ from finiteshape.metric import _squared_sums, row_blocks
 def dense(ground):
     """The whole ``n x n`` distance table: the stored one, or computed afresh from coordinates."""
     return ground.block(slice(None), slice(None))
+
+
+def gamma(ground, net) -> float:
+    """Coverage radius of a net: the largest distance from a ground point to it, off the whole ground x net block."""
+    net = np.asarray(tuple(net), dtype=np.intp)
+    if not net.size:
+        raise ValueError("net must be non-empty")
+    return max(float(ground.block(rows, net).min(axis=1).max()) for rows in row_blocks(ground.n, len(net)))
 
 
 def map_diameter(ground, table):

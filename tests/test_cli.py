@@ -519,8 +519,28 @@ def _edit_level_line(path, n, edit):
     # an infinite scale passed every verdict, and a NaN one passed the distance bounds against NaN bounds
     (1, lambda f: f.update(epsilon="inf"), "sequence.txt:5: level 1 epsilon=inf is not finite and positive"),
     (2, lambda f: f.update(epsilon="nan"), "sequence.txt:6: level 2 epsilon=nan is not finite and positive"),
+    # the coverage is read off the pairs within the stored gamma, and off whole rows for the points beyond it
+    # or for every point when it is not >= 0; each reason runs to the end of the line
+    (2, lambda f: f.update(gamma=repr(math.nextafter(float(f["gamma"]), 0.0))),
+     "sequence.txt:6: level 2 stores gamma=0.09813534865483613, but its net covers the ground within "
+     "gamma=0.09813534865483614\n"),
+    (2, lambda f: f.update(gamma=repr(math.nextafter(float(f["gamma"]), math.inf))),
+     "sequence.txt:6: level 2 stores gamma=0.09813534865483615, but its net covers the ground within "
+     "gamma=0.09813534865483614\n"),
+    (2, lambda f: f.update(gamma=repr(2.0 * float(f["gamma"]))),
+     "sequence.txt:6: level 2 stores gamma=0.19627069730967228, but its net covers the ground within "
+     "gamma=0.09813534865483614\n"),
+    (1, lambda f: f.update(gamma="inf"),
+     "sequence.txt:5: level 1 stores gamma=inf, but its net covers the ground within gamma=0.7653668647301796\n"),
+    (1, lambda f: f.update(gamma="nan"),
+     "sequence.txt:5: level 1 stores gamma=nan, but its net covers the ground within gamma=0.7653668647301796\n"),
+    (2, lambda f: f.update(gamma="-1.0"),
+     "sequence.txt:6: level 2 stores gamma=-1.0, but its net covers the ground within gamma=0.09813534865483614\n"),
+    (3, lambda f: f.update(gamma="-1.0"),
+     "sequence.txt:7: level 3 stores gamma=-1.0, but its net covers the ground within gamma=0.0\n"),
 ], ids=["index-out-of-range", "unsorted", "duplicate", "level-gap", "missing-field", "false-gamma",
-        "epsilon-inf-level-1", "epsilon-nan-level-2"])
+        "epsilon-inf-level-1", "epsilon-nan-level-2", "gamma-one-below", "gamma-one-above", "gamma-doubled",
+        "gamma-inf-level-1", "gamma-nan-level-1", "gamma-negative-level-2", "gamma-negative-level-3"])
 def test_verify_malformed_stored_sequence_fails(tmp_path, capsys, n, edit, reason):
     coords, seq_file = _stored_circle64(tmp_path)
     _edit_level_line(seq_file, n, edit)

@@ -2,9 +2,11 @@
 
 Each command of the CLI runs in-process on tiny inputs under
 ``sys.setprofile``: ``generate`` for every space kind, ``run`` on a
-generated space, on a coordinate CSV, on a distance-matrix CSV and from a
-``--config`` file, ``verify`` with and without ``--sequence``, both exports,
-and a distance table that breaks the triangle inequality.  The test then
+generated space, on one of more than ``LEAF_SIZE`` points (so the ground
+statistics compare k-d leaves), on a coordinate CSV, on a distance-matrix
+CSV and from a ``--config`` file, ``verify`` with and without
+``--sequence``, both exports, and a distance table that breaks the triangle
+inequality.  The test then
 names every function or method compiled from the package's source that no
 run called.  Methods a dataclass generates have no source there and are not
 counted.  The only names let off are those the benchmark tracer pins: the
@@ -75,6 +77,7 @@ def commands(tmp: Path) -> list[tuple[list[str], int]]:
         *[(["generate", "--space", space, "--n", "40", "--out", str(tmp / f"{space}.csv")], 0)
           for space in ("two_points", "circle", "interval", "cantor", "warsaw", "warsaw_circle")],
         (["run", *CIRCLE, "--outdir", str(tmp / "tower")], 0),
+        (["run", "--space", "circle", "--n", "100", "--depth", "2", *out], 0),  # more than one k-d leaf
         (["run", "--input", str(tmp / "circle.csv"), "--depth", "3", *out], 0),
         (["run", "--input", str(tmp / "dist.csv"), "--format", "distmatrix_csv", "--depth", "3", *out], 0),
         (["run", "--config", str(tmp / "run.cfg"), *out], 0),

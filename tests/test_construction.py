@@ -4,20 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from finiteshape import construction
+from finiteshape import construction, metric
 from finiteshape.construction import (
     GreedyPermutation,
     build_adjusted_sequence,
     build_net,
     check_sequence_inequalities,
     cut_net,
-    gamma,
     load_sequence_text,
     write_sequence_csv,
     write_sequence_text,
 )
 from finiteshape.metric import MetricGround, SpaceSpec, generate
-from reference_loops import dense
+from reference_loops import dense, gamma
 
 
 def circle4():
@@ -154,7 +153,7 @@ def test_sequence_invariants_across_spaces(spec, eps1):
 
 
 def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypatch):
-    calls = dict.fromkeys(("GreedyPermutation", "build_net", "gamma"), 0)
+    calls = dict.fromkeys(("GreedyPermutation", "build_net"), 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -167,7 +166,7 @@ def test_build_adjusted_sequence_reads_every_level_off_one_greedy_pass(monkeypat
     g = generate(SpaceSpec("circle", n=256))
     seq = construction.build_adjusted_sequence(g, epsilon1=g.diameter() / 2.0, depth=4)
     assert seq.depth == 4
-    assert calls == {"GreedyPermutation": 1, "build_net": 0, "gamma": 0}
+    assert calls == {"GreedyPermutation": 1, "build_net": 0}
 
 
 def _lazy_cut_grounds():
@@ -200,6 +199,25 @@ def test_lazy_greedy_cut_matches_full_pass(name):
         assert len(lazy.order) == len(net)  # the pass stopped at the threshold
         assert np.array_equal(lazy.order, full.order[:len(net)])
         assert np.array_equal(lazy.radii, full.radii[:len(net)])
+
+
+def test_loading_a_stored_tower_reads_the_pairs_within_each_stored_gamma(tmp_path, monkeypatch):
+    # the coverage of a stored level was read off the whole ground x net block
+    g = generate(SpaceSpec("warsaw_circle", n=20000))
+    seq = build_adjusted_sequence(g, g.diameter() / 2.0, 4)
+    path = tmp_path / "sequence.txt"
+    write_sequence_text(seq, str(path))
+    squared_sums, sums = metric._squared_sums, 0
+
+    def counting(coords, i, j):
+        nonlocal sums
+        out = squared_sums(coords, i, j)
+        sums += out.size
+        return out
+
+    monkeypatch.setattr(metric, "_squared_sums", counting)
+    assert load_sequence_text(g, str(path)).levels == seq.levels
+    assert sums < 0.05 * g.n * sum(len(lv.net) for lv in seq.levels)
 
 
 def test_sequence_roundtrip(tmp_path):

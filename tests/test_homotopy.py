@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finiteshape.construction import build_adjusted_sequence, build_net, gamma
+from finiteshape.construction import build_adjusted_sequence, build_net
 from finiteshape.homotopy import check_diagram_commutes, check_homotopic_in_U, check_identity_convergence
 from finiteshape.hyperspace import MultiMap, Tower, build_hyperlevel, is_continuous, nearest_sets
 from finiteshape.metric import MetricGround, SpaceSpec, generate
@@ -13,6 +13,7 @@ from reference_loops import (
     ball_map_prefix,
     dense,
     finite_type_convert,
+    gamma,
     map_diameter,
     padded,
     reference_nearest_sets,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from finiteshape import hyperspace
-from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence, gamma
+from finiteshape.construction import AdjustedSequence, Level, build_adjusted_sequence
 from finiteshape.hyperspace import (
     BondingDiameterError,
     MultiMap,
@@ -25,6 +25,7 @@ from finiteshape.metric import MetricGround, SpaceSpec, generate
 from reference_loops import (
     dense,
     element_id,
+    gamma,
     images_of,
     map_diameter,
     monotone_on_all_pairs,

@@ -393,14 +393,15 @@ def test_load_distmatrix_asymmetric(tmp_path):
     p.write_text("0,1\n2,0\n")
     with pytest.raises(GroundValidationError) as err:
         load_ground(str(p), "distmatrix_csv")
-    assert "asymmetric" in str(err.value)
+    assert str(err.value) == "asymmetric matrix: d(0,1)=1.0 != d(1,0)=2.0"
 
 
 def test_load_distmatrix_negative(tmp_path):
     p = tmp_path / "neg.csv"
     p.write_text("0,-1\n-1,0\n")
-    with pytest.raises(GroundValidationError):
+    with pytest.raises(GroundValidationError) as err:
         load_ground(str(p), "distmatrix_csv")
+    assert str(err.value) == "negative entry: d(0,1)=-1.0"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -531,7 +532,7 @@ def _reference_check_triangle(dist, exhaustive_limit=512, samples=256):
             i, j = map(int, np.argwhere(viol)[0])
             raise GroundValidationError(
                 f"triangle inequality violated for ({i},{int(k)},{j}): "
-                f"d({i},{j})={dist[i, j]!r} > d({i},{int(k)})+d({int(k)},{j})={via[i, j]!r}"
+                f"d({i},{j})={float(dist[i, j])!r} > d({i},{int(k)})+d({int(k)},{j})={float(via[i, j])!r}"
             )
 
 
@@ -655,6 +656,24 @@ def test_tiled_triangle_check_holds_no_more_than_the_untiled_check(n, untiled_pe
     finally:
         tracemalloc.stop()
     assert peak <= untiled_peak
+
+
+def test_a_table_failing_the_triangle_check_holds_no_more_than_a_passing_one():
+    # the witness search once formed two n x n temporaries, ten times the passing check's peak
+    table = dense(generate(SpaceSpec("circle", n=3000)))
+    peaks, errors = [], []
+    for t in (table, _with(table, 0, 12, 3.0)):
+        tracemalloc.start()
+        try:
+            metric._validate_distance_table(t)
+            errors.append(None)
+        except GroundValidationError as err:
+            errors.append(str(err))
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert errors[0] is None and errors[1].startswith("triangle inequality violated for (0,")
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("exhaustive_limit", [metric.TRIANGLE_EXHAUSTIVE_LIMIT, 0])

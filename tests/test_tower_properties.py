@@ -15,6 +15,7 @@ see duplicate points, a single point and distance-matrix grounds.
 """
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,6 @@ from finiteshape.construction import (
     build_net,
     check_sequence_inequalities,
     cut_net,
-    gamma,
     load_sequence_text,
     write_sequence_text,
 )
@@ -151,7 +151,7 @@ def non_nested_circle_sequence():
     ground = generate(SpaceSpec("circle", n=64))
     nets = [tuple(range(0, 64, 5)), tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]
     scales = (0.95, 0.35, 0.11)
-    levels = tuple(Level(n, eps, net, gamma(ground, net)) for n, eps, net in zip((1, 2, 3), scales, nets))
+    levels = tuple(Level(n, eps, net, ref.gamma(ground, net)) for n, eps, net in zip((1, 2, 3), scales, nets))
     return AdjustedSequence(ground, levels, requested_depth=3)
 
 
@@ -253,7 +253,7 @@ def test_greedy_nets_are_prefixes_of_one_permutation(points, drawn_threshold):
     for t in thresholds:
         net, covered = cut_net(perm, float(t))
         assert net == ref.reference_build_net(ref.dense(ground), t) == build_net(ground, t)
-        assert covered == gamma(ground, net)
+        assert covered == ref.gamma(ground, net)
         assert covered < t
 
 
@@ -493,3 +493,65 @@ def test_bonding_maps_that_pass_are_monotone_and_select_coarse_elements(drawn):
                 vertex_map = bonding_vertex_map(p, fine, coarse)
                 assert vertex_map == [coarse.level.net.index(min(p.images[v])) for v in range(k)]
                 assert ref.selection_vertex_map(p, fine, coarse)[:k] == vertex_map
+
+
+def bench_towers():
+    """(tower, 1e-9) on the grounds and depths of the four benchmark workloads.
+
+    The distance-matrix ground is the benchmark's seed-1 input: 1000 points
+    on the unit circle, each moved by up to a tenth of the spacing, in a
+    seeded order, with the table symmetrized.
+    """
+    rng = np.random.default_rng(1)
+    theta = 2.0 * np.pi * (np.arange(1000) + rng.uniform(-0.1, 0.1, 1000)) / 1000
+    xy = np.stack([np.cos(theta), np.sin(theta)], axis=1)[rng.permutation(1000)]
+    table = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+    table = 0.5 * (table + table.T)
+    np.fill_diagonal(table, 0.0)
+    grounds = [(generate(SpaceSpec("warsaw_circle", n=2000)), 4), (generate(SpaceSpec("circle", n=256)), 5),
+               (generate(SpaceSpec("circle", n=4000)), 6), (MetricGround.from_matrix(table), 4)]
+    return [(Tower(build_adjusted_sequence(g, g.diameter() / 2.0, depth)), 1e-9) for g, depth in grounds]
+
+
+def steps_decide_composites(tower):
+    """Whether every step bonding map passes; if so, every composite from a level two or more up passes too."""
+    hls = [build_hyperlevel(tower.ground, lv, cap=2) for lv in tower.seq.levels]
+    if any(isinstance(outcome(bonding_map, tower, hl), str) for hl in hls[1:]):
+        return False
+    for m in range(3, len(hls) + 1):
+        for n in range(1, m - 1):
+            assert isinstance(outcome(composite_bonding, tower, hls[m - 1], n), MultiMap)
+    return True
+
+
+def tight_steps(tower, tie_tol):
+    """The tower with each epsilon_n, finest first, cut to the least float whose double exceeds its step images.
+
+    Every step bonding map then passes with the least slack, so a composite
+    that the steps did not decide would fail here first.
+    """
+    levels = list(tower.seq.levels)
+    for n in range(len(levels) - 1, 0, -1):
+        fine = build_hyperlevel(tower.ground, levels[n], cap=2)
+        widest = ref.map_diameter(tower.ground, tower.union_image(n, n + 1, fine.table))
+        levels[n - 1] = dataclasses.replace(levels[n - 1], epsilon=math.nextafter(widest / 2.0, math.inf))
+    with at_tie_tolerance(tie_tol):
+        return Tower(dataclasses.replace(tower.seq, levels=tuple(levels)))
+
+
+def with_bench_examples(test):
+    """The towers of ``bench_towers()`` as fixed examples."""
+    for drawn in bench_towers():
+        test = example(drawn)(test)
+    return test
+
+
+@PROPERTY_SETTINGS
+@given(towers())
+@with_lattice_examples
+@with_bench_examples
+def test_steps_that_pass_decide_every_composite(drawn):
+    # verify checks only the step bonding maps: a composite image is the step image of a clique one level up
+    tower, tie_tol = drawn
+    steps_decide_composites(tower)
+    assert steps_decide_composites(tight_steps(tower, tie_tol))
